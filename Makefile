@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench figures examples clean
+.PHONY: all build vet test race bench benchmark noise figures examples clean
 
 all: build vet test
 
@@ -20,6 +20,15 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The BENCHMARK.json benchmark, all five workloads interleaved (see
+# benchmark/README.md); `noise` runs this commit against itself to show how
+# far two medians of the same code differ on this host (-> benchmark/NOISE.md).
+benchmark:
+	bash benchmark/run.sh --workload all --seconds 30 --trace 0
+
+noise:
+	bash benchmark/repeat.sh 5
 
 # Regenerate every paper figure at laptop scale (use FLAGS="-full -threads 64"
 # on a big machine).

@@ -137,6 +137,11 @@ type World struct {
 	peerHookMu sync.Mutex
 	peerHook   func(PeerEvent)
 
+	// drainWait is non-nil while a Drain call waits; linkDrained closes it
+	// when a send link's retransmit queue empties.
+	drainMu   sync.Mutex
+	drainWait chan struct{}
+
 	// timers tracks the delayed-delivery timers armed by Delay/Reorder
 	// faults so Shutdown can stop any still pending; without this they
 	// outlive the world and fire into dead mailboxes.
@@ -668,9 +673,13 @@ func (p *Proc) handleAck(src int, upto int64) {
 			}
 		}
 	}
+	empty := len(l.unacked) == 0
 	l.mu.Unlock()
 	if released {
 		p.stalled = false
+		if empty {
+			p.world.linkDrained()
+		}
 	}
 }
 

@@ -258,6 +258,7 @@ func (p *Proc) applyRankDead(dead int) {
 			delete(l.unacked, seq)
 		}
 		l.mu.Unlock()
+		p.world.linkDrained()
 		p.recvLinks[dead] = recvLink{expected: 1}
 	}
 	// Restart the termination wave over the survivors: any in-flight round

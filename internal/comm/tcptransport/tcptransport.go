@@ -22,6 +22,7 @@
 package tcptransport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,6 +43,11 @@ const (
 	// maxFrameLen bounds one frame so a corrupted or hostile length prefix
 	// cannot make the reader allocate unboundedly.
 	maxFrameLen = 64 << 20
+
+	// coalesceLimit is how many bytes of queued frames a writer gathers
+	// into one Write, and the size of a reader's buffer: frames that are
+	// queued together cost one system call on each side, not two apiece.
+	coalesceLimit = 64 << 10
 )
 
 // Errors returned by Send. Both are best-effort conditions: the reliable
@@ -363,21 +369,79 @@ func (p *peer) current() net.Conn {
 	return p.conn
 }
 
+// frameBuf gathers length-prefixed frames for one Write. The buffer is
+// reused from write to write.
+type frameBuf struct {
+	b []byte
+	n int64 // frames in b
+}
+
+func (f *frameBuf) add(frame []byte) {
+	f.b = binary.LittleEndian.AppendUint32(f.b, uint32(len(frame)))
+	f.b = append(f.b, frame...)
+	f.n++
+}
+
+func (f *frameBuf) full() bool { return len(f.b) >= coalesceLimit }
+
+// writeTo writes the gathered frames to c under one deadline and empties
+// the buffer, reporting how many frames it held.
+func (f *frameBuf) writeTo(c net.Conn, deadline time.Time) (int64, error) {
+	c.SetWriteDeadline(deadline)
+	_, err := c.Write(f.b)
+	n := f.n
+	f.b, f.n = f.b[:0], 0
+	if cap(f.b) > 4*coalesceLimit {
+		f.b = nil // one huge frame must not pin its copy forever
+	}
+	return n, err
+}
+
 // writeLoop drains the outbox onto the connection, dialing (with capped
 // exponential backoff + jitter) whenever there is no connection. It never
 // blocks on backoff: while disconnected and inside the backoff window,
 // frames are dropped fast, so retransmission traffic cannot pile up.
+//
+// Frames are gathered into one buffer and written when the outbox runs
+// empty or the buffer reaches coalesceLimit, so a lone frame costs one
+// Write (prefix and body together) and a queued burst costs one Write for
+// all of it. Every frame still passes the fault injector on its own; a
+// fault first writes what was gathered ahead of it, keeping frame order.
 func (p *peer) writeLoop() {
 	t := p.t
 	defer t.writerWg.Done()
-	var lenBuf [4]byte
+	var (
+		fb   frameBuf
+		conn net.Conn // the connection fb's frames were gathered for
+	)
+	flush := func() {
+		if fb.n == 0 {
+			return
+		}
+		n, err := fb.writeTo(conn, time.Now().Add(t.cfg.WriteTimeout))
+		if err != nil {
+			p.dropConn(conn, err)
+			t.dropped.Add(n)
+			return
+		}
+		t.sent.Add(n)
+	}
 	for {
 		var frame []byte
-		select {
-		case <-p.quit:
-			p.flushResidual()
-			return
-		case frame = <-p.outbox:
+		if fb.n == 0 {
+			select {
+			case <-p.quit:
+				p.flushResidual(&fb)
+				return
+			case frame = <-p.outbox:
+			}
+		} else {
+			select {
+			case frame = <-p.outbox:
+			default:
+				flush()
+				continue
+			}
 		}
 		if p.dead.Load() || t.closed.Load() {
 			continue // drain and drop
@@ -386,6 +450,7 @@ func (p *peer) writeLoop() {
 			// Partition episode: this direction is black-holed. Kill any
 			// established connection so the episode also manifests as a
 			// connection-lifecycle fault, then drop.
+			flush()
 			if c := p.current(); c != nil {
 				p.closeConn(c)
 				t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: errInjectedPartition})
@@ -394,6 +459,10 @@ func (p *peer) writeLoop() {
 			continue
 		}
 		c := p.ensureConn()
+		if c != conn {
+			flush() // the old connection is gone (MarkDead, Close): fails fast
+			conn = c
+		}
 		if c == nil {
 			t.dropped.Add(1)
 			continue
@@ -403,32 +472,24 @@ func (p *peer) writeLoop() {
 		if t.inj != nil {
 			switch t.inj.writeFault() {
 			case faultConnKill:
+				flush()
 				p.dropConn(c, errInjectedConnKill)
 				t.dropped.Add(1)
 				continue
 			case faultTornWrite:
-				binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-				c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-				c.Write(lenBuf[:])
-				c.Write(frame[:len(frame)/2])
+				flush()
+				fb.add(frame)
+				fb.b = fb.b[:4+len(frame)/2]
+				fb.writeTo(c, time.Now().Add(t.cfg.WriteTimeout))
 				p.dropConn(c, errInjectedTornWrite)
 				t.dropped.Add(1)
 				continue
 			}
 		}
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-		c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-		if _, err := c.Write(lenBuf[:]); err != nil {
-			p.dropConn(c, err)
-			t.dropped.Add(1)
-			continue
+		fb.add(frame)
+		if fb.full() {
+			flush()
 		}
-		if _, err := c.Write(frame); err != nil {
-			p.dropConn(c, err)
-			t.dropped.Add(1)
-			continue
-		}
-		t.sent.Add(1)
 	}
 }
 
@@ -437,25 +498,25 @@ func (p *peer) writeLoop() {
 // queued here are typically the final acks peers need to drain their links;
 // the whole flush shares one short deadline so a wedged peer cannot stall
 // Close. No dialing: with no connection the residue is dropped.
-func (p *peer) flushResidual() {
+func (p *peer) flushResidual(fb *frameBuf) {
 	c := p.current()
 	if c == nil || p.dead.Load() {
 		return
 	}
 	deadline := time.Now().Add(100 * time.Millisecond)
-	var lenBuf [4]byte
 	for {
 		select {
 		case frame := <-p.outbox:
-			c.SetWriteDeadline(deadline)
-			binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-			if _, err := c.Write(lenBuf[:]); err != nil {
-				return
-			}
-			if _, err := c.Write(frame); err != nil {
-				return
+			fb.add(frame)
+			if !fb.full() {
+				continue
 			}
 		default:
+			if fb.n == 0 {
+				return
+			}
+		}
+		if _, err := fb.writeTo(c, deadline); err != nil {
 			return
 		}
 	}
@@ -583,10 +644,14 @@ func (t *Transport) forget(c net.Conn) {
 func (t *Transport) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer t.forget(c)
-	var r io.Reader = c
+	// One buffered reader over the connection (and over the fault injector's
+	// slow reads, when present): a frame's prefix and body, and every frame
+	// that arrived with it, come out of one Read.
+	var raw io.Reader = c
 	if t.inj != nil {
-		r = t.inj.slowReader(c)
+		raw = t.inj.slowReader(c)
 	}
+	r := bufio.NewReaderSize(raw, coalesceLimit)
 	var h [handshakeLen]byte
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.WriteTimeout))
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -620,7 +685,7 @@ func (t *Transport) readLoop(c net.Conn) {
 			t.logf("tcptransport: rank %d: bad frame length %d from rank %d", t.cfg.Self, n, src)
 			return
 		}
-		frame := make([]byte, n)
+		frame := make([]byte, n) // fresh per frame: the link layer keeps it
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return // torn frame: the sender's retransmission re-carries it
 		}

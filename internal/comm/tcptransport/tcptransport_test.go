@@ -347,3 +347,44 @@ func TestManyFramesStress(t *testing.T) {
 	}
 	_ = fmt.Sprintf("dials=%d reconnects=%d", p.a.Dials(), p.a.Reconnects())
 }
+
+// TestQueuedBurstArrivesWholeAndInOrder: frames queued faster than the
+// writer drains them are gathered into shared writes and come out of a
+// shared read buffer; every one must still arrive intact, once, and in the
+// order it was sent — from one byte up to a frame larger than the gather
+// buffer and the read buffer.
+func TestQueuedBurstArrivesWholeAndInOrder(t *testing.T) {
+	p := newPair(t, nil, nil, nil)
+	sendUntil(t, p.a, p.bGot, 1, 5*time.Second) // connection up
+	base := p.bGot.len()
+
+	sizes := []int{1, 3, 40, 4096, coalesceLimit - 4, coalesceLimit, 3*coalesceLimit + 7}
+	const burst = 700
+	mk := func(i int) []byte {
+		f := make([]byte, sizes[i%len(sizes)])
+		for j := range f {
+			f[j] = byte(i + j)
+		}
+		return f
+	}
+	for i := 0; i < burst; i++ {
+		for p.a.Send(1, mk(i)) != nil { // outbox full: let the writer catch up
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.bGot.len() < base+burst {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d/%d frames of the burst (dropped=%d)", p.bGot.len()-base, burst, p.a.Dropped())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, got := range p.bGot.all()[base:] {
+		if !bytes.Equal(got, mk(i)) {
+			t.Fatalf("frame %d of the burst (len %d) arrived as %d other bytes", i, len(mk(i)), len(got))
+		}
+	}
+	if r := p.a.Reconnects(); r != 0 {
+		t.Fatalf("clean wire reported %d reconnects", r)
+	}
+}

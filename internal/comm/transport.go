@@ -251,26 +251,51 @@ func (w *World) Reconnects() int64 {
 // between Wait and Shutdown so a process does not tear its sockets down
 // while a peer still needs a retransmission (e.g. of the termination
 // broadcast). Links toward confirmed-dead ranks are already cleared by the
-// membership protocol and do not block draining.
+// membership protocol and do not block draining. Drain does not poll: it
+// sleeps until a link's retransmit queue empties (linkDrained) or the
+// timeout expires.
 func (w *World) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		clean := true
-		for _, p := range w.procs {
-			if p == nil || !p.launched.Load() {
-				continue
-			}
-			if p.hasUnacked() {
-				clean = false
-				break
-			}
+		// Register before checking: a link that empties after the check
+		// finds the channel and closes it (linkDrained), one that emptied
+		// before the registration is seen by the check.
+		w.drainMu.Lock()
+		if w.drainWait == nil {
+			w.drainWait = make(chan struct{})
 		}
-		if clean {
+		emptied := w.drainWait
+		w.drainMu.Unlock()
+		if !w.hasUnacked() {
 			return true
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-emptied:
+		case <-deadline.C:
 			return false
 		}
-		time.Sleep(time.Millisecond)
 	}
+}
+
+// hasUnacked reports whether any launched local rank still awaits an ack.
+func (w *World) hasUnacked() bool {
+	for _, p := range w.procs {
+		if p != nil && p.launched.Load() && p.hasUnacked() {
+			return true
+		}
+	}
+	return false
+}
+
+// linkDrained wakes every waiting Drain: a send link's retransmit queue
+// just emptied (its last pending send was acked, or its peer was confirmed
+// dead). Costs one uncontended lock when nobody is draining.
+func (w *World) linkDrained() {
+	w.drainMu.Lock()
+	if w.drainWait != nil {
+		close(w.drainWait)
+		w.drainWait = nil
+	}
+	w.drainMu.Unlock()
 }

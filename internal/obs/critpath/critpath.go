@@ -148,14 +148,30 @@ func Analyze(spans []Span) (*Report, error) {
 		index[spanKey{s.Rank, s.SpanID}] = s
 	}
 
-	// The path terminates at the latest-ending span; walk backward choosing,
-	// at each span, the last-arriving resolvable cause — the input whose
-	// delivery gated this task's readiness.
-	last := &spans[0]
+	// The path terminates at the latest-ending span that caused nothing:
+	// a consumer stolen by another worker can finish before its producer's
+	// span closes (the producer still cleans up after the send), so the
+	// latest end alone may name a span one or two tasks short of the sink.
+	// Walk backward from there choosing, at each span, the last-arriving
+	// resolvable cause — the input whose delivery gated this task's
+	// readiness.
+	producer := make(map[spanKey]bool, len(spans))
 	for i := range spans {
-		if spans[i].End.After(last.End) {
-			last = &spans[i]
+		for _, c := range spans[i].Causes {
+			if c.SpanID != 0 {
+				producer[spanKey{c.Rank, c.SpanID}] = true
+			}
 		}
+	}
+	var last *Span
+	for i := range spans {
+		s := &spans[i]
+		if !producer[spanKey{s.Rank, s.SpanID}] && (last == nil || s.End.After(last.End)) {
+			last = s
+		}
+	}
+	if last == nil {
+		return nil, fmt.Errorf("critpath: every span is named as a cause (causal records cycle)")
 	}
 	type hop struct {
 		span  *Span

@@ -59,6 +59,43 @@ func TestAnalyzeChainExact(t *testing.T) {
 	}
 }
 
+// TestAnalyzeConsumerEndsBeforeProducer: C is made ready by B's send at 14,
+// stolen by the other worker and finished at 18, while B's span only closes
+// at 20 (it still cleans up after the send). The latest-ending span is B,
+// but B caused C: the path must end at the sink C, with C's window — wholly
+// inside B's — adding nothing to the length.
+//
+//	A [0,10)  --at 8-->  B [12,20)  --at 14-->  C [15,18)
+func TestAnalyzeConsumerEndsBeforeProducer(t *testing.T) {
+	t0 := time.Now()
+	spans := []Span{
+		{Rank: 0, Worker: 0, SpanID: 1, Name: "A", Start: t0, End: at(t0, 10)},
+		{Rank: 0, Worker: 0, SpanID: 2, Name: "B", Start: at(t0, 12), End: at(t0, 20),
+			Causes: []Cause{{SpanID: 1, At: at(t0, 8)}}},
+		{Rank: 0, Worker: 1, SpanID: 3, Name: "C", Start: at(t0, 15), End: at(t0, 18),
+			Causes: []Cause{{SpanID: 2, At: at(t0, 14)}}},
+	}
+	rep, err := Analyze(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := ""
+	for _, s := range rep.Path {
+		names += s.Span.Name
+	}
+	if names != "ABC" || rep.Tasks != 3 {
+		t.Fatalf("path %q (%d tasks), want ABC (3)", names, rep.Tasks)
+	}
+	ms := int64(time.Millisecond)
+	if rep.LenNs != 20*ms || rep.BodyNs != 18*ms || rep.QueueNs != 2*ms || rep.CommNs != 0 {
+		t.Fatalf("len %d body %d queue %d comm %d, want 20/18/2/0 ms",
+			rep.LenNs, rep.BodyNs, rep.QueueNs, rep.CommNs)
+	}
+	if rep.BodyNs+rep.QueueNs+rep.CommNs != rep.LenNs {
+		t.Fatal("attribution does not telescope")
+	}
+}
+
 // TestAnalyzeDiamondCriticalInput checks the backward walk follows the
 // last-arriving input: D waits on both B and C, B's datum arrives later, so
 // the critical path is A→B→D and C contributes nothing.

@@ -75,8 +75,9 @@ type Config struct {
 	InlineTasks bool
 	// MaxInlineDepth bounds inline recursion (default 8).
 	MaxInlineDepth int
-	// SpinBeforePark is how many failed acquisition rounds a worker spins
-	// before sleeping between polls (default 2048).
+	// SpinBeforePark is how many failed acquisition rounds an idle worker
+	// spins before it parks — blocks until a producer wakes it (default
+	// 2048).
 	SpinBeforePark int
 	// BundleReady batches the tasks made eligible during one task's
 	// execution and inserts them into the scheduler as a single pre-sorted

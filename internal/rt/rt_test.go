@@ -245,8 +245,8 @@ func TestDoubleStartPanics(t *testing.T) {
 }
 
 func TestWorkerParkAndWake(t *testing.T) {
-	// Force parking quickly, then inject late work: parked workers must
-	// pick it up and the run must terminate.
+	// Force parking quickly, then inject late work: the Injects must wake
+	// the parked workers, and the run must terminate.
 	cfg := Config{Workers: 2, Sched: SchedLLP, ThreadLocalTermDet: true,
 		UsePools: true, SpinBeforePark: 4}.Normalize()
 	r := New(cfg)
@@ -258,8 +258,8 @@ func TestWorkerParkAndWake(t *testing.T) {
 	}
 	r.BeginAction()
 	r.Start(false)
-	// Let the workers spin down into the parked state (SpinBeforePark=4
-	// reaches the sleep loop within microseconds).
+	// Let the workers spin down into the parked state (with SpinBeforePark=4
+	// they block on the runtime's wake channel within microseconds).
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 32; i++ {
 		r.BeginAction()

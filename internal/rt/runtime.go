@@ -10,6 +10,7 @@ import (
 
 	"gottg/internal/rwlock"
 	"gottg/internal/termdet"
+	"gottg/internal/xsync"
 )
 
 // Runtime owns the execution resources: worker threads, the scheduler, the
@@ -35,6 +36,22 @@ type Runtime struct {
 	// atomic per schedule/dequeue stays entirely off the single-process path.
 	loadTrack bool
 	ready     atomic.Int64
+
+	// Idle-protocol state (Worker.idle / Worker.park / wakeOne). parked
+	// counts workers that announced they are about to block on wake;
+	// searching counts workers awake without a task (spinning, or woken and
+	// taking their first look). Producers read both after every publish, so the
+	// pair sits on a cache line of its own that is only written when a
+	// worker changes idle state. wake carries at most one token: a token is
+	// only sent by whoever moved searching from 0 to 1, and that unit is
+	// only given up by the worker that received the token.
+	_    xsync.Pad
+	idle struct {
+		parked    atomic.Int32
+		searching atomic.Int32
+	}
+	_    xsync.Pad
+	wake chan struct{}
 
 	done    atomic.Bool
 	doneCh  chan struct{}
@@ -76,6 +93,7 @@ func New(cfg Config) *Runtime {
 	r := &Runtime{
 		cfg:    cfg,
 		doneCh: make(chan struct{}),
+		wake:   make(chan struct{}, 1),
 		Det:    termdet.New(cfg.Workers, cfg.ThreadLocalTermDet),
 	}
 	r.workers = make([]*Worker, cfg.Workers)
@@ -177,6 +195,21 @@ func (r *Runtime) EndAction() {
 func (r *Runtime) Inject(t *Task) {
 	r.loadInc(1)
 	r.inject.push(t)
+	r.wakeOne()
+}
+
+// wakeOne releases one parked worker after the caller made work visible,
+// unless none is parked or a worker is already searching (it will find the
+// work, and passes the wake on if more remains: Worker.wakeForSurplus).
+// The common case — nobody parked — is one load of a rarely written line.
+func (r *Runtime) wakeOne() {
+	if r.idle.parked.Load() == 0 {
+		return
+	}
+	if r.idle.searching.Load() != 0 || !r.idle.searching.CompareAndSwap(0, 1) {
+		return
+	}
+	r.wake <- struct{}{} // never blocks: see the wake field
 }
 
 // EnableLoadTracking turns on the approximate ready-queue depth counter.

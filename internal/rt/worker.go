@@ -47,7 +47,7 @@ func (a *AtomicCounts) add(o *AtomicCounts) {
 type WorkerStats struct {
 	Executed atomic.Int64 // tasks executed from the scheduler (excludes inlined)
 	Steals   atomic.Int64 // successful steals
-	Parks    atomic.Int64 // times the worker slept after spinning
+	Parks    atomic.Int64 // times the worker blocked in park after spinning
 	Inlined  atomic.Int64 // tasks executed inline at the discovery site
 
 	// Object-lifetime accounting: obtained versus fully released/freed.
@@ -272,7 +272,13 @@ func (w *Worker) Schedule(t *Task) {
 		return
 	}
 	w.loadAdd(1)
+	// Work left behind the task this worker will pop next is surplus a
+	// parked worker could steal; a lone task (a chain link) wakes nobody.
+	surplus := w.rt.sched.LocalNonEmpty(w.ID)
 	w.rt.sched.Push(w.ID, t)
+	if surplus {
+		w.rt.wakeOne()
+	}
 }
 
 // ScheduleChain pushes a pre-sorted chain of n ready tasks at once.
@@ -290,7 +296,11 @@ func (w *Worker) ScheduleChain(head *Task, n int) {
 		return
 	}
 	w.loadAdd(int64(n))
+	surplus := n > 1 || w.rt.sched.LocalNonEmpty(w.ID)
 	w.rt.sched.PushChain(w.ID, head, n)
+	if surplus {
+		w.rt.wakeOne()
+	}
 }
 
 // Discovered/Completed forward to the termination detector with this
@@ -310,9 +320,6 @@ func (w *Worker) Completed() {
 	w.rt.Det.Completed(w.detSlot)
 }
 
-// parkSleep is the idle-poll interval once spinning gives up.
-const parkSleep = 50 * time.Microsecond
-
 // taskSampleMask selects which executions feed the task-latency histogram
 // when metrics are on: 1 in 64, so the two clock reads that bracket a timed
 // execution stay off the common path. For µs-scale tasks, timing every one
@@ -330,55 +337,115 @@ func (w *Worker) sampleTick() bool {
 
 // run is the worker main loop.
 func (w *Worker) run() {
-	rt := w.rt
-	if rt.cfg.PinWorkers {
+	if w.rt.cfg.PinWorkers {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
 	defer w.flushLoad()
 	for {
 		t := w.findTask()
-		if t != nil {
-			w.execute(t)
-			continue
-		}
-		if rt.done.Load() {
-			return
-		}
-		// Local miss: run the idle hook (distributed mode flushes this
-		// rank's coalesced send buffers — anything this worker appended must
-		// reach the wire before the rank can look quiescent), then go idle
-		// (flushes thread-local termination counters, possibly announcing
-		// quiescence) and poll until work or shutdown.
-		if f := rt.idleHook; f != nil {
-			f()
-		}
-		w.flushLoad() // publish buffered deltas before advertising idleness
-		rt.Det.EnterIdle(w.ID)
-		spins := 0
-		for {
-			if rt.done.Load() {
-				rt.Det.LeaveIdle(w.ID)
+		if t == nil {
+			if t = w.idle(); t == nil {
 				return
-			}
-			if t = w.findTask(); t != nil {
-				rt.Det.LeaveIdle(w.ID)
-				break
-			}
-			spins++
-			if spins < rt.cfg.SpinBeforePark {
-				if spins%64 == 0 {
-					runtime.Gosched()
-				}
-			} else {
-				w.Stats.Parks.Add(1)
-				if m := w.mx; m != nil {
-					m.schedPark.Inc(w.htSlot)
-				}
-				time.Sleep(parkSleep)
 			}
 		}
 		w.execute(t)
+	}
+}
+
+// idle is the starvation path (DESIGN.md §9, "Idle protocol: spin, park,
+// wake"): it returns the worker's next task, or nil once termination has
+// been signaled. The worker runs the idle hook (distributed mode flushes
+// this rank's coalesced send buffers — anything this worker appended must
+// reach the wire before the rank can look quiescent), goes idle for the
+// termination detector (flushing its thread-local counters, possibly
+// announcing quiescence), spins for Config.SpinBeforePark rounds as a
+// searching worker, and then parks until a producer wakes it.
+func (w *Worker) idle() *Task {
+	rt := w.rt
+	if rt.done.Load() {
+		return nil
+	}
+	if f := rt.idleHook; f != nil {
+		f()
+	}
+	w.flushLoad() // publish buffered deltas before advertising idleness
+	rt.Det.EnterIdle(w.ID)
+	defer rt.Det.LeaveIdle(w.ID)
+
+	rt.idle.searching.Add(1)
+	var t *Task
+	for spins := 1; spins < rt.cfg.SpinBeforePark; spins++ {
+		if rt.done.Load() {
+			rt.idle.searching.Add(-1)
+			return nil
+		}
+		if t = w.findTask(); t != nil {
+			rt.idle.searching.Add(-1)
+			break
+		}
+		if spins%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	if t == nil {
+		t = w.park()
+	}
+	if t != nil {
+		w.wakeForSurplus()
+	}
+	return t
+}
+
+// park blocks the worker until a producer's wake token or SignalDone. The
+// caller holds one searching unit. Announce, re-check, block: the worker
+// first gives up its searching unit and counts itself parked, and only then
+// looks for work one last time, so a producer that published a task either
+// was seen by that last look, or reads parked != 0 with nobody searching
+// and sends the token this worker is about to block on. A token hands its
+// receiver the sender's searching unit, which keeps other producers from
+// waking a second sleeper while this one looks; a receiver that finds
+// nothing goes round again — gives the unit up, re-announces, re-checks,
+// blocks — without a fresh spin.
+func (w *Worker) park() *Task {
+	rt := w.rt
+	for {
+		rt.idle.searching.Add(-1)
+		rt.idle.parked.Add(1)
+		if rt.done.Load() {
+			rt.idle.parked.Add(-1)
+			return nil
+		}
+		if t := w.findTask(); t != nil {
+			rt.idle.parked.Add(-1)
+			return t
+		}
+		w.Stats.Parks.Add(1)
+		if m := w.mx; m != nil {
+			m.schedPark.Inc(w.htSlot)
+		}
+		select {
+		case <-rt.wake:
+			rt.idle.parked.Add(-1)
+			if t := w.findTask(); t != nil {
+				rt.idle.searching.Add(-1)
+				return t
+			}
+		case <-rt.doneCh:
+			rt.idle.parked.Add(-1)
+			return nil
+		}
+	}
+}
+
+// wakeForSurplus passes the wake on when a worker leaves the idle state with
+// a task and more work stays visible behind it: producers skipped their own
+// wake while this worker was searching.
+func (w *Worker) wakeForSurplus() {
+	rt := w.rt
+	if rt.idle.parked.Load() != 0 &&
+		(rt.sched.LocalNonEmpty(w.ID) || rt.inject.size.Load() != 0) {
+		rt.wakeOne()
 	}
 }
 
