@@ -369,8 +369,9 @@ func (p *peer) current() net.Conn {
 	return p.conn
 }
 
-// frameBuf gathers length-prefixed frames for one Write. The buffer is
-// reused from write to write.
+// frameBuf gathers small length-prefixed frames for one Write. The buffer is
+// reused from write to write; frames of coalesceLimit bytes or more never
+// enter it (writeFrame sends those without copying them).
 type frameBuf struct {
 	b []byte
 	n int64 // frames in b
@@ -391,10 +392,19 @@ func (f *frameBuf) writeTo(c net.Conn, deadline time.Time) (int64, error) {
 	_, err := c.Write(f.b)
 	n := f.n
 	f.b, f.n = f.b[:0], 0
-	if cap(f.b) > 4*coalesceLimit {
-		f.b = nil // one huge frame must not pin its copy forever
-	}
 	return n, err
+}
+
+// writeFrame writes the length prefix for a frame of size bytes and then
+// body in one writev, straight from the caller's slice. body is the whole
+// frame, or its first half for an injected torn write.
+func writeFrame(c net.Conn, size int, body []byte, deadline time.Time) error {
+	var prefix [4]byte
+	binary.LittleEndian.PutUint32(prefix[:], uint32(size))
+	c.SetWriteDeadline(deadline)
+	bufs := net.Buffers{prefix[:], body}
+	_, err := bufs.WriteTo(c)
+	return err
 }
 
 // writeLoop drains the outbox onto the connection, dialing (with capped
@@ -405,8 +415,10 @@ func (f *frameBuf) writeTo(c net.Conn, deadline time.Time) (int64, error) {
 // Frames are gathered into one buffer and written when the outbox runs
 // empty or the buffer reaches coalesceLimit, so a lone frame costs one
 // Write (prefix and body together) and a queued burst costs one Write for
-// all of it. Every frame still passes the fault injector on its own; a
-// fault first writes what was gathered ahead of it, keeping frame order.
+// all of it. A frame of coalesceLimit bytes or more is not copied: what was
+// gathered goes out first, then its prefix and body in one writev. Every
+// frame still passes the fault injector on its own; a fault first writes
+// what was gathered ahead of it, keeping frame order.
 func (p *peer) writeLoop() {
 	t := p.t
 	defer t.writerWg.Done()
@@ -414,17 +426,18 @@ func (p *peer) writeLoop() {
 		fb   frameBuf
 		conn net.Conn // the connection fb's frames were gathered for
 	)
-	flush := func() {
+	flush := func() bool {
 		if fb.n == 0 {
-			return
+			return true
 		}
 		n, err := fb.writeTo(conn, time.Now().Add(t.cfg.WriteTimeout))
 		if err != nil {
 			p.dropConn(conn, err)
 			t.dropped.Add(n)
-			return
+			return false
 		}
 		t.sent.Add(n)
+		return true
 	}
 	for {
 		var frame []byte
@@ -478,13 +491,24 @@ func (p *peer) writeLoop() {
 				continue
 			case faultTornWrite:
 				flush()
-				fb.add(frame)
-				fb.b = fb.b[:4+len(frame)/2]
-				fb.writeTo(c, time.Now().Add(t.cfg.WriteTimeout))
+				writeFrame(c, len(frame), frame[:len(frame)/2], time.Now().Add(t.cfg.WriteTimeout))
 				p.dropConn(c, errInjectedTornWrite)
 				t.dropped.Add(1)
 				continue
 			}
+		}
+		if len(frame) >= coalesceLimit {
+			if !flush() {
+				t.dropped.Add(1) // the connection went down under the frames ahead
+				continue
+			}
+			if err := writeFrame(c, len(frame), frame, time.Now().Add(t.cfg.WriteTimeout)); err != nil {
+				p.dropConn(c, err)
+				t.dropped.Add(1)
+				continue
+			}
+			t.sent.Add(1)
+			continue
 		}
 		fb.add(frame)
 		if fb.full() {
@@ -507,6 +531,17 @@ func (p *peer) flushResidual(fb *frameBuf) {
 	for {
 		select {
 		case frame := <-p.outbox:
+			if len(frame) >= coalesceLimit {
+				if fb.n != 0 {
+					if _, err := fb.writeTo(c, deadline); err != nil {
+						return
+					}
+				}
+				if writeFrame(c, len(frame), frame, deadline) != nil {
+					return
+				}
+				continue
+			}
 			fb.add(frame)
 			if !fb.full() {
 				continue

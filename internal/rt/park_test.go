@@ -203,6 +203,102 @@ func TestWakeLatency(t *testing.T) {
 	}
 }
 
+// TestChildOfRunningBodyWakesSleeper: a body that schedules one child and
+// then keeps its worker busy must not keep the child to itself — the push
+// wakes the parked worker, which steals the child and starts it while the
+// parent body still runs. Here the parent blocks until the child has started,
+// so a runtime that leaves the other worker asleep runs into the timeout.
+func TestChildOfRunningBodyWakesSleeper(t *testing.T) {
+	for _, sched := range []SchedKind{SchedLLP, SchedLFQ, SchedLL} {
+		t.Run(sched.String(), func(t *testing.T) {
+			cfg := Config{Workers: 2, Sched: sched, ThreadLocalTermDet: true,
+				UsePools: true, SpinBeforePark: 1}.Normalize()
+			r := New(cfg)
+			childStarted := make(chan time.Time, 1)
+			lat := make(chan time.Duration, 1)
+			child := func(w *Worker, tk *Task) {
+				childStarted <- time.Now()
+				w.Completed()
+				w.FreeTask(tk)
+			}
+			parent := func(w *Worker, tk *Task) {
+				c := w.NewTask()
+				c.Exec = child
+				w.Discovered()
+				t0 := time.Now()
+				w.Schedule(c)
+				select {
+				case at := <-childStarted:
+					lat <- at.Sub(t0)
+				case <-time.After(2 * time.Second):
+					lat <- -1
+					<-childStarted // this worker runs the child after the body
+				}
+				w.Completed()
+				w.FreeTask(tk)
+			}
+			r.BeginAction()
+			r.Start(false)
+			const trials = 50
+			lats := make([]time.Duration, 0, trials)
+			sw := r.ServiceWorker(0)
+			for i := 0; i < trials; i++ {
+				waitAllParked(t, r)
+				tk := sw.NewTask()
+				tk.Exec = parent
+				r.BeginAction()
+				r.Inject(tk)
+				d := <-lat
+				if d < 0 {
+					t.Fatalf("trial %d: child did not start while its parent's body ran (parked=%d searching=%d)",
+						i, r.idle.parked.Load(), r.idle.searching.Load())
+				}
+				lats = append(lats, d)
+			}
+			r.EndAction()
+			waitDoneOrDump(t, r, 10*time.Second)
+			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+			t.Logf("Schedule -> child start on the other worker: median %v, max %v", lats[trials/2], lats[trials-1])
+			if lats[trials/2] >= time.Millisecond {
+				t.Fatalf("median child start latency %v, want < 1ms", lats[trials/2])
+			}
+		})
+	}
+}
+
+// TestStaleTokenIsNotAPark: a token left in the wake channel (the worker it
+// was sent for found work in its re-check) is taken without blocking; only
+// the block that follows counts in Stats.Parks.
+func TestStaleTokenIsNotAPark(t *testing.T) {
+	cfg := Config{Workers: 1, Sched: SchedLLP, ThreadLocalTermDet: true,
+		UsePools: true, SpinBeforePark: 1}.Normalize()
+	r := New(cfg)
+	r.idle.searching.Store(1) // the unit a token carries
+	r.wake <- struct{}{}
+	r.Start(true)
+	// The worker announces parked before it takes the token, and again
+	// before it blocks: wait for the count, then give a second one time.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if _, _, parks := r.Stats(); parks > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never blocked in park")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	waitAllParked(t, r)
+	if _, _, parks := r.Stats(); parks != 1 {
+		t.Fatalf("Stats reports %d parks, want 1: the worker blocked once", parks)
+	}
+	if s := r.idle.searching.Load(); s != 0 {
+		t.Fatalf("searching=%d after the token was used up, want 0", s)
+	}
+	r.SignalDone()
+	waitDoneOrDump(t, r, 10*time.Second)
+}
+
 // TestSignalDoneReleasesParkedWorkers: termination must reach workers that
 // are blocked in park, not only those still spinning.
 func TestSignalDoneReleasesParkedWorkers(t *testing.T) {

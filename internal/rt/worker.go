@@ -272,13 +272,10 @@ func (w *Worker) Schedule(t *Task) {
 		return
 	}
 	w.loadAdd(1)
-	// Work left behind the task this worker will pop next is surplus a
-	// parked worker could steal; a lone task (a chain link) wakes nobody.
-	surplus := w.rt.sched.LocalNonEmpty(w.ID)
 	w.rt.sched.Push(w.ID, t)
-	if surplus {
-		w.rt.wakeOne()
-	}
+	// The body that pushed t may run on for long: a sleeper must get the
+	// chance to steal t now, not when this worker next looks at its queue.
+	w.rt.wakeOne()
 }
 
 // ScheduleChain pushes a pre-sorted chain of n ready tasks at once.
@@ -296,11 +293,8 @@ func (w *Worker) ScheduleChain(head *Task, n int) {
 		return
 	}
 	w.loadAdd(int64(n))
-	surplus := n > 1 || w.rt.sched.LocalNonEmpty(w.ID)
 	w.rt.sched.PushChain(w.ID, head, n)
-	if surplus {
-		w.rt.wakeOne()
-	}
+	w.rt.wakeOne()
 }
 
 // Discovered/Completed forward to the termination detector with this
@@ -420,20 +414,31 @@ func (w *Worker) park() *Task {
 			rt.idle.parked.Add(-1)
 			return t
 		}
-		w.Stats.Parks.Add(1)
-		if m := w.mx; m != nil {
-			m.schedPark.Inc(w.htSlot)
-		}
+		woken := false
 		select {
 		case <-rt.wake:
-			rt.idle.parked.Add(-1)
-			if t := w.findTask(); t != nil {
-				rt.idle.searching.Add(-1)
-				return t
+			// A token already waits (the worker it was sent for found work
+			// in its own re-check): taking it does not block, so it is not
+			// counted as a park.
+			woken = true
+		default:
+			w.Stats.Parks.Add(1)
+			if m := w.mx; m != nil {
+				m.schedPark.Inc(w.htSlot)
 			}
-		case <-rt.doneCh:
-			rt.idle.parked.Add(-1)
+			select {
+			case <-rt.wake:
+				woken = true
+			case <-rt.doneCh:
+			}
+		}
+		rt.idle.parked.Add(-1)
+		if !woken {
 			return nil
+		}
+		if t := w.findTask(); t != nil {
+			rt.idle.searching.Add(-1)
+			return t
 		}
 	}
 }

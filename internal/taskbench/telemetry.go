@@ -38,7 +38,7 @@ type TelemetryRunOptions struct {
 	Detectors telemetry.DetectorConfig
 
 	// KillRank, when >= 0, fail-stops that rank after KillAfterTasks of its
-	// tasks: fault tolerance is enabled on every rank and the checksum must
+	// tasks (and, with On, its first streamed interval): fault tolerance is enabled on every rank and the checksum must
 	// still match Spec.Reference — proving telemetry cannot perturb
 	// recovery, and that rank 0's flight dump preserves the victim's series.
 	KillRank       int
@@ -140,7 +140,11 @@ func RunDistributedTTGTelemetry(s Spec, o TelemetryRunOptions) (Result, Telemetr
 					return
 				case <-time.After(200 * time.Microsecond):
 				}
-				if exec, _, _ := victim.Stats(); exec >= o.KillAfterTasks {
+				// With the plane on, the victim also has to have streamed an
+				// interval: the point of the kill is a flight dump that holds
+				// one, however few intervals KillAfterTasks tasks take.
+				streamed := !o.On || planes[o.KillRank].Sampler().Frames() > 0
+				if exec, _, _ := victim.Stats(); exec >= o.KillAfterTasks && streamed {
 					world.KillRank(o.KillRank)
 					return
 				}

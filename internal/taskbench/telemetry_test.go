@@ -67,10 +67,6 @@ func TestTelemetryClusterCoverage(t *testing.T) {
 func TestTelemetryKillProducesFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	spec := telemetrySpec()
-	// The victim must stream at least one interval before it dies: the sleep
-	// kernel makes its first 60 tasks outlast several intervals however
-	// quickly the runtime hands tasks over.
-	spec.SleepNs = 100_000
 	res, rep := RunDistributedTTGTelemetry(spec, TelemetryRunOptions{
 		Ranks: 4, Workers: 2, On: true,
 		Interval:       time.Millisecond,
