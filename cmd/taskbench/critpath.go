@@ -7,75 +7,50 @@ import (
 	"gottg/internal/bench"
 	"gottg/internal/metrics"
 	"gottg/internal/obs/critpath"
-	"gottg/internal/taskbench"
 )
 
-// runCritpath is the -critpath path: a causally traced distributed run,
-// critical-path analysis, and either a human-readable report or (with -json)
-// a BENCH record carrying the `critpath` field. With -trace it also writes
-// the merged Chrome trace, flow arrows included.
-func runCritpath(spec taskbench.Spec, ranks, threads int, want float64) {
-	td, _ := taskbench.RunDistributedTTGTracedTuned(spec, ranks, threads, *flagSteal, tuning())
-	if *flagVerify && td.Result.Checksum != want {
-		fmt.Fprintf(os.Stderr, "CHECKSUM MISMATCH (got %v want %v)\n", td.Result.Checksum, want)
-		os.Exit(1)
+// The -critpath reports of a causally traced run: the `critpath` field of
+// the BENCH record, the human-readable attribution, and (with -trace) the
+// merged Chrome trace, flow arrows included.
+
+func critpathRecord(rep *critpath.Report) *bench.CritPath {
+	if rep == nil {
+		return nil
 	}
-	rep, err := critpath.Analyze(td.Spans)
+	return &bench.CritPath{
+		Spans:             rep.Spans,
+		Tasks:             rep.Tasks,
+		LenNs:             rep.LenNs,
+		BodyNs:            rep.BodyNs,
+		QueueNs:           rep.QueueNs,
+		CommNs:            rep.CommNs,
+		RemoteHops:        rep.RemoteHops,
+		PerTaskOverheadNs: rep.PerTaskOverheadNs,
+	}
+}
+
+func printCritpath(rep *critpath.Report) {
+	pct := func(ns int64) float64 { return float64(ns) / float64(rep.LenNs) * 100 }
+	fmt.Printf("  critpath: %d spans, path of %d tasks, %d remote hops\n",
+		rep.Spans, rep.Tasks, rep.RemoteHops)
+	fmt.Printf("  len %.3fms = body %.3fms (%.1f%%) + queue-wait %.3fms (%.1f%%) + comm %.3fms (%.1f%%)\n",
+		float64(rep.LenNs)/1e6,
+		float64(rep.BodyNs)/1e6, pct(rep.BodyNs),
+		float64(rep.QueueNs)/1e6, pct(rep.QueueNs),
+		float64(rep.CommNs)/1e6, pct(rep.CommNs))
+	fmt.Printf("  per-task overhead along path: %.0f ns\n", rep.PerTaskOverheadNs)
+}
+
+func writeTrace(path string, events []metrics.ChromeEvent) {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "critpath:", err)
-		os.Exit(1)
+		fatal("trace:", err)
 	}
-	if *flagJSON {
-		rec := bench.NewRecord("taskbench", "TTG distributed critpath", threads,
-			int64(td.Result.Tasks), td.Result.Elapsed)
-		rec.Ranks = ranks
-		rec.Config = map[string]any{
-			"pattern": spec.Pattern.String(),
-			"width":   spec.Width,
-			"steps":   spec.Steps,
-			"flops":   spec.Flops,
-		}
-		rec.Critpath = &bench.CritPath{
-			Spans:             rep.Spans,
-			Tasks:             rep.Tasks,
-			LenNs:             rep.LenNs,
-			BodyNs:            rep.BodyNs,
-			QueueNs:           rep.QueueNs,
-			CommNs:            rep.CommNs,
-			RemoteHops:        rep.RemoteHops,
-			PerTaskOverheadNs: rep.PerTaskOverheadNs,
-		}
-		if err := bench.WriteRecord(os.Stdout, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		pct := func(ns int64) float64 { return float64(ns) / float64(rep.LenNs) * 100 }
-		fmt.Printf("%-44s %10d tasks  %12v total  %10v/task\n",
-			fmt.Sprintf("TTG distributed critpath (%d ranks)", ranks),
-			td.Result.Tasks, td.Result.Elapsed, td.Result.PerTask())
-		fmt.Printf("  critpath: %d spans, path of %d tasks, %d remote hops\n",
-			rep.Spans, rep.Tasks, rep.RemoteHops)
-		fmt.Printf("  len %.3fms = body %.3fms (%.1f%%) + queue-wait %.3fms (%.1f%%) + comm %.3fms (%.1f%%)\n",
-			float64(rep.LenNs)/1e6,
-			float64(rep.BodyNs)/1e6, pct(rep.BodyNs),
-			float64(rep.QueueNs)/1e6, pct(rep.QueueNs),
-			float64(rep.CommNs)/1e6, pct(rep.CommNs))
-		fmt.Printf("  per-task overhead along path: %.0f ns\n", rep.PerTaskOverheadNs)
+	defer f.Close()
+	if err := metrics.WriteChromeTrace(f, events); err != nil {
+		fatal("trace:", err)
 	}
-	if *flagTrace != "" {
-		f, err := os.Create(*flagTrace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := metrics.WriteChromeTrace(f, td.Events); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		if !*flagJSON {
-			fmt.Printf("  trace written to %s\n", *flagTrace)
-		}
+	if !*flagJSON {
+		fmt.Printf("  trace written to %s\n", path)
 	}
 }

@@ -11,11 +11,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
+	"time"
 
 	"gottg/internal/bench"
 	"gottg/internal/metrics"
+	"gottg/internal/obs/critpath"
 	"gottg/internal/rt"
 	"gottg/internal/taskbench"
 )
@@ -53,8 +56,70 @@ func tuning() taskbench.Tuning {
 	return taskbench.Tuning{Priority: *flagPriority, InlineAuto: *flagInlineAuto, LockFreeHit: *flagLockFree}
 }
 
+// tuned applies the scheduling knobs to the shared-memory TTG runners (the
+// other contenders have no equivalent policy to toggle).
+func tuned(runners []taskbench.Runner) []taskbench.Runner {
+	for i, r := range runners {
+		if tr, ok := r.(taskbench.TTGRunner); ok {
+			base := tr.Cfg
+			tr.Cfg = func(threads int) rt.Config {
+				c := base(threads)
+				tuning().Apply(&c)
+				return c
+			}
+			runners[i] = tr
+		}
+	}
+	return runners
+}
+
+// netMode reports whether this process is the launcher (-net) or a rank
+// (-rank-id) of a multi-process run.
+func netMode() bool { return *flagNet || *flagRankID >= 0 }
+
+// distOptions assembles the options of a -ranks run — or, in child mode, of
+// this process's rank — from the flags.
+func distOptions() taskbench.DistOptions {
+	o := taskbench.DistOptions{
+		Ranks:             *flagRanks,
+		Workers:           *flagThreads,
+		Tune:              tuning(),
+		Trace:             *flagCritpath && !netMode(), // spans do not cross the process pipe
+		Steal:             *flagSteal,
+		FT:                netMode() || *flagKillRank >= 0,
+		Telemetry:         *flagTelemetry,
+		TelemetryInterval: *flagTelemetryInt,
+		ObsAddr:           *flagObs, // only rank 0 binds it
+		FlightDir:         *flagFlightDir,
+	}
+	if netMode() {
+		o.SuspectAfter = time.Duration(*flagSuspectMS) * time.Millisecond
+	}
+	if *flagKillRank >= 0 {
+		// One rank fail-stopped mid-run: the survivors re-home its keys and
+		// re-execute its tasks, so the checksum must still match the reference.
+		o.KillRank = *flagKillRank
+		o.KillAfterTasks = max(*flagKillAfter, 1) // 0 would mean "no kill"
+		o.Pruning = *flagPrune
+	}
+	if *flagRankID >= 0 && *flagRankID == *flagNetKillRank {
+		o.KillAfterTasks = *flagNetKillAfter
+		o.KillFunc = func() {
+			// A real fail-stop: SIGKILL, no deferred cleanup, no flushes.
+			p, _ := os.FindProcess(os.Getpid())
+			p.Kill()
+		}
+	}
+	return o
+}
+
+func fatal(args ...any) {
+	fmt.Fprintln(os.Stderr, args...)
+	os.Exit(1)
+}
+
 // emitRecord prints one BENCH JSON record for a finished run.
-func emitRecord(name string, workers, ranks int, res taskbench.Result, spec taskbench.Spec, mx map[string]float64) {
+func emitRecord(name string, workers, ranks int, res taskbench.Result, spec taskbench.Spec, mx map[string]float64, cp *bench.CritPath) {
 	rec := bench.NewRecord("taskbench", name, workers, int64(res.Tasks), res.Elapsed)
 	rec.Ranks = ranks
 	rec.Config = map[string]any{
@@ -82,15 +147,92 @@ func emitRecord(name string, workers, ranks int, res taskbench.Result, spec task
 		rec.Config["lockfree_ht"] = true
 	}
 	rec.Metrics = mx
+	rec.Critpath = cp
 	if err := bench.WriteRecord(os.Stdout, rec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
+	}
+}
+
+// reportDist prints a -ranks run: a BENCH record with -json, otherwise the
+// result line followed by one line per feature that was on.
+func reportDist(spec taskbench.Spec, o taskbench.DistOptions, res taskbench.Result, rep taskbench.DistReport, status string) {
+	ranks := min(o.Ranks, spec.Width)
+	name, label := "TTG distributed", fmt.Sprintf("TTG distributed (%d ranks)", ranks)
+	switch {
+	case *flagNet:
+		name, label = "TTG dist tcp multiproc", fmt.Sprintf("TTG dist tcp (%d procs)", ranks)
+	case o.KillAfterTasks > 0:
+		name, label = "TTG distributed FT", fmt.Sprintf("TTG distributed FT (%d ranks, killed %d)", ranks, o.KillRank)
+	case o.Trace:
+		name, label = "TTG distributed critpath", fmt.Sprintf("TTG distributed critpath (%d ranks)", ranks)
+	}
+	var cp *critpath.Report
+	if o.Trace {
+		var err error
+		if cp, err = critpath.Analyze(rep.Spans); err != nil {
+			fatal("critpath:", err)
+		}
+	}
+	if *flagJSON {
+		// Each mode keeps the metric keys its record has always carried (CI
+		// validates them), hence the -net distinctions.
+		mx := map[string]float64{}
+		if o.FT {
+			mx["comm.rank_deaths"] = float64(rep.Deaths)
+			mx["termdet.wave_restarts"] = float64(rep.WaveRestarts)
+			mx["core.tasks_reexecuted"] = float64(rep.Reexecuted)
+			if *flagNet {
+				mx["comm.reconnects"] = float64(rep.Reconnects)
+			} else {
+				mx["core.keys_remapped"] = float64(rep.Remapped)
+				mx["core.replays_pruned"] = float64(rep.Pruned)
+			}
+		}
+		if o.Steal {
+			mx["comm.steal_reqs"] = float64(rep.StealReqs)
+			mx["comm.steals"] = float64(rep.Steals)
+			mx["comm.steal_tasks"] = float64(rep.StealTasks)
+			mx["comm.steal_aborts"] = float64(rep.StealAborts)
+			if o.FT && !*flagNet {
+				mx["core.tasks_rehomed"] = float64(rep.Rehomed)
+			}
+		}
+		if o.Telemetry {
+			mx["telemetry.samples"] = float64(rep.Samples)
+			mx["telemetry.frames"] = float64(rep.Frames)
+			mx["telemetry.coverage"] = float64(rep.Coverage)
+			mx["telemetry.events"] = float64(rep.Events)
+		}
+		if len(mx) == 0 {
+			mx = nil
+		}
+		emitRecord(name, o.Workers, ranks, res, spec, mx, critpathRecord(cp))
+	} else {
+		fmt.Printf("%-44s %10d tasks  %12v total  %10v/task%s\n", label, res.Tasks, res.Elapsed, res.PerTask(), status)
+		if o.FT {
+			fmt.Printf("  reconnects=%d deaths=%d wave_restarts=%d reexecuted=%d remapped=%d pruned=%d keymap=%v\n",
+				rep.Reconnects, rep.Deaths, rep.WaveRestarts, rep.Reexecuted, rep.Remapped, rep.Pruned, rep.Keymap)
+		}
+		if o.Steal {
+			fmt.Printf("  steals=%d steal_tasks=%d steal_reqs=%d steal_aborts=%d rehomed=%d\n",
+				rep.Steals, rep.StealTasks, rep.StealReqs, rep.StealAborts, rep.Rehomed)
+		}
+		if o.Telemetry {
+			fmt.Printf("  telemetry: coverage=%d/%d samples=%d frames=%d events=%d\n",
+				rep.Coverage, ranks, rep.Samples, rep.Frames, rep.Events)
+		}
+		if cp != nil {
+			printCritpath(cp)
+		}
+	}
+	if *flagTrace != "" && o.Trace {
+		writeTrace(*flagTrace, rep.ChromeEvents)
 	}
 }
 
 func main() {
 	flag.Parse()
-	runners := taskbench.StandardRunners()
+	runners := tuned(taskbench.StandardRunners())
 	if *flagList {
 		for _, r := range runners {
 			fmt.Println(r.Name())
@@ -103,124 +245,35 @@ func main() {
 		os.Exit(2)
 	}
 	spec := taskbench.Spec{Pattern: pat, Width: *flagWidth, Steps: *flagSteps, Flops: *flagFlops, Skew: *flagSkew, SleepNs: *flagSleepNs}
-	var want float64
-	if *flagVerify {
-		want = spec.Reference()
-	}
 	if *flagRankID >= 0 {
 		// Child mode: run one rank of a -net world and report on stdout.
-		runNetChild(spec)
+		runNetChild(spec, distOptions())
 		return
 	}
-	if *flagRanks > 0 && *flagNet {
-		runNetParent(spec, *flagRanks, *flagVerify, want)
-		return
+	var want float64
+	status := ""
+	if *flagVerify {
+		want = spec.Reference()
+		status = "  checksum OK"
 	}
-	if *flagRanks > 0 && *flagKillRank >= 0 {
-		// Fault-tolerant run with one rank fail-stopped mid-run: the
-		// survivors re-home its keys and re-execute its tasks, so the
-		// checksum must still match the sequential reference.
-		res, rep := taskbench.RunDistributedTTGFT(spec, taskbench.FTOptions{
-			Ranks:          *flagRanks,
-			Workers:        *flagThreads,
-			KillRank:       *flagKillRank,
-			KillAfterTasks: *flagKillAfter,
-			Pruning:        *flagPrune,
-			Steal:          *flagSteal,
-			Tune:           tuning(),
-		})
-		if *flagVerify && res.Checksum != want {
-			fmt.Fprintf(os.Stderr, "CHECKSUM MISMATCH (got %v want %v)\n", res.Checksum, want)
-			os.Exit(1)
+	verify := func(name string, res taskbench.Result) {
+		if *flagVerify && math.Float64bits(res.Checksum) != math.Float64bits(want) {
+			fatal(fmt.Sprintf("%sCHECKSUM MISMATCH (got %v want %v)", name, res.Checksum, want))
 		}
-		if *flagJSON {
-			mx := map[string]float64{
-				"comm.rank_deaths":      float64(rep.Deaths),
-				"termdet.wave_restarts": float64(rep.WaveRestarts),
-				"core.tasks_reexecuted": float64(rep.Reexecuted),
-				"core.keys_remapped":    float64(rep.Remapped),
-				"core.replays_pruned":   float64(rep.Pruned),
-			}
-			if *flagSteal {
-				mx["comm.steal_reqs"] = float64(rep.StealReqs)
-				mx["comm.steals"] = float64(rep.Steals)
-				mx["comm.steal_tasks"] = float64(rep.StealTasks)
-				mx["comm.steal_aborts"] = float64(rep.StealAborts)
-				mx["core.tasks_rehomed"] = float64(rep.Rehomed)
-			}
-			emitRecord("TTG distributed FT", *flagThreads, *flagRanks, res, spec, mx)
-			return
-		}
-		status := ""
-		if *flagVerify {
-			status = "  checksum OK"
-		}
-		fmt.Printf("%-44s %10d tasks  %12v total  %10v/task%s\n",
-			fmt.Sprintf("TTG distributed FT (%d ranks, killed %d)", *flagRanks, *flagKillRank),
-			res.Tasks, res.Elapsed, res.PerTask(), status)
-		fmt.Printf("  deaths=%d wave_restarts=%d reexecuted=%d remapped=%d pruned=%d keymap=%v\n",
-			rep.Deaths, rep.WaveRestarts, rep.Reexecuted, rep.Remapped, rep.Pruned, rep.Keymap)
-		if *flagSteal {
-			fmt.Printf("  steals=%d steal_tasks=%d steal_reqs=%d steal_aborts=%d rehomed=%d\n",
-				rep.Steals, rep.StealTasks, rep.StealReqs, rep.StealAborts, rep.Rehomed)
-		}
-		return
-	}
-	if *flagRanks > 0 && *flagCritpath {
-		runCritpath(spec, *flagRanks, *flagThreads, want)
-		return
 	}
 	if *flagRanks > 0 {
-		var res taskbench.Result
-		var mx map[string]float64
-		stealNote := ""
-		if *flagSteal {
-			// Stealing rides the metrics-enabled path so the steal counters
-			// land in the record.
-			var st taskbench.DistStats
-			res, st = taskbench.RunDistributedTTGTuned(spec, *flagRanks, *flagThreads, true, tuning())
-			mx = map[string]float64{
-				"comm.steal_reqs":   float64(st.StealReqs),
-				"comm.steals":       float64(st.Steals),
-				"comm.steal_tasks":  float64(st.StealTasks),
-				"comm.steal_aborts": float64(st.StealAborts),
-			}
-			stealNote = fmt.Sprintf("  steals=%d (%d tasks)", st.Steals, st.StealTasks)
-		} else if *flagPriority || *flagInlineAuto {
-			res, _ = taskbench.RunDistributedTTGTuned(spec, *flagRanks, *flagThreads, false, tuning())
-		} else {
-			res = taskbench.RunDistributedTTG(spec, *flagRanks, *flagThreads)
+		o := distOptions()
+		run := taskbench.RunDist
+		if *flagNet {
+			run = launchNet
 		}
-		if *flagVerify && res.Checksum != want {
-			fmt.Fprintf(os.Stderr, "CHECKSUM MISMATCH (got %v want %v)\n", res.Checksum, want)
-			os.Exit(1)
+		res, rep, err := run(spec, o)
+		if err != nil {
+			fatal(err)
 		}
-		if *flagJSON {
-			emitRecord("TTG distributed", *flagThreads, *flagRanks, res, spec, mx)
-			return
-		}
-		status := ""
-		if *flagVerify {
-			status = "  checksum OK"
-		}
-		fmt.Printf("%-44s %10d tasks  %12v total  %10v/task%s%s\n",
-			fmt.Sprintf("TTG distributed (%d ranks)", *flagRanks), res.Tasks, res.Elapsed, res.PerTask(), status, stealNote)
+		verify("", res)
+		reportDist(spec, o, res, rep, status)
 		return
-	}
-	if *flagPriority || *flagInlineAuto {
-		// Wire the scheduling knobs into the shared-memory TTG runners (the
-		// other contenders have no equivalent policy to toggle).
-		for i, r := range runners {
-			if tr, ok := r.(taskbench.TTGRunner); ok {
-				base := tr.Cfg
-				tr.Cfg = func(threads int) rt.Config {
-					c := base(threads)
-					tuning().Apply(&c)
-					return c
-				}
-				runners[i] = tr
-			}
-		}
 	}
 	matched := 0
 	for _, r := range runners {
@@ -243,17 +296,10 @@ func main() {
 		} else {
 			res = r.Run(spec, *flagThreads)
 		}
-		if *flagVerify && res.Checksum != want {
-			fmt.Fprintf(os.Stderr, "%s: CHECKSUM MISMATCH (got %v want %v)\n", r.Name(), res.Checksum, want)
-			os.Exit(1)
-		}
+		verify(r.Name()+": ", res)
 		if *flagJSON {
-			emitRecord(r.Name(), *flagThreads, 0, res, spec, mx)
+			emitRecord(r.Name(), *flagThreads, 0, res, spec, mx, nil)
 			continue
-		}
-		status := ""
-		if *flagVerify {
-			status = "  checksum OK"
 		}
 		fmt.Printf("%-44s %10d tasks  %12v total  %10v/task%s\n",
 			r.Name(), res.Tasks, res.Elapsed, res.PerTask(), status)

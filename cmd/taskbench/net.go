@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -60,60 +59,37 @@ func netFaultConfig(rank int) *tcptransport.FaultConfig {
 	}
 }
 
-// runNetChild executes one rank and reports its NetRankResult on stdout.
-func runNetChild(spec taskbench.Spec) {
+// runNetChild executes one rank and reports its RankReport on stdout.
+func runNetChild(spec taskbench.Spec, o taskbench.DistOptions) {
 	rank := *flagRankID
-	peers := strings.Split(*flagPeers, ",")
 	tr, err := tcptransport.New(tcptransport.Config{
 		Self:  rank,
-		Peers: peers,
+		Peers: strings.Split(*flagPeers, ","),
 		Fault: netFaultConfig(rank),
 	})
+	var res taskbench.RankReport
+	if err == nil {
+		res, err = taskbench.RunRank(spec, tr, o)
+	}
+	var out []byte
+	if err == nil {
+		out, err = json.Marshal(res)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rank %d: %v\n", rank, err)
-		os.Exit(1)
-	}
-	o := taskbench.NetOptions{
-		Workers:           *flagThreads,
-		FT:                true,
-		Steal:             *flagSteal,
-		Tune:              tuning(),
-		SuspectAfter:      time.Duration(*flagSuspectMS) * time.Millisecond,
-		Telemetry:         *flagTelemetry,
-		TelemetryInterval: *flagTelemetryInt,
-		ObsAddr:           *flagObs, // the runner only binds it on rank 0
-		FlightDir:         *flagFlightDir,
-	}
-	if *flagNetKillRank == rank {
-		o.KillAfterTasks = *flagNetKillAfter
-		o.KillFunc = func() {
-			// A real fail-stop: SIGKILL, no deferred cleanup, no flushes.
-			p, _ := os.FindProcess(os.Getpid())
-			p.Kill()
-		}
-	}
-	res, err := taskbench.RunDistributedTTGRank(spec, tr, o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rank %d: %v\n", rank, err)
-		os.Exit(1)
-	}
-	out, err := json.Marshal(res)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rank %d: %v\n", rank, err)
-		os.Exit(1)
+		fatal(fmt.Sprintf("rank %d: %v", rank, err))
 	}
 	fmt.Println(netResultMarker + string(out))
 }
 
-// runNetParent launches ranks as child processes and merges their reports.
-func runNetParent(spec taskbench.Spec, ranks int, verify bool, want float64) {
-	if ranks > spec.Width {
-		ranks = spec.Width
+// launchNet runs the ranks as child processes and merges their reports.
+func launchNet(spec taskbench.Spec, o taskbench.DistOptions) (taskbench.Result, taskbench.DistReport, error) {
+	none := func(err error) (taskbench.Result, taskbench.DistReport, error) {
+		return taskbench.Result{}, taskbench.DistReport{}, err
 	}
+	ranks := min(o.Ranks, spec.Width)
 	lns, addrs, err := taskbench.LoopbackAddrs(ranks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return none(err)
 	}
 	// Free the reserved ports so the children can re-bind them.
 	for _, ln := range lns {
@@ -121,8 +97,7 @@ func runNetParent(spec taskbench.Spec, ranks int, verify bool, want float64) {
 	}
 	exe, err := os.Executable()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return none(err)
 	}
 	outs := make([]bytes.Buffer, ranks)
 	errs := make([]error, ranks)
@@ -159,8 +134,7 @@ func runNetParent(spec taskbench.Spec, ranks int, verify bool, want float64) {
 		cmd.Stdout = &outs[r]
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "start rank %d: %v\n", r, err)
-			os.Exit(1)
+			return none(fmt.Errorf("start rank %d: %w", r, err))
 		}
 		wg.Add(1)
 		go func(r int, cmd *exec.Cmd) {
@@ -171,14 +145,13 @@ func runNetParent(spec taskbench.Spec, ranks int, verify bool, want float64) {
 	wg.Wait()
 	wall := time.Since(t0)
 
-	var results []taskbench.NetRankResult
+	var results []taskbench.RankReport
 	for r := 0; r < ranks; r++ {
 		if errs[r] != nil {
 			if r == *flagNetKillRank {
 				continue // the victim is supposed to die
 			}
-			fmt.Fprintf(os.Stderr, "rank %d process failed: %v\n%s", r, errs[r], outs[r].String())
-			os.Exit(1)
+			return none(fmt.Errorf("rank %d process failed: %w\n%s", r, errs[r], outs[r].String()))
 		}
 		sc := bufio.NewScanner(bytes.NewReader(outs[r].Bytes()))
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -188,95 +161,22 @@ func runNetParent(spec taskbench.Spec, ranks int, verify bool, want float64) {
 			if !strings.HasPrefix(line, netResultMarker) {
 				continue
 			}
-			var res taskbench.NetRankResult
+			var res taskbench.RankReport
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, netResultMarker)), &res); err != nil {
-				fmt.Fprintf(os.Stderr, "rank %d: bad result: %v\n", r, err)
-				os.Exit(1)
+				return none(fmt.Errorf("rank %d: bad result: %w", r, err))
 			}
 			results = append(results, res)
 			found = true
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "rank %d exited cleanly but reported nothing\n", r)
-			os.Exit(1)
+			return none(fmt.Errorf("rank %d exited cleanly but reported nothing", r))
 		}
 	}
-	if *flagNetKillRank >= 0 && errs[*flagNetKillRank] == nil {
-		fmt.Fprintf(os.Stderr, "victim rank %d exited cleanly; the kill never fired\n", *flagNetKillRank)
-		os.Exit(1)
+	if k := *flagNetKillRank; k >= 0 && k < ranks && errs[k] == nil {
+		return none(fmt.Errorf("victim rank %d exited cleanly; the kill never fired", k))
 	}
 
 	res, err := taskbench.MergeNetResults(spec, results)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	res.Elapsed = wall // report launcher wall time (includes process spawn)
-	if verify && math.Float64bits(res.Checksum) != math.Float64bits(want) {
-		fmt.Fprintf(os.Stderr, "CHECKSUM MISMATCH (got %v want %v)\n", res.Checksum, want)
-		os.Exit(1)
-	}
-
-	var reconnects, deaths, waveRestarts, reexecuted int64
-	var stealReqs, steals, stealTasks, stealAborts int64
-	var tmSamples, tmFrames int64
-	var tmCoverage, tmEvents int
-	for _, r := range results {
-		reconnects += r.Reconnects
-		reexecuted += r.Reexecuted
-		stealReqs += r.StealReqs
-		steals += r.Steals
-		stealTasks += r.StealTasks
-		stealAborts += r.StealAborts
-		tmSamples += r.TelemetrySamples
-		tmFrames += r.TelemetryFrames
-		if r.Rank == 0 {
-			tmCoverage = r.TelemetryCoverage
-			tmEvents = r.TelemetryEvents
-		}
-		if r.Deaths > deaths {
-			deaths = r.Deaths
-		}
-		if r.WaveRestarts > waveRestarts {
-			waveRestarts = r.WaveRestarts
-		}
-	}
-	if *flagJSON {
-		mx := map[string]float64{
-			"comm.reconnects":       float64(reconnects),
-			"comm.rank_deaths":      float64(deaths),
-			"termdet.wave_restarts": float64(waveRestarts),
-			"core.tasks_reexecuted": float64(reexecuted),
-		}
-		if *flagSteal {
-			mx["comm.steal_reqs"] = float64(stealReqs)
-			mx["comm.steals"] = float64(steals)
-			mx["comm.steal_tasks"] = float64(stealTasks)
-			mx["comm.steal_aborts"] = float64(stealAborts)
-		}
-		if *flagTelemetry {
-			mx["telemetry.samples"] = float64(tmSamples)
-			mx["telemetry.frames"] = float64(tmFrames)
-			mx["telemetry.coverage"] = float64(tmCoverage)
-			mx["telemetry.events"] = float64(tmEvents)
-		}
-		emitRecord("TTG dist tcp multiproc", *flagThreads, ranks, res, spec, mx)
-		return
-	}
-	status := ""
-	if verify {
-		status = "  checksum OK"
-	}
-	fmt.Printf("%-44s %10d tasks  %12v total  %10v/task%s\n",
-		fmt.Sprintf("TTG dist tcp (%d procs)", ranks), res.Tasks, res.Elapsed, res.PerTask(), status)
-	fmt.Printf("  reconnects=%d deaths=%d wave_restarts=%d reexecuted=%d\n",
-		reconnects, deaths, waveRestarts, reexecuted)
-	if *flagSteal {
-		fmt.Printf("  steals=%d steal_tasks=%d steal_reqs=%d steal_aborts=%d\n",
-			steals, stealTasks, stealReqs, stealAborts)
-	}
-	if *flagTelemetry {
-		fmt.Printf("  telemetry: coverage=%d/%d samples=%d frames=%d events=%d\n",
-			tmCoverage, ranks, tmSamples, tmFrames, tmEvents)
-	}
+	return res, taskbench.Summarize(results), err
 }

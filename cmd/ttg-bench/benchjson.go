@@ -87,11 +87,8 @@ func figBench(c *ctx) {
 	if ranks > spec.Width {
 		ranks = spec.Width
 	}
-	res, st := taskbench.RunDistributedTTGStats(spec, ranks, wpr)
-	if res.Checksum != want {
-		fmt.Fprintf(os.Stderr, "bench: TTG dist @%d ranks: checksum %v, want %v\n", ranks, res.Checksum, want)
-		os.Exit(1)
-	}
+	res, st := mustRunDist(fmt.Sprintf("bench: TTG dist @%d ranks", ranks), spec, want,
+		taskbench.DistOptions{Ranks: ranks, Workers: wpr, Metrics: true})
 	rec := bench.NewRecord("ttg-bench", "TTG dist", wpr, int64(res.Tasks), res.Elapsed)
 	rec.Ranks = ranks
 	rec.Config = map[string]any{
@@ -100,13 +97,14 @@ func figBench(c *ctx) {
 		"steps":   spec.Steps,
 		"flops":   spec.Flops,
 	}
+	msgsPerSec := float64(st.Messages) / res.Elapsed.Seconds()
 	rec.Metrics = map[string]float64{
 		"comm.msgs.sent":    float64(st.Messages),
 		"comm.activations":  float64(st.Activations),
 		"comm.bytes.sent":   float64(st.BytesSent),
-		"comm.acts_per_msg": st.ActsPerMsg,
-		"comm.msgs_per_sec": st.MsgsPerSec,
-		"comm.acts_per_sec": st.ActsPerSec,
+		"comm.acts_per_msg": st.ActsPerMsg(),
+		"comm.msgs_per_sec": msgsPerSec,
+		"comm.acts_per_sec": float64(st.Activations) / res.Elapsed.Seconds(),
 	}
 	if *flagJSON {
 		if err := bench.WriteRecord(os.Stdout, rec); err != nil {
@@ -115,25 +113,14 @@ func figBench(c *ctx) {
 		}
 	} else {
 		fmt.Printf("%-12s %2d ranks x%d  %8d tasks  %12.0f msgs/s  %9.2f acts/msg  (%d msgs, %d activations)\n",
-			"TTG dist", ranks, wpr, rec.Tasks, st.MsgsPerSec, st.ActsPerMsg, st.Messages, st.Activations)
+			"TTG dist", ranks, wpr, rec.Tasks, msgsPerSec, st.ActsPerMsg(), st.Messages, st.Activations)
 	}
 
 	// Loopback-TCP wire-path row: the same stencil over real sockets, one
 	// World per rank inside this process, so the in-process and TCP rows are
 	// directly comparable (the delta is serialization + kernel round trips).
-	tcpRes, rrs, err := taskbench.RunDistributedTTGTCP(spec, ranks, wpr, nil, taskbench.NetOptions{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: TTG dist tcp @%d ranks: %v\n", ranks, err)
-		os.Exit(1)
-	}
-	if tcpRes.Checksum != want {
-		fmt.Fprintf(os.Stderr, "bench: TTG dist tcp @%d ranks: checksum %v, want %v\n", ranks, tcpRes.Checksum, want)
-		os.Exit(1)
-	}
-	var reconnects int64
-	for _, r := range rrs {
-		reconnects += r.Reconnects
-	}
+	tcpRes, tcpRep := mustRunDist(fmt.Sprintf("bench: TTG dist tcp @%d ranks", ranks), spec, want,
+		taskbench.DistOptions{Ranks: ranks, Workers: wpr, TCP: true})
 	tcpRec := bench.NewRecord("ttg-bench", "TTG dist tcp", wpr, int64(tcpRes.Tasks), tcpRes.Elapsed)
 	tcpRec.Ranks = ranks
 	tcpRec.Config = map[string]any{
@@ -144,7 +131,7 @@ func figBench(c *ctx) {
 		"transport": "tcp-loopback",
 	}
 	tcpRec.Metrics = map[string]float64{
-		"comm.reconnects":  float64(reconnects),
+		"comm.reconnects":  float64(tcpRep.Reconnects),
 		"comm.rank_deaths": 0,
 	}
 	if *flagJSON {
@@ -156,6 +143,20 @@ func figBench(c *ctx) {
 		fmt.Printf("%-12s %2d ranks x%d  %8d tasks  %12.0f tasks/s  %9.0f ns/task  (loopback TCP)\n",
 			"TTG dist tcp", ranks, wpr, tcpRec.Tasks, tcpRec.TasksPerSec, tcpRec.PerTaskNs)
 	}
+}
+
+// mustRunDist runs s distributed and exits unless it finished with the
+// reference checksum.
+func mustRunDist(what string, s taskbench.Spec, want float64, o taskbench.DistOptions) (taskbench.Result, taskbench.DistReport) {
+	res, rep, err := taskbench.RunDist(s, o)
+	if err == nil && res.Checksum != want {
+		err = fmt.Errorf("checksum %v, want %v", res.Checksum, want)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+		os.Exit(1)
+	}
+	return res, rep
 }
 
 // cmdValidate reads BENCH record streams from the given files ("-" or no

@@ -27,14 +27,19 @@ func figChaos(c *ctx) {
 	t := bench.NewTable("Chaos: fail-stop one rank mid-run (stencil_1d)", "victim rank", "seconds")
 	ok := true
 	for victim := -1; victim < ranks; victim++ {
-		res, rep := taskbench.RunDistributedTTGFT(s, taskbench.FTOptions{
+		res, rep, err := taskbench.RunDist(s, taskbench.DistOptions{
 			Ranks:          ranks,
 			Workers:        2,
+			FT:             true,
 			KillRank:       victim, // -1 = fault-free baseline
 			KillAfterTasks: 8,
 			Pruning:        true,
 			SuspectAfter:   400 * time.Millisecond,
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "chaos:", err)
+			os.Exit(1)
+		}
 		name := "fault-free"
 		if victim >= 0 {
 			name = fmt.Sprintf("kill rank %d", victim)

@@ -26,18 +26,14 @@ func cmdCritpath(c *ctx) {
 		fmt.Printf("# critpath: %s width=%d steps=%d flops=%d, %d ranks x %d workers (causal tracing on)\n",
 			spec.Pattern.String(), spec.Width, spec.Steps, spec.Flops, ranks, wpr)
 	}
-	td := taskbench.RunDistributedTTGTraced(spec, ranks, wpr)
-	if want := spec.Reference(); td.Result.Checksum != want {
-		fmt.Fprintf(os.Stderr, "critpath: checksum %v, want %v\n", td.Result.Checksum, want)
-		os.Exit(1)
-	}
+	res, td := mustRunDist("critpath", spec, spec.Reference(), taskbench.DistOptions{Ranks: ranks, Workers: wpr, Trace: true})
 	rep, err := critpath.Analyze(td.Spans)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "critpath: %v\n", err)
 		os.Exit(1)
 	}
 
-	elapsed := td.Result.Elapsed
+	elapsed := res.Elapsed
 	coverage := float64(rep.LenNs) / float64(elapsed.Nanoseconds()) * 100
 	cycles := rep.PerTaskOverheadNs * c.ghz
 
@@ -46,8 +42,8 @@ func cmdCritpath(c *ctx) {
 	// measured atomic-RMW count per task priced at the architecture's
 	// uncontended cost.
 	cal := c.calibration()
-	tasks := td.Result.Tasks
-	atomicsPerTask := float64(td.Atomics.Total()) / float64(tasks)
+	tasks := res.Tasks
+	atomicsPerTask := float64(td.Atomics) / float64(tasks)
 	atomicsNs := atomicsPerTask * cal.Arch.UncontendedNs
 
 	if *flagJSON {
@@ -60,10 +56,10 @@ func cmdCritpath(c *ctx) {
 			"flops":   spec.Flops,
 		}
 		rec.Metrics = map[string]float64{
-			"critpath.coverage_pct":        coverage,
-			"perfmodel.llp_overhead_ns":    cal.LLPOverheadNs,
-			"atomics.per_task":             atomicsPerTask,
-			"atomics.uncontended_ns":       atomicsNs,
+			"critpath.coverage_pct":     coverage,
+			"perfmodel.llp_overhead_ns": cal.LLPOverheadNs,
+			"atomics.per_task":          atomicsPerTask,
+			"atomics.uncontended_ns":    atomicsNs,
 		}
 		rec.Critpath = &bench.CritPath{
 			Spans:                 rep.Spans,
@@ -98,7 +94,7 @@ func cmdCritpath(c *ctx) {
 	}
 
 	if *flagTrace != "" {
-		if err := writeVerifiedTrace(*flagTrace, td.Events); err != nil {
+		if err := writeVerifiedTrace(*flagTrace, td.ChromeEvents); err != nil {
 			fmt.Fprintf(os.Stderr, "critpath: %v\n", err)
 			os.Exit(1)
 		}

@@ -64,32 +64,28 @@ func cmdSched(c *ctx) {
 		want := sp.spec.Reference()
 		for _, v := range variants {
 			type cell struct {
-				td  taskbench.TracedDist
+				res taskbench.Result
 				rep *critpath.Report
 			}
 			cells := make([]cell, 0, schedReps)
 			for i := 0; i < schedReps; i++ {
-				td, _ := taskbench.RunDistributedTTGTracedTuned(sp.spec, sp.ranks, sp.wpr, false, v.tn)
-				if td.Result.Checksum != want {
-					fmt.Fprintf(os.Stderr, "sched: %s/%s: checksum %v, want %v\n",
-						sp.label, v.label, td.Result.Checksum, want)
-					os.Exit(1)
-				}
+				res, td := mustRunDist(fmt.Sprintf("sched: %s/%s", sp.label, v.label), sp.spec, want,
+					taskbench.DistOptions{Ranks: sp.ranks, Workers: sp.wpr, Trace: true, Tune: v.tn})
 				rep, err := critpath.Analyze(td.Spans)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "sched: %s/%s: %v\n", sp.label, v.label, err)
 					os.Exit(1)
 				}
-				cells = append(cells, cell{td, rep})
+				cells = append(cells, cell{res, rep})
 			}
 			sort.Slice(cells, func(i, j int) bool {
 				return cells[i].rep.PerTaskOverheadNs < cells[j].rep.PerTaskOverheadNs
 			})
-			td, rep := cells[schedReps/2].td, cells[schedReps/2].rep
+			res, rep := cells[schedReps/2].res, cells[schedReps/2].rep
 			queueShare := float64(rep.QueueNs) / float64(rep.LenNs) * 100
 			cycles := rep.PerTaskOverheadNs * c.ghz
 			name := fmt.Sprintf("TTG sched %s (%s)", v.label, sp.label)
-			rec := bench.NewRecord("ttg-bench", name, sp.wpr, int64(td.Result.Tasks), td.Result.Elapsed)
+			rec := bench.NewRecord("ttg-bench", name, sp.wpr, int64(res.Tasks), res.Elapsed)
 			rec.Ranks = sp.ranks
 			rec.Config = map[string]any{
 				"pattern":     sp.spec.Pattern.String(),

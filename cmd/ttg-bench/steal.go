@@ -39,12 +39,8 @@ func figSteal(c *ctx) {
 		want := inst.spec.Reference()
 		var perSec [2]float64 // indexed by steal on/off for the win report
 		for _, steal := range []bool{false, true} {
-			res, st := taskbench.RunDistributedTTGSteal(inst.spec, ranks, wpr, steal)
-			if res.Checksum != want {
-				fmt.Fprintf(os.Stderr, "steal: %s steal=%v: checksum %v, want %v\n",
-					inst.label, steal, res.Checksum, want)
-				os.Exit(1)
-			}
+			res, st := mustRunDist(fmt.Sprintf("steal: %s steal=%v", inst.label, steal), inst.spec, want,
+				taskbench.DistOptions{Ranks: ranks, Workers: wpr, Metrics: true, Steal: steal})
 			if steal && inst.spec.Skew > 0 && st.Steals == 0 {
 				fmt.Fprintf(os.Stderr, "steal: skewed instance completed zero steals (reqs=%d aborts=%d)\n",
 					st.StealReqs, st.StealAborts)
@@ -67,7 +63,7 @@ func figSteal(c *ctx) {
 			}
 			rec.Metrics = map[string]float64{
 				"comm.msgs.sent":    float64(st.Messages),
-				"comm.acts_per_msg": st.ActsPerMsg,
+				"comm.acts_per_msg": st.ActsPerMsg(),
 				"comm.steal_reqs":   float64(st.StealReqs),
 				"comm.steals":       float64(st.Steals),
 				"comm.steal_tasks":  float64(st.StealTasks),

@@ -46,23 +46,17 @@ func cmdTelemetry(c *ctx) {
 	}
 	for _, sp := range specs {
 		want := sp.spec.Reference()
-		run := func(on bool) (time.Duration, taskbench.TelemetryReport) {
-			res, rep := taskbench.RunDistributedTTGTelemetry(sp.spec, taskbench.TelemetryRunOptions{
-				Ranks: ranks, Workers: wpr, On: on, Metrics: true,
-				Interval: 250 * time.Millisecond,
-				KillRank: -1,
+		run := func(on bool) (time.Duration, taskbench.DistReport) {
+			res, rep := mustRunDist(fmt.Sprintf("telemetry: %s on=%v", sp.label, on), sp.spec, want, taskbench.DistOptions{
+				Ranks: ranks, Workers: wpr, Telemetry: on, Metrics: true,
+				TelemetryInterval: 250 * time.Millisecond,
 			})
-			if res.Checksum != want {
-				fmt.Fprintf(os.Stderr, "telemetry: %s on=%v: checksum %v, want %v\n",
-					sp.label, on, res.Checksum, want)
-				os.Exit(1)
-			}
 			return res.Elapsed, rep
 		}
 		offs := make([]time.Duration, 0, telemetryReps)
 		ons := make([]time.Duration, 0, telemetryReps)
 		ratios := make([]float64, 0, telemetryReps)
-		var lastRep taskbench.TelemetryReport
+		var lastRep taskbench.DistReport
 		for i := 0; i < telemetryReps; i++ {
 			var off, on time.Duration
 			if i%2 == 0 { // alternate lead so drift cannot bias one side
@@ -109,7 +103,7 @@ func cmdTelemetry(c *ctx) {
 					"telemetry.coverage":       float64(lastRep.Coverage),
 					"telemetry.samples":        float64(lastRep.Samples),
 					"telemetry.frames":         float64(lastRep.Frames),
-					"telemetry.events":         float64(len(lastRep.Events)),
+					"telemetry.events":         float64(lastRep.Events),
 				}
 			}
 			if *flagJSON {

@@ -72,9 +72,10 @@ func TestChaosKillRankAllPatterns(t *testing.T) {
 				victim := int(mix % ranks)
 				killAfter := int64(4 + mix%24)
 				plan := faultPlanHeavy(mix | 1)
-				res, rep := taskbench.RunDistributedTTGFT(s, taskbench.FTOptions{
+				res, rep, err := taskbench.RunDist(s, taskbench.DistOptions{
 					Ranks:          ranks,
 					Workers:        2,
+					FT:             true,
 					Sched:          sched,
 					Plan:           &plan,
 					KillRank:       victim,
@@ -84,6 +85,9 @@ func TestChaosKillRankAllPatterns(t *testing.T) {
 					Pruning:      pi%2 == 0,
 					SuspectAfter: 400 * time.Millisecond,
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if res.Checksum != want {
 					t.Fatalf("checksum %v after killing rank %d, want bit-identical %v", res.Checksum, victim, want)
 				}
@@ -120,9 +124,10 @@ func TestChaosKillRankAllPatterns(t *testing.T) {
 // plain distributed runner — no deaths, no re-execution, identity keymap.
 func TestChaosFaultFreeFTMatches(t *testing.T) {
 	s := taskbench.Spec{Pattern: taskbench.Stencil1D, Width: 16, Steps: 16, Flops: 2000}
-	res, rep := taskbench.RunDistributedTTGFT(s, taskbench.FTOptions{
-		Ranks: 4, Workers: 2, KillRank: -1, Pruning: true,
-	})
+	res, rep, err := taskbench.RunDist(s, taskbench.DistOptions{Ranks: 4, Workers: 2, FT: true, Pruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := s.Reference(); res.Checksum != want {
 		t.Fatalf("checksum %v, want %v", res.Checksum, want)
 	}

@@ -97,14 +97,11 @@ type Config struct {
 	// policy: a just-readied consumer is inlined at the discovery site only
 	// when the producing template task's observed body time is below
 	// InlineThresholdNs AND the local queue is non-empty (so siblings are
-	// never starved), bounded by InlineBudget per outer task.
+	// never starved), bounded by inlineBudgetPerTask consumers per outer task.
 	InlineAuto bool
 	// InlineThresholdNs is the producer body-time ceiling for adaptive
 	// inlining (default 3000ns ≈ the paper's "very short task" regime).
 	InlineThresholdNs int64
-	// InlineBudget bounds how many consumers one outer task may inline
-	// (default 32) so a hub task cannot monopolize its worker.
-	InlineBudget int
 	// LFQBufCap sizes the LFQ per-worker bounded buffer (default 4,
 	// PaRSEC's local flat queue depth).
 	LFQBufCap int
@@ -127,9 +124,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.InlineThresholdNs <= 0 {
 		c.InlineThresholdNs = 3000
-	}
-	if c.InlineBudget <= 0 {
-		c.InlineBudget = 32
 	}
 	if c.LFQBufCap <= 0 {
 		c.LFQBufCap = 4

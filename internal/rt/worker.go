@@ -466,7 +466,7 @@ func (w *Worker) execute(t *Task) {
 		w.rt.discard(w, t)
 		return
 	}
-	w.inlineBudget = w.rt.cfg.InlineBudget
+	w.inlineBudget = inlineBudgetPerTask
 	m := w.mx
 	sampled := m != nil && w.sampleTick()
 	if w.rt.trace != nil || sampled {
@@ -582,6 +582,10 @@ func (w *Worker) TryInline(t *Task) bool {
 	w.inlineDepth--
 	return true
 }
+
+// inlineBudgetPerTask bounds how many consumers one outer task may inline
+// adaptively, so a hub task cannot monopolize its worker.
+const inlineBudgetPerTask = 32
 
 // TryInlineAuto is the adaptive-inline execution step: it runs t at the
 // discovery site only when other work remains visible without stealing —

@@ -20,9 +20,12 @@ func TestTracedDistributedStencilAttribution(t *testing.T) {
 		t.Skip("multi-rank traced run")
 	}
 	spec := Spec{Pattern: Stencil1D, Width: 16, Steps: 200, Flops: 20000}
-	td := RunDistributedTTGTraced(spec, 4, 2)
-	if want := spec.Reference(); td.Result.Checksum != want {
-		t.Fatalf("checksum %v, want %v", td.Result.Checksum, want)
+	res, td, err := RunDist(spec, DistOptions{Ranks: 4, Workers: 2, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := spec.Reference(); res.Checksum != want {
+		t.Fatalf("checksum %v, want %v", res.Checksum, want)
 	}
 	if got, want := len(td.Spans), spec.TotalTasks(); got != want {
 		t.Fatalf("%d causal spans, want %d", got, want)
@@ -34,7 +37,7 @@ func TestTracedDistributedStencilAttribution(t *testing.T) {
 	if rep.BodyNs+rep.QueueNs+rep.CommNs != rep.LenNs {
 		t.Fatalf("attribution %d+%d+%d != len %d", rep.BodyNs, rep.QueueNs, rep.CommNs, rep.LenNs)
 	}
-	elapsed := td.Result.Elapsed.Nanoseconds()
+	elapsed := res.Elapsed.Nanoseconds()
 	if rep.LenNs > elapsed {
 		t.Fatalf("path len %dns exceeds elapsed %dns", rep.LenNs, elapsed)
 	}
@@ -52,7 +55,7 @@ func TestTracedDistributedStencilAttribution(t *testing.T) {
 	ranks := map[int]bool{}
 	workers := map[int]bool{}
 	var flows int
-	for _, e := range td.Events {
+	for _, e := range td.ChromeEvents {
 		if e.Phase == "s" || e.Phase == "f" {
 			flows++
 			ranks[e.Pid] = true
@@ -81,9 +84,13 @@ func TestTracedStealSpanAttribution(t *testing.T) {
 	}
 	const ranks = 4
 	spec := skewedSpec()
-	td, stats := RunDistributedTTGTracedSteal(spec, ranks, 2, true)
-	if want := spec.Reference(); math.Float64bits(td.Result.Checksum) != math.Float64bits(want) {
-		t.Fatalf("checksum %v, want %v", td.Result.Checksum, want)
+	res, td, err := RunDist(spec, DistOptions{Ranks: ranks, Workers: 2, Trace: true, Steal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := td
+	if want := spec.Reference(); math.Float64bits(res.Checksum) != math.Float64bits(want) {
+		t.Fatalf("checksum %v, want %v", res.Checksum, want)
 	}
 	if stats.Steals == 0 || stats.StealTasks == 0 {
 		t.Skipf("no steals this run (reqs=%d) — nothing to attribute", stats.StealReqs)

@@ -4,281 +4,14 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync"
 	"time"
-
-	"gottg/internal/comm"
-	"gottg/internal/comm/tcptransport"
-	"gottg/internal/core"
-	"gottg/internal/metrics"
-	"gottg/internal/obs"
-	"gottg/internal/obs/telemetry"
-	"gottg/internal/rt"
 )
-
-// waitCoverage polls the cluster model until want ranks have reported (or
-// the deadline passes): a short grace period for final best-effort frames
-// still in flight when the sequenced drain completed.
-func waitCoverage(a *telemetry.Aggregator, want int, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for a.Coverage() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// The network runner: one OS process (or, in tests, one goroutine bundle)
-// per rank, a comm.Transport between them, and the same Task-Bench Point TT
-// as the in-process distributed runner. Each rank seeds the full SPMD
-// iteration space (owners keep), executes its block partition, and reports
-// the last-timestep values IT computed; the launcher merges the per-rank
-// reports into the global checksum and verifies it bit-identically against
-// Spec.Reference. Because task bodies are deterministic and the last-step
-// report is an idempotent keyed assignment, the merge is insensitive to rank
-// failures: re-executed tasks re-report identical values and the survivors'
-// reports cover a dead rank's re-homed points.
-
-// NetOptions parameterizes one rank of a network-backed Task-Bench run.
-type NetOptions struct {
-	// Workers is the runtime worker count for this rank.
-	Workers int
-	// Sched selects the runtime scheduler (zero value = default).
-	Sched rt.SchedKind
-
-	// FT enables fail-stop fault tolerance: failure detection on the world
-	// and recovery on the graph, so a peer process that dies mid-run is
-	// confirmed dead and its work re-homed.
-	FT bool
-	// Pruning enables replay-log pruning (only meaningful with FT).
-	Pruning bool
-	// Steal enables inter-rank work stealing (two-phase commit when FT is
-	// also on; requires FT when failure detection runs).
-	Steal bool
-	// Tune applies the critical-path scheduling knobs (online priorities,
-	// adaptive inlining, lock-free discovery hits) on this rank.
-	Tune Tuning
-	// Heartbeat and SuspectAfter tune failure detection (zero = defaults).
-	Heartbeat    time.Duration
-	SuspectAfter time.Duration
-
-	// RTO overrides the link retransmission floor (zero = 2ms default). The
-	// per-link adaptive estimator raises the effective timeout above this
-	// floor when measured ack latencies call for it.
-	RTO time.Duration
-
-	// DrainTimeout bounds the post-Wait drain: how long to wait for every
-	// sequenced send to be acked before tearing the transport down (so a
-	// peer that still needs a retransmission gets it). Default 5s.
-	DrainTimeout time.Duration
-
-	// KillAfterTasks, with KillFunc, fail-stops this rank after its runtime
-	// has executed that many tasks — the multi-process crash test's victim
-	// calls a self-SIGKILL here. Zero disables.
-	KillAfterTasks int64
-	KillFunc       func()
-
-	// Telemetry enables the cluster telemetry plane: runtime and wire
-	// metrics on, a per-rank interval sampler, cross-rank streaming to rank
-	// 0, detectors, and the flight recorder.
-	Telemetry bool
-	// TelemetryInterval is the sampling period (default 250ms).
-	TelemetryInterval time.Duration
-	// ObsAddr, on rank 0, serves the cluster observability endpoint
-	// (/cluster.json, rank-labelled /metrics) on this address. Empty
-	// disables the HTTP surface; the plane still runs.
-	ObsAddr string
-	// FlightDir receives flight-recorder dumps ("." when empty).
-	FlightDir string
-}
-
-// NetRankResult is one rank's contribution to a network run, shaped for
-// JSON so child processes can report it over a pipe.
-type NetRankResult struct {
-	Rank      int   `json:"rank"`
-	Ranks     int   `json:"ranks"`
-	Tasks     int64 `json:"tasks"`      // tasks executed by this rank
-	ElapsedNs int64 `json:"elapsed_ns"` // this rank's Wait wall time
-
-	// Points maps point -> last-timestep value for every point this rank
-	// computed (JSON encodes the keys as strings).
-	Points map[int]float64 `json:"points"`
-
-	Reconnects   int64  `json:"reconnects"`
-	Deaths       int64  `json:"deaths"`
-	WaveRestarts int64  `json:"wave_restarts"`
-	Reexecuted   int64  `json:"reexecuted"`
-	StealReqs    int64  `json:"steal_reqs,omitempty"`   // steal requests issued by this rank
-	Steals       int64  `json:"steals,omitempty"`       // steals completed with this rank as thief
-	StealTasks   int64  `json:"steal_tasks,omitempty"`  // tasks injected by those steals
-	StealAborts  int64  `json:"steal_aborts,omitempty"` // aborted attempts seen by this rank
-	Drained      bool   `json:"drained"`
-	Err          string `json:"err,omitempty"`
-
-	// Telemetry-plane statistics (zero when NetOptions.Telemetry is off).
-	TelemetrySamples  int64  `json:"telemetry_samples,omitempty"`  // intervals sampled locally
-	TelemetryFrames   int64  `json:"telemetry_frames,omitempty"`   // frames streamed to rank 0
-	TelemetryCoverage int    `json:"telemetry_coverage,omitempty"` // rank 0: ranks seen in the cluster model
-	TelemetryEvents   int    `json:"telemetry_events,omitempty"`   // rank 0: cluster events recorded
-	ObsURL            string `json:"obs_url,omitempty"`            // rank 0: cluster endpoint address
-}
-
-// RunDistributedTTGRank runs this process's rank of the Task-Bench spec
-// over tr. It returns an error only for setup failures; a runtime abort
-// (e.g. this rank was fail-stopped) is reported in NetRankResult.Err with
-// the partial results preserved.
-func RunDistributedTTGRank(s Spec, tr comm.Transport, o NetOptions) (NetRankResult, error) {
-	ranks := tr.Size()
-	self := tr.Self()
-	res := NetRankResult{Rank: self, Ranks: ranks, Points: map[int]float64{}}
-	if ranks > s.Width {
-		return res, fmt.Errorf("taskbench: %d ranks exceed width %d", ranks, s.Width)
-	}
-	world, err := comm.NewNetWorld(tr)
-	if err != nil {
-		return res, err
-	}
-	if o.FT {
-		world.EnableFailureDetection(comm.FDConfig{
-			Heartbeat:    o.Heartbeat,
-			SuspectAfter: o.SuspectAfter,
-		})
-	}
-	if o.RTO > 0 {
-		world.SetRetransmitTimeout(o.RTO)
-	}
-	if o.Telemetry {
-		world.EnableMetrics()
-	}
-	mapper := func(key uint64) int {
-		_, p := core.Unpack2(key)
-		return int(p) * ranks / s.Width
-	}
-	var mu sync.Mutex
-	record := func(p int, v float64) {
-		mu.Lock()
-		res.Points[p] = v
-		mu.Unlock()
-	}
-
-	cfg := rt.OptimizedConfig(o.Workers)
-	cfg.PinWorkers = false
-	cfg.Sched = o.Sched
-	o.Tune.Apply(&cfg)
-	g := core.NewDistributed(cfg, world.Proc(self))
-	if o.FT {
-		g.EnableFaultTolerance()
-		if o.Pruning {
-			g.EnableReplayPruning()
-		}
-	}
-	if o.Steal && ranks > 1 {
-		g.EnableWorkStealing()
-	}
-	var plane *telemetry.Plane
-	var obsSrv *obs.Server
-	if o.Telemetry {
-		g.EnableMetrics()
-		snap := func() metrics.Snapshot {
-			return obs.Merge(g.MetricsSnapshot(), world.MetricsSnapshot())
-		}
-		// Start before MakeExecutable: rank 0's frame handler must be on the
-		// wire before any peer frame can arrive.
-		plane = telemetry.Start(world.Proc(self), snap, telemetry.Options{
-			Interval:  o.TelemetryInterval,
-			FlightDir: o.FlightDir,
-		})
-		g.SetEventHook(plane.OnEvent)
-		defer plane.ArmSIGQUIT()()
-		world.SetPeerEventHook(func(ev comm.PeerEvent) {
-			detail := ""
-			if ev.Err != nil {
-				detail = ev.Err.Error()
-			}
-			plane.OnEvent("peer_"+ev.Kind.String(), ev.Peer, detail)
-		})
-		if self == 0 && o.ObsAddr != "" {
-			srv, err := obs.ServeCluster(o.ObsAddr, plane.Aggregator(), snap)
-			if err != nil {
-				return res, err
-			}
-			obsSrv = srv
-			res.ObsURL = srv.Addr()
-		}
-	}
-	point := buildPointTT(g, s, mapper, record)
-
-	stop := make(chan struct{})
-	defer close(stop)
-	if o.KillAfterTasks > 0 && o.KillFunc != nil {
-		victim := g.Runtime()
-		go func() {
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(200 * time.Microsecond):
-				}
-				if exec, _, _ := victim.Stats(); exec >= o.KillAfterTasks {
-					o.KillFunc()
-					return
-				}
-			}
-		}()
-	}
-
-	t0 := time.Now()
-	g.MakeExecutable()
-	for p := 0; p < s.Width; p++ { // SPMD seeding; owners keep
-		g.Invoke(point, core.Pack2(0, uint32(p)), &pointVal{P: p})
-	}
-	waitErr := g.Wait()
-	res.ElapsedNs = int64(time.Since(t0))
-
-	drainTimeout := o.DrainTimeout
-	if drainTimeout <= 0 {
-		drainTimeout = 5 * time.Second
-	}
-	res.Drained = world.Drain(drainTimeout)
-
-	if plane != nil {
-		// Give straggling final frames a beat to arrive at rank 0, then take
-		// the closing sample (non-zero ranks flush it to rank 0 — the drain
-		// above only guarantees sequenced traffic, so the flush is
-		// best-effort by design).
-		plane.Stop()
-		if self == 0 {
-			waitCoverage(plane.Aggregator(), ranks-int(world.Deaths()), drainTimeout)
-			res.TelemetryCoverage = plane.Aggregator().Coverage()
-			res.TelemetryEvents = len(plane.Aggregator().Events())
-		}
-		res.TelemetrySamples = plane.Sampler().Samples()
-		res.TelemetryFrames = plane.Sampler().Frames()
-		if obsSrv != nil {
-			obsSrv.Close()
-		}
-	}
-
-	exec, _, _ := g.Runtime().Stats()
-	res.Tasks = exec
-	res.Reconnects = world.Reconnects()
-	res.Deaths = world.Deaths()
-	res.WaveRestarts = world.WaveRestarts()
-	res.Reexecuted, _, _ = g.RecoveryStats()
-	res.StealReqs = world.StealReqs()
-	res.Steals = world.Steals()
-	res.StealTasks = world.StealTasks()
-	res.StealAborts = world.StealAborts()
-	if waitErr != nil {
-		res.Err = waitErr.Error()
-	}
-	world.Shutdown()
-	return res, nil
-}
 
 // MergeNetResults combines per-rank reports into the run's Result, checking
 // that the surviving ranks' last-timestep reports cover every point exactly
 // and agree bit-identically wherever two ranks computed the same point
 // (which happens when a failed rank's tasks were re-executed elsewhere).
-func MergeNetResults(s Spec, rs []NetRankResult) (Result, error) {
+func MergeNetResults(s Spec, rs []RankReport) (Result, error) {
 	merged := make([]float64, s.Width)
 	have := make([]bool, s.Width)
 	var elapsed time.Duration
@@ -327,65 +60,4 @@ func LoopbackAddrs(n int) ([]net.Listener, []string, error) {
 		addrs[i] = ln.Addr().String()
 	}
 	return lns, addrs, nil
-}
-
-// RunDistributedTTGTCP runs the spec with every rank a separate World over
-// real loopback TCP sockets inside this one process — the single-process
-// harness for the TCP wire path (benchmarks, chaos soaks); the multi-process
-// form lives in cmd/taskbench. fault, when non-nil, arms the socket-level
-// fault injector on every rank's transport (per-rank seeds derived from
-// fault.Seed). Returns the merged result (verified for coverage and
-// duplicate consistency, not against Reference — callers compare) plus the
-// per-rank reports.
-func RunDistributedTTGTCP(s Spec, ranks, workers int, fault *tcptransport.FaultConfig, o NetOptions) (Result, []NetRankResult, error) {
-	if ranks > s.Width {
-		ranks = s.Width
-	}
-	lns, addrs, err := LoopbackAddrs(ranks)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	o.Workers = workers
-	results := make([]NetRankResult, ranks)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		var fc *tcptransport.FaultConfig
-		if fault != nil {
-			c := *fault
-			c.Seed = fault.Seed + uint64(r)*0x9e3779b97f4a7c15
-			fc = &c
-		}
-		tr, terr := tcptransport.New(tcptransport.Config{
-			Self:     r,
-			Peers:    addrs,
-			Listener: lns[r],
-			Fault:    fc,
-		})
-		if terr != nil {
-			for _, ln := range lns {
-				ln.Close()
-			}
-			return Result{}, nil, terr
-		}
-		wg.Add(1)
-		go func(r int, tr *tcptransport.Transport) {
-			defer wg.Done()
-			results[r], errs[r] = RunDistributedTTGRank(s, tr, o)
-		}(r, tr)
-	}
-	wg.Wait()
-	for r, e := range errs {
-		if e != nil {
-			return Result{}, results, fmt.Errorf("rank %d: %w", r, e)
-		}
-		if results[r].Err != "" {
-			return Result{}, results, fmt.Errorf("rank %d aborted: %s", r, results[r].Err)
-		}
-	}
-	res, err := MergeNetResults(s, results)
-	if err != nil {
-		return Result{}, results, err
-	}
-	return res, results, nil
 }

@@ -20,12 +20,12 @@ func requireBitIdentical(t *testing.T, s Spec, res Result) {
 
 func TestTCPLoopbackStencil(t *testing.T) {
 	s := Spec{Pattern: Stencil1D, Width: 16, Steps: 40, Flops: 500}
-	res, rrs, err := RunDistributedTTGTCP(s, 4, 2, nil, NetOptions{})
+	res, rep, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, TCP: true})
 	if err != nil {
-		t.Fatalf("RunDistributedTTGTCP: %v", err)
+		t.Fatalf("RunDist: %v", err)
 	}
 	requireBitIdentical(t, s, res)
-	for _, r := range rrs {
+	for _, r := range rep.Ranks {
 		if !r.Drained {
 			t.Fatalf("rank %d did not drain its links before shutdown", r.Rank)
 		}
@@ -37,9 +37,9 @@ func TestTCPLoopbackStencil(t *testing.T) {
 
 func TestTCPLoopbackRandom(t *testing.T) {
 	s := Spec{Pattern: Random, Width: 12, Steps: 30, Flops: 500}
-	res, _, err := RunDistributedTTGTCP(s, 3, 2, nil, NetOptions{})
+	res, _, err := RunDist(s, DistOptions{Ranks: 3, Workers: 2, TCP: true})
 	if err != nil {
-		t.Fatalf("RunDistributedTTGTCP: %v", err)
+		t.Fatalf("RunDist: %v", err)
 	}
 	requireBitIdentical(t, s, res)
 }
@@ -47,9 +47,9 @@ func TestTCPLoopbackRandom(t *testing.T) {
 func TestTCPLoopbackSingleRank(t *testing.T) {
 	// Degenerate world: everything is a self-send; the transport idles.
 	s := Spec{Pattern: Stencil1D, Width: 8, Steps: 10, Flops: 100}
-	res, _, err := RunDistributedTTGTCP(s, 1, 2, nil, NetOptions{})
+	res, _, err := RunDist(s, DistOptions{Ranks: 1, Workers: 2, TCP: true})
 	if err != nil {
-		t.Fatalf("RunDistributedTTGTCP: %v", err)
+		t.Fatalf("RunDist: %v", err)
 	}
 	requireBitIdentical(t, s, res)
 }
@@ -81,7 +81,8 @@ func TestTCPChaosSoak(t *testing.T) {
 		{"random", Spec{Pattern: Random, Width: 12, Steps: 40, Flops: 500}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, rrs, err := RunDistributedTTGTCP(tc.s, 4, 2, fault, NetOptions{
+			res, rep, err := RunDist(tc.s, DistOptions{
+				Ranks: 4, Workers: 2, TCP: true, Fault: fault,
 				// FT on: the failure detector must coexist with socket chaos
 				// without false-positive deaths.
 				FT:           true,
@@ -92,7 +93,7 @@ func TestTCPChaosSoak(t *testing.T) {
 			}
 			requireBitIdentical(t, tc.s, res)
 			var reconnects, deaths int64
-			for _, r := range rrs {
+			for _, r := range rep.Ranks {
 				reconnects += r.Reconnects
 				deaths += r.Deaths
 			}
@@ -116,13 +117,13 @@ func TestTCPStealSkewed(t *testing.T) {
 		t.Skip("multi-rank TCP run")
 	}
 	s := skewedSpec()
-	res, rrs, err := RunDistributedTTGTCP(s, 4, 2, nil, NetOptions{Steal: true})
+	res, rep, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, TCP: true, Steal: true})
 	if err != nil {
-		t.Fatalf("RunDistributedTTGTCP: %v", err)
+		t.Fatalf("RunDist: %v", err)
 	}
 	requireBitIdentical(t, s, res)
 	var steals, stolen int64
-	for _, r := range rrs {
+	for _, r := range rep.Ranks {
 		steals += r.Steals
 		stolen += r.StealTasks
 		if !r.Drained {
@@ -153,7 +154,8 @@ func TestTCPStealChaosSoak(t *testing.T) {
 		SlowReadProb:  0.01,
 		SlowReadMax:   300 * time.Microsecond,
 	}
-	res, rrs, err := RunDistributedTTGTCP(s, 4, 2, fault, NetOptions{
+	res, rep, err := RunDist(s, DistOptions{
+		Ranks: 4, Workers: 2, TCP: true, Fault: fault,
 		FT:           true,
 		Steal:        true,
 		SuspectAfter: 2 * time.Second,
@@ -163,7 +165,7 @@ func TestTCPStealChaosSoak(t *testing.T) {
 	}
 	requireBitIdentical(t, s, res)
 	var steals, aborts, deaths, reconnects int64
-	for _, r := range rrs {
+	for _, r := range rep.Ranks {
 		steals += r.Steals
 		aborts += r.StealAborts
 		deaths += r.Deaths
@@ -178,7 +180,7 @@ func TestTCPStealChaosSoak(t *testing.T) {
 
 func TestMergeNetResults(t *testing.T) {
 	s := Spec{Pattern: Stencil1D, Width: 4, Steps: 2, Flops: 10}
-	ok := []NetRankResult{
+	ok := []RankReport{
 		{Rank: 0, Points: map[int]float64{0: 1, 1: 2}},
 		{Rank: 1, Points: map[int]float64{2: 3, 3: 4, 1: 2}}, // duplicate, same bits
 	}
@@ -190,21 +192,21 @@ func TestMergeNetResults(t *testing.T) {
 		t.Fatalf("checksum %v, want 10", res.Checksum)
 	}
 
-	if _, err := MergeNetResults(s, []NetRankResult{
+	if _, err := MergeNetResults(s, []RankReport{
 		{Rank: 0, Points: map[int]float64{0: 1, 1: 2}},
 		{Rank: 1, Points: map[int]float64{2: 3}}, // point 3 missing
 	}); err == nil {
 		t.Fatalf("missing point not detected")
 	}
 
-	if _, err := MergeNetResults(s, []NetRankResult{
+	if _, err := MergeNetResults(s, []RankReport{
 		{Rank: 0, Points: map[int]float64{0: 1, 1: 2}},
 		{Rank: 1, Points: map[int]float64{1: 2.5, 2: 3, 3: 4}}, // conflicting duplicate
 	}); err == nil {
 		t.Fatalf("conflicting duplicate not detected")
 	}
 
-	if _, err := MergeNetResults(s, []NetRankResult{
+	if _, err := MergeNetResults(s, []RankReport{
 		{Rank: 0, Points: map[int]float64{0: 1, 1: 2, 2: 3, 3: 4, 9: 0}},
 	}); err == nil {
 		t.Fatalf("out-of-range point not detected")
@@ -213,7 +215,7 @@ func TestMergeNetResults(t *testing.T) {
 
 func TestNetRankRejectsTooManyRanks(t *testing.T) {
 	s := Spec{Pattern: Stencil1D, Width: 2, Steps: 2, Flops: 10}
-	if _, _, err := RunDistributedTTGTCP(s, 8, 1, nil, NetOptions{}); err != nil {
+	if _, _, err := RunDist(s, DistOptions{Ranks: 8, Workers: 1, TCP: true}); err != nil {
 		// ranks clamp to width, so this must actually succeed.
 		t.Fatalf("rank clamp failed: %v", err)
 	}

@@ -75,7 +75,7 @@ func TestNetChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rank %d: transport: %v", rank, err)
 	}
-	o := NetOptions{
+	o := DistOptions{
 		Workers:      2,
 		FT:           true,
 		Steal:        os.Getenv("GOTTG_NET_STEAL") == "1",
@@ -87,7 +87,7 @@ func TestNetChildProcess(t *testing.T) {
 			syscall.Kill(os.Getpid(), syscall.SIGKILL) // no deferred cleanup, no flushes: fail-stop
 		}
 	}
-	res, err := RunDistributedTTGRank(s, tr, o)
+	res, err := RunRank(s, tr, o)
 	if err != nil {
 		t.Fatalf("rank %d: %v", rank, err)
 	}
@@ -101,7 +101,7 @@ func TestNetChildProcess(t *testing.T) {
 // spawnNetChildren launches one child process per rank and returns the
 // parsed reports of the ones that exited cleanly, plus each child's exit
 // error (nil for success).
-func spawnNetChildren(t *testing.T, n int, env func(rank int) []string) ([]NetRankResult, []error) {
+func spawnNetChildren(t *testing.T, n int, env func(rank int) []string) ([]RankReport, []error) {
 	t.Helper()
 	// Reserve distinct loopback ports, then free them for the children to
 	// re-bind. The race window is negligible for tests.
@@ -139,7 +139,7 @@ func spawnNetChildren(t *testing.T, n int, env func(rank int) []string) ([]NetRa
 		}(r, cmd)
 	}
 	wg.Wait()
-	var results []NetRankResult
+	var results []RankReport
 	for r := 0; r < n; r++ {
 		if errs[r] != nil {
 			continue
@@ -152,7 +152,7 @@ func spawnNetChildren(t *testing.T, n int, env func(rank int) []string) ([]NetRa
 			if !strings.HasPrefix(line, netResultMarker) {
 				continue
 			}
-			var res NetRankResult
+			var res RankReport
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, netResultMarker)), &res); err != nil {
 				t.Fatalf("rank %d: bad result JSON: %v\noutput:\n%s", r, err, outs[r].String())
 			}

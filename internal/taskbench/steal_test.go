@@ -22,7 +22,10 @@ func skewedSpec() Spec {
 func TestSkewPreservesChecksum(t *testing.T) {
 	s := skewedSpec()
 	want := s.Reference()
-	res := RunDistributedTTG(s, 1, 4)
+	res, _, err := RunDist(s, DistOptions{Ranks: 1, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Float64bits(res.Checksum) != math.Float64bits(want) {
 		t.Fatalf("skewed shared-memory checksum %v != reference %v", res.Checksum, want)
 	}
@@ -34,7 +37,10 @@ func TestSkewPreservesChecksum(t *testing.T) {
 func TestStealSkewedOnePhase(t *testing.T) {
 	s := skewedSpec()
 	want := s.Reference()
-	res, stats := RunDistributedTTGSteal(s, 4, 2, true)
+	res, stats, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, Metrics: true, Steal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Float64bits(res.Checksum) != math.Float64bits(want) {
 		t.Fatalf("steal checksum %v != reference %v", res.Checksum, want)
 	}
@@ -52,7 +58,10 @@ func TestStealSkewedOnePhase(t *testing.T) {
 func TestStealOffSkewed(t *testing.T) {
 	s := skewedSpec()
 	want := s.Reference()
-	res, stats := RunDistributedTTGSteal(s, 4, 2, false)
+	res, stats, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Float64bits(res.Checksum) != math.Float64bits(want) {
 		t.Fatalf("checksum %v != reference %v", res.Checksum, want)
 	}
@@ -66,9 +75,10 @@ func TestStealOffSkewed(t *testing.T) {
 func TestStealFTTwoPhaseClean(t *testing.T) {
 	s := skewedSpec()
 	want := s.Reference()
-	res, rep := RunDistributedTTGFT(s, FTOptions{
-		Ranks: 4, Workers: 2, KillRank: -1, Steal: true,
-	})
+	res, rep, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, FT: true, Steal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r, err := range rep.Errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -86,14 +96,17 @@ func TestStealFTTwoPhaseClean(t *testing.T) {
 // runStealKill drives the steal+kill chaos path: skewed instance, stealing
 // on, one rank fail-stopped mid-run. The checksum must stay bit-identical
 // with re-execution observed and the victim reporting ErrRankKilled.
-func runStealKill(t *testing.T, kill int, after int64) FTReport {
+func runStealKill(t *testing.T, kill int, after int64) DistReport {
 	t.Helper()
 	s := skewedSpec()
 	want := s.Reference()
-	res, rep := RunDistributedTTGFT(s, FTOptions{
-		Ranks: 4, Workers: 2, Steal: true,
+	res, rep, err := RunDist(s, DistOptions{
+		Ranks: 4, Workers: 2, FT: true, Steal: true,
 		KillRank: kill, KillAfterTasks: after,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r, err := range rep.Errs {
 		if r == kill {
 			if !errors.Is(err, core.ErrRankKilled) {

@@ -212,7 +212,10 @@ func TestDistributedTTGMatchesReference(t *testing.T) {
 	for _, pat := range []Pattern{Stencil1D, FFT, Random, NoComm} {
 		s := Spec{Pattern: pat, Width: 8, Steps: 25, Flops: 32}
 		want := s.Reference()
-		got := RunDistributedTTG(s, 4, 1)
+		got, _, err := RunDist(s, DistOptions{Ranks: 4, Workers: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", pat, err)
+		}
 		if got.Checksum != want {
 			t.Fatalf("%v: distributed checksum %v, want %v", pat, got.Checksum, want)
 		}
@@ -221,7 +224,10 @@ func TestDistributedTTGMatchesReference(t *testing.T) {
 
 func TestDistributedTTGMoreRanksThanPoints(t *testing.T) {
 	s := Spec{Pattern: Stencil1D, Width: 3, Steps: 10, Flops: 16}
-	got := RunDistributedTTG(s, 8, 1) // clipped to width
+	got, _, err := RunDist(s, DistOptions{Ranks: 8, Workers: 1}) // clipped to width
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Checksum != s.Reference() {
 		t.Fatalf("checksum %v, want %v", got.Checksum, s.Reference())
 	}

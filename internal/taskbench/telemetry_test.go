@@ -23,12 +23,14 @@ func telemetrySpec() Spec {
 // the checksum must stay bit-identical to the sequential reference.
 func TestTelemetryClusterCoverage(t *testing.T) {
 	spec := telemetrySpec()
-	res, rep := RunDistributedTTGTelemetry(spec, TelemetryRunOptions{
-		Ranks: 4, Workers: 2, On: true,
-		Interval:  2 * time.Millisecond,
-		FlightDir: t.TempDir(),
-		KillRank:  -1,
+	res, rep, err := RunDist(spec, DistOptions{
+		Ranks: 4, Workers: 2, Telemetry: true,
+		TelemetryInterval: 2 * time.Millisecond,
+		FlightDir:         t.TempDir(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r, err := range rep.Errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -67,13 +69,16 @@ func TestTelemetryClusterCoverage(t *testing.T) {
 func TestTelemetryKillProducesFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	spec := telemetrySpec()
-	res, rep := RunDistributedTTGTelemetry(spec, TelemetryRunOptions{
-		Ranks: 4, Workers: 2, On: true,
-		Interval:       time.Millisecond,
-		FlightDir:      dir,
-		KillRank:       2,
-		KillAfterTasks: 60,
+	res, rep, err := RunDist(spec, DistOptions{
+		Ranks: 4, Workers: 2, Telemetry: true, FT: true,
+		TelemetryInterval: time.Millisecond,
+		FlightDir:         dir,
+		KillRank:          2,
+		KillAfterTasks:    60,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := spec.Reference(); res.Checksum != want {
 		t.Fatalf("checksum %v != reference %v after kill", res.Checksum, want)
 	}
@@ -119,13 +124,13 @@ func TestTelemetryKillProducesFlightDump(t *testing.T) {
 	}
 	// The cluster event log must show the death.
 	found := false
-	for _, e := range rep.Events {
+	for _, e := range rep.ClusterEvents {
 		if e.Kind == "rank_dead" && e.Rank == 2 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no rank_dead event in the cluster log: %+v", rep.Events)
+		t.Fatalf("no rank_dead event in the cluster log: %+v", rep.ClusterEvents)
 	}
 }
 
@@ -182,7 +187,8 @@ func TestTelemetryClusterHTTPOverTCP(t *testing.T) {
 		covCh <- covResult{}
 	}()
 
-	res, rankRes, err := RunDistributedTTGTCP(spec, 4, 2, nil, NetOptions{
+	res, rep, err := RunDist(spec, DistOptions{
+		Ranks: 4, Workers: 2, TCP: true,
 		Telemetry:         true,
 		TelemetryInterval: 5 * time.Millisecond,
 		ObsAddr:           obsAddr,
@@ -201,7 +207,7 @@ func TestTelemetryClusterHTTPOverTCP(t *testing.T) {
 	if !strings.Contains(cov.body, "rt.task.executed") {
 		t.Fatalf("/cluster.json lacks runtime series: %s", cov.body)
 	}
-	for _, rr := range rankRes {
+	for _, rr := range rep.Ranks {
 		if rr.TelemetrySamples == 0 {
 			t.Fatalf("rank %d sampled nothing", rr.Rank)
 		}
@@ -227,11 +233,13 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	}
 	spec := Spec{Pattern: Stencil1D, Width: 16, Steps: 150, Flops: 1000}
 	run := func(on bool) time.Duration {
-		res, _ := RunDistributedTTGTelemetry(spec, TelemetryRunOptions{
-			Ranks: 4, Workers: 2, On: on, Metrics: true,
-			Interval: 250 * time.Millisecond,
-			KillRank: -1,
+		res, _, err := RunDist(spec, DistOptions{
+			Ranks: 4, Workers: 2, Telemetry: on, Metrics: true,
+			TelemetryInterval: 250 * time.Millisecond,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.Elapsed
 	}
 	const rounds = 9
