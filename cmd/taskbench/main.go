@@ -81,19 +81,19 @@ func netMode() bool { return *flagNet || *flagRankID >= 0 }
 // this process's rank — from the flags.
 func distOptions() taskbench.DistOptions {
 	o := taskbench.DistOptions{
-		Ranks:             *flagRanks,
-		Workers:           *flagThreads,
-		Tune:              tuning(),
-		Trace:             *flagCritpath && !netMode(), // spans do not cross the process pipe
-		Steal:             *flagSteal,
-		FT:                netMode() || *flagKillRank >= 0,
-		Telemetry:         *flagTelemetry,
-		TelemetryInterval: *flagTelemetryInt,
-		ObsAddr:           *flagObs, // only rank 0 binds it
-		FlightDir:         *flagFlightDir,
+		Ranks:   *flagRanks,
+		Workers: *flagThreads,
+		Tune:    tuning(),
+		Trace:   *flagCritpath && !netMode(), // spans do not cross the process pipe
+		Steal:   *flagSteal,
+		FT:      netMode() || *flagKillRank >= 0,
 	}
-	if netMode() {
+	if netMode() { // the flags that say "with -net"
 		o.SuspectAfter = time.Duration(*flagSuspectMS) * time.Millisecond
+		o.Telemetry = *flagTelemetry
+		o.TelemetryInterval = *flagTelemetryInt
+		o.ObsAddr = *flagObs // only rank 0 binds it
+		o.FlightDir = *flagFlightDir
 	}
 	if *flagKillRank >= 0 {
 		// One rank fail-stopped mid-run: the survivors re-home its keys and

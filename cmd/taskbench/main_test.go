@@ -46,6 +46,7 @@ func TestDistOptionsFromFlags(t *testing.T) {
 		{"-ranks 4 -inline-auto", func(x out) bool { return x.cfg.InlineAuto && !x.cfg.LockFreeHit }},
 		{"-ranks 4 -steal", func(x out) bool { return x.o.Steal && !x.o.FT && !x.o.Metrics }},
 		{"-ranks 4 -critpath", func(x out) bool { return x.o.Trace && !x.o.FT }},
+		{"-ranks 4 -telemetry -obs 127.0.0.1:0", func(x out) bool { return !x.o.Telemetry && x.o.ObsAddr == "" }}, // -net only
 		{"-ranks 4 -kill-rank 2", func(x out) bool {
 			return x.o.FT && x.o.KillRank == 2 && x.o.KillAfterTasks == 8 && x.o.Pruning && x.o.KillFunc == nil && x.o.SuspectAfter == 0
 		}},

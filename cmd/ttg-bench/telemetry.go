@@ -48,7 +48,7 @@ func cmdTelemetry(c *ctx) {
 		want := sp.spec.Reference()
 		run := func(on bool) (time.Duration, taskbench.DistReport) {
 			res, rep := mustRunDist(fmt.Sprintf("telemetry: %s on=%v", sp.label, on), sp.spec, want, taskbench.DistOptions{
-				Ranks: ranks, Workers: wpr, Telemetry: on, Metrics: true,
+				Ranks: ranks, Workers: wpr, Telemetry: on, RuntimeMetrics: true,
 				TelemetryInterval: 250 * time.Millisecond,
 			})
 			return res.Elapsed, rep

@@ -75,15 +75,18 @@ type DistOptions struct {
 	// link retransmission timeout drops to 1ms with it).
 	Plan *comm.FaultPlan
 
-	// Metrics enables the runtime and wire registries (the wire counters
-	// land in the report). Trace enables causal tracing and the atomic-
-	// operation audit: an instrumented profiling run whose throughput is not
-	// comparable to an untraced one, and which forces the locked
+	// Metrics enables the wire registry (its counters land in the report);
+	// RuntimeMetrics also the runtime one, without the plane: the baseline
+	// that isolates the sampler+streaming cost of Telemetry from the cost of
+	// the metric counters themselves. Trace enables causal tracing and the
+	// atomic-operation audit: an instrumented profiling run whose throughput
+	// is not comparable to an untraced one, and which forces the locked
 	// discovery-table path (Tune.LockFreeHit has no effect). Steal enables
 	// inter-rank work stealing (two-phase commit when FT is on).
-	Metrics bool
-	Trace   bool
-	Steal   bool
+	Metrics        bool
+	RuntimeMetrics bool
+	Trace          bool
+	Steal          bool
 
 	// FT enables fail-stop fault tolerance: failure detection on the world
 	// and recovery on the graph, so a rank that dies mid-run is confirmed
@@ -94,15 +97,15 @@ type DistOptions struct {
 	SuspectAfter time.Duration
 
 	// KillAfterTasks > 0 fail-stops a rank once its runtime has executed that
-	// many tasks (and, with Telemetry, streamed its first interval, so the
-	// flight dump holds one): under RunDist the victim is KillRank; a child
-	// process that is to die passes its own KillFunc (a self-SIGKILL) to
-	// RunRank. Requires FT.
+	// many tasks (and, with Telemetry on a rank other than 0, streamed its
+	// first interval, so the flight dump holds one): under RunDist the victim
+	// is KillRank; a child process that is to die passes its own KillFunc (a
+	// self-SIGKILL) to RunRank. Requires FT.
 	KillRank       int
 	KillAfterTasks int64
 	KillFunc       func()
 
-	// Telemetry enables the cluster telemetry plane (implies Metrics): a
+	// Telemetry enables the cluster telemetry plane (implies RuntimeMetrics): a
 	// per-rank interval sampler every TelemetryInterval (default 250ms),
 	// streaming to rank 0, detectors, and the flight recorder dumping into
 	// FlightDir ("." when empty). ObsAddr, on rank 0, serves /cluster.json
@@ -307,7 +310,7 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 	ranks := world.Size()
 	r := &rank{s: s, o: o, world: world, self: self,
 		rep: RankReport{Rank: self, Ranks: ranks, Points: map[int]float64{}}}
-	metricsOn := o.Metrics || o.Telemetry
+	runtimeMetrics := o.RuntimeMetrics || o.Telemetry
 	if r.ownsWorld() {
 		if o.FT {
 			world.EnableFailureDetection(comm.FDConfig{SuspectAfter: o.SuspectAfter})
@@ -316,7 +319,7 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 			world.SetFaultPlan(*o.Plan)
 			world.SetRetransmitTimeout(time.Millisecond)
 		}
-		if metricsOn || o.Trace {
+		if o.Metrics || runtimeMetrics || o.Trace {
 			world.EnableMetrics()
 		}
 		if o.Trace {
@@ -343,7 +346,7 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 	if o.Trace {
 		g.EnableCausalTracing()
 	}
-	if metricsOn {
+	if runtimeMetrics {
 		g.EnableMetrics()
 	}
 	if o.Telemetry {
@@ -397,8 +400,9 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 // killWhenReady is the kill trigger: it polls until the rank has executed
 // o.KillAfterTasks tasks (and, with the plane on, streamed an interval: the
 // point of the kill is a flight dump that holds one, however few intervals
-// that many tasks take), then calls kill from this goroutine — never from a
-// worker, since a fail-stop drains the runtime. It gives up when stop closes.
+// that many tasks take; rank 0 streams to nobody, so it is exempt), then
+// calls kill from this goroutine — never from a worker, since a fail-stop
+// drains the runtime. It gives up when stop closes.
 func (r *rank) killWhenReady(kill func(), stop <-chan struct{}) {
 	tick := time.NewTicker(200 * time.Microsecond)
 	defer tick.Stop()
@@ -408,7 +412,7 @@ func (r *rank) killWhenReady(kill func(), stop <-chan struct{}) {
 			return
 		case <-tick.C:
 		}
-		streamed := r.plane == nil || r.plane.Sampler().Frames() > 0
+		streamed := r.plane == nil || r.self == 0 || r.plane.Sampler().Frames() > 0
 		if exec, _, _ := r.g.Runtime().Stats(); exec >= r.o.KillAfterTasks && streamed {
 			kill()
 			return
@@ -446,11 +450,15 @@ func (r *rank) run() {
 	if r.plane != nil {
 		// Non-zero ranks flush the closing sample to rank 0; the drain above
 		// only guarantees sequenced traffic, so the flush is best-effort by
-		// design and rank 0 gives the survivors' frames a grace period.
+		// design and a network rank 0, which cannot see its peers' samplers,
+		// gives the survivors' frames a grace period (RunDist waits for the
+		// ranks of a shared World itself, once all of them have stopped).
 		r.plane.Stop()
 		if r.self == 0 {
 			agg := r.plane.Aggregator()
-			waitUntil(drainTimeout, func() bool { return agg.Coverage() >= r.rep.Ranks-int(r.world.Deaths()) })
+			if r.world.NetBacked() {
+				waitUntil(drainTimeout, func() bool { return agg.Coverage() >= r.rep.Ranks-int(r.world.Deaths()) })
+			}
 			r.rep.TelemetryCoverage = agg.Coverage()
 			r.rep.TelemetryEvents = len(agg.Events())
 		}
@@ -627,11 +635,13 @@ func runDist(s Spec, o DistOptions, wrap recordWrap) (Result, DistReport, error)
 		// The closing frames ride the async dispatch path; wait for every
 		// live rank's last interval to land in the cluster model before
 		// reading it (an aborted rank's flush is gated at the wire and never
-		// arrives — don't wait for it).
+		// arrives, nor does any flush to an aborted rank 0 — don't wait for
+		// those).
 		agg := runs[0].plane.Aggregator()
 		waitUntil(2*time.Second, func() bool {
 			for i, r := range runs[1:] {
-				if r.waitErr == nil && agg.View(i+1).LastSeq < uint64(reports[i+1].TelemetrySamples) {
+				live := r.waitErr == nil && runs[0].waitErr == nil
+				if live && agg.View(i+1).LastSeq < uint64(reports[i+1].TelemetrySamples) {
 					return false
 				}
 			}

@@ -13,15 +13,16 @@ import (
 	"gottg/internal/core"
 )
 
-// TestRunDistUnion drives RunDist through exactly the option combinations
-// the eleven former entry points expressed, on two patterns: every one must
+// TestRunDistUnion drives RunDist through the option combinations the eleven
+// former entry points expressed (plus a rank-0 victim under telemetry, which
+// they could name but never killed), on two patterns: every one must
 // merge to the bit-identical checksum and fill the report fields its old
 // report struct carried.
 func TestRunDistUnion(t *testing.T) {
-	const ranks, victim = 4, 1
+	const ranks = 4
 	// The kill rows sleep in every task so the run outlasts the kill poll
 	// (and, with telemetry, the victim's first streamed interval).
-	kill := func(o DistOptions) DistOptions {
+	kill := func(o DistOptions, victim int) DistOptions {
 		o.FT, o.KillRank, o.KillAfterTasks = true, victim, 8
 		return o
 	}
@@ -36,7 +37,7 @@ func TestRunDistUnion(t *testing.T) {
 			t.Fatalf("fault-free run reports deaths=%d reexec=%d", rep.Deaths, rep.Reexecuted)
 		}
 	}
-	killed := func(t *testing.T, rep DistReport) {
+	killed := func(t *testing.T, rep DistReport, victim int) {
 		t.Helper()
 		if !errors.Is(rep.Errs[victim], core.ErrRankKilled) {
 			t.Fatalf("victim Wait() = %v, want ErrRankKilled", rep.Errs[victim])
@@ -90,7 +91,7 @@ func TestRunDistUnion(t *testing.T) {
 		check func(t *testing.T, rep DistReport, s Spec)
 	}{
 		{"plain", DistOptions{}, false, func(t *testing.T, rep DistReport, _ Spec) { clean(t, rep) }},
-		{"Stats=Steal(off)=Telemetry(off)", DistOptions{Metrics: true}, false,
+		{"Stats=Steal(off)", DistOptions{Metrics: true}, false,
 			func(t *testing.T, rep DistReport, _ Spec) { wire(t, rep); stealOff(t, rep) }},
 		{"Steal(on)", DistOptions{Metrics: true, Steal: true}, true,
 			func(t *testing.T, rep DistReport, _ Spec) { wire(t, rep); stealOn(t, rep) }},
@@ -108,13 +109,18 @@ func TestRunDistUnion(t *testing.T) {
 				}
 			}
 		}},
-		{"FT+kill", kill(DistOptions{}), true, func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep) }},
-		{"FT+steal+kill", kill(DistOptions{Steal: true}), true,
-			func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep); stealOn(t, rep) }},
+		{"FT+kill", kill(DistOptions{}, 1), true, func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep, 1) }},
+		{"FT+steal+kill", kill(DistOptions{Steal: true}, 1), true,
+			func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep, 1); stealOn(t, rep) }},
+		{"Telemetry(off)", DistOptions{RuntimeMetrics: true}, false,
+			func(t *testing.T, rep DistReport, _ Spec) { clean(t, rep); wire(t, rep) }},
 		{"Telemetry(on)", telemetry, false,
 			func(t *testing.T, rep DistReport, _ Spec) { clean(t, rep); covered(t, rep, ranks) }},
-		{"Telemetry+kill", kill(telemetry), true,
-			func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep); covered(t, rep, ranks-1) }},
+		{"Telemetry+kill", kill(telemetry, 1), true,
+			func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep, 1); covered(t, rep, ranks-1) }},
+		// Rank 0 streams to nobody, so the trigger must not wait for a frame.
+		{"Telemetry+kill(rank 0)", kill(telemetry, 0), true,
+			func(t *testing.T, rep DistReport, _ Spec) { killed(t, rep, 0) }},
 		{"TCP", DistOptions{TCP: true}, false, func(t *testing.T, rep DistReport, _ Spec) {
 			clean(t, rep)
 			for _, r := range rep.Ranks {

@@ -81,6 +81,9 @@ func TestNetChildProcess(t *testing.T) {
 		Steal:        os.Getenv("GOTTG_NET_STEAL") == "1",
 		SuspectAfter: time.Duration(atoi("GOTTG_NET_SUSPECT_MS")) * time.Millisecond,
 	}
+	if dir := os.Getenv("GOTTG_NET_FLIGHT_DIR"); dir != "" {
+		o.Telemetry, o.TelemetryInterval, o.FlightDir = true, 20*time.Millisecond, dir
+	}
 	if after := atoi("GOTTG_NET_KILL_AFTER"); after > 0 {
 		o.KillAfterTasks = int64(after)
 		o.KillFunc = func() {
@@ -259,15 +262,21 @@ func TestMultiProcessSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process")
 	}
-	const victim = 2
+	t.Run("rank 2", func(t *testing.T) { multiProcessSIGKILL(t, 2, "") })
+	// The coordinator, with the telemetry plane on: rank 0 streams to nobody,
+	// so the kill trigger must not wait for its first frame.
+	t.Run("rank 0 with telemetry", func(t *testing.T) { multiProcessSIGKILL(t, 0, t.TempDir()) })
+}
+
+func multiProcessSIGKILL(t *testing.T, victim int, flightDir string) {
 	s := Spec{Pattern: Stencil1D, Width: 16, Steps: 60, Flops: 2000}
 	// The suspicion budget must cover process startup skew (children begin
 	// heartbeating at different times) plus recovery stalls, or a survivor
 	// gets falsely declared dead alongside the real victim.
 	results, errs := spawnNetChildren(t, 4, func(rank int) []string {
-		env := baseNetEnv(s, 2000)
+		env := append(baseNetEnv(s, 2000), "GOTTG_NET_FLIGHT_DIR="+flightDir)
 		if rank == victim {
-			env[len(env)-1] = "GOTTG_NET_KILL_AFTER=50"
+			env = append(env, "GOTTG_NET_KILL_AFTER=50")
 		}
 		return env
 	})

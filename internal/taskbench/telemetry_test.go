@@ -234,7 +234,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	spec := Spec{Pattern: Stencil1D, Width: 16, Steps: 150, Flops: 1000}
 	run := func(on bool) time.Duration {
 		res, _, err := RunDist(spec, DistOptions{
-			Ranks: 4, Workers: 2, Telemetry: on, Metrics: true,
+			Ranks: 4, Workers: 2, Telemetry: on, RuntimeMetrics: true,
 			TelemetryInterval: 250 * time.Millisecond,
 		})
 		if err != nil {
