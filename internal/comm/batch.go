@@ -92,9 +92,7 @@ func (p *Proc) RegisterBatched(tag int, h Handler) {
 // SetBatchLimit adjusts every rank's flush-on-size threshold (bytes). Must
 // be called before any Proc is started.
 func (w *World) SetBatchLimit(n int) {
-	if w.started.Load() {
-		panic("comm: SetBatchLimit after Start")
-	}
+	w.beforeStart("SetBatchLimit")
 	if n < batchHeaderLen+batchEntryHdrLen {
 		panic("comm: batch limit too small")
 	}
@@ -128,11 +126,7 @@ func (p *Proc) BatchEnd(dst int, buf []byte) {
 	b.buf = buf
 	b.count.Add(1)
 	p.det.MsgSentTo(dst)
-	limit := p.batchLimit
-	if limit <= 0 {
-		limit = DefaultBatchBytes
-	}
-	if len(buf) >= limit {
+	if len(buf) >= p.batchLimit {
 		p.flushLocked(dst, b, FlushSize)
 	}
 	b.mu.Unlock()
@@ -234,8 +228,8 @@ func (p *Proc) dispatchBatch(m message) {
 		}
 		entry := pl[off : off+sz : off+sz]
 		off += sz
-		if p.appDispatched != nil {
-			p.appDispatched[m.src]++
+		if p.prune.dispatched != nil {
+			p.prune.dispatched[m.src]++
 		}
 		h(m.src, entry)
 		p.det.MsgRecvdFrom(m.src)
@@ -251,22 +245,19 @@ func (p *Proc) dispatchBatch(m message) {
 		// abort to complete), count the drop, and surface the error.
 		if delivered == 0 {
 			p.det.MsgRecvdFrom(m.src)
-			if p.appDispatched != nil {
-				p.appDispatched[m.src]++
+			if p.prune.dispatched != nil {
+				p.prune.dispatched[m.src]++
 			}
 		}
-		p.dropped++
-		if p.onError != nil {
-			p.onError(fmt.Errorf("comm: rank %d: malformed batch frame from rank %d (%d bytes, %d/%d entries delivered)",
-				p.rank, m.src, len(pl), delivered, count))
-		}
+		p.reject(fmt.Errorf("comm: rank %d: malformed batch frame from rank %d (%d bytes, %d/%d entries delivered)",
+			p.rank, m.src, len(pl), delivered, count))
 	}
 	p.curFrameID = 0
-	if p.actsFrom != nil && delivered > 0 {
+	if p.steal.actsFrom != nil && delivered > 0 {
 		// Locality signal for victim selection: count delivered activations
 		// per source once per frame (cheap, and frames are the granularity
 		// that matters for link warmth anyway).
-		p.actsFrom[m.src].Add(int64(delivered))
+		p.steal.actsFrom[m.src].Add(int64(delivered))
 	}
 	if traced {
 		p.recordRecv(m.src, m.tag, len(pl), fid, start, time.Since(start))
@@ -294,11 +285,7 @@ func (p *Proc) slabGet() []byte {
 		return s[:batchHeaderLen]
 	}
 	p.slabMu.Unlock()
-	limit := p.batchLimit
-	if limit <= 0 {
-		limit = DefaultBatchBytes
-	}
-	return make([]byte, batchHeaderLen, limit+512)
+	return make([]byte, batchHeaderLen, p.batchLimit+512)
 }
 
 // DispatchFrameID returns the id of the coalesced frame currently being

@@ -19,6 +19,14 @@
 // every cross-rank message — application and wave control alike — so the
 // termination protocol survives the injected faults. Without a fault plan the
 // wire is perfect and the link layer is bypassed entirely (zero overhead).
+//
+// The package is layered by file: the wire (fault.go in-process, transport.go
+// over a network Transport) under the reliable link (link.go) under batching
+// (batch.go) and the demux in this file. Every reserved control tag is one
+// entry of the protocol table (protocol.go); its handler lives with the
+// protocol that owns it — the termination wave (wave.go), failure detection
+// (failure.go), work stealing (steal.go), replay-log pruning (prune.go) and
+// the telemetry plane (telemetry.go).
 package comm
 
 import (
@@ -29,20 +37,6 @@ import (
 
 	"gottg/internal/metrics"
 	"gottg/internal/termdet"
-)
-
-// Reserved control tags (application tags must be >= 0).
-const (
-	tagProbe     = -1 // root -> all: contribute your counters when quiescent
-	tagReply     = -2 // all -> root: (sent, recvd) contribution
-	tagTerminate = -3 // root -> all: global termination
-	tagAbort     = -4 // any -> all: abort notification with a reason payload
-	tagAck       = -5 // link layer: cumulative ack (never itself sequenced)
-	tagHeartbeat = -6 // failure detection: liveness beacon (never sequenced)
-	tagRankDead  = -7 // coordinator -> all: rank a confirmed dead, epoch ep
-	tagPrune     = -8 // receiver -> sender: a app messages dispatched; replay log prefix is durable
-	// -9 .. -13 are the work-stealing control tags; see steal.go.
-	tagTelemetry = -14 // telemetry plane: metric interval frame (never sequenced, wave-exempt)
 )
 
 // Handler processes an application-level active message on the destination
@@ -132,10 +126,9 @@ type World struct {
 	// built with NewNetWorld: only procs[self] is materialized locally and
 	// every cross-rank transmission is encoded onto the transport. peerHook
 	// observes transport connection lifecycle events.
-	net        Transport
-	self       int
-	peerHookMu sync.Mutex
-	peerHook   func(PeerEvent)
+	net      Transport
+	self     int
+	peerHook atomic.Pointer[func(PeerEvent)]
 
 	// drainWait is non-nil while a Drain call waits; linkDrained closes it
 	// when a send link's retransmit queue empties.
@@ -186,6 +179,13 @@ func (w *World) Size() int { return len(w.procs) }
 // Proc returns the rank r endpoint.
 func (w *World) Proc(r int) *Proc { return w.procs[r] }
 
+// beforeStart panics when a world-wide option is set once a rank started.
+func (w *World) beforeStart(op string) {
+	if w.started.Load() {
+		panic("comm: " + op + " after Start")
+	}
+}
+
 // Shutdown stops all progress goroutines, closes the wire, and cancels any
 // delayed-fault delivery timers still pending. Safe after termination; with
 // the reliable link layer active this is what releases the lingering
@@ -230,7 +230,8 @@ func (w *World) Shutdown() {
 	}
 }
 
-// Proc is one simulated rank: mailbox, handlers, detector, wave state.
+// Proc is one simulated rank: mailbox, handlers, detector, and the state of
+// each protocol layer, every one owned by its file.
 type Proc struct {
 	rank     int
 	world    *World
@@ -259,11 +260,14 @@ type Proc struct {
 	onPrune     func(src int, n int64) // progress goroutine: src dispatched n of our app sends
 	telemetryH  func(src int, payload []byte)
 
-	// Link-layer state. sendLinks is indexed by destination and guarded by
-	// its per-link mutex (Send may be called from any goroutine); recvLinks
-	// is indexed by source and private to the progress goroutine.
-	sendLinks []sendLink
-	recvLinks []recvLink
+	// Link-layer state (see link.go). sendLinks is indexed by destination
+	// and guarded by its per-link mutex (Send may be called from any
+	// goroutine); recvLinks is indexed by source and private to the progress
+	// goroutine, like lastActivity and the stall latch.
+	sendLinks    []sendLink
+	recvLinks    []recvLink
+	lastActivity time.Time
+	stalled      bool
 
 	// Activation coalescing state (see batch.go). batch is indexed by
 	// destination; batchTag is the single batched application tag (-1 when
@@ -280,57 +284,13 @@ type Proc struct {
 	curFrameID uint64
 
 	// progress-goroutine-private bookkeeping
-	terminated   bool
-	lastActivity time.Time
-	stalled      bool
-	fenced       bool  // this rank learned the membership declared it dead
-	dropped      int64 // unknown-tag messages dropped (diagnostics)
+	terminated bool
+	dropped    int64 // malformed or unroutable messages dropped (diagnostics)
 
-	// Failure-detection state. epoch is atomic so applications can read it
-	// from any goroutine (Epoch); everything else is progress-goroutine
-	// private. deadView is this rank's view of confirmed-dead membership,
-	// lastHeard the per-peer liveness horizon, lastBeat the last heartbeat
-	// broadcast.
-	epoch     atomic.Int64
-	deadView  []bool
-	lastHeard []time.Time
-	suspected []bool // scratch, recomputed each fdTick
-	lastBeat  time.Time
-
-	// Replay-log pruning state: appDispatched[src] counts application
-	// messages from src released to dispatch, pruneNotified[src] the count
-	// last advertised back to src via tagPrune.
-	pruneOn       bool
-	appDispatched []int64
-	pruneNotified []int64
-
-	// Work-stealing state (see steal.go). stealHooks is installed before
-	// Start; loadHints holds the last per-peer load hint (-1 = unknown) and
-	// actsFrom the per-peer delivered-activation counts (locality signal),
-	// both readable from any goroutine. stealPending buffers two-phase
-	// donations on the thief (progress-goroutine private); stealVictim is
-	// the rank of this rank's outstanding steal request (-1 = none).
-	stealHooks   *StealHooks
-	loadHints    []atomic.Int64
-	hintAt       []atomic.Int64 // UnixNano of each hint; stale hints revert to unknown
-	actsFrom     []atomic.Int64
-	stealPending map[stealKey]stealBuf
-	stealVictim  atomic.Int64
-
-	// non-root wave state (progress-goroutine-private). owedStamp is the
-	// round stamp of the latest probe that caught this rank busy; 0 = none.
-	// The stamp is echoed in the reply so a restarted wave can discard
-	// contributions that belong to an abandoned round.
-	owedStamp int64
-
-	// root wave state (progress-goroutine-private)
-	inRound      bool
-	roundNum     int
-	replies      int
-	sumS, sumR   int64
-	prevS, prevR int64
-	havePrev     bool
-	rounds       atomic.Int64 // statistic (atomic so gauges can poll live)
+	wave  waveState  // termination wave (wave.go)
+	mem   membership // failure detection and epochs (failure.go)
+	steal stealState // work stealing (steal.go)
+	prune pruneState // replay-log pruning (prune.go)
 }
 
 // Rank returns this endpoint's rank.
@@ -359,68 +319,6 @@ func (p *Proc) SetOnError(f func(err error)) { p.onError = f }
 // remote rank broadcasts an abort. Must be called before Start.
 func (p *Proc) SetOnAbort(f func(src int, reason string)) { p.onAbort = f }
 
-// SetOnRankDead installs a hook invoked on the progress goroutine after this
-// rank has confirmed a peer's death and updated its membership view (links to
-// the dead rank reset, epoch bumped, wave state cleared). Recovery layers
-// redirect logged in-flight data from here. Must be called before Start.
-func (p *Proc) SetOnRankDead(f func(dead, epoch int)) { p.onRankDead = f }
-
-// SetOnKilled installs a hook invoked when this rank itself is fail-stopped
-// via World.KillRank, before its progress goroutine is torn down. It may run
-// on any goroutine. Must be called before Start.
-func (p *Proc) SetOnKilled(f func()) { p.onKilled = f }
-
-// SetOnPrune installs a hook invoked on the progress goroutine when a peer
-// advertises how many of our application sends it has dispatched, making the
-// corresponding replay-log prefix prunable. Must be called before Start.
-func (p *Proc) SetOnPrune(f func(src int, n int64)) { p.onPrune = f }
-
-// SetTelemetryHandler installs the receiver for telemetry frames shipped via
-// SendTelemetry (the cluster metric plane's aggregation sink, normally only
-// installed on rank 0). The handler runs on the progress goroutine and must
-// stay cheap. Must be called before Start.
-func (p *Proc) SetTelemetryHandler(h func(src int, payload []byte)) { p.telemetryH = h }
-
-// SendTelemetry ships one telemetry frame to rank dst. Telemetry is
-// deliberately outside every guarantee the data plane pays for: frames are
-// unsequenced (no retransmit state, no Drain involvement — like heartbeats),
-// uncounted by the termination wave (a run must terminate identically with
-// telemetry on or off), and best-effort (a frame lost to a fault plan or a
-// down connection is simply a missing interval; the stream carries cumulative
-// values, so the next frame covers the gap). Under a duplicating fault plan a
-// frame can arrive twice — receivers deduplicate by frame sequence number.
-// Traffic to or from a confirmed-dead rank is dropped. Ownership of payload
-// passes with the call. Safe from any goroutine.
-func (p *Proc) SendTelemetry(dst int, payload []byte) {
-	w := p.world
-	if w.closed.Load() {
-		return
-	}
-	if w.deadWire != nil && (w.deadWire[p.rank].Load() || w.deadWire[dst].Load()) {
-		return
-	}
-	if m := w.mx; m != nil {
-		m.telemetryFrames.Inc(p.rank)
-		m.telemetryBytes.Add(p.rank, uint64(len(payload)))
-	}
-	if w.net == nil {
-		// In-process world: hand the frame straight to the destination's
-		// handler. The mailbox path would lose post-termination flushes (the
-		// non-reliable progress goroutine exits at the wave), and drawing
-		// from the shared fault RNG would perturb seeded chaos runs.
-		if h := w.procs[dst].telemetryH; h != nil {
-			h(p.rank, payload)
-		}
-		return
-	}
-	w.transmit(dst, message{src: p.rank, tag: tagTelemetry, payload: payload})
-}
-
-// EnablePruneNotices makes this rank advertise, at each local quiescence with
-// an empty retransmit queue, how many application messages it has dispatched
-// per sender (tagPrune). Must be called before Start.
-func (p *Proc) EnablePruneNotices() { p.pruneOn = true }
-
 // Start attaches the rank's termination detector and termination callback
 // and launches the progress goroutine. The detector's quiescence callback is
 // claimed by comm; runtimes in distributed mode must not set their own.
@@ -428,40 +326,25 @@ func (p *Proc) Start(det *termdet.Detector, onTerminate func()) {
 	p.det = det
 	p.onTerminate = onTerminate
 	p.world.started.Store(true)
+	n := len(p.world.procs)
 	if p.world.reliable && p.sendLinks == nil {
-		n := len(p.world.procs)
-		p.sendLinks = make([]sendLink, n)
-		p.recvLinks = make([]recvLink, n)
-		for i := range p.sendLinks {
-			p.sendLinks[i].unacked = map[int64]*pendingSend{}
-			p.recvLinks[i].expected = 1
-		}
+		p.initLinks(n)
 	}
 	if p.world.fd != nil {
-		n := len(p.world.procs)
 		det.EnablePeerCounts(n)
-		p.deadView = make([]bool, n)
-		p.suspected = make([]bool, n)
-		p.lastHeard = make([]time.Time, n)
-		now := time.Now()
-		for i := range p.lastHeard {
-			p.lastHeard[i] = now // grace period: nobody is suspect at start
-		}
-		p.lastBeat = now
+		p.mem.init(n)
 	}
-	if p.pruneOn {
-		n := len(p.world.procs)
-		p.appDispatched = make([]int64, n)
-		p.pruneNotified = make([]int64, n)
-	}
-	det.SetOnQuiescent(func() {
-		select {
-		case p.qNotify <- struct{}{}:
-		default:
-		}
-	})
+	det.SetOnQuiescent(p.nudge)
 	p.launched.Store(true)
 	go p.progress()
+}
+
+// nudge wakes the progress goroutine to re-examine local quiescence.
+func (p *Proc) nudge() {
+	select {
+	case p.qNotify <- struct{}{}:
+	default:
+	}
 }
 
 // Send delivers an application payload to rank dst under tag. It accounts
@@ -480,49 +363,6 @@ func (p *Proc) Send(dst, tag int, payload []byte) {
 	}
 	p.post(dst, message{src: p.rank, tag: tag, payload: payload})
 }
-
-// sendControl delivers a wave control message (not counted). ep carries the
-// membership-epoch/round stamp for probe/reply matching; 0 when irrelevant.
-func (p *Proc) sendControl(dst, tag int, a, b, ep int64) {
-	if m := p.world.mx; m != nil {
-		m.ctrl.Inc(p.rank)
-	}
-	p.post(dst, message{src: p.rank, tag: tag, a: a, b: b, ep: ep})
-}
-
-// Abort broadcasts an abort notification with a reason to every other rank.
-// Reliable when the link layer is active. Safe from any goroutine.
-func (p *Proc) Abort(reason string) {
-	for dst := range p.world.procs {
-		if dst == p.rank {
-			continue
-		}
-		p.post(dst, message{src: p.rank, tag: tagAbort, payload: []byte(reason)})
-	}
-}
-
-// post is the wire entry point for all outbound messages: it sequences the
-// message when the reliable link layer is active (self-sends bypass it) and
-// hands it to the fault-injecting transmitter.
-func (p *Proc) post(dst int, m message) {
-	w := p.world
-	if !w.reliable || dst == p.rank {
-		w.procs[dst].mbox.push(m)
-		return
-	}
-	l := &p.sendLinks[dst]
-	l.mu.Lock()
-	l.nextSeq++
-	m.seq = l.nextSeq
-	now := time.Now()
-	l.unacked[m.seq] = &pendingSend{msg: m, born: now, last: now}
-	l.mu.Unlock()
-	w.transmit(dst, m)
-}
-
-// Rounds reports how many reduction rounds the root performed (rank 0 only).
-// Safe from any goroutine.
-func (p *Proc) Rounds() int { return int(p.rounds.Load()) }
 
 func (p *Proc) progress() {
 	defer close(p.stopped)
@@ -560,7 +400,7 @@ func (p *Proc) progress() {
 			// Pump the steal policy: the runtime idle hook only fires on the
 			// idle transition, so retrying a failed probe (with every worker
 			// parked in its spin loop) needs this periodic pulse.
-			if h := p.stealHooks; h != nil && h.Tick != nil && !p.terminated {
+			if h := p.steal.hooks; h != nil && h.Tick != nil && !p.terminated {
 				h.Tick()
 			}
 		case <-p.mbox.note:
@@ -579,354 +419,66 @@ func (p *Proc) progress() {
 	}
 }
 
-// receive runs the inbound half of the link layer: acks are consumed,
-// sequenced messages are deduplicated and released to dispatch strictly
-// in-order per link, and everything else goes straight through.
-func (p *Proc) receive(m message) {
-	if p.deadView != nil && m.src != p.rank {
-		if p.deadView[m.src] {
-			// A confirmed-dead rank's leftover traffic is dropped unacked and
-			// uncounted; its data is regenerated by recovery re-execution.
-			return
-		}
-		p.lastHeard[m.src] = time.Now()
-	}
-	if m.tag == tagAck {
-		p.handleAck(m.src, m.a)
-		return
-	}
-	if m.seq == 0 { // unsequenced: self-send, heartbeat, or link layer off
-		p.dispatch(m)
-		return
-	}
-	p.lastActivity = time.Now()
-	l := &p.recvLinks[m.src]
-	switch {
-	case m.seq < l.expected:
-		// Duplicate (retransmit whose original arrived, or a wire dup):
-		// drop, but re-ack so the sender stops retransmitting.
-		p.sendAck(m.src, l.expected-1)
-	case m.seq > l.expected:
-		// Gap: hold out-of-order arrivals, ack the contiguous prefix.
-		if l.ooo == nil {
-			l.ooo = map[int64]message{}
-		}
-		l.ooo[m.seq] = m
-		p.sendAck(m.src, l.expected-1)
-	default:
-		// In-order delivery is the only inbound event that counts as forward
-		// progress; it re-arms the stall latch so a *second* stall episode is
-		// reported too. Duplicates and out-of-order holds above deliberately
-		// do not — they stream in constantly on a half-dead link.
-		p.stalled = false
-		p.dispatch(m)
-		l.expected++
-		for {
-			nxt, ok := l.ooo[l.expected]
-			if !ok {
-				break
-			}
-			delete(l.ooo, l.expected)
-			p.dispatch(nxt)
-			l.expected++
-		}
-		p.sendAck(m.src, l.expected-1)
-	}
-}
-
-// sendAck posts a cumulative ack for everything up to and including seq.
-// Acks are unsequenced and cross the faulty wire like any other message; a
-// lost ack is recovered by the sender's retransmit provoking a re-ack.
-func (p *Proc) sendAck(dst int, seq int64) {
-	if m := p.world.mx; m != nil {
-		m.acks.Inc(p.rank)
-	}
-	p.world.transmit(dst, message{src: p.rank, tag: tagAck, a: seq})
-}
-
-// handleAck releases every pending send up to the cumulative ack point. The
-// stall latch only clears when the ack made progress — empty prefix re-acks
-// stream in constantly on a dead link and must not reset it.
-//
-// Each released send that was never retransmitted contributes an RTT sample
-// to the link's adaptive retransmission timeout (Karn's algorithm: a
-// retransmitted message's ack is ambiguous and must not be sampled).
-func (p *Proc) handleAck(src int, upto int64) {
-	now := time.Now()
-	p.lastActivity = now
-	l := &p.sendLinks[src]
-	released := false
-	l.mu.Lock()
-	for seq, ps := range l.unacked {
-		if seq <= upto {
-			delete(l.unacked, seq)
-			released = true
-			if ps.tries == 0 {
-				l.observeRTT(now.Sub(ps.born))
-			}
-			if ps.msg.slab {
-				// Acked ⇒ the receiver dispatched the frame (acks follow
-				// dispatch); any duplicate still in flight is dropped by
-				// sequence number without reading the payload, so the slab
-				// is safely reusable. Lock order l.mu → slabMu is acyclic.
-				p.slabPut(ps.msg.payload)
-			}
-		}
-	}
-	empty := len(l.unacked) == 0
-	l.mu.Unlock()
-	if released {
-		p.stalled = false
-		if empty {
-			p.world.linkDrained()
-		}
-	}
-}
-
-// retransmit resends every unacked message older than the link's adaptive
-// RTO (SRTT + 4·RTTVAR from observed ack latencies, floored at the world's
-// configured timeout — see sendLink.rto).
-func (p *Proc) retransmit() {
-	now := time.Now()
-	floor := p.world.rto
-	for dst := range p.sendLinks {
-		if dst == p.rank {
-			continue
-		}
-		l := &p.sendLinks[dst]
-		var resend []message
-		l.mu.Lock()
-		rto := l.rto(floor)
-		for _, ps := range l.unacked {
-			if now.Sub(ps.last) >= rto {
-				ps.last = now
-				ps.tries++
-				resend = append(resend, ps.msg)
-			}
-		}
-		l.mu.Unlock()
-		if mx := p.world.mx; mx != nil && len(resend) > 0 {
-			mx.retrans.Add(p.rank, uint64(len(resend)))
-		}
-		for _, m := range resend {
-			p.world.transmit(dst, m)
-		}
-	}
-}
-
-// dispatch processes one in-order message; returns true on termination.
-func (p *Proc) dispatch(m message) bool {
-	switch m.tag {
-	case tagProbe:
-		if stampEpoch(m.ep) != p.epoch.Load() {
-			return false // probe from an abandoned membership epoch
-		}
-		if p.det.Quiescent() {
-			s, r := p.localCounts()
-			p.sendControl(m.src, tagReply, s, r, m.ep)
-		} else {
-			p.owedStamp = m.ep // latest probe wins; reply echoes its stamp
-		}
-	case tagReply:
-		p.collectReply(m)
-	case tagTerminate:
-		if !p.terminated {
-			p.terminated = true
-			if p.onTerminate != nil {
-				p.onTerminate()
-			}
-		}
-		return true
-	case tagAbort:
-		if p.onAbort != nil {
-			p.onAbort(m.src, string(m.payload))
-		}
-	case tagHeartbeat:
-		// Liveness beacon: receive() already refreshed lastHeard. The dead
-		// set gossiped in a converges membership if a rankDead was missed;
-		// b carries the sender's load hint for the steal policy.
-		p.noteLoadHint(m.src, m.b)
-		p.applyGossip(m.a)
-	case tagRankDead:
-		if int(m.a) == p.rank {
-			// The membership declared *us* dead (we were unreachable past the
-			// suspicion budget, e.g. the wrong side of a long partition).
-			// The survivors have already re-homed our keys; gracefully
-			// degrade to the fail-stop path instead of fighting them.
-			p.selfFence()
-			return false
-		}
-		p.applyRankDead(int(m.a))
-	case tagPrune:
-		if p.onPrune != nil {
-			p.onPrune(m.src, m.a)
-		}
-	case tagTelemetry:
-		// Wave-exempt like heartbeats: the frame is observability traffic,
-		// not work, and must not perturb the termination protocol.
-		if p.telemetryH != nil {
-			p.telemetryH(m.src, m.payload)
-		}
-	// Steal control: each handler performs its forward action (next protocol
-	// message, local re-queue, or injection with its Discovered accounting)
-	// BEFORE the inbound receipt is counted below, so the termination wave
-	// never sees balanced counters while a steal is mid-flight.
-	case tagStealReq:
-		p.handleStealReq(m)
-		p.det.MsgRecvdFrom(m.src)
-	case tagStealResp:
-		p.handleStealResp(m)
-		p.det.MsgRecvdFrom(m.src)
-	case tagStealAccept:
-		p.handleStealAccept(m)
-		p.det.MsgRecvdFrom(m.src)
-	case tagStealCommit:
-		p.handleStealCommit(m)
-		p.det.MsgRecvdFrom(m.src)
-	case tagStealAbort:
-		p.handleStealAbort(m)
-		p.det.MsgRecvdFrom(m.src)
-	default:
+// dispatch processes one in-order message. Application tags come first (the
+// batched tag before the handler map), so the hot path never touches the
+// protocol table; every reserved tag runs its table entry's handler, and a
+// counted one is receipted only after the handler's forward action.
+func (p *Proc) dispatch(m message) {
+	if m.tag >= 0 {
 		if m.tag == p.batchTag {
 			p.dispatchBatch(m)
-			return false
-		}
-		h := p.handlers[m.tag]
-		if h == nil {
-			// A remote-supplied tag must not be able to kill this rank's
-			// progress goroutine: count the message (the wave needs it),
-			// drop it, and surface the problem through the error hook.
-			p.dropped++
-			p.det.MsgRecvdFrom(m.src)
-			if p.onError != nil {
-				p.onError(fmt.Errorf("comm: rank %d: dropped message from rank %d with unknown tag %d", p.rank, m.src, m.tag))
-			}
-			return false
-		}
-		if p.appDispatched != nil {
-			p.appDispatched[m.src]++
-		}
-		if mx := p.world.mx; mx != nil {
-			mx.recvd.Inc(p.rank)
-			mx.bytesRecvd.Add(p.rank, uint64(len(m.payload)))
-		}
-		if p.world.trace.Load() {
-			start := time.Now()
-			h(m.src, m.payload)
-			p.recordRecv(m.src, m.tag, len(m.payload), 0, start, time.Since(start))
 		} else {
-			h(m.src, m.payload)
+			p.dispatchApp(m)
 		}
+		return
+	}
+	if m.tag <= -len(protocols) {
+		p.dropUnknown(m)
+		return
+	}
+	pr := &protocols[-m.tag]
+	pr.handle(p, m)
+	if pr.counted {
 		p.det.MsgRecvdFrom(m.src)
 	}
-	return false
 }
 
-// stampEpoch extracts the membership epoch from a wave stamp.
-func stampEpoch(stamp int64) int64 { return stamp >> 32 }
-
-// root returns the current wave coordinator: the lowest-ranked live process.
-// With no failure detection this is always rank 0.
-func (p *Proc) root() int {
-	if p.deadView != nil {
-		for r, dead := range p.deadView {
-			if !dead {
-				return r
-			}
-		}
-	}
-	return 0
-}
-
-// liveCount returns how many ranks this process believes are alive.
-func (p *Proc) liveCount() int {
-	n := len(p.world.procs)
-	for _, dead := range p.deadView {
-		if dead {
-			n--
-		}
-	}
-	return n
-}
-
-// localCounts returns this rank's wave contribution, excluding traffic
-// exchanged with confirmed-dead peers (whose own counters are lost forever).
-func (p *Proc) localCounts() (s, r int64) {
-	if p.deadView != nil {
-		return p.det.CountsExcluding(p.deadView)
-	}
-	return p.det.Counts()
-}
-
-// handleQuiescent runs when the local detector announces quiescence.
-func (p *Proc) handleQuiescent() {
-	// Local quiescence means every worker passed through the idle hook, but
-	// the hook races the notification; flush again so no activation sits
-	// buffered while this rank contributes balanced-looking counters.
-	p.FlushBatches(FlushIdle)
-	if !p.det.Quiescent() {
-		return // stale notification; work arrived meanwhile
-	}
-	if p.owedStamp != 0 {
-		stamp := p.owedStamp
-		p.owedStamp = 0
-		if stampEpoch(stamp) == p.epoch.Load() {
-			s, r := p.localCounts()
-			p.sendControl(p.root(), tagReply, s, r, stamp)
-		}
-		// An owed reply from a pre-death epoch is discarded: the restarted
-		// wave will re-probe, and a stale contribution must not be counted
-		// against the new round.
-	}
-	if p.rank == p.root() && !p.inRound {
-		p.startRound()
-	}
-	p.maybePrune()
-}
-
-func (p *Proc) startRound() {
-	p.inRound = true
-	p.roundNum++
-	p.rounds.Add(1)
-	p.replies = 0
-	p.sumS, p.sumR = 0, 0
-	stamp := p.epoch.Load()<<32 | int64(uint32(p.roundNum))
-	for dst := range p.world.procs {
-		if p.deadView != nil && p.deadView[dst] {
-			continue
-		}
-		p.sendControl(dst, tagProbe, 0, 0, stamp)
-	}
-}
-
-func (p *Proc) collectReply(m message) {
-	if m.ep != p.epoch.Load()<<32|int64(uint32(p.roundNum)) || !p.inRound {
-		return // contribution to an abandoned round (e.g. pre-restart)
-	}
-	p.replies++
-	p.sumS += m.a
-	p.sumR += m.b
-	if p.replies < p.liveCount() {
+// dispatchApp runs one unbatched application message through its handler.
+func (p *Proc) dispatchApp(m message) {
+	h := p.handlers[m.tag]
+	if h == nil {
+		p.dropUnknown(m)
 		return
 	}
-	// Reduction complete: terminate after two consecutive identical
-	// reductions with sent == received (the 4-counter wave condition).
-	stable := p.havePrev && p.sumS == p.sumR && p.sumS == p.prevS && p.sumR == p.prevR
-	p.prevS, p.prevR = p.sumS, p.sumR
-	p.havePrev = true
-	p.inRound = false
-	if stable {
-		for dst := range p.world.procs {
-			if p.deadView != nil && p.deadView[dst] {
-				continue
-			}
-			p.sendControl(dst, tagTerminate, 0, 0, 0)
-		}
-		return
+	if p.prune.dispatched != nil {
+		p.prune.dispatched[m.src]++
 	}
-	// Not stable yet: immediately try another round if still quiescent,
-	// otherwise wait for the next quiescence notification.
-	if p.det.Quiescent() {
-		p.startRound()
+	if mx := p.world.mx; mx != nil {
+		mx.recvd.Inc(p.rank)
+		mx.bytesRecvd.Add(p.rank, uint64(len(m.payload)))
+	}
+	if p.world.trace.Load() {
+		start := time.Now()
+		h(m.src, m.payload)
+		p.recordRecv(m.src, m.tag, len(m.payload), 0, start, time.Since(start))
+	} else {
+		h(m.src, m.payload)
+	}
+	p.det.MsgRecvdFrom(m.src)
+}
+
+// dropUnknown drops a message whose tag nothing handles. A remote-supplied
+// tag must not be able to kill this rank's progress goroutine: count the
+// message (the wave needs it), drop it, and surface the problem.
+func (p *Proc) dropUnknown(m message) {
+	p.det.MsgRecvdFrom(m.src)
+	p.reject(fmt.Errorf("comm: rank %d: dropped message from rank %d with unknown tag %d", p.rank, m.src, m.tag))
+}
+
+// reject counts one dropped message and reports why through the error hook.
+func (p *Proc) reject(err error) {
+	p.dropped++
+	if p.onError != nil {
+		p.onError(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,18 @@ const drainTag = 1
 // termination wave runs: the only traffic is what the test sends, and its
 // acks.
 func tcpWorlds(t *testing.T, fault0 *tcptransport.FaultConfig) [2]*comm.World {
+	t.Helper()
+	ws := tcpNetWorlds(t, fault0)
+	for i, w := range ws {
+		w.Proc(i).Register(drainTag, func(int, []byte) {})
+		w.Proc(i).Start(termdet.New(1, true), func() {})
+	}
+	return ws
+}
+
+// tcpNetWorlds is tcpWorlds without the start: two network worlds over
+// loopback TCP whose ranks are not yet configured or started.
+func tcpNetWorlds(t *testing.T, fault0 *tcptransport.FaultConfig) [2]*comm.World {
 	t.Helper()
 	var lns [2]net.Listener
 	peers := make([]string, 2)
@@ -45,8 +58,6 @@ func tcpWorlds(t *testing.T, fault0 *tcptransport.FaultConfig) [2]*comm.World {
 		if err != nil {
 			t.Fatalf("NewNetWorld(%d): %v", i, err)
 		}
-		w.Proc(i).Register(drainTag, func(int, []byte) {})
-		w.Proc(i).Start(termdet.New(1, true), func() {})
 		ws[i] = w
 	}
 	return ws
@@ -138,6 +149,55 @@ func TestDrainTimesOutWhenPartitioned(t *testing.T) {
 		t.Fatalf("rank 1 has nothing to drain, yet Drain timed out: %s", ws[1].Proc(1).PendingSummary())
 	}
 
+	ws[0].Shutdown()
+	ws[1].Shutdown()
+	noLeak()
+}
+
+// TestNetShutdownLeavesNoGoroutines: two network ranks over loopback TCP with
+// failure detection on exchange traffic both ways and run the termination
+// wave to the end; after Drain and Shutdown every goroutine they started —
+// progress loops, socket readers, writers and dialers, timers — is gone.
+func TestNetShutdownLeavesNoGoroutines(t *testing.T) {
+	noLeak := expectNoNewGoroutines(t)
+	ws := tcpNetWorlds(t, nil)
+	var got atomic.Int64
+	var dets [2]*termdet.Detector
+	var done [2]chan struct{}
+	for i, w := range ws {
+		w.EnableFailureDetection(comm.FDConfig{Heartbeat: time.Millisecond, SuspectAfter: 10 * time.Second})
+		w.Proc(i).Register(drainTag, func(int, []byte) { got.Add(1) })
+		dets[i], done[i] = termdet.New(1, false), make(chan struct{})
+		dets[i].Discovered(termdet.ExternalSlot) // the test's sends are pending work
+	}
+	for i, w := range ws {
+		d := done[i]
+		w.Proc(i).Start(dets[i], func() { close(d) })
+		dets[i].EnterIdle(0)
+	}
+	const sends = 20
+	for j := 0; j < sends; j++ {
+		ws[0].Proc(0).Send(1, drainTag, []byte{byte(j)})
+		ws[1].Proc(1).Send(0, drainTag, []byte{byte(j)})
+	}
+	for i := range ws {
+		dets[i].Completed(termdet.ExternalSlot)
+	}
+	for i, d := range done {
+		select {
+		case <-d:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("rank %d never saw termination: %s", i, ws[i].Proc(i).PendingSummary())
+		}
+	}
+	if n := got.Load(); n != 2*sends {
+		t.Fatalf("delivered %d messages, want %d", n, 2*sends)
+	}
+	for i, w := range ws {
+		if !w.Drain(10 * time.Second) {
+			t.Fatalf("rank %d did not drain: %s", i, w.Proc(i).PendingSummary())
+		}
+	}
 	ws[0].Shutdown()
 	ws[1].Shutdown()
 	noLeak()

@@ -19,7 +19,7 @@
 package comm
 
 import (
-	"math/bits"
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -35,13 +35,35 @@ type FDConfig struct {
 	SuspectAfter time.Duration
 }
 
+// membership is one rank's failure-detection state. epoch is atomic so
+// applications can read it from any goroutine (Epoch); everything else is
+// progress-goroutine private. dead is this rank's view of confirmed-dead
+// membership (nil without failure detection), lastHeard the per-peer
+// liveness horizon, lastBeat the last heartbeat broadcast.
+type membership struct {
+	epoch     atomic.Int64
+	dead      []bool
+	lastHeard []time.Time
+	lastBeat  time.Time
+	fenced    bool // the membership declared this rank dead
+}
+
+// init sizes the view for n ranks; nobody is suspect for a grace period.
+func (m *membership) init(n int) {
+	m.dead = make([]bool, n)
+	m.lastHeard = make([]time.Time, n)
+	now := time.Now()
+	for i := range m.lastHeard {
+		m.lastHeard[i] = now
+	}
+	m.lastBeat = now
+}
+
 // EnableFailureDetection turns on fail-stop failure detection for the whole
 // world. It implies the reliable link layer (detection and recovery assume
 // in-order deduplicated delivery). Must be called before any rank starts.
 func (w *World) EnableFailureDetection(cfg FDConfig) {
-	if w.started.Load() {
-		panic("comm: EnableFailureDetection must precede Start")
-	}
+	w.beforeStart("EnableFailureDetection")
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Millisecond
 	}
@@ -54,9 +76,7 @@ func (w *World) EnableFailureDetection(cfg FDConfig) {
 	}
 	w.fd = &cfg
 	w.reliable = true
-	if w.deadWire == nil {
-		w.deadWire = make([]atomic.Bool, len(w.procs))
-	}
+	w.deadWire = make([]atomic.Bool, len(w.procs))
 }
 
 // FailureDetectionEnabled reports whether EnableFailureDetection was called.
@@ -66,6 +86,17 @@ func (w *World) FailureDetectionEnabled() bool { return w.fd != nil }
 // failure detection (the per-Proc view of FailureDetectionEnabled, for layers
 // that only hold the endpoint).
 func (p *Proc) FailureDetectionOn() bool { return p.world.fd != nil }
+
+// SetOnRankDead installs a hook invoked on the progress goroutine after this
+// rank has confirmed a peer's death and updated its membership view (links to
+// the dead rank reset, epoch bumped, wave state cleared). Recovery layers
+// redirect logged in-flight data from here. Must be called before Start.
+func (p *Proc) SetOnRankDead(f func(dead, epoch int)) { p.onRankDead = f }
+
+// SetOnKilled installs a hook invoked when this rank itself is fail-stopped
+// via World.KillRank, before its progress goroutine is torn down. It may run
+// on any goroutine. Must be called before Start.
+func (p *Proc) SetOnKilled(f func()) { p.onKilled = f }
 
 // KillRank fail-stops rank r: its wire goes silent in both directions and its
 // progress goroutine is torn down. The rank's onKilled hook (if any) runs
@@ -98,7 +129,7 @@ func (w *World) WaveRestarts() int64 { return w.waveRestarts.Load() }
 
 // Epoch returns this rank's current membership epoch: the number of rank
 // deaths it has applied. Safe from any goroutine.
-func (p *Proc) Epoch() int64 { return p.epoch.Load() }
+func (p *Proc) Epoch() int64 { return p.mem.epoch.Load() }
 
 // DeadView reports whether this rank currently considers peer dead. Only
 // meaningful with failure detection on; progress-goroutine view, so callers
@@ -110,7 +141,7 @@ func (p *Proc) DeadView(peer int) bool {
 // deadMask packs this rank's dead view into a bitmask for gossip.
 func (p *Proc) deadMask() int64 {
 	var mask int64
-	for q, dead := range p.deadView {
+	for q, dead := range p.mem.dead {
 		if dead {
 			mask |= 1 << uint(q)
 		}
@@ -120,21 +151,15 @@ func (p *Proc) deadMask() int64 {
 
 // fdTick runs heartbeat emission and suspicion on the progress goroutine.
 func (p *Proc) fdTick(now time.Time) {
-	fd := p.world.fd
-	if now.Sub(p.lastBeat) >= fd.Heartbeat {
-		p.lastBeat = now
-		mask := p.deadMask()
-		for dst := range p.world.procs {
-			if dst == p.rank || p.deadView[dst] {
-				continue
-			}
-			// Heartbeats are unsequenced: they prove liveness, not order, and
-			// must not occupy retransmit state. They gossip the sender's dead
-			// set so a survivor that missed a rankDead broadcast (e.g. the
-			// coordinator died mid-broadcast) still converges. b piggybacks
-			// this rank's ready-depth load hint for the steal policy.
-			p.world.transmit(dst, message{src: p.rank, tag: tagHeartbeat, a: mask, b: p.stealLoad()})
-		}
+	fd, mem := p.world.fd, &p.mem
+	if now.Sub(mem.lastBeat) >= fd.Heartbeat {
+		mem.lastBeat = now
+		// Heartbeats prove liveness, not order, and occupy no retransmit
+		// state. They gossip the sender's dead set so a survivor that missed
+		// a rankDead broadcast (e.g. the coordinator died mid-broadcast)
+		// still converges; b piggybacks this rank's ready-depth load hint
+		// for the steal policy.
+		p.broadcast(mem.dead, -1, tagHeartbeat, p.deadMask(), p.stealLoad(), 0, nil)
 	}
 	// After global termination the run is semantically complete: peers that
 	// finished and tore their wire down are not failures, and declaring
@@ -144,19 +169,13 @@ func (p *Proc) fdTick(now time.Time) {
 	if p.terminated {
 		return
 	}
-	anySuspect := false
-	for q := range p.world.procs {
-		p.suspected[q] = q != p.rank && !p.deadView[q] &&
-			now.Sub(p.lastHeard[q]) >= fd.SuspectAfter
-		anySuspect = anySuspect || p.suspected[q]
-	}
-	if !anySuspect {
-		return
+	suspect := func(q int) bool {
+		return q != p.rank && !mem.dead[q] && now.Sub(mem.lastHeard[q]) >= fd.SuspectAfter
 	}
 	// The coordinator is the lowest live, non-suspect rank: if rank 0 died,
 	// rank 1 (who suspects 0) takes over declaring deaths.
 	for q := range p.world.procs {
-		if !p.deadView[q] && !p.suspected[q] {
+		if !mem.dead[q] && !suspect(q) {
 			if q != p.rank {
 				return // someone lower coordinates
 			}
@@ -164,7 +183,7 @@ func (p *Proc) fdTick(now time.Time) {
 		}
 	}
 	for q := range p.world.procs {
-		if p.suspected[q] {
+		if suspect(q) {
 			p.declareDead(q)
 		}
 	}
@@ -177,19 +196,41 @@ func (p *Proc) declareDead(q int) {
 	// Broadcast BEFORE applying locally: applying triggers recovery, and
 	// recovery's replayed application sends travel the same in-order links —
 	// every survivor must see the membership change first.
-	for dst := range p.world.procs {
-		if dst == p.rank || p.deadView[dst] || dst == q {
-			continue
-		}
-		p.post(dst, message{src: p.rank, tag: tagRankDead, a: int64(q)})
-	}
+	p.broadcast(p.mem.dead, q, tagRankDead, int64(q), 0, 0, nil)
 	p.applyRankDead(q)
+}
+
+// handleHeartbeat: receive() already refreshed lastHeard. The dead set
+// gossiped in a converges membership if a rankDead was missed; b carries
+// the sender's load hint for the steal policy.
+func (p *Proc) handleHeartbeat(m message) {
+	p.noteLoadHint(m.src, m.b)
+	p.applyGossip(m.a)
+}
+
+// handleRankDead applies a coordinator's death announcement. An announcement
+// naming no rank of this world, or reaching a rank without failure
+// detection, is remote garbage: it is dropped and reported, never indexed.
+func (p *Proc) handleRankDead(m message) {
+	if p.mem.dead == nil || m.a < 0 || m.a >= int64(len(p.mem.dead)) {
+		p.reject(fmt.Errorf("comm: rank %d: dropped rank-dead message from rank %d naming rank %d", p.rank, m.src, m.a))
+		return
+	}
+	if int(m.a) == p.rank {
+		// The membership declared *us* dead (we were unreachable past the
+		// suspicion budget, e.g. the wrong side of a long partition). The
+		// survivors have already re-homed our keys; gracefully degrade to
+		// the fail-stop path instead of fighting them.
+		p.selfFence()
+		return
+	}
+	p.applyRankDead(int(m.a))
 }
 
 // applyGossip applies any deaths in a peer's gossiped dead mask that this
 // rank has not seen yet.
 func (p *Proc) applyGossip(mask int64) {
-	if mask == 0 || p.deadView == nil {
+	if mask == 0 || p.mem.dead == nil {
 		return
 	}
 	if mask&(1<<uint(p.rank)) != 0 {
@@ -200,8 +241,8 @@ func (p *Proc) applyGossip(mask int64) {
 		p.selfFence()
 		return
 	}
-	for q := range p.deadView {
-		if mask&(1<<uint(q)) != 0 && !p.deadView[q] && q != p.rank {
+	for q := range p.mem.dead {
+		if mask&(1<<uint(q)) != 0 && !p.mem.dead[q] && q != p.rank {
 			p.applyRankDead(q)
 		}
 	}
@@ -213,12 +254,12 @@ func (p *Proc) applyGossip(mask int64) {
 // drains exactly as if the rank had been fail-stopped directly. Runs on the
 // progress goroutine; idempotent.
 func (p *Proc) selfFence() {
-	if p.fenced {
+	if p.mem.fenced {
 		return
 	}
-	p.fenced = true
+	p.mem.fenced = true
 	w := p.world
-	if w.net != nil && w.deadWire != nil {
+	if w.net != nil {
 		w.deadWire[p.rank].Store(true)
 	}
 	if f := p.onKilled; f != nil {
@@ -232,44 +273,22 @@ func (p *Proc) selfFence() {
 // has converged on the same membership agrees on the epoch regardless of the
 // order in which it learned of the deaths.
 func (p *Proc) applyRankDead(dead int) {
-	if p.deadView[dead] {
+	if p.mem.dead[dead] {
 		return // duplicate announcement
 	}
-	p.deadView[dead] = true
-	epoch := int64(bits.OnesCount64(uint64(p.deadMask())))
-	p.epoch.Store(epoch)
+	p.mem.dead[dead] = true
+	epoch := p.mem.epoch.Add(1)
 	if w := p.world; w.net != nil {
 		// Over a real network the confirmed death must also silence the local
 		// wire toward the corpse (retransmissions, heartbeats) and stop the
 		// transport's reconnect loop from pursuing its address.
-		if w.deadWire != nil {
-			w.deadWire[dead].Store(true)
-		}
+		w.deadWire[dead].Store(true)
 		if pm, ok := w.net.(PeerMarker); ok {
 			pm.MarkDead(dead)
 		}
 	}
-	// Drop retransmit state toward the dead rank (nobody will ever ack it)
-	// and reset the inbound link so stray state cannot leak.
-	if p.sendLinks != nil {
-		l := &p.sendLinks[dead]
-		l.mu.Lock()
-		for seq := range l.unacked {
-			delete(l.unacked, seq)
-		}
-		l.mu.Unlock()
-		p.world.linkDrained()
-		p.recvLinks[dead] = recvLink{expected: 1}
-	}
-	// Restart the termination wave over the survivors: any in-flight round
-	// is abandoned (its stamped replies will be discarded) and counters
-	// contributed by the dead rank are forgotten via CountsExcluding.
-	p.inRound = false
-	p.havePrev = false
-	p.owedStamp = 0
-	if p.rank == p.root() {
-		p.world.waveRestarts.Add(1)
-	}
+	p.resetLink(dead)
+	p.restartWave()
 	// Clear thief-side steal state toward the corpse before the recovery
 	// hook runs: a buffered donation from it is dropped (recovery re-homes
 	// and re-executes the dead rank's work) and an unanswered request's
@@ -278,46 +297,5 @@ func (p *Proc) applyRankDead(dead int) {
 	if f := p.onRankDead; f != nil {
 		f(dead, int(epoch))
 	}
-	// Nudge the wave: this rank may already be quiescent.
-	select {
-	case p.qNotify <- struct{}{}:
-	default:
-	}
-}
-
-// maybePrune advertises per-sender dispatch counts when this rank is locally
-// quiescent with an empty retransmit queue. At that instant every message it
-// dispatched has been fully consumed by local task execution (no partially
-// satisfied tasks exist at quiescence) and every resulting send has been
-// acked, so the sender's replay-log prefix can never be needed again.
-func (p *Proc) maybePrune() {
-	if !p.pruneOn || p.hasUnacked() {
-		return
-	}
-	for src := range p.world.procs {
-		if src == p.rank || p.deadView != nil && p.deadView[src] {
-			continue
-		}
-		if n := p.appDispatched[src]; n > p.pruneNotified[src] {
-			p.pruneNotified[src] = n
-			p.sendControl(src, tagPrune, n, 0, 0)
-		}
-	}
-}
-
-// hasUnacked reports whether any outbound message awaits an ack.
-func (p *Proc) hasUnacked() bool {
-	for dst := range p.sendLinks {
-		if dst == p.rank {
-			continue
-		}
-		l := &p.sendLinks[dst]
-		l.mu.Lock()
-		n := len(l.unacked)
-		l.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
+	p.nudge() // this rank may already be quiescent
 }

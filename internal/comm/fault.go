@@ -1,11 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-	"time"
-)
+import "time"
 
 // FaultPlan describes randomized faults injected into every cross-rank
 // transmission (application payloads, wave control, and acks alike).
@@ -20,81 +15,11 @@ type FaultPlan struct {
 	MaxDelay time.Duration // bound for Delay faults (default 1ms)
 }
 
-// sendLink is the reliable link layer's per-destination sender state.
-type sendLink struct {
-	mu      sync.Mutex
-	nextSeq int64
-	unacked map[int64]*pendingSend
-
-	// Adaptive retransmission timeout (Jacobson/Karels, RFC 6298 shape):
-	// smoothed RTT and variance in nanoseconds, fed by ack latencies of
-	// never-retransmitted sends (Karn). Zero until the first sample. Guarded
-	// by mu.
-	srtt   int64
-	rttvar int64
-}
-
-// maxLinkRTO caps the adaptive retransmission timeout so a burst of delayed
-// acks cannot park a link for good.
-const maxLinkRTO = time.Second
-
-// observeRTT folds one ack-latency sample into the link's RTT estimate.
-// Caller holds l.mu.
-func (l *sendLink) observeRTT(sample time.Duration) {
-	s := int64(sample)
-	if s <= 0 {
-		return
-	}
-	if l.srtt == 0 {
-		l.srtt = s
-		l.rttvar = s / 2
-		return
-	}
-	d := l.srtt - s
-	if d < 0 {
-		d = -d
-	}
-	l.rttvar += (d - l.rttvar) / 4
-	l.srtt += (s - l.srtt) / 8
-}
-
-// rto returns the link's current retransmission timeout: SRTT + 4·RTTVAR,
-// floored at the world's configured timeout (so a fast wire keeps today's
-// behavior exactly) and capped at maxLinkRTO. Caller holds l.mu.
-func (l *sendLink) rto(floor time.Duration) time.Duration {
-	if l.srtt == 0 {
-		return floor
-	}
-	rto := time.Duration(l.srtt + 4*l.rttvar)
-	if rto < floor {
-		return floor
-	}
-	if rto > maxLinkRTO {
-		return maxLinkRTO
-	}
-	return rto
-}
-
-type pendingSend struct {
-	msg   message
-	born  time.Time // first transmission (stall detection)
-	last  time.Time // last transmission attempt
-	tries int
-}
-
-// recvLink is the per-source receiver state (progress-goroutine-private).
-type recvLink struct {
-	expected int64 // next in-order sequence number wanted
-	ooo      map[int64]message
-}
-
 // SetFaultPlan installs a fault plan on the wire and engages the reliable
 // link layer (sequence numbers, cumulative acks, retransmission) on every
 // rank. Must be called after NewWorld and before any Proc is started.
 func (w *World) SetFaultPlan(fp FaultPlan) {
-	if w.started.Load() {
-		panic("comm: SetFaultPlan after Start")
-	}
+	w.beforeStart("SetFaultPlan")
 	if w.net != nil {
 		panic("comm: SetFaultPlan applies to in-process worlds; inject socket faults in the transport instead")
 	}
@@ -115,9 +40,7 @@ func (w *World) SetFaultPlan(fp FaultPlan) {
 // for scripted-loss tests ("drop the first tagTerminate on link 0→1").
 // Composable with a FaultPlan. Must be called before any Proc is started.
 func (w *World) SetDropFilter(f func(src, dst, tag int) bool) {
-	if w.started.Load() {
-		panic("comm: SetDropFilter after Start")
-	}
+	w.beforeStart("SetDropFilter")
 	if w.net != nil {
 		panic("comm: SetDropFilter applies to in-process worlds; inject socket faults in the transport instead")
 	}
@@ -129,9 +52,7 @@ func (w *World) SetDropFilter(f func(src, dst, tag int) bool) {
 // (default 2ms; the retransmit ticker runs at half of it). Must be called
 // before any Proc is started.
 func (w *World) SetRetransmitTimeout(d time.Duration) {
-	if w.started.Load() {
-		panic("comm: SetRetransmitTimeout after Start")
-	}
+	w.beforeStart("SetRetransmitTimeout")
 	if d <= 0 {
 		panic("comm: retransmit timeout must be positive")
 	}
@@ -144,11 +65,17 @@ func (w *World) SetRetransmitTimeout(d time.Duration) {
 // PendingSummary — surfacing a diagnostic instead of hanging silently.
 // Must be called before any Proc is started.
 func (w *World) SetStallHandler(after time.Duration, f func(rank int, summary string)) {
-	if w.started.Load() {
-		panic("comm: SetStallHandler after Start")
-	}
+	w.beforeStart("SetStallHandler")
 	w.stallAfter = after
 	w.onStall = f
+}
+
+// wireDead reports whether a transmission between src and dst touches a
+// fail-stopped rank. Its wire is silent in both directions: nothing it sends
+// gets out (including in-flight retransmissions racing the kill) and nothing
+// addressed to it gets in.
+func (w *World) wireDead(src, dst int) bool {
+	return w.deadWire != nil && (w.deadWire[src].Load() || w.deadWire[dst].Load())
 }
 
 // rng is a locked splitmix64 shared by all links so fault decisions are a
@@ -182,10 +109,7 @@ func (w *World) transmit(dst int, m message) {
 		w.netTransmit(dst, m)
 		return
 	}
-	// A fail-stopped rank's wire is silent in both directions: nothing it
-	// sends gets out (including in-flight retransmissions racing the kill)
-	// and nothing addressed to it gets in.
-	if w.deadWire != nil && (w.deadWire[m.src].Load() || w.deadWire[dst].Load()) {
+	if w.wireDead(m.src, dst) {
 		return
 	}
 	if w.dropF != nil && w.dropF(m.src, dst, m.tag) {
@@ -227,17 +151,17 @@ func (w *World) transmit(dst int, m message) {
 		}
 	}
 	if delay > 0 {
-		w.deliverLater(box, m, delay)
+		w.deliverLater(dst, m, delay)
 		return
 	}
 	box.push(m)
 }
 
-// deliverLater arms a tracked timer that pushes m into box after delay.
-// Tracking lets Shutdown stop pending timers; the callback additionally
+// deliverLater arms a tracked timer that pushes m into dst's mailbox after
+// delay. Tracking lets Shutdown stop pending timers; the callback additionally
 // re-checks closed (Stop may lose the race with an already-firing timer) and
 // deregisters itself so the timer set stays bounded by in-flight deliveries.
-func (w *World) deliverLater(box *mailbox, m message, delay time.Duration) {
+func (w *World) deliverLater(dst int, m message, delay time.Duration) {
 	w.timerMu.Lock()
 	if w.closed.Load() {
 		w.timerMu.Unlock()
@@ -251,128 +175,11 @@ func (w *World) deliverLater(box *mailbox, m message, delay time.Duration) {
 		w.timerMu.Lock()
 		delete(w.timers, t)
 		w.timerMu.Unlock()
-		if w.closed.Load() {
-			return
+		if w.closed.Load() || w.wireDead(m.src, dst) {
+			return // an endpoint was killed while this delivery was in flight
 		}
-		if w.deadWire != nil && w.deadWire[m.src].Load() {
-			return // the sender was killed while this delivery was in flight
-		}
-		box.push(m)
+		w.procs[dst].mbox.push(m)
 	})
 	w.timers[t] = struct{}{}
 	w.timerMu.Unlock()
-}
-
-// LinkRTO reports the current (adaptive) retransmission timeout of this
-// rank's link toward dst — the configured floor until the link has observed
-// ack latencies. Safe from any goroutine.
-func (p *Proc) LinkRTO(dst int) time.Duration {
-	if p.sendLinks == nil {
-		return p.world.rto
-	}
-	l := &p.sendLinks[dst]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rto(p.world.rto)
-}
-
-// checkStall runs on the progress goroutine's retransmit tick. A stall is a
-// lack of *progress*, not of traffic: a dead link still exchanges
-// retransmissions and prefix re-acks forever, so the primary signal is a
-// send that has stayed unacked past the threshold since it was first posted.
-// Receive-side silence while out-of-order messages sit buffered is the
-// complementary signal.
-func (p *Proc) checkStall() {
-	w := p.world
-	if w.onStall == nil || w.stallAfter <= 0 || p.terminated || p.stalled {
-		return
-	}
-	now := time.Now()
-	stuck := false
-	for i := range p.sendLinks {
-		l := &p.sendLinks[i]
-		l.mu.Lock()
-		for _, ps := range l.unacked {
-			if now.Sub(ps.born) >= w.stallAfter {
-				stuck = true
-				break
-			}
-		}
-		l.mu.Unlock()
-		if stuck {
-			break
-		}
-	}
-	if !stuck && now.Sub(p.lastActivity) >= w.stallAfter && p.outstanding() {
-		stuck = true
-	}
-	if !stuck {
-		return
-	}
-	p.stalled = true // latched until an ack or in-order delivery arrives
-	w.onStall(p.rank, p.PendingSummary())
-}
-
-// outstanding reports whether this rank holds unacked sends or buffered
-// out-of-order receives — the states a stall can hide in.
-func (p *Proc) outstanding() bool {
-	for i := range p.sendLinks {
-		l := &p.sendLinks[i]
-		l.mu.Lock()
-		n := len(l.unacked)
-		l.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	for i := range p.recvLinks {
-		if len(p.recvLinks[i].ooo) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// PendingSummary describes this rank's link-layer and detector state for
-// hang diagnosis: per-link unacked sends, out-of-order receive buffers, and
-// the termination counters. Intended to be read from the stall handler (it
-// runs on the rank's own progress goroutine) or after Shutdown; concurrent
-// use while the rank is live may observe torn receiver state.
-func (p *Proc) PendingSummary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rank %d:", p.rank)
-	if p.det != nil {
-		fmt.Fprintf(&b, " %s;", p.det.DebugString())
-	}
-	if p.dropped > 0 {
-		fmt.Fprintf(&b, " dropped %d unknown-tag message(s);", p.dropped)
-	}
-	clean := true
-	for dst := range p.sendLinks {
-		l := &p.sendLinks[dst]
-		l.mu.Lock()
-		n := len(l.unacked)
-		var oldest int
-		for _, ps := range l.unacked {
-			if ps.tries > oldest {
-				oldest = ps.tries
-			}
-		}
-		l.mu.Unlock()
-		if n > 0 {
-			clean = false
-			fmt.Fprintf(&b, "\n  ->%d: %d unacked send(s), max %d attempt(s)", dst, n, oldest)
-		}
-	}
-	for src := range p.recvLinks {
-		l := &p.recvLinks[src]
-		if len(l.ooo) > 0 {
-			clean = false
-			fmt.Fprintf(&b, "\n  <-%d: %d out-of-order message(s) buffered, waiting for seq %d", src, len(l.ooo), l.expected)
-		}
-	}
-	if clean {
-		b.WriteString(" all links clean")
-	}
-	return b.String()
 }

@@ -17,14 +17,14 @@ type commMetrics struct {
 	recvd      *metrics.Counter // application messages dispatched to handlers
 	bytesSent  *metrics.Counter // application payload bytes sent
 	bytesRecvd *metrics.Counter // application payload bytes dispatched
-	ctrl       *metrics.Counter // wave control messages posted
+	ctrl       *metrics.Counter // sequenced control messages posted
 	acks       *metrics.Counter // link-layer acks posted
 	retrans    *metrics.Counter // link-layer retransmissions
 
-	batchSize     *metrics.Histogram // activations per flushed frame (log2)
-	flushSize     *metrics.Counter   // frames flushed on the size threshold
-	flushIdle     *metrics.Counter   // frames flushed on idle / progress tick / quiescence
-	flushShutdown *metrics.Counter   // frames flushed at World.Shutdown
+	batchSize *metrics.Histogram // activations per flushed frame (log2)
+	// frames flushed per FlushReason: on the size threshold, on idle /
+	// progress tick / quiescence, at World.Shutdown
+	flushes [FlushShutdown + 1]*metrics.Counter
 
 	faultDrop    *metrics.Counter // transmissions lost by the fault plan/filter
 	faultDup     *metrics.Counter // transmissions duplicated
@@ -42,30 +42,30 @@ type commMetrics struct {
 // from any runtime registry — merge snapshots by name, the "comm." prefix
 // keeps them disjoint).
 func (w *World) EnableMetrics() *metrics.Registry {
-	if w.started.Load() {
-		panic("comm: EnableMetrics after Start")
-	}
+	w.beforeStart("EnableMetrics")
 	if w.mx != nil {
 		return w.mx.reg
 	}
 	reg := metrics.NewRegistry(len(w.procs))
 	w.mx = &commMetrics{
-		reg:           reg,
-		sent:          reg.Counter("comm.msgs.sent"),
-		recvd:         reg.Counter("comm.msgs.recvd"),
-		bytesSent:     reg.Counter("comm.bytes.sent"),
-		bytesRecvd:    reg.Counter("comm.bytes.recvd"),
-		ctrl:          reg.Counter("comm.ctrl.sent"),
-		acks:          reg.Counter("comm.acks.sent"),
-		retrans:       reg.Counter("comm.retransmits"),
-		batchSize:     reg.Histogram("comm.batch_size"),
-		flushSize:     reg.Counter("comm.flushes.size"),
-		flushIdle:     reg.Counter("comm.flushes.idle"),
-		flushShutdown: reg.Counter("comm.flushes.shutdown"),
-		faultDrop:     reg.Counter("comm.fault.dropped"),
-		faultDup:      reg.Counter("comm.fault.duplicated"),
-		faultDelay:    reg.Counter("comm.fault.delayed"),
-		faultReorder:  reg.Counter("comm.fault.reordered"),
+		reg:        reg,
+		sent:       reg.Counter("comm.msgs.sent"),
+		recvd:      reg.Counter("comm.msgs.recvd"),
+		bytesSent:  reg.Counter("comm.bytes.sent"),
+		bytesRecvd: reg.Counter("comm.bytes.recvd"),
+		ctrl:       reg.Counter("comm.ctrl.sent"),
+		acks:       reg.Counter("comm.acks.sent"),
+		retrans:    reg.Counter("comm.retransmits"),
+		batchSize:  reg.Histogram("comm.batch_size"),
+		flushes: [...]*metrics.Counter{
+			FlushSize:     reg.Counter("comm.flushes.size"),
+			FlushIdle:     reg.Counter("comm.flushes.idle"),
+			FlushShutdown: reg.Counter("comm.flushes.shutdown"),
+		},
+		faultDrop:    reg.Counter("comm.fault.dropped"),
+		faultDup:     reg.Counter("comm.fault.duplicated"),
+		faultDelay:   reg.Counter("comm.fault.delayed"),
+		faultReorder: reg.Counter("comm.fault.reordered"),
 
 		telemetryFrames: reg.Counter("comm.telemetry.frames"),
 		telemetryBytes:  reg.Counter("comm.telemetry.bytes"),
@@ -74,7 +74,7 @@ func (w *World) EnableMetrics() *metrics.Registry {
 		// In a network world only the local rank exists; rounds are a
 		// root-rank statistic, so non-root processes report 0.
 		if p := w.procs[0]; p != nil {
-			return p.rounds.Load()
+			return p.wave.rounds.Load()
 		}
 		return 0
 	})
@@ -110,9 +110,7 @@ func (w *World) MetricsSnapshot() metrics.Snapshot {
 // on a shared timeline (pid = rank, tid = -1 for the comm thread). Must be
 // called before any Proc is started.
 func (w *World) EnableTracing() {
-	if w.started.Load() {
-		panic("comm: EnableTracing after Start")
-	}
+	w.beforeStart("EnableTracing")
 	w.trace.Store(true)
 }
 
@@ -183,16 +181,13 @@ func (p *Proc) ChromeEvents() []metrics.ChromeEvent {
 	return out
 }
 
-// flushCounter maps a flush reason to its counter.
+// flushCounter maps a flush reason to its counter (unknown reasons count as
+// idle flushes).
 func (m *commMetrics) flushCounter(r FlushReason) *metrics.Counter {
-	switch r {
-	case FlushSize:
-		return m.flushSize
-	case FlushShutdown:
-		return m.flushShutdown
-	default:
-		return m.flushIdle
+	if int(r) < len(m.flushes) {
+		return m.flushes[r]
 	}
+	return m.flushes[FlushIdle]
 }
 
 // ChromeEvents returns the communication events of every rank merged (nil
@@ -215,9 +210,9 @@ func (w *World) ChromeEvents() []metrics.ChromeEvent {
 			avg = float64(hs.Sum) / float64(hs.Count)
 		}
 		flushes := metrics.CounterEvent("comm.flushes", 0, now, map[string]any{
-			"size":     mx.flushSize.Value(),
-			"idle":     mx.flushIdle.Value(),
-			"shutdown": mx.flushShutdown.Value(),
+			"size":     mx.flushes[FlushSize].Value(),
+			"idle":     mx.flushes[FlushIdle].Value(),
+			"shutdown": mx.flushes[FlushShutdown].Value(),
 		})
 		batches := metrics.CounterEvent("comm.batch_size", 0, now, map[string]any{
 			"frames":          hs.Count,

@@ -20,26 +20,18 @@
 // draining), or the thief died — so a steal that straddles a membership
 // change leaves the tasks home and exactly-once execution holds.
 //
-// Every steal message is a sequenced, per-activation-counted message
-// (MsgSentTo/MsgRecvdFrom), so the termination wave cannot terminate with a
-// steal in flight: at every protocol boundary either a counted message is in
-// flight or the receiving side has already re-discovered the tasks. Steal
-// messages are NOT application messages — they never touch appDispatched,
-// keeping the replay-prune protocol's activation counts aligned.
+// Every steal tag is sequenced and counted in the protocol table
+// (protocol.go), so the termination wave cannot terminate with a steal in
+// flight: at every protocol boundary either a counted message is in flight or
+// the receiving side has already re-discovered the tasks. Steal messages are
+// NOT application messages — they never touch the prune counts, keeping the
+// replay-prune protocol's activation counts aligned.
 package comm
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 	"time"
-)
-
-// Steal control tags (see the reserved block in comm.go; next free: -14).
-const (
-	tagStealReq    = -9
-	tagStealResp   = -10
-	tagStealAccept = -11
-	tagStealCommit = -12
-	tagStealAbort  = -13
 )
 
 // loadHintTTL bounds how long a piggybacked load hint stays credible. Hints
@@ -90,6 +82,21 @@ type StealHooks struct {
 	Tick func()
 }
 
+// stealState is one rank's work-stealing state. hooks is installed before
+// Start; loadHints holds the last per-peer load hint (-1 = unknown) and
+// actsFrom the per-peer delivered-activation counts (locality signal), both
+// readable from any goroutine. pending buffers two-phase donations on the
+// thief (progress-goroutine private); victim is the rank of this rank's
+// outstanding steal request (-1 = none).
+type stealState struct {
+	hooks     *StealHooks
+	loadHints []atomic.Int64
+	hintAt    []atomic.Int64 // UnixNano of each hint; stale hints revert to unknown
+	actsFrom  []atomic.Int64
+	pending   map[stealKey][][]byte
+	victim    atomic.Int64
+}
+
 // SetStealHooks installs the work-stealing policy on this rank and
 // allocates the load-hint state. Must be called before this rank's Start
 // (other ranks of an in-process world may already be running).
@@ -97,20 +104,21 @@ func (p *Proc) SetStealHooks(h *StealHooks) {
 	if p.det != nil {
 		panic("comm: SetStealHooks after Start")
 	}
-	p.stealHooks = h
+	st := &p.steal
+	st.hooks = h
 	n := len(p.world.procs)
-	p.loadHints = make([]atomic.Int64, n)
-	p.hintAt = make([]atomic.Int64, n)
-	for i := range p.loadHints {
-		p.loadHints[i].Store(-1) // unknown until a hint arrives
+	st.loadHints = make([]atomic.Int64, n)
+	st.hintAt = make([]atomic.Int64, n)
+	for i := range st.loadHints {
+		st.loadHints[i].Store(-1) // unknown until a hint arrives
 	}
-	p.actsFrom = make([]atomic.Int64, n)
-	p.stealPending = map[stealKey]stealBuf{}
-	p.stealVictim.Store(-1)
+	st.actsFrom = make([]atomic.Int64, n)
+	st.pending = map[stealKey][][]byte{}
+	st.victim.Store(-1)
 }
 
 // StealingEnabled reports whether SetStealHooks was called.
-func (p *Proc) StealingEnabled() bool { return p.stealHooks != nil }
+func (p *Proc) StealingEnabled() bool { return p.steal.hooks != nil }
 
 // StealReqs reports how many steal requests local ranks issued
 // (comm.steal_reqs). Safe from any goroutine.
@@ -135,15 +143,9 @@ type stealKey struct {
 	id     uint64
 }
 
-// stealBuf holds a two-phase donation buffered on the thief between the
-// response and the commit/abort decision.
-type stealBuf struct {
-	recs [][]byte
-}
-
 // stealLoad returns this rank's current load hint (0 without hooks).
 func (p *Proc) stealLoad() int64 {
-	if h := p.stealHooks; h != nil && h.Load != nil {
+	if h := p.steal.hooks; h != nil && h.Load != nil {
 		return h.Load()
 	}
 	return 0
@@ -151,9 +153,10 @@ func (p *Proc) stealLoad() int64 {
 
 // noteLoadHint records a peer's advertised ready depth. Any goroutine.
 func (p *Proc) noteLoadHint(src int, load int64) {
-	if p.loadHints != nil && src != p.rank && src >= 0 && src < len(p.loadHints) {
-		p.loadHints[src].Store(load)
-		p.hintAt[src].Store(time.Now().UnixNano())
+	st := &p.steal
+	if st.loadHints != nil && src != p.rank && src >= 0 && src < len(st.loadHints) {
+		st.loadHints[src].Store(load)
+		st.hintAt[src].Store(time.Now().UnixNano())
 	}
 }
 
@@ -162,13 +165,14 @@ func (p *Proc) noteLoadHint(src int, load int64) {
 // unknown so the steal policy resumes probing — see the TTL comment).
 // Advisory and eventually consistent. Safe from any goroutine.
 func (p *Proc) PeerLoad(r int) int64 {
-	if p.loadHints == nil {
+	st := &p.steal
+	if st.loadHints == nil {
 		return -1
 	}
-	if time.Now().UnixNano()-p.hintAt[r].Load() > int64(loadHintTTL) {
+	if time.Now().UnixNano()-st.hintAt[r].Load() > int64(loadHintTTL) {
 		return -1
 	}
-	return p.loadHints[r].Load()
+	return st.loadHints[r].Load()
 }
 
 // PeerActivity returns how many batched activations this rank has received
@@ -176,20 +180,10 @@ func (p *Proc) PeerLoad(r int) int64 {
 // exchange activations with likely owns neighbouring keys, so stolen tasks'
 // outputs stay on warm links). Safe from any goroutine.
 func (p *Proc) PeerActivity(r int) int64 {
-	if p.actsFrom == nil {
+	if p.steal.actsFrom == nil {
 		return 0
 	}
-	return p.actsFrom[r].Load()
-}
-
-// sendSteal posts one counted steal control message. Safe from any
-// goroutine (post locks per link).
-func (p *Proc) sendSteal(dst, tag int, a, b int64, payload []byte) {
-	p.det.MsgSentTo(dst)
-	if mx := p.world.mx; mx != nil {
-		mx.ctrl.Inc(p.rank)
-	}
-	p.post(dst, message{src: p.rank, tag: tag, payload: payload, a: a, b: b, ep: p.epoch.Load()})
+	return p.steal.actsFrom[r].Load()
 }
 
 // RequestSteal issues a steal request toward victim for up to max tasks.
@@ -198,14 +192,12 @@ func (p *Proc) sendSteal(dst, tag int, a, b int64, payload []byte) {
 // goroutine.
 func (p *Proc) RequestSteal(victim, max int) {
 	if p.world.closed.Load() || p.DeadView(victim) {
-		if h := p.stealHooks; h != nil && h.Done != nil {
-			h.Done(victim, false)
-		}
+		p.stealDone(victim, false)
 		return
 	}
-	p.stealVictim.Store(int64(victim))
+	p.steal.victim.Store(int64(victim))
 	p.world.stealReqs.Add(1)
-	p.sendSteal(victim, tagStealReq, int64(max), 0, nil)
+	p.emit(victim, tagStealReq, int64(max), 0, p.mem.epoch.Load(), nil)
 }
 
 // Donation payload framing: [4B count] ( [4B len][record] ) x count.
@@ -216,9 +208,9 @@ func encodeStealRecs(recs [][]byte) []byte {
 		n += 4 + len(r)
 	}
 	buf := make([]byte, 0, n)
-	buf = appendU32(buf, uint32(len(recs)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
 	for _, r := range recs {
-		buf = appendU32(buf, uint32(len(r)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r)))
 		buf = append(buf, r...)
 	}
 	return buf
@@ -228,8 +220,10 @@ func decodeStealRecs(pl []byte) ([][]byte, bool) {
 	if len(pl) < 4 {
 		return nil, false
 	}
-	count := int(int32(leU32(pl)))
-	if count < 0 {
+	count := int(int32(binary.LittleEndian.Uint32(pl)))
+	if count < 0 || count > (len(pl)-4)/4 {
+		// Every record carries a 4-byte length: a larger count is forged, and
+		// trusting it would size the allocation below from remote bytes.
 		return nil, false
 	}
 	off := 4
@@ -238,7 +232,7 @@ func decodeStealRecs(pl []byte) ([][]byte, bool) {
 		if len(pl)-off < 4 {
 			return nil, false
 		}
-		sz := int(int32(leU32(pl[off:])))
+		sz := int(int32(binary.LittleEndian.Uint32(pl[off:])))
 		off += 4
 		if sz < 0 || sz > len(pl)-off {
 			return nil, false
@@ -252,37 +246,29 @@ func decodeStealRecs(pl []byte) ([][]byte, bool) {
 	return recs, true
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
 // handleStealReq runs on the victim's progress goroutine. The response is
 // sent before the request's receipt is counted (by dispatch), so the wave
 // stays unbalanced across the handoff.
 func (p *Proc) handleStealReq(m message) {
-	h := p.stealHooks
+	h := p.steal.hooks
 	var id uint64
 	var recs [][]byte
 	// Epoch guard, victim side: a request stamped under a different
 	// membership view gets an empty response — the thief's recovery (or
 	// ours) is in flight and the tasks stay home.
-	if h != nil && h.Fill != nil && !p.terminated && m.ep == p.epoch.Load() {
+	if h != nil && h.Fill != nil && !p.terminated && m.ep == p.mem.epoch.Load() {
 		id, recs = h.Fill(m.src, int(m.a))
 	}
 	var payload []byte
 	if id != 0 {
 		payload = encodeStealRecs(recs)
 	}
-	p.sendSteal(m.src, tagStealResp, int64(id), p.stealLoad(), payload)
+	p.emit(m.src, tagStealResp, int64(id), p.stealLoad(), p.mem.epoch.Load(), payload)
 }
 
 // handleStealResp runs on the thief's progress goroutine.
 func (p *Proc) handleStealResp(m message) {
-	h := p.stealHooks
+	h := p.steal.hooks
 	// The response's b field is the victim's current depth — fresher than
 	// any piggybacked hint, and an empty response zeroes the stale hint that
 	// provoked the probe, so probing self-quenches.
@@ -291,14 +277,8 @@ func (p *Proc) handleStealResp(m message) {
 	if h == nil {
 		return
 	}
-	fail := func() {
-		p.stealVictim.Store(-1)
-		if h.Done != nil {
-			h.Done(m.src, false)
-		}
-	}
 	if id == 0 {
-		fail()
+		p.stealDone(m.src, false)
 		return
 	}
 	recs, ok := decodeStealRecs(m.payload)
@@ -308,36 +288,30 @@ func (p *Proc) handleStealResp(m message) {
 		// the tasks, but the wire below the reliable layer is byte-exact, so
 		// this is unreachable outside memory corruption.
 		if h.TwoPhase {
-			p.sendSteal(m.src, tagStealAccept, int64(id), 0, nil)
+			p.emit(m.src, tagStealAccept, int64(id), 0, p.mem.epoch.Load(), nil)
 		}
-		fail()
+		p.stealDone(m.src, false)
 		return
 	}
 	if !h.TwoPhase {
-		h.Inject(m.src, recs)
-		p.world.steals.Add(1)
-		p.world.stealTasks.Add(int64(len(recs)))
-		p.stealVictim.Store(-1)
-		if h.Done != nil {
-			h.Done(m.src, true)
-		}
+		p.stealInject(m.src, recs)
 		return
 	}
 	if h.Aborting != nil && h.Aborting() {
 		// Draining thief: decline so the victim re-queues the tasks (they
 		// must complete or be re-queued at the victim, never dropped).
-		p.sendSteal(m.src, tagStealAccept, int64(id), 0, nil)
-		fail()
+		p.emit(m.src, tagStealAccept, int64(id), 0, p.mem.epoch.Load(), nil)
+		p.stealDone(m.src, false)
 		return
 	}
 	// Buffer until the victim confirms the ownership transfer.
-	p.stealPending[stealKey{m.src, id}] = stealBuf{recs: recs}
-	p.sendSteal(m.src, tagStealAccept, int64(id), 1, nil)
+	p.steal.pending[stealKey{m.src, id}] = recs
+	p.emit(m.src, tagStealAccept, int64(id), 1, p.mem.epoch.Load(), nil)
 }
 
 // handleStealAccept runs on the victim's progress goroutine (two-phase).
 func (p *Proc) handleStealAccept(m message) {
-	h := p.stealHooks
+	h := p.steal.hooks
 	id := uint64(m.a)
 	if h == nil || id == 0 {
 		return
@@ -350,13 +324,13 @@ func (p *Proc) handleStealAccept(m message) {
 		return
 	}
 	if h.Commit != nil && h.Commit(m.src, id) {
-		p.sendSteal(m.src, tagStealCommit, int64(id), 0, nil)
+		p.emit(m.src, tagStealCommit, int64(id), 0, p.mem.epoch.Load(), nil)
 		return
 	}
 	// Epoch changed or the donation was already swept: the tasks stayed (or
 	// went back) home; tell the thief to drop its buffered copy.
 	p.world.stealAborts.Add(1)
-	p.sendSteal(m.src, tagStealAbort, int64(id), 0, nil)
+	p.emit(m.src, tagStealAbort, int64(id), 0, p.mem.epoch.Load(), nil)
 }
 
 // handleStealCommit runs on the thief's progress goroutine (two-phase). The
@@ -364,31 +338,20 @@ func (p *Proc) handleStealAccept(m message) {
 // epoch check, and from that point the thief owns the tasks — if the thief
 // later dies, the victim's donation sweep re-injects them.
 func (p *Proc) handleStealCommit(m message) {
-	h := p.stealHooks
+	h := p.steal.hooks
 	k := stealKey{m.src, uint64(m.a)}
-	buf, ok := p.stealPending[k]
+	recs, ok := p.steal.pending[k]
 	if !ok || h == nil {
 		return
 	}
-	delete(p.stealPending, k)
-	h.Inject(m.src, buf.recs)
-	p.world.steals.Add(1)
-	p.world.stealTasks.Add(int64(len(buf.recs)))
-	p.stealVictim.Store(-1)
-	if h.Done != nil {
-		h.Done(m.src, true)
-	}
+	delete(p.steal.pending, k)
+	p.stealInject(m.src, recs)
 }
 
 // handleStealAbort runs on the thief's progress goroutine (two-phase).
 func (p *Proc) handleStealAbort(m message) {
-	h := p.stealHooks
-	k := stealKey{m.src, uint64(m.a)}
-	delete(p.stealPending, k)
-	p.stealVictim.Store(-1)
-	if h != nil && h.Done != nil {
-		h.Done(m.src, false)
-	}
+	delete(p.steal.pending, stealKey{m.src, uint64(m.a)})
+	p.stealDone(m.src, false)
 }
 
 // stealOnPeerDead clears thief-side steal state toward a now-confirmed-dead
@@ -397,18 +360,32 @@ func (p *Proc) handleStealAbort(m message) {
 // dead rank's work is re-homed and re-executed by recovery), and an
 // outstanding request toward it will never be answered. Progress goroutine.
 func (p *Proc) stealOnPeerDead(dead int) {
-	if p.stealHooks == nil {
+	if p.steal.hooks == nil {
 		return
 	}
-	for k := range p.stealPending {
+	for k := range p.steal.pending {
 		if k.victim == dead {
-			delete(p.stealPending, k)
+			delete(p.steal.pending, k)
 		}
 	}
-	if p.stealVictim.Load() == int64(dead) {
-		p.stealVictim.Store(-1)
-		if h := p.stealHooks; h.Done != nil {
-			h.Done(dead, false)
-		}
+	if p.steal.victim.Load() == int64(dead) {
+		p.stealDone(dead, false)
+	}
+}
+
+// stealInject hands a donation that now belongs to this thief to the policy.
+func (p *Proc) stealInject(victim int, recs [][]byte) {
+	p.steal.hooks.Inject(victim, recs)
+	p.world.steals.Add(1)
+	p.world.stealTasks.Add(int64(len(recs)))
+	p.stealDone(victim, true)
+}
+
+// stealDone ends this thief's in-flight steal attempt toward victim (ok =
+// tasks were injected): the latch is released and the policy told.
+func (p *Proc) stealDone(victim int, ok bool) {
+	p.steal.victim.Store(-1)
+	if h := p.steal.hooks; h != nil && h.Done != nil {
+		h.Done(victim, ok)
 	}
 }

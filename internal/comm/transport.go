@@ -75,20 +75,14 @@ const (
 	PeerGaveUp
 )
 
+var peerEventNames = [...]string{PeerDialFailed: "dial-failed", PeerUp: "up", PeerDown: "down", PeerGaveUp: "gave-up"}
+
 // String returns the event kind's label.
 func (k PeerEventKind) String() string {
-	switch k {
-	case PeerDialFailed:
-		return "dial-failed"
-	case PeerUp:
-		return "up"
-	case PeerDown:
-		return "down"
-	case PeerGaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if int(k) < len(peerEventNames) {
+		return peerEventNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // PeerEvent is one per-peer connection lifecycle transition.
@@ -191,7 +185,7 @@ func (w *World) netTransmit(dst int, m message) {
 		w.procs[dst].mbox.push(m)
 		return
 	}
-	if w.deadWire != nil && (w.deadWire[dst].Load() || w.deadWire[m.src].Load()) {
+	if w.wireDead(m.src, dst) {
 		return
 	}
 	frame := appendWireFrame(make([]byte, 0, wireFrameHdr+len(m.payload)), m)
@@ -218,84 +212,19 @@ func (w *World) deliverFrame(frame []byte) {
 // SetPeerEventHook installs an observer for transport peer lifecycle events
 // (network worlds only; events may arrive on any transport goroutine). Safe
 // to call at any time.
-func (w *World) SetPeerEventHook(f func(PeerEvent)) {
-	w.peerHookMu.Lock()
-	w.peerHook = f
-	w.peerHookMu.Unlock()
-}
+func (w *World) SetPeerEventHook(f func(PeerEvent)) { w.peerHook.Store(&f) }
 
 func (w *World) peerEvent(ev PeerEvent) {
-	w.peerHookMu.Lock()
-	f := w.peerHook
-	w.peerHookMu.Unlock()
-	if f != nil {
-		f(ev)
+	if f := w.peerHook.Load(); f != nil && *f != nil {
+		(*f)(ev)
 	}
 }
 
 // Reconnects reports how many times the transport re-established a lost
 // peer connection (comm.reconnects; 0 for in-process worlds).
 func (w *World) Reconnects() int64 {
-	if w.net == nil {
-		return 0
-	}
 	if s, ok := w.net.(TransportStats); ok {
 		return s.Reconnects()
 	}
 	return 0
-}
-
-// Drain blocks until every sequenced outbound message from this world's
-// local ranks has been cumulatively acked by its peer, or until timeout;
-// it reports whether the links drained clean. Multi-process runs call this
-// between Wait and Shutdown so a process does not tear its sockets down
-// while a peer still needs a retransmission (e.g. of the termination
-// broadcast). Links toward confirmed-dead ranks are already cleared by the
-// membership protocol and do not block draining. Drain does not poll: it
-// sleeps until a link's retransmit queue empties (linkDrained) or the
-// timeout expires.
-func (w *World) Drain(timeout time.Duration) bool {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		// Register before checking: a link that empties after the check
-		// finds the channel and closes it (linkDrained), one that emptied
-		// before the registration is seen by the check.
-		w.drainMu.Lock()
-		if w.drainWait == nil {
-			w.drainWait = make(chan struct{})
-		}
-		emptied := w.drainWait
-		w.drainMu.Unlock()
-		if !w.hasUnacked() {
-			return true
-		}
-		select {
-		case <-emptied:
-		case <-deadline.C:
-			return false
-		}
-	}
-}
-
-// hasUnacked reports whether any launched local rank still awaits an ack.
-func (w *World) hasUnacked() bool {
-	for _, p := range w.procs {
-		if p != nil && p.launched.Load() && p.hasUnacked() {
-			return true
-		}
-	}
-	return false
-}
-
-// linkDrained wakes every waiting Drain: a send link's retransmit queue
-// just emptied (its last pending send was acked, or its peer was confirmed
-// dead). Costs one uncontended lock when nobody is draining.
-func (w *World) linkDrained() {
-	w.drainMu.Lock()
-	if w.drainWait != nil {
-		close(w.drainWait)
-		w.drainWait = nil
-	}
-	w.drainMu.Unlock()
 }

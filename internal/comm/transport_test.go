@@ -2,6 +2,7 @@ package comm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,4 +471,45 @@ func TestShutdownConcurrent(t *testing.T) {
 	close(start)
 	wg.Wait()
 	h.world.Shutdown() // still idempotent afterwards
+}
+
+// TestForgedRankDeadDropped: a rank-dead announcement naming a rank outside
+// the world, or arriving at a rank that runs no failure detection, is remote
+// garbage. It must be dropped and reported through the error hook; it must
+// not take the progress goroutine down or move the membership epoch.
+func TestForgedRankDeadDropped(t *testing.T) {
+	for _, fd := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fd=%v", fd), func(t *testing.T) {
+			hub := newNetHub(2, 0, 0, 1)
+			w, err := NewNetWorld(hub.transport(1))
+			if err != nil {
+				t.Fatalf("NewNetWorld: %v", err)
+			}
+			defer w.Shutdown()
+			if fd {
+				w.EnableFailureDetection(FDConfig{Heartbeat: time.Millisecond, SuspectAfter: time.Hour})
+			}
+			p := w.Proc(1)
+			errs := make(chan error, 8)
+			p.SetOnError(func(err error) { errs <- err })
+			p.Start(termdet.New(1, false), func() {})
+			victims := []int64{99, -1}
+			if !fd {
+				victims = append(victims, 0) // in range, but nobody tracks membership
+			}
+			for i, a := range victims {
+				hub.deliver[1](appendWireFrame(nil, message{src: 0, tag: tagRankDead, a: a, seq: int64(i + 1)}))
+			}
+			for range victims {
+				select {
+				case <-errs:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("forged rank-dead frame not reported through the error hook")
+				}
+			}
+			if e := p.Epoch(); e != 0 {
+				t.Fatalf("forged rank-dead frames moved the epoch to %d", e)
+			}
+		})
+	}
 }

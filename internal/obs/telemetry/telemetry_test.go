@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -408,4 +409,23 @@ func TestPlaneEndToEndOverLoopWire(t *testing.T) {
 	for _, p := range planes {
 		p.Stop()
 	}
+}
+
+// FuzzDecodeFrame: telemetry frames ride the best-effort path from other
+// ranks, so decodeFrame must reject (never panic on) any input, and a frame
+// it accepts must re-encode to the bytes it consumed.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{frameVersion})
+	f.Add(encodeFrame(nil, 3, 42, 7, 1699999999000, []Col{{Name: "rt.task.executed", Kind: KindCounter}}, []float64{1234}))
+	f.Add(encodeFrame(nil, 0, 1, 0, 0, nil, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := decodeFrame(data)
+		if err != nil {
+			return
+		}
+		if re := encodeFrame(nil, fr.rank, fr.seq, fr.epoch, fr.tsNs, fr.cols, fr.vals); !bytes.HasPrefix(data, re) {
+			t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", data, re)
+		}
+	})
 }
