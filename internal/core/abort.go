@@ -70,35 +70,10 @@ func (g *Graph) startSweeper() {
 }
 
 // discardTask is the runtime's drop routine for TTG tasks: release the
-// task's inputs exactly as ttExecute's epilogue would (aggregator items,
-// streaming accumulators, unmoved plain inputs) and free the task. The
+// task's inputs exactly as ttExecute's epilogue does and free the task. The
 // runtime accounts the completion itself.
 func (g *Graph) discardTask(w *rt.Worker, t *rt.Task) {
-	tt := t.TT.(*TT)
-	for i := 0; i < tt.nIn; i++ {
-		c := t.Input(i)
-		if c == nil {
-			continue
-		}
-		switch tt.slots[i].kind {
-		case slotAggregate:
-			if agg, ok := c.Val.(*Aggregate); ok {
-				for _, item := range agg.items {
-					if item != nil {
-						item.Release(w)
-					}
-				}
-				agg.items = nil
-			}
-			c.Release(w)
-		case slotStreaming:
-			c.Release(w)
-		default:
-			if t.Flags&(1<<uint(i)) == 0 {
-				c.Release(w)
-			}
-		}
-	}
+	g.releaseInputs(w, t)
 	w.FreeTask(t)
 }
 

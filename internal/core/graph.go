@@ -71,6 +71,10 @@ type Graph struct {
 	fastHit    bool
 	inlineAuto bool
 
+	// aggs are the per-worker-identity Aggregate free lists (aggregator.go),
+	// indexed by HTSlot; nil when Config.UsePools is off.
+	aggs []aggFreeList
+
 	// eventH is the lifecycle event hook (events.go); atomic so it can be
 	// installed mid-run and read from worker and comm goroutines.
 	eventH atomic.Pointer[EventHook]
@@ -161,6 +165,9 @@ func (g *Graph) MakeExecutable() {
 		g.prio = newPrioState(g)
 	}
 	g.inlineAuto = g.cfg.InlineAuto
+	if g.cfg.UsePools {
+		g.aggs = make([]aggFreeList, g.cfg.Workers+numServiceIdentities)
+	}
 	// The lock-free hit path skips the bucket lock, under which causal
 	// tracing writes its span causes — so it is mutually exclusive with
 	// EnableCausalTracing.

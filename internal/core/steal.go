@@ -287,24 +287,7 @@ func (g *Graph) stealFill(thief, max int) (uint64, [][]byte) {
 // response keeps the termination wave unbalanced in between — and the task
 // object is recycled.
 func (g *Graph) releaseStolen(w *rt.Worker, t *rt.Task) {
-	tt := t.TT.(*TT)
-	for i := 0; i < tt.nIn; i++ {
-		c := t.Input(i)
-		if c == nil {
-			continue
-		}
-		if tt.slots[i].kind == slotAggregate {
-			agg := c.Val.(*Aggregate)
-			for _, item := range agg.items {
-				if item != nil {
-					item.Release(w)
-				}
-			}
-			agg.items = nil
-		}
-		c.Release(w)
-		t.SetInput(i, nil)
-	}
+	g.releaseInputs(w, t)
 	w.Completed()
 	w.FreeTask(t)
 }
@@ -433,6 +416,15 @@ const (
 	stolenStreamNil = 4
 )
 
+// stolenMarkerKind is the terminal kind each slot marker may appear on.
+var stolenMarkerKind = [...]slotKind{
+	stolenNil:       slotPlain,
+	stolenPlain:     slotPlain,
+	stolenAgg:       slotAggregate,
+	stolenStream:    slotStreaming,
+	stolenStreamNil: slotStreaming,
+}
+
 // encodeStolenTask serializes one ready task. The task is NOT consumed: on
 // error the caller re-queues it untouched.
 func (g *Graph) encodeStolenTask(t *rt.Task) ([]byte, error) {
@@ -542,6 +534,12 @@ func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 			}
 		}
 	}
+	// drop discards the partly rebuilt task, releasing what was decoded.
+	drop := func(what string) {
+		fail(what)
+		g.releaseInputs(w, t)
+		w.FreeTask(t)
+	}
 	body := rec[stolenHdrLen:]
 	next := func() (any, bool) {
 		if len(body) < 4 {
@@ -560,65 +558,60 @@ func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 	}
 	for i := 0; i < tt.nIn; i++ {
 		if len(body) < 1 {
-			fail("truncated slot")
-			w.FreeTask(t)
+			drop("truncated slot")
 			return
 		}
 		marker := body[0]
 		body = body[1:]
+		if int(marker) >= len(stolenMarkerKind) || stolenMarkerKind[marker] != tt.slots[i].kind {
+			drop("slot marker does not match the terminal")
+			return
+		}
 		switch marker {
 		case stolenNil:
 		case stolenPlain:
 			v, ok := next()
 			if !ok {
-				fail("bad plain payload")
-				w.FreeTask(t)
+				drop("bad plain payload")
 				return
 			}
 			t.SetInput(i, w.NewCopy(v))
 		case stolenAgg:
 			if len(body) < 4 {
-				fail("truncated aggregate")
-				w.FreeTask(t)
+				drop("truncated aggregate")
 				return
 			}
 			count := int(int32(binary.LittleEndian.Uint32(body)))
 			body = body[4:]
 			if count < 0 {
-				fail("bad aggregate count")
-				w.FreeTask(t)
+				drop("bad aggregate count")
 				return
 			}
-			agg := &Aggregate{need: count}
+			// The decoded count is not trusted with an allocation: items grow
+			// by append, one per payload actually present.
+			agg := g.newAggregate(w, count)
+			t.SetInput(i, w.NewCopy(agg))
 			for j := 0; j < count; j++ {
 				v, ok := next()
 				if !ok {
-					fail("bad aggregate item")
-					w.FreeTask(t)
+					drop("bad aggregate item")
 					return
 				}
 				agg.items = append(agg.items, w.NewCopy(v))
 			}
-			t.SetInput(i, w.NewCopy(agg))
 		case stolenStream:
 			v, ok := next()
 			if !ok {
-				fail("bad streaming accumulator")
-				w.FreeTask(t)
+				drop("bad streaming accumulator")
 				return
 			}
 			t.SetInput(i, w.NewCopy(v))
 		case stolenStreamNil:
 			t.SetInput(i, w.NewCopy(nil))
-		default:
-			fail("unknown slot marker")
-			w.FreeTask(t)
-			return
 		}
 	}
 	if len(body) != 0 {
-		fail("trailing bytes")
-		w.FreeTask(t)
+		drop("trailing bytes")
 		return
 	}
 	t.ArmDeps(0)

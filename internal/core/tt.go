@@ -128,17 +128,9 @@ func (tt *TT) WithStreaming(slot int, count func(key uint64) int, reduce func(ac
 // TasksCreated reports how many task instances this TT has created.
 func (tt *TT) TasksCreated() int64 { return tt.created.Load() }
 
-// totalDeps computes the number of data items required before the task for
-// key becomes eligible.
-func (tt *TT) totalDeps(key uint64) int32 {
-	n := int32(0)
-	for i := 0; i < tt.nIn; i++ {
-		n += tt.slots[i].need(key)
-	}
-	return n
-}
-
-// newTask builds a task instance for key (pool-backed).
+// newTask builds a task instance for key (pool-backed), armed with the number
+// of data items it needs: each slot's need is computed once, so count(key)
+// runs once per task.
 func (tt *TT) newTask(w *rt.Worker, key uint64) *rt.Task {
 	t := w.NewTask()
 	t.TT = tt
@@ -150,15 +142,18 @@ func (tt *TT) newTask(w *rt.Worker, key uint64) *rt.Task {
 	} else if ps := tt.g.prio; ps != nil && ps.writePrio {
 		t.Priority = ps.taskPrio(tt, w)
 	}
+	deps := int32(0)
 	for i := 0; i < tt.nIn; i++ {
+		need := tt.slots[i].need(key)
+		deps += need
 		switch tt.slots[i].kind {
 		case slotAggregate:
-			t.SetInput(i, w.NewCopy(&Aggregate{need: int(tt.slots[i].need(key))}))
+			t.SetInput(i, w.NewCopy(tt.g.newAggregate(w, int(need))))
 		case slotStreaming:
 			t.SetInput(i, w.NewCopy(nil)) // the accumulator cell
 		}
 	}
-	t.ArmDeps(tt.totalDeps(key))
+	t.ArmDeps(deps)
 	tt.created.Add(1)
 	if ft := tt.g.ft; ft != nil && tt.mapFn != nil && tt.mapFn(key) != tt.g.rank {
 		// A task instance for a key this rank does not statically own can
@@ -223,31 +218,7 @@ func ttExecute(w *rt.Worker, t *rt.Task) {
 		}
 		pst.prodTT = savedProd
 	}
-	for i := 0; i < tt.nIn; i++ {
-		c := t.Input(i)
-		if c == nil {
-			continue
-		}
-		switch tt.slots[i].kind {
-		case slotAggregate:
-			agg := c.Val.(*Aggregate)
-			for _, item := range agg.items {
-				if item != nil {
-					item.Release(w)
-				}
-			}
-			agg.items = nil
-			c.Release(w)
-			continue
-		case slotStreaming:
-			c.Release(w) // items were released on arrival
-			continue
-		}
-		if t.Flags&(1<<uint(i)) != 0 {
-			continue // ownership moved to a successor
-		}
-		c.Release(w)
-	}
+	tt.g.releaseInputs(w, t)
 	w.FlushDeferred()
 	w.Completed()
 	w.FreeTask(t)

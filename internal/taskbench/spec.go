@@ -9,7 +9,6 @@ package taskbench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -95,46 +94,52 @@ func log2floor(w int) int {
 	return l
 }
 
+// maxDeps bounds the producers and the consumers of any point in every
+// pattern: Random links at most {p-2..p+2}.
+const maxDeps = 5
+
 // Deps returns the producer points at timestep t-1 for point p at timestep
 // t, in ascending order. For t == 0 it returns nil (tasks are seeded).
+//
+// Deps and RDeps inline, so where the result does not escape — len(s.Deps(..)),
+// range s.RDeps(..) — its constant-capacity backing array lives on the
+// caller's stack and the call allocates nothing.
 func (s Spec) Deps(t, p int) []int {
 	if t == 0 {
 		return nil
 	}
+	return s.appendDeps(make([]int, 0, maxDeps), t, p)
+}
+
+// appendDeps appends Deps(t, p) (t >= 1) to dst.
+func (s Spec) appendDeps(dst []int, t, p int) []int {
 	switch s.Pattern {
 	case Trivial, NoComm:
-		return []int{p}
+		return append(dst, p)
 	case Stencil1D:
-		out := make([]int, 0, 3)
-		for d := -1; d <= 1; d++ {
-			if q := p + d; q >= 0 && q < s.Width {
-				out = append(out, q)
+		for q := p - 1; q <= p+1; q++ {
+			if q >= 0 && q < s.Width {
+				dst = append(dst, q)
 			}
 		}
-		return out
 	case FFT:
 		other := p ^ (1 << uint((t-1)%log2floor(s.Width)))
-		if other >= s.Width {
-			return []int{p}
+		switch {
+		case other >= s.Width:
+			return append(dst, p)
+		case other < p:
+			return append(dst, other, p)
+		default:
+			return append(dst, p, other)
 		}
-		if other < p {
-			return []int{other, p}
-		}
-		return []int{p, other}
 	case Random:
-		out := []int{}
 		for d := -2; d <= 2; d++ {
-			q := p + d
-			if q < 0 || q >= s.Width {
-				continue
-			}
-			if d == 0 || randBit(t, p, d) {
-				out = append(out, q)
+			if q := p + d; q >= 0 && q < s.Width && (d == 0 || randBit(t, p, d)) {
+				dst = append(dst, q)
 			}
 		}
-		return out
 	}
-	return nil
+	return dst
 }
 
 // randBit is a deterministic hash deciding whether the Random pattern links
@@ -152,28 +157,23 @@ func (s Spec) RDeps(t, p int) []int {
 	if t+1 >= s.Steps {
 		return nil
 	}
-	switch s.Pattern {
-	case Trivial, NoComm:
-		return []int{p}
-	case Stencil1D, FFT:
-		// These patterns are symmetric between producers and consumers.
-		return s.Deps(t+1, p)
-	case Random:
-		out := []int{}
-		for d := -2; d <= 2; d++ {
-			q := p + d // candidate consumer
-			if q < 0 || q >= s.Width {
-				continue
-			}
-			// (t+1, q) depends on (t, q + d') with d' = p - q = -d.
-			if -d == 0 || randBit(t+1, q, -d) {
-				out = append(out, q)
-			}
-		}
-		sort.Ints(out)
-		return out
+	return s.appendRDeps(make([]int, 0, maxDeps), t, p)
+}
+
+// appendRDeps appends RDeps(t, p) (t+1 < Steps) to dst.
+func (s Spec) appendRDeps(dst []int, t, p int) []int {
+	if s.Pattern != Random {
+		// The other patterns are symmetric between producers and consumers.
+		return s.appendDeps(dst, t+1, p)
 	}
-	return nil
+	for d := -2; d <= 2; d++ {
+		// Candidate consumer (t+1, q) depends on (t, q + d') with
+		// d' = p - q = -d; q rises with d, so the result is ascending.
+		if q := p + d; q >= 0 && q < s.Width && (d == 0 || randBit(t+1, q, -d)) {
+			dst = append(dst, q)
+		}
+	}
+	return dst
 }
 
 // kernelIters converts flops to loop iterations (2 flops per FMA step).

@@ -72,6 +72,29 @@ func TestStencilShape(t *testing.T) {
 	}
 }
 
+// TestDepsDoNotAllocate pins the dependence queries to the stack: a
+// task-body or count(key) caller that only takes len or ranges over the
+// result pays no heap allocation, for every pattern.
+func TestDepsDoNotAllocate(t *testing.T) {
+	for _, pat := range []Pattern{Trivial, NoComm, Stencil1D, FFT, Random} {
+		s := Spec{Pattern: pat, Width: 16, Steps: 12}
+		sum := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			for ts := 0; ts < s.Steps; ts++ {
+				for p := 0; p < s.Width; p++ {
+					sum += len(s.Deps(ts, p))
+					for _, q := range s.RDeps(ts, p) {
+						sum += q
+					}
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %.0f allocs per sweep of Deps and RDeps, want 0", pat, allocs)
+		}
+	}
+}
+
 func TestKernelDeterministicAndSized(t *testing.T) {
 	s := Spec{Flops: 1000}
 	if s.Kernel(1.5) != s.Kernel(1.5) {
