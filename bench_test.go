@@ -343,11 +343,10 @@ func BenchmarkPublicAPIChain(b *testing.B) {
 
 // BenchmarkAblationInline{On,Off}: the paper's future-work item — running
 // an eligible successor immediately at its discovery site instead of a
-// scheduler round-trip (rt.Config.InlineTasks).
+// scheduler round-trip (rt.Config.InlineAuto, the adaptive policy).
 func inlineBench(b *testing.B, inline bool) {
 	cfg := rt.OptimizedConfig(1)
-	cfg.InlineTasks = inline
-	cfg.MaxInlineDepth = 64
+	cfg.InlineAuto = inline
 	cfg.PinWorkers = false
 	g := core.New(cfg)
 	e := core.NewEdge("chain")
@@ -363,6 +362,9 @@ func inlineBench(b *testing.B, inline bool) {
 	b.ResetTimer()
 	g.InvokeControl(pt, 1)
 	g.Wait()
+	if inline && b.N > 1 && g.Runtime().Workers()[0].Stats.Inlined.Load() == 0 {
+		b.Fatal("the adaptive policy inlined nothing on a chain")
+	}
 }
 
 func BenchmarkAblationInlineOn(b *testing.B)  { inlineBench(b, true) }

@@ -213,10 +213,8 @@ func TestChaosMixedGraph(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	for _, workers := range []int{1, 3, 7} {
 		cfg := testCfg(workers)
-		cfg.InlineTasks = true
-		cfg.MaxInlineDepth = 3
+		cfg.InlineAuto = true
 		cfg.BundleReady = true
-		cfg.StealDomainSize = 2
 		g := New(cfg)
 		eFan := NewEdge("fan")
 		eJoinA := NewEdge("ja")

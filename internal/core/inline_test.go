@@ -1,24 +1,31 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
 	"gottg/internal/rt"
 )
 
-// inlineCfg enables task inlining on an optimized runtime.
-func inlineCfg(workers, depth int) rt.Config {
+// inlineCfg enables task inlining on an optimized runtime. Every producer
+// passes the body-time gate, so these tests exercise the occupancy, depth
+// and budget gates whatever the host's speed (TestAdaptiveInlineChain runs
+// the default threshold).
+func inlineCfg(workers int) rt.Config {
 	c := rt.OptimizedConfig(workers)
 	c.PinWorkers = false
-	c.InlineTasks = true
-	c.MaxInlineDepth = depth
+	c.InlineAuto = true
+	c.InlineThresholdNs = math.MaxInt64
 	return c
 }
 
+// maxInlineDepth mirrors the runtime's nesting bound (rt.maxInlineDepth).
+const maxInlineDepth = 8
+
 func TestInlineChainCorrect(t *testing.T) {
 	const N = 20000
-	g := New(inlineCfg(1, 16))
+	g := New(inlineCfg(1))
 	e := NewEdge("chain")
 	var count atomic.Int64
 	pt := g.NewTT("p", 1, 1, func(tc TaskContext) {
@@ -40,13 +47,13 @@ func TestInlineChainCorrect(t *testing.T) {
 		inlined += w.Stats.Inlined.Load()
 	}
 	if inlined == 0 {
-		t.Fatal("no tasks were inlined despite InlineTasks")
+		t.Fatal("no tasks were inlined despite InlineAuto")
 	}
 }
 
 func TestInlineTreeCorrectMultiWorker(t *testing.T) {
 	const H = 13
-	g := New(inlineCfg(4, 4))
+	g := New(inlineCfg(4))
 	e := NewEdge("tree")
 	var count atomic.Int64
 	tt := g.NewTT("node", 1, 1, func(tc TaskContext) {
@@ -68,20 +75,24 @@ func TestInlineTreeCorrectMultiWorker(t *testing.T) {
 }
 
 func TestInlineDepthBounded(t *testing.T) {
-	// With MaxInlineDepth=2, a chain that records its stack depth through a
-	// side channel must never nest deeper than 2 inline frames. We verify
-	// indirectly: the run completes (no stack overflow) on a chain far
-	// longer than any plausible stack limit, and at least some tasks were
-	// NOT inlined (they overflowed the depth budget).
+	// A chain on one worker records how deeply its bodies nest: the
+	// scheduled frame plus at most maxInlineDepth inline frames, and a solo
+	// chain reaches that bound exactly. The chain is far longer than any
+	// plausible stack limit, so some tasks must have gone through the
+	// scheduler (the depth bound engaged).
 	const N = 200000
-	g := New(inlineCfg(1, 2))
+	g := New(inlineCfg(1))
 	e := NewEdge("chain")
-	var count atomic.Int64
+	var count, depth, maxDepth atomic.Int64
 	pt := g.NewTT("p", 1, 1, func(tc TaskContext) {
 		count.Add(1)
+		if d := depth.Add(1); d > maxDepth.Load() {
+			maxDepth.Store(d)
+		}
 		if k := tc.Key(); k < N {
 			tc.SendControl(0, k+1)
 		}
+		depth.Add(-1)
 	})
 	pt.Out(0, e)
 	e.To(pt, 0)
@@ -91,13 +102,13 @@ func TestInlineDepthBounded(t *testing.T) {
 	if count.Load() != N {
 		t.Fatalf("executed %d, want %d", count.Load(), N)
 	}
-	var inlined, executed int64
-	for _, w := range g.Runtime().Workers() {
-		inlined += w.Stats.Inlined.Load()
-		executed += w.Stats.Executed.Load()
+	if got := maxDepth.Load(); got != maxInlineDepth+1 {
+		t.Fatalf("bodies nested %d deep, want %d (1 scheduled + %d inlined)",
+			got, maxInlineDepth+1, maxInlineDepth)
 	}
-	if inlined == 0 {
-		t.Fatal("nothing inlined")
+	var executed int64
+	for _, w := range g.Runtime().Workers() {
+		executed += w.Stats.Executed.Load()
 	}
 	if executed == 0 {
 		t.Fatal("everything inlined: the depth bound did not engage")
@@ -108,7 +119,7 @@ func TestInlineWithDataAndAggregators(t *testing.T) {
 	// Inlining must preserve data-flow semantics: reducer aggregates K
 	// items delivered by inlined feeders.
 	const K = 32
-	g := New(inlineCfg(2, 8))
+	g := New(inlineCfg(2))
 	eIn := NewEdge("in")
 	feeder := g.NewTT("feeder", 1, 1, func(tc TaskContext) {
 		tc.Send(0, 0, int(tc.Key()))

@@ -207,7 +207,7 @@ func (ps *prioState) refresh(w *rt.Worker, t *rt.Task) {
 // inlineOK reports whether the template task currently executing on w's
 // identity has an observed body time below the inline threshold — the
 // producer-cost gate of the adaptive inline policy (the queue-occupancy and
-// budget gates live in rt.Worker.TryInlineAuto).
+// budget gates live in rt.Worker.TryInline).
 func (ps *prioState) inlineOK(w *rt.Worker) bool {
 	st := &ps.ws[w.HTSlot()]
 	if st.prodTT < 0 {

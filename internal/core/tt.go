@@ -416,18 +416,14 @@ func (g *Graph) deliverLocal(w *rt.Worker, d dest, key uint64, c *rt.Copy, owned
 }
 
 // dispatch routes an eligible task: refresh its priority to the current
-// bottom-level estimate, inline (adaptively or statically) if allowed,
-// defer into the worker's ready bundle if bundling, else straight to the
-// scheduler.
+// bottom-level estimate, inline if the adaptive policy allows, defer into
+// the worker's ready bundle if bundling, else straight to the scheduler.
 func (g *Graph) dispatch(w *rt.Worker, t *rt.Task) {
 	if ps := g.prio; ps != nil {
 		ps.refresh(w, t)
-		if g.inlineAuto && ps.inlineOK(w) && w.TryInlineAuto(t, ps.soloInline(w)) {
+		if g.inlineAuto && ps.inlineOK(w) && w.TryInline(t, ps.soloInline(w)) {
 			return
 		}
-	}
-	if w.TryInline(t) {
-		return
 	}
 	if w.Bundling() {
 		w.Defer(t)

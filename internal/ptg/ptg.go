@@ -105,9 +105,7 @@ func (cl *Class) activate(w *rt.Worker, key uint64) {
 	if cl.numDeps == nil {
 		t := cl.newTask(w, key, 1)
 		w.Discovered()
-		if !w.TryInline(t) {
-			w.Schedule(t)
-		}
+		w.Schedule(t)
 		return
 	}
 	slot := w.HTSlot()
@@ -133,9 +131,7 @@ func (cl *Class) activate(w *rt.Worker, key uint64) {
 	}
 	cl.ht.UnlockKey(slot, key)
 	if ready {
-		if !w.TryInline(t) {
-			w.Schedule(t)
-		}
+		w.Schedule(t)
 	}
 }
 

@@ -233,7 +233,7 @@ func TestDiscardRespectsMovedInputFlags(t *testing.T) {
 func TestPanicInsideInlinedTask(t *testing.T) {
 	// TryInline routes through the same isolation: a panic in an inlined
 	// child must not unwind the parent worker loop.
-	cfg := Config{Workers: 1, InlineTasks: true, MaxInlineDepth: 4, UsePools: true}.Normalize()
+	cfg := Config{Workers: 1, InlineAuto: true, UsePools: true}.Normalize()
 	r := New(cfg)
 	tt := &namedTT{name: "inline-victim"}
 	exec := func(w *Worker, tk *Task) {
@@ -245,7 +245,7 @@ func TestPanicInsideInlinedTask(t *testing.T) {
 		child.TT = tt
 		child.SetKey(1)
 		w.Discovered()
-		if !w.TryInline(child) {
+		if !w.TryInline(child, true) {
 			w.Schedule(child)
 		}
 		w.Completed()

@@ -68,13 +68,6 @@ type Config struct {
 	CountAtomics bool
 	// PinWorkers locks each worker goroutine to an OS thread.
 	PinWorkers bool
-	// InlineTasks executes a task immediately on the discovering worker
-	// when a send makes it eligible, up to MaxInlineDepth nested levels,
-	// instead of a scheduler round-trip — the paper's future-work item
-	// ("inlined tasks to reduce the number of very short tasks", §V-E).
-	InlineTasks bool
-	// MaxInlineDepth bounds inline recursion (default 8).
-	MaxInlineDepth int
 	// SpinBeforePark is how many failed acquisition rounds an idle worker
 	// spins before it parks — blocks until a producer wakes it (default
 	// 2048).
@@ -84,27 +77,22 @@ type Config struct {
 	// chain at task end — the paper's §IV-C bundling, which turns the LLP
 	// slow path's O(N) per-insert cost into one detach/merge/reattach pass.
 	BundleReady bool
-	// StealDomainSize groups workers into steal domains of this size
-	// (modeling the cache/NUMA hierarchy of paper §III-B): starving workers
-	// scan their own domain before foreign domains. 0 disables domains
-	// (flat stealing).
-	StealDomainSize int
 	// AutoPriority lets the graph layer write online bottom-level estimates
 	// into Task.Priority at ready time, so priority-aware schedulers order
 	// tasks by critical-path depth instead of discovery order.
 	AutoPriority bool
-	// InlineAuto replaces the static InlineTasks switch with an adaptive
-	// policy: a just-readied consumer is inlined at the discovery site only
-	// when the producing template task's observed body time is below
-	// InlineThresholdNs AND the local queue is non-empty (so siblings are
-	// never starved), bounded by inlineBudgetPerTask consumers per outer task.
+	// InlineAuto enables task inlining — the paper's future-work item
+	// ("inlined tasks to reduce the number of very short tasks", §V-E) — as
+	// an adaptive policy: a just-readied consumer runs at the discovery site
+	// instead of a scheduler round-trip only when the producing template
+	// task's observed body time is below InlineThresholdNs AND other work
+	// stays visible (so siblings are never starved), bounded by
+	// maxInlineDepth nested levels and inlineBudgetPerTask consumers per
+	// outer task.
 	InlineAuto bool
 	// InlineThresholdNs is the producer body-time ceiling for adaptive
 	// inlining (default 3000ns ≈ the paper's "very short task" regime).
 	InlineThresholdNs int64
-	// LFQBufCap sizes the LFQ per-worker bounded buffer (default 4,
-	// PaRSEC's local flat queue depth).
-	LFQBufCap int
 	// LockFreeHit enables the wait-free discovery-table fast path for the
 	// lookup-hit case: the steady-state satisfy-dep path validates a seqlock
 	// instead of taking the bucket spinlock.
@@ -119,14 +107,8 @@ func (c Config) Normalize() Config {
 	if c.SpinBeforePark <= 0 {
 		c.SpinBeforePark = 2048
 	}
-	if c.MaxInlineDepth <= 0 {
-		c.MaxInlineDepth = 8
-	}
 	if c.InlineThresholdNs <= 0 {
 		c.InlineThresholdNs = 3000
-	}
-	if c.LFQBufCap <= 0 {
-		c.LFQBufCap = 4
 	}
 	return c
 }

@@ -21,11 +21,10 @@ type rtMetrics struct {
 	poolCopyHit  *metrics.Counter // copy objects served from a free list
 	poolCopyMiss *metrics.Counter // copy objects heap-allocated
 
-	executed    *metrics.Counter // tasks run from the scheduler
-	inlined     *metrics.Counter // tasks run inline at the discovery site (static policy)
-	inlinedAuto *metrics.Counter // tasks run inline by the adaptive policy
-	discarded   *metrics.Counter // tasks dropped by the abort drain
-	panics      *metrics.Counter // isolated task-body panics
+	executed  *metrics.Counter // tasks run from the scheduler
+	inlined   *metrics.Counter // tasks run inline at the discovery site
+	discarded *metrics.Counter // tasks dropped by the abort drain
+	panics    *metrics.Counter // isolated task-body panics
 
 	loadFlush *metrics.Counter // ready-depth combining-buffer flushes
 
@@ -50,7 +49,6 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 		poolCopyMiss: reg.Counter("rt.pool.copy.miss"),
 		executed:     reg.Counter("rt.task.executed"),
 		inlined:      reg.Counter("rt.task.inlined"),
-		inlinedAuto:  reg.Counter("rt.task.inlined_adaptive"),
 		discarded:    reg.Counter("rt.task.discarded"),
 		panics:       reg.Counter("rt.task.panics"),
 		loadFlush:    reg.Counter("rt.load.flushes"),

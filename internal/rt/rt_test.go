@@ -273,8 +273,8 @@ func TestWorkerParkAndWake(t *testing.T) {
 }
 
 func TestInlineFromRuntimeLevel(t *testing.T) {
-	// TryInline is honored at the rt level and bounded by MaxInlineDepth.
-	cfg := Config{Workers: 1, InlineTasks: true, MaxInlineDepth: 3, UsePools: true}.Normalize()
+	// TryInline is honored at the rt level and bounded by maxInlineDepth.
+	cfg := Config{Workers: 1, InlineAuto: true, UsePools: true}.Normalize()
 	r := New(cfg)
 	var depth, maxDepth int
 	var exec ExecFn
@@ -289,7 +289,7 @@ func TestInlineFromRuntimeLevel(t *testing.T) {
 			nt := w.NewTask()
 			nt.Exec = exec
 			w.Discovered()
-			if !w.TryInline(nt) {
+			if !w.TryInline(nt, true) {
 				w.Schedule(nt)
 			}
 		}
@@ -306,9 +306,10 @@ func TestInlineFromRuntimeLevel(t *testing.T) {
 	if n != 100 {
 		t.Fatalf("executed %d", n)
 	}
-	// Depth 1 for the scheduled task + up to MaxInlineDepth nested.
-	if maxDepth > cfg.MaxInlineDepth+1 {
-		t.Fatalf("inline depth reached %d, cap %d", maxDepth, cfg.MaxInlineDepth)
+	// Depth 1 for the scheduled task + up to maxInlineDepth nested; a solo
+	// chain on one worker reaches the bound exactly.
+	if maxDepth != maxInlineDepth+1 {
+		t.Fatalf("inline depth reached %d, want %d", maxDepth, maxInlineDepth+1)
 	}
 	if r.Workers()[0].Stats.Inlined.Load() == 0 {
 		t.Fatal("nothing inlined")
@@ -316,10 +317,10 @@ func TestInlineFromRuntimeLevel(t *testing.T) {
 }
 
 func TestServiceWorkerNeverInlines(t *testing.T) {
-	cfg := Config{Workers: 1, InlineTasks: true}.Normalize()
+	cfg := Config{Workers: 1, InlineAuto: true}.Normalize()
 	r := New(cfg)
 	sw := r.ServiceWorker(0)
-	if sw.TryInline(&Task{Exec: func(*Worker, *Task) { t.Error("service worker executed a task") }}) {
+	if sw.TryInline(&Task{Exec: func(*Worker, *Task) { t.Error("service worker executed a task") }}, true) {
 		t.Fatal("service worker inlined")
 	}
 }

@@ -32,41 +32,15 @@ type scheduler interface {
 	Name() string
 }
 
-// stealOrder yields the victim scan order for worker wid: a rotated scan of
-// its own steal domain first, then the remaining workers — the paper's
-// "same domain of the cache and NUMA hierarchy" preference. With domains
-// disabled it is a plain rotated scan.
+// stealOrder yields the victim scan order for worker w: every other worker
+// once, rotated from a pseudo-random start so thieves spread over victims.
 func stealOrder(w *Worker, n int, buf []int) []int {
 	buf = buf[:0]
-	wid := w.ID
 	start := int(w.nextVictim() % uint64(n))
-	dom := w.rt.cfg.StealDomainSize
-	if dom <= 1 || dom >= n {
-		for i := 0; i < n; i++ {
-			if v := (start + i) % n; v != wid {
-				buf = append(buf, v)
-			}
-		}
-		return buf
-	}
-	lo := wid / dom * dom
-	hi := lo + dom
-	if hi > n {
-		hi = n
-	}
-	// Own domain first (rotated), then the rest (rotated).
-	size := hi - lo
-	for i := 0; i < size; i++ {
-		if v := lo + (wid-lo+1+i)%size; v != wid {
+	for i := 0; i < n; i++ {
+		if v := (start + i) % n; v != w.ID {
 			buf = append(buf, v)
 		}
-	}
-	for i := 0; i < n; i++ {
-		v := (start + i) % n
-		if v == wid || (v >= lo && v < hi) {
-			continue
-		}
-		buf = append(buf, v)
 	}
 	return buf
 }
@@ -74,7 +48,7 @@ func stealOrder(w *Worker, n int, buf []int) []int {
 func newScheduler(cfg Config, workers []*Worker) scheduler {
 	switch cfg.Sched {
 	case SchedLFQ:
-		return newLFQ(workers, cfg.LFQBufCap)
+		return newLFQ(workers, lfqBufCap)
 	case SchedLL:
 		return newLLP(workers, false)
 	default:

@@ -6,12 +6,12 @@ import (
 	"gottg/internal/xsync"
 )
 
-// lfqBufSize is the default per-worker bounded-buffer capacity of the LFQ
-// scheduler (Config.LFQBufCap overrides it). PaRSEC sizes these small (a
-// handful of slots); overflow goes to the shared FIFO, which is precisely
-// what makes LFQ collapse under task pressure (paper §V-C: "the vast
-// majority of tasks end up in the overflow FIFO").
-const lfqBufSize = 4
+// lfqBufCap is the per-worker bounded-buffer capacity of the LFQ scheduler:
+// PaRSEC's local flat queue depth. PaRSEC sizes these small (a handful of
+// slots); overflow goes to the shared FIFO, which is precisely what makes
+// LFQ collapse under task pressure (paper §V-C: "the vast majority of tasks
+// end up in the overflow FIFO").
+const lfqBufCap = 4
 
 // lfqBuf is a worker's bounded buffer: a small max-heap of task slots
 // ordered by Priority, protected by a spinlock (stealing requires
@@ -119,9 +119,6 @@ type lfq struct {
 }
 
 func newLFQ(workers []*Worker, bufCap int) *lfq {
-	if bufCap <= 0 {
-		bufCap = lfqBufSize
-	}
 	s := &lfq{bufs: make([]lfqBuf, len(workers)), ws: workers, cap: bufCap}
 	for i := range s.bufs {
 		s.bufs[i].slots = make([]*Task, 0, bufCap)

@@ -8,12 +8,13 @@ import (
 // The LFQ bounded buffer used to pay an O(capacity) linear scan on every
 // pop (find-max) and every full-buffer insert (find-min); the max-heap
 // makes those O(log cap) and leaves only eviction scanning, and then only
-// the heap's leaves. These benchmarks pin the claim at the two capacities
-// the scan cost shows up at: the PaRSEC-default 8 and a deep 64.
+// the heap's leaves. These benchmarks pin the claim at two capacities the
+// scan cost shows up at, built with newLFQ directly: a shallow 8 (twice
+// lfqBufCap) and a deep 64.
 
 func benchmarkLFQBuf(b *testing.B, cap int, evict bool) {
-	r := New(Config{Workers: 1, Sched: SchedLFQ, LFQBufCap: cap}.Normalize())
-	s := r.sched.(*lfq)
+	r := New(Config{Workers: 1}.Normalize())
+	s := newLFQ(r.Workers(), cap)
 	rng := rand.New(rand.NewSource(1))
 	n := cap
 	if evict {

@@ -243,7 +243,7 @@ func TestLFQEvictionKeepsHighPriority(t *testing.T) {
 	s := r.sched.(*lfq)
 	// Fill the bounded buffer with low priorities, then push a high one:
 	// the high priority must stay local; a low one goes to the global FIFO.
-	for i := 0; i < lfqBufSize; i++ {
+	for i := 0; i < lfqBufCap; i++ {
 		s.Push(0, &Task{Priority: 1})
 	}
 	s.Push(0, &Task{Priority: 99})
@@ -251,13 +251,13 @@ func TestLFQEvictionKeepsHighPriority(t *testing.T) {
 	if got == nil || got.Priority != 99 {
 		t.Fatalf("expected high-priority task from local buffer, got %v", got)
 	}
-	// Drain: lfqBufSize tasks remain (buffer + overflow FIFO).
+	// Drain: lfqBufCap tasks remain (buffer + overflow FIFO).
 	n := 0
 	for s.Pop(0) != nil {
 		n++
 	}
-	if n != lfqBufSize {
-		t.Fatalf("drained %d tasks, want %d", n, lfqBufSize)
+	if n != lfqBufCap {
+		t.Fatalf("drained %d tasks, want %d", n, lfqBufCap)
 	}
 	if s.Name() != "LFQ" {
 		t.Fatal("Name")
@@ -281,15 +281,15 @@ func TestLFQPushChain(t *testing.T) {
 func TestLFQStealFromBufferAndGlobal(t *testing.T) {
 	r := New(Config{Workers: 2, Sched: SchedLFQ}.Normalize())
 	s := r.sched.(*lfq)
-	for i := 0; i < lfqBufSize+2; i++ { // overflow 2 into the global FIFO
+	for i := 0; i < lfqBufCap+2; i++ { // overflow 2 into the global FIFO
 		s.Push(0, &Task{Priority: int32(i)})
 	}
 	seen := 0
 	for s.Steal(1) != nil {
 		seen++
 	}
-	if seen != lfqBufSize+2 {
-		t.Fatalf("thief recovered %d tasks, want %d", seen, lfqBufSize+2)
+	if seen != lfqBufCap+2 {
+		t.Fatalf("thief recovered %d tasks, want %d", seen, lfqBufCap+2)
 	}
 }
 
@@ -440,39 +440,8 @@ func TestScheduleChainFromWorkerAndService(t *testing.T) {
 	}
 }
 
-func TestStealOrderDomains(t *testing.T) {
-	r := New(Config{Workers: 8, StealDomainSize: 4}.Normalize())
-	w5 := r.Workers()[5] // domain {4,5,6,7}
-	order := stealOrder(w5, 8, nil)
-	if len(order) != 7 {
-		t.Fatalf("order has %d victims, want 7", len(order))
-	}
-	// First three victims must be the rest of w5's domain.
-	domain := map[int]bool{4: true, 6: true, 7: true}
-	for i := 0; i < 3; i++ {
-		if !domain[order[i]] {
-			t.Fatalf("victim %d of domain scan is %d (order %v)", i, order[i], order)
-		}
-		delete(domain, order[i])
-	}
-	// The rest must be the foreign domain, each exactly once, never self.
-	seen := map[int]bool{}
-	for _, v := range order[3:] {
-		if v == 5 || v >= 4 && v < 8 {
-			t.Fatalf("foreign scan visited local worker %d (order %v)", v, order)
-		}
-		if seen[v] {
-			t.Fatalf("victim %d visited twice", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("foreign scan covered %d of 4 workers", len(seen))
-	}
-}
-
 func TestStealOrderFlat(t *testing.T) {
-	r := New(Config{Workers: 5}.Normalize()) // no domains
+	r := New(Config{Workers: 5}.Normalize())
 	w := r.Workers()[2]
 	order := stealOrder(w, 5, nil)
 	if len(order) != 4 {
@@ -484,21 +453,5 @@ func TestStealOrderFlat(t *testing.T) {
 			t.Fatalf("bad flat order %v", order)
 		}
 		seen[v] = true
-	}
-}
-
-func TestStealAcrossDomainsStillWorks(t *testing.T) {
-	// Work pushed only in domain 0 must still be stolen by domain-1 workers.
-	r := New(Config{Workers: 4, Sched: SchedLLP, StealDomainSize: 2}.Normalize())
-	s := r.sched
-	for i := 0; i < 10; i++ {
-		s.Push(0, &Task{Priority: int32(i)})
-	}
-	got := 0
-	for s.Steal(3) != nil || s.Pop(3) != nil {
-		got++
-	}
-	if got != 10 {
-		t.Fatalf("domain-1 worker recovered %d of 10 tasks", got)
 	}
 }

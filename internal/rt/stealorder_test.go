@@ -2,75 +2,32 @@ package rt
 
 import "testing"
 
-// TestStealOrderPermutation: for any worker count, domain size (including
-// sizes that do not divide the worker count and sizes at least the worker
-// count, which fall back to flat scanning), and RNG state, stealOrder must
-// yield every other worker exactly once — a permutation of {0..n-1} \ {wid}.
-// A victim scan that skips or repeats workers either starves queues or
-// double-polls them.
+// TestStealOrderPermutation: for any worker count and RNG state, stealOrder
+// must yield every other worker exactly once — a permutation of
+// {0..n-1} \ {wid}. A victim scan that skips or repeats workers either
+// starves queues or double-polls them.
 func TestStealOrderPermutation(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 7, 8, 12, 16} {
-		for _, dom := range []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 32} {
-			r := New(Config{Workers: n, StealDomainSize: dom})
-			for _, w := range r.Workers() {
-				for iter := 0; iter < 8; iter++ { // advance the RNG between scans
-					got := stealOrder(w, n, w.victimBuf())
-					if len(got) != n-1 {
-						t.Fatalf("n=%d dom=%d wid=%d: %d victims, want %d (%v)",
-							n, dom, w.ID, len(got), n-1, got)
-					}
-					seen := make([]bool, n)
-					for _, v := range got {
-						if v < 0 || v >= n {
-							t.Fatalf("n=%d dom=%d wid=%d: victim %d out of range", n, dom, w.ID, v)
-						}
-						if v == w.ID {
-							t.Fatalf("n=%d dom=%d wid=%d: scan includes self", n, dom, w.ID)
-						}
-						if seen[v] {
-							t.Fatalf("n=%d dom=%d wid=%d: victim %d repeated in %v", n, dom, w.ID, v, got)
-						}
-						seen[v] = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestStealOrderDomainFirst checks the NUMA-preference property: with
-// domains active (1 < dom < n), a worker's scan lists every member of its
-// own steal domain before any foreign worker — including in the ragged case
-// where dom does not divide n and the last domain is short.
-func TestStealOrderDomainFirst(t *testing.T) {
-	cases := []struct{ n, dom int }{
-		{8, 4},  // even split
-		{8, 2},  // many small domains
-		{7, 3},  // ragged: last domain is {6}
-		{5, 2},  // ragged: last domain is {4}
-		{16, 5}, // ragged: last domain is {15}
-	}
-	for _, tc := range cases {
-		r := New(Config{Workers: tc.n, StealDomainSize: tc.dom})
+		r := New(Config{Workers: n})
 		for _, w := range r.Workers() {
-			lo := w.ID / tc.dom * tc.dom
-			hi := lo + tc.dom
-			if hi > tc.n {
-				hi = tc.n
-			}
-			domSize := hi - lo - 1 // own domain minus self
-			for iter := 0; iter < 8; iter++ {
-				got := stealOrder(w, tc.n, w.victimBuf())
-				for i, v := range got {
-					inDom := v >= lo && v < hi
-					if i < domSize && !inDom {
-						t.Fatalf("n=%d dom=%d wid=%d: scan %v lists foreign worker %d before own domain [%d,%d) is exhausted",
-							tc.n, tc.dom, w.ID, got, v, lo, hi)
+			for iter := 0; iter < 8; iter++ { // advance the RNG between scans
+				got := stealOrder(w, n, w.victimBuf())
+				if len(got) != n-1 {
+					t.Fatalf("n=%d wid=%d: %d victims, want %d (%v)",
+						n, w.ID, len(got), n-1, got)
+				}
+				seen := make([]bool, n)
+				for _, v := range got {
+					if v < 0 || v >= n {
+						t.Fatalf("n=%d wid=%d: victim %d out of range", n, w.ID, v)
 					}
-					if i >= domSize && inDom {
-						t.Fatalf("n=%d dom=%d wid=%d: scan %v repeats own-domain worker %d in the foreign phase",
-							tc.n, tc.dom, w.ID, got, v)
+					if v == w.ID {
+						t.Fatalf("n=%d wid=%d: scan includes self", n, w.ID)
 					}
+					if seen[v] {
+						t.Fatalf("n=%d wid=%d: victim %d repeated in %v", n, w.ID, v, got)
+					}
+					seen[v] = true
 				}
 			}
 		}

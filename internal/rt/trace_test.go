@@ -54,7 +54,7 @@ func TestTracingRecordsEveryTask(t *testing.T) {
 }
 
 func TestTracingInlinedFlag(t *testing.T) {
-	cfg := Config{Workers: 1, InlineTasks: true, MaxInlineDepth: 4, UsePools: true}.Normalize()
+	cfg := Config{Workers: 1, InlineAuto: true, UsePools: true}.Normalize()
 	r := New(cfg)
 	r.EnableTracing()
 	var budget atomic.Int64
@@ -65,7 +65,7 @@ func TestTracingInlinedFlag(t *testing.T) {
 			nt := w.NewTask()
 			nt.Exec = exec
 			w.Discovered()
-			if !w.TryInline(nt) {
+			if !w.TryInline(nt, true) {
 				w.Schedule(nt)
 			}
 		}

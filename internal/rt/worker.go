@@ -467,26 +467,33 @@ func (w *Worker) execute(t *Task) {
 		return
 	}
 	w.inlineBudget = inlineBudgetPerTask
-	m := w.mx
-	sampled := m != nil && w.sampleTick()
-	if w.rt.trace != nil || sampled {
-		start := time.Now()
-		tt, key, span := t.TT, t.Key(), t.span // t is recycled inside Exec; capture first
-		w.invoke(t)
-		dur := time.Since(start)
-		if w.rt.trace != nil {
-			w.recordNamed(tt, key, start, dur, false, span)
-		}
-		if sampled {
-			m.taskNs.Observe(w.htSlot, uint64(dur.Nanoseconds()))
-		}
-	} else {
-		w.invoke(t)
-	}
-	if m != nil {
+	w.timedInvoke(t, false)
+	if m := w.mx; m != nil {
 		m.executed.Inc(w.htSlot)
 	}
 	w.Stats.Executed.Add(1)
+}
+
+// timedInvoke is invoke plus the per-execution bookkeeping shared by the
+// scheduled and the inlined path: a trace event when tracing is enabled and
+// a latency sample when metrics are enabled and this execution is sampled.
+func (w *Worker) timedInvoke(t *Task, inlined bool) {
+	m := w.mx
+	sampled := m != nil && w.sampleTick()
+	if w.rt.trace == nil && !sampled {
+		w.invoke(t)
+		return
+	}
+	start := time.Now()
+	tt, key, span := t.TT, t.Key(), t.span // t is recycled inside Exec; capture first
+	w.invoke(t)
+	dur := time.Since(start)
+	if w.rt.trace != nil {
+		w.recordNamed(tt, key, start, dur, inlined, span)
+	}
+	if sampled {
+		m.taskNs.Observe(w.htSlot, uint64(dur.Nanoseconds()))
+	}
 }
 
 // invoke runs one task's Exec with panic isolation: a panicking body is
@@ -545,62 +552,31 @@ func (w *Worker) FlushDeferred() {
 	w.ScheduleChain(SortChain(head), n)
 }
 
-// inlineInvoke runs a task at the discovery site with the same trace/sample
-// bookkeeping as execute (shared by the static and adaptive inline paths).
-func (w *Worker) inlineInvoke(t *Task) {
-	m := w.mx
-	sampled := m != nil && w.sampleTick()
-	if w.rt.trace != nil || sampled {
-		start := time.Now()
-		tt, key, span := t.TT, t.Key(), t.span
-		w.invoke(t)
-		dur := time.Since(start)
-		if w.rt.trace != nil {
-			w.recordNamed(tt, key, start, dur, true, span)
-		}
-		if sampled {
-			m.taskNs.Observe(w.htSlot, uint64(dur.Nanoseconds()))
-		}
-	} else {
-		w.invoke(t)
-	}
-	w.Stats.Inlined.Add(1)
-}
+// Inlining bounds: maxInlineDepth caps nested inline frames (the stack a
+// chain of inlined consumers may build), inlineBudgetPerTask how many
+// consumers one outer task may inline, so a hub task cannot monopolize its
+// worker.
+const (
+	maxInlineDepth      = 8
+	inlineBudgetPerTask = 32
+)
 
-// TryInline executes an eligible task immediately on this worker if task
-// inlining is enabled and the nesting budget allows, reporting whether it
-// ran. Service workers never inline (they must not execute task bodies).
-func (w *Worker) TryInline(t *Task) bool {
-	if !w.rt.cfg.InlineTasks || w.ID < 0 || w.inlineDepth >= w.rt.cfg.MaxInlineDepth {
-		return false
-	}
-	w.inlineDepth++
-	w.inlineInvoke(t)
-	if m := w.mx; m != nil {
-		m.inlined.Inc(w.htSlot)
-	}
-	w.inlineDepth--
-	return true
-}
-
-// inlineBudgetPerTask bounds how many consumers one outer task may inline
-// adaptively, so a hub task cannot monopolize its worker.
-const inlineBudgetPerTask = 32
-
-// TryInlineAuto is the adaptive-inline execution step: it runs t at the
-// discovery site only when other work remains visible without stealing —
-// this worker's local queue or the shared injector is non-empty, so
-// siblings keep a runnable successor and inlining cannot starve them —
-// within the nesting bound and the per-outer-task budget. solo marks t the
-// sole consumer a chain-link producer can dispatch (template out-degree 1),
-// which waives the occupancy gate: with nothing else visible, t would be
-// this worker's next pop anyway, so the round-trip is pure overhead. The
-// producer-cost gate (body time below Config.InlineThresholdNs) is the
-// caller's job — the graph layer holds the template-task observations.
-func (w *Worker) TryInlineAuto(t *Task, solo bool) bool {
+// TryInline is the inlining step (Config.InlineAuto): it runs t at the
+// discovery site, reporting whether it ran, only when other work remains
+// visible without stealing — this worker's local queue or the shared
+// injector is non-empty, so siblings keep a runnable successor and inlining
+// cannot starve them — within the nesting bound and the per-outer-task
+// budget. solo marks t the sole consumer a chain-link producer can dispatch
+// (template out-degree 1), which waives the occupancy gate: with nothing
+// else visible, t would be this worker's next pop anyway, so the round-trip
+// is pure overhead. The producer-cost gate (body time below
+// Config.InlineThresholdNs) is the caller's job — the graph layer holds the
+// template-task observations. Service workers never inline (they must not
+// execute task bodies).
+func (w *Worker) TryInline(t *Task, solo bool) bool {
 	r := w.rt
 	if !r.cfg.InlineAuto || w.ID < 0 ||
-		w.inlineDepth >= r.cfg.MaxInlineDepth || w.inlineBudget <= 0 {
+		w.inlineDepth >= maxInlineDepth || w.inlineBudget <= 0 {
 		return false
 	}
 	if !solo && !r.sched.LocalNonEmpty(w.ID) && r.inject.size.Load() == 0 {
@@ -608,11 +584,12 @@ func (w *Worker) TryInlineAuto(t *Task, solo bool) bool {
 	}
 	w.inlineBudget--
 	w.inlineDepth++
-	w.inlineInvoke(t)
-	if m := w.mx; m != nil {
-		m.inlinedAuto.Inc(w.htSlot)
-	}
+	w.timedInvoke(t, true)
 	w.inlineDepth--
+	if m := w.mx; m != nil {
+		m.inlined.Inc(w.htSlot)
+	}
+	w.Stats.Inlined.Add(1)
 	return true
 }
 

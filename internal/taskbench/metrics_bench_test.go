@@ -45,7 +45,7 @@ func metricsBenchRunner() TTGRunner {
 // retry-until-green loop, which converts a real regression into flakiness
 // instead of a deterministic failure.
 func TestMetricsOverheadBudget(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("timing gate")
 	}
 	spec, r := metricsBenchSpec(), metricsBenchRunner()

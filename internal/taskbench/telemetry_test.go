@@ -228,7 +228,7 @@ func TestTelemetryClusterHTTPOverTCP(t *testing.T) {
 // which still catches the real failure modes (sampling in the task hot
 // path, per-frame allocation storms).
 func TestTelemetryOverheadBudget(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("timing gate")
 	}
 	spec := Spec{Pattern: Stencil1D, Width: 16, Steps: 150, Flops: 1000}
