@@ -118,7 +118,8 @@ func figBench(c *ctx) {
 
 	// Loopback-TCP wire-path row: the same stencil over real sockets, one
 	// World per rank inside this process, so the in-process and TCP rows are
-	// directly comparable (the delta is serialization + kernel round trips).
+	// directly comparable (both encode every frame; the delta is the kernel
+	// round trips).
 	tcpRes, tcpRep := mustRunDist(fmt.Sprintf("bench: TTG dist tcp @%d ranks", ranks), spec, want,
 		taskbench.DistOptions{Ranks: ranks, Workers: wpr, TCP: true})
 	tcpRec := bench.NewRecord("ttg-bench", "TTG dist tcp", wpr, int64(tcpRes.Tasks), tcpRes.Elapsed)

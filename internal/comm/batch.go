@@ -32,22 +32,16 @@ import (
 // buffer merely keeps the wave unbalanced until a flush rule fires.
 //
 // Frame buffers come from a per-sender slab pool and are recycled once the
-// frame is provably done: on the perfect wire the receiver returns the slab
-// after dispatching it; on the reliable wire the sender reclaims it when the
-// frame's ack arrives (the receiver acks only after dispatch, and duplicate
-// or delayed copies are dropped by sequence number without reading the
-// payload). Steady state is therefore allocation-free.
+// frame is provably done: the sender reclaims a slab when the frame's ack
+// arrives (the receiver acks only after dispatch, and the wire carried an
+// encoded copy, so duplicate or delayed copies never touch the slab). Steady
+// state therefore allocates one wire frame per flush, not per activation.
 const (
 	batchHeaderLen   = 12 // [4B count][8B frame id]
 	batchEntryHdrLen = 4
 
 	// DefaultBatchBytes is the default flush-on-size threshold.
 	DefaultBatchBytes = 8 << 10
-
-	// batchTick bounds the latency of progress-goroutine-origin appends
-	// (and of trickle traffic generally) when the reliable-layer ticker is
-	// not running.
-	batchTick = 500 * time.Microsecond
 
 	// slabPoolCap bounds the per-rank free list of recycled frame buffers.
 	slabPoolCap = 16
@@ -89,16 +83,14 @@ func (p *Proc) RegisterBatched(tag int, h Handler) {
 	}
 }
 
-// SetBatchLimit adjusts every rank's flush-on-size threshold (bytes). Must
-// be called before any Proc is started.
+// SetBatchLimit adjusts the flush-on-size threshold (bytes) of every local
+// rank. Must be called before any Proc is started.
 func (w *World) SetBatchLimit(n int) {
 	w.beforeStart("SetBatchLimit")
 	if n < batchHeaderLen+batchEntryHdrLen {
 		panic("comm: batch limit too small")
 	}
-	for _, p := range w.procs {
-		p.batchLimit = n
-	}
+	w.batchLimit = n
 }
 
 // BatchBegin opens one entry in dst's batch buffer and returns the buffer
@@ -126,7 +118,7 @@ func (p *Proc) BatchEnd(dst int, buf []byte) {
 	b.buf = buf
 	b.count.Add(1)
 	p.det.MsgSentTo(dst)
-	if len(buf) >= p.batchLimit {
+	if len(buf) >= p.world.batchLimit {
 		p.flushLocked(dst, b, FlushSize)
 	}
 	b.mu.Unlock()
@@ -262,16 +254,6 @@ func (p *Proc) dispatchBatch(m message) {
 	if traced {
 		p.recordRecv(m.src, m.tag, len(pl), fid, start, time.Since(start))
 	}
-	// Perfect wire: this was the frame's only delivery and the handler is
-	// done with it — recycle the slab into the sender's pool. (Reliable
-	// wire: the sender recycles on ack instead; duplicates may still be in
-	// flight here. Network worlds are always reliable, and the "slab" there
-	// is the transport's decode buffer, not a pool slab.)
-	if m.slab && !p.world.reliable {
-		if sp := p.world.procs[m.src]; sp != nil {
-			sp.slabPut(pl)
-		}
-	}
 }
 
 // slabGet pops a recycled frame buffer (or allocates one) sized for the
@@ -285,7 +267,7 @@ func (p *Proc) slabGet() []byte {
 		return s[:batchHeaderLen]
 	}
 	p.slabMu.Unlock()
-	return make([]byte, batchHeaderLen, p.batchLimit+512)
+	return make([]byte, batchHeaderLen, p.world.batchLimit+512)
 }
 
 // DispatchFrameID returns the id of the coalesced frame currently being

@@ -70,47 +70,60 @@ func TestBatchRoundTripInOrder(t *testing.T) {
 // duplicating wire and checks every activation is delivered exactly once and
 // in order: frames ride the reliable link (seq dedup + retransmit), and the
 // per-activation accounting inside them must not double- or under-deliver.
+// The net row sets the (tiny) batch limit on worlds that materialize one
+// rank each.
 func TestBatchExactlyOnceUnderFaults(t *testing.T) {
 	const entries = 400
-	h := newHarness(2)
-	h.world.SetFaultPlan(FaultPlan{Seed: 99, Drop: 0.2, Dup: 0.2})
-	h.world.SetRetransmitTimeout(300 * time.Microsecond)
-	h.world.SetBatchLimit(64) // force many small frames
-	var mu sync.Mutex
-	counts := make([]int, entries)
-	var lastSeen int64 = -1
-	var orderOK atomic.Bool
-	orderOK.Store(true)
-	for i := 0; i < 2; i++ {
-		p := h.world.Proc(i)
-		p.RegisterBatched(0, func(src int, payload []byte) {
-			v := binary.LittleEndian.Uint32(payload)
-			mu.Lock()
-			counts[v]++
-			if int64(v) <= lastSeen {
-				orderOK.Store(false)
+	for _, tc := range []struct {
+		name string
+		h    func(t *testing.T) *netHarness
+	}{
+		{"world", func(*testing.T) *netHarness { w := NewWorld(2); return harnessOf([]*World{w, w}) }},
+		{"net", func(t *testing.T) *netHarness { return memHarness(t, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.h(t)
+			for _, w := range h.worlds {
+				w.SetFaultPlan(FaultPlan{Seed: 99, Drop: 0.2, Dup: 0.2})
+				w.SetRetransmitTimeout(300 * time.Microsecond)
+				w.SetBatchLimit(64) // force many small frames
 			}
-			lastSeen = int64(v)
-			mu.Unlock()
-		})
-	}
-	h.dets[0].Discovered(termdet.ExternalSlot)
-	h.start()
-	p0 := h.world.Proc(0)
-	for i := 0; i < entries; i++ {
-		appendEntry(p0, 1, uint32(i))
-	}
-	p0.FlushBatches(FlushIdle)
-	h.dets[0].Completed(termdet.ExternalSlot)
-	h.waitAll(t)
+			var mu sync.Mutex
+			counts := make([]int, entries)
+			var lastSeen int64 = -1
+			var orderOK atomic.Bool
+			orderOK.Store(true)
+			for i := 0; i < 2; i++ {
+				h.proc(i).RegisterBatched(0, func(src int, payload []byte) {
+					v := binary.LittleEndian.Uint32(payload)
+					mu.Lock()
+					counts[v]++
+					if int64(v) <= lastSeen {
+						orderOK.Store(false)
+					}
+					lastSeen = int64(v)
+					mu.Unlock()
+				})
+			}
+			h.dets[0].Discovered(termdet.ExternalSlot)
+			h.start()
+			p0 := h.proc(0)
+			for i := 0; i < entries; i++ {
+				appendEntry(p0, 1, uint32(i))
+			}
+			p0.FlushBatches(FlushIdle)
+			h.dets[0].Completed(termdet.ExternalSlot)
+			h.waitAll(t)
 
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("activation %d delivered %d times, want exactly once", i, c)
-		}
-	}
-	if !orderOK.Load() {
-		t.Fatal("activations delivered out of send order")
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("activation %d delivered %d times, want exactly once", i, c)
+				}
+			}
+			if !orderOK.Load() {
+				t.Fatal("activations delivered out of send order")
+			}
+		})
 	}
 }
 

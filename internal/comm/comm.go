@@ -1,27 +1,24 @@
 // Package comm provides the inter-process communication substrate that TTG
-// uses for distributed-memory execution, simulated in-process: a World of N
-// ranks, each with an unbounded mailbox, an active-message dispatch loop
-// (PaRSEC's communication thread), and the 4-counter-wave termination
-// protocol of paper §III-A driven by rank 0.
+// uses for distributed-memory execution: a World of N ranks, each with an
+// unbounded mailbox, an active-message dispatch loop (PaRSEC's communication
+// thread), and the 4-counter-wave termination protocol of paper §III-A driven
+// by rank 0.
 //
-// Payloads cross rank boundaries as []byte only, forcing the same
-// serialize/deserialize discipline a real network transport would; no Go
-// pointers are shared between ranks through this package.
+// Payloads cross rank boundaries as []byte only; no Go pointers are shared
+// between ranks through this package.
 //
 // This is the documented substitution for MPI (see DESIGN.md): the protocol —
 // activation messages, sent/received accounting, quiescence probes, stability
-// detection over two consecutive reductions — is the paper's; only the wire
-// is a channel instead of a NIC.
+// detection over two consecutive reductions — is the paper's. There is one
+// wire: every cross-rank message is encoded as a frame and handed to a
+// Transport, in memory for the ranks of NewWorld and over TCP (or anything
+// else) for NewNetWorld. Transports are best-effort, so every World runs a
+// sequence-number + cumulative-ack + retransmit link layer under every
+// cross-rank message — application and wave control alike — and a seeded
+// FaultPlan can drop, duplicate, delay or reorder frames on any of them.
 //
-// For fault-tolerance testing the wire can be made lossy with a seeded
-// FaultPlan (drop/duplicate/delay/reorder per link, see fault.go). Installing
-// one engages a sequence-number + cumulative-ack + retransmit link layer for
-// every cross-rank message — application and wave control alike — so the
-// termination protocol survives the injected faults. Without a fault plan the
-// wire is perfect and the link layer is bypassed entirely (zero overhead).
-//
-// The package is layered by file: the wire (fault.go in-process, transport.go
-// over a network Transport) under the reliable link (link.go) under batching
+// The package is layered by file: the wire (transport.go, with the FaultPlan
+// decorator in fault.go) under the reliable link (link.go) under batching
 // (batch.go) and the demux in this file. Every reserved control tag is one
 // entry of the protocol table (protocol.go); its handler lives with the
 // protocol that owns it — the termination wave (wave.go), failure detection
@@ -50,7 +47,7 @@ type message struct {
 	a, b    int64 // control fields for wave messages
 	ep      int64 // membership epoch / wave round stamp (epoch<<32 | round)
 	seq     int64 // link-layer sequence number; 0 = unsequenced (direct)
-	slab    bool  // payload is a pooled batch frame; recycle when provably done
+	slab    bool  // payload is a pooled batch frame; the sender recycles it on ack
 }
 
 // mailbox is an unbounded MPSC queue with a wakeup channel usable in select.
@@ -82,29 +79,30 @@ func (m *mailbox) drain(buf []message) []message {
 	return buf
 }
 
-// World is a set of simulated ranks sharing a termination wave.
+// World is the set of ranks sharing a termination wave, as seen from this
+// process: procs is indexed by rank, and only the local ranks are
+// materialized (all of them for NewWorld, one for NewNetWorld).
 type World struct {
 	procs []*Proc
+	local []*Proc // the materialized ranks, in rank order
 
-	// Fault-injection and reliability state (see fault.go). reliable flips
-	// when a fault plan or drop filter is installed; it must happen before
-	// any rank starts. started is atomic because ranks start concurrently.
-	reliable bool
-	started  atomic.Bool
-	fp       *FaultPlan
-	dropF    func(src, dst, tag int) bool
-	rngMu    sync.Mutex
-	rngState uint64
-	rto      time.Duration
-
+	// World-wide options, fixed before any rank starts (started is atomic
+	// because ranks start concurrently): the link layer's retransmission
+	// timeout and stall watchdog (link.go), and the batch flush threshold
+	// (batch.go).
+	started    atomic.Bool
+	rto        time.Duration
 	stallAfter time.Duration
 	onStall    func(rank int, summary string)
+	batchLimit int
 
 	// Fail-stop failure detection state (see failure.go). fd is set by
 	// EnableFailureDetection before Start; deadWire[r] flips when rank r is
-	// killed and makes the wire drop every message to or from it, modelling a
-	// crashed node whose NIC goes silent. deaths and waveRestarts feed the
-	// comm.rank_deaths / termdet.wave_restarts metrics.
+	// fenced and makes the wire drop every message to or from it, modelling a
+	// crashed node whose NIC goes silent; inbound frames read it from the
+	// moment the transport starts, so it exists from construction. deaths
+	// and waveRestarts feed the comm.rank_deaths / termdet.wave_restarts
+	// metrics.
 	fd           *FDConfig
 	deadWire     []atomic.Bool
 	deaths       atomic.Int64
@@ -122,12 +120,7 @@ type World struct {
 	// mailboxes of stopped ranks.
 	closed atomic.Bool
 
-	// Network-transport state (see transport.go). net is non-nil for worlds
-	// built with NewNetWorld: only procs[self] is materialized locally and
-	// every cross-rank transmission is encoded onto the transport. peerHook
-	// observes transport connection lifecycle events.
-	net      Transport
-	self     int
+	// peerHook observes transport connection lifecycle events.
 	peerHook atomic.Pointer[func(PeerEvent)]
 
 	// drainWait is non-nil while a Drain call waits; linkDrained closes it
@@ -135,42 +128,45 @@ type World struct {
 	drainMu   sync.Mutex
 	drainWait chan struct{}
 
-	// timers tracks the delayed-delivery timers armed by Delay/Reorder
-	// faults so Shutdown can stop any still pending; without this they
-	// outlive the world and fire into dead mailboxes.
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{}
-
 	mx    *commMetrics
 	trace atomic.Bool
 }
 
-// NewWorld creates a world with n ranks. Each rank must have Start called
-// exactly once before messages flow.
+// NewWorld creates a world with n local ranks over one in-memory network
+// (NewMemNetwork). Each rank must have Start called exactly once before
+// messages flow.
 func NewWorld(n int) *World {
 	if n < 1 {
 		panic("comm: world size must be >= 1")
 	}
-	w := &World{procs: make([]*Proc, n), rto: 2 * time.Millisecond}
-	for i := range w.procs {
-		w.procs[i] = newProc(w, i)
+	w := newWorld(n)
+	for _, tr := range NewMemNetwork(n) {
+		w.attach(tr) // a memory endpoint starts without error
 	}
 	return w
 }
 
-// newProc builds one rank endpoint (not yet started).
-func newProc(w *World, rank int) *Proc {
-	return &Proc{
-		rank:       rank,
-		world:      w,
-		mbox:       newMailbox(),
-		handlers:   map[int]Handler{},
-		qNotify:    make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		stopped:    make(chan struct{}),
-		batchTag:   -1,
-		batchLimit: DefaultBatchBytes,
+// newWorld returns an n-rank world with no rank materialized yet.
+func newWorld(n int) *World {
+	return &World{procs: make([]*Proc, n), deadWire: make([]atomic.Bool, n),
+		rto: 2 * time.Millisecond, batchLimit: DefaultBatchBytes}
+}
+
+// newProc builds the endpoint of the rank tr is bound to (not yet started).
+func newProc(w *World, tr Transport) *Proc {
+	p := &Proc{
+		rank:     tr.Self(),
+		world:    w,
+		tr:       tr,
+		mbox:     newMailbox(),
+		handlers: map[int]Handler{},
+		qNotify:  make(chan struct{}, 1),
+		quit:     make(chan struct{}),
+		stopped:  make(chan struct{}),
+		batchTag: -1,
 	}
+	p.initLinks(len(w.procs))
+	return p
 }
 
 // Size returns the number of ranks.
@@ -186,12 +182,12 @@ func (w *World) beforeStart(op string) {
 	}
 }
 
-// Shutdown stops all progress goroutines, closes the wire, and cancels any
-// delayed-fault delivery timers still pending. Safe after termination; with
-// the reliable link layer active this is what releases the lingering
-// progress goroutines that keep re-acking duplicates after termination.
-// Idempotent, and safe even when some ranks were never started (their
-// progress goroutine does not exist, so there is nothing to join).
+// Shutdown stops all local progress goroutines and closes the wire and the
+// local transports (which cancels any delayed-fault frames still pending).
+// Safe after termination; this is what releases the progress goroutines that
+// linger after termination, re-acking duplicates. Idempotent, and safe even
+// when some ranks were never started (their progress goroutine does not
+// exist, so there is nothing to join).
 func (w *World) Shutdown() {
 	// Close the wire FIRST (atomically snapshotting whether we are the call
 	// that closed it), then drain the batch buffers. The old order — check
@@ -204,37 +200,27 @@ func (w *World) Shutdown() {
 	// buffers are empty anyway; this is hygiene for aborted or
 	// harness-driven runs.
 	if !w.closed.Swap(true) {
-		for _, p := range w.procs {
-			if p != nil {
-				p.FlushBatches(FlushShutdown)
-			}
+		for _, p := range w.local {
+			p.FlushBatches(FlushShutdown)
 		}
 	}
-	w.timerMu.Lock()
-	for t := range w.timers {
-		t.Stop()
-	}
-	w.timers = nil
-	w.timerMu.Unlock()
-	for _, p := range w.procs {
-		if p == nil {
-			continue // network world: remote ranks live in other processes
-		}
+	for _, p := range w.local {
 		p.stopOnce.Do(func() { close(p.quit) })
 		if p.launched.Load() {
 			<-p.stopped
 		}
 	}
-	if w.net != nil {
-		w.net.Close()
+	for _, p := range w.local {
+		p.tr.Close()
 	}
 }
 
-// Proc is one simulated rank: mailbox, handlers, detector, and the state of
-// each protocol layer, every one owned by its file.
+// Proc is one rank: its transport endpoint, mailbox, handlers, detector, and
+// the state of each protocol layer, every one owned by its file.
 type Proc struct {
 	rank     int
 	world    *World
+	tr       Transport // this rank's endpoint, behind the fault decorator when one is installed
 	mbox     *mailbox
 	handlers map[int]Handler
 	det      *termdet.Detector
@@ -277,7 +263,6 @@ type Proc struct {
 	// batched handlers via DispatchFrameID for causal tracing.
 	batch      []batchBuf
 	batchTag   int
-	batchLimit int
 	slabMu     sync.Mutex
 	slabs      [][]byte
 	frameSeq   atomic.Uint64
@@ -327,9 +312,6 @@ func (p *Proc) Start(det *termdet.Detector, onTerminate func()) {
 	p.onTerminate = onTerminate
 	p.world.started.Store(true)
 	n := len(p.world.procs)
-	if p.world.reliable && p.sendLinks == nil {
-		p.initLinks(n)
-	}
 	if p.world.fd != nil {
 		det.EnablePeerCounts(n)
 		p.mem.init(n)
@@ -367,17 +349,12 @@ func (p *Proc) Send(dst, tag int, payload []byte) {
 func (p *Proc) progress() {
 	defer close(p.stopped)
 	var buf []message
-	var tickC <-chan time.Time
-	if p.world.reliable || p.batch != nil {
-		period := p.world.rto / 2
-		if !p.world.reliable {
-			period = batchTick
-		}
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		tickC = tick.C
-	}
+	tick := time.NewTicker(p.world.rto / 2)
+	defer tick.Stop()
 	p.lastActivity = time.Now()
+	// The goroutine lingers after termination: it must keep re-acking
+	// duplicates and retransmitting until World.Shutdown, or a peer whose ack
+	// was lost would wait forever.
 	for {
 		select {
 		case <-p.quit:
@@ -386,11 +363,9 @@ func (p *Proc) progress() {
 			if !p.terminated {
 				p.handleQuiescent()
 			}
-		case <-tickC:
-			if p.world.reliable {
-				p.retransmit()
-				p.checkStall()
-			}
+		case <-tick.C:
+			p.retransmit()
+			p.checkStall()
 			if p.world.fd != nil {
 				p.fdTick(time.Now())
 			}
@@ -408,13 +383,6 @@ func (p *Proc) progress() {
 			for _, m := range buf {
 				p.receive(m)
 			}
-			if p.terminated && !p.world.reliable {
-				return
-			}
-			// With the reliable link layer the progress goroutine lingers
-			// after termination: it must keep re-acking duplicates and
-			// retransmitting until World.Shutdown, or a peer whose ack was
-			// lost would wait forever.
 		}
 	}
 }

@@ -154,51 +154,78 @@ func TestDrainTimesOutWhenPartitioned(t *testing.T) {
 	noLeak()
 }
 
-// TestNetShutdownLeavesNoGoroutines: two network ranks over loopback TCP with
-// failure detection on exchange traffic both ways and run the termination
-// wave to the end; after Drain and Shutdown every goroutine they started —
-// progress loops, socket readers, writers and dialers, timers — is gone.
+// TestNetShutdownLeavesNoGoroutines: ranks with failure detection on
+// exchange traffic both ways and run the termination wave to the end; after
+// Drain and Shutdown every goroutine they started — progress loops, socket
+// readers, writers and dialers, fault timers — is gone. The rows are two
+// network worlds over loopback TCP, and one NewWorld(3) whose fault plan
+// delays every frame, so Shutdown finds delays still pending.
 func TestNetShutdownLeavesNoGoroutines(t *testing.T) {
-	noLeak := expectNoNewGoroutines(t)
-	ws := tcpNetWorlds(t, nil)
-	var got atomic.Int64
-	var dets [2]*termdet.Detector
-	var done [2]chan struct{}
-	for i, w := range ws {
-		w.EnableFailureDetection(comm.FDConfig{Heartbeat: time.Millisecond, SuspectAfter: 10 * time.Second})
-		w.Proc(i).Register(drainTag, func(int, []byte) { got.Add(1) })
-		dets[i], done[i] = termdet.New(1, false), make(chan struct{})
-		dets[i].Discovered(termdet.ExternalSlot) // the test's sends are pending work
+	for _, tc := range []struct {
+		name   string
+		worlds func(t *testing.T) []*comm.World // the distinct worlds of the run
+	}{
+		{"tcp", func(t *testing.T) []*comm.World { ws := tcpNetWorlds(t, nil); return ws[:] }},
+		{"memory+delays", func(*testing.T) []*comm.World {
+			w := comm.NewWorld(3)
+			w.SetFaultPlan(comm.FaultPlan{Seed: 3, Delay: 1, MaxDelay: 20 * time.Millisecond})
+			return []*comm.World{w}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			noLeak := expectNoNewGoroutines(t)
+			ws := tc.worlds(t)
+			var procs []*comm.Proc
+			for _, w := range ws {
+				w.EnableFailureDetection(comm.FDConfig{Heartbeat: time.Millisecond, SuspectAfter: 10 * time.Second})
+				for r := 0; r < w.Size(); r++ {
+					if p := w.Proc(r); p != nil {
+						procs = append(procs, p)
+					}
+				}
+			}
+			n := len(procs)
+			var got atomic.Int64
+			dets := make([]*termdet.Detector, n)
+			done := make([]chan struct{}, n)
+			for i, p := range procs {
+				p.Register(drainTag, func(int, []byte) { got.Add(1) })
+				dets[i], done[i] = termdet.New(1, false), make(chan struct{})
+				dets[i].Discovered(termdet.ExternalSlot) // the test's sends are pending work
+			}
+			for i, p := range procs {
+				d := done[i]
+				p.Start(dets[i], func() { close(d) })
+				dets[i].EnterIdle(0)
+			}
+			const sends = 20
+			for j := 0; j < sends; j++ {
+				for i, p := range procs {
+					p.Send((i+1)%n, drainTag, []byte{byte(j)})
+				}
+			}
+			for i := range procs {
+				dets[i].Completed(termdet.ExternalSlot)
+			}
+			for i, d := range done {
+				select {
+				case <-d:
+				case <-time.After(20 * time.Second):
+					t.Fatalf("rank %d never saw termination: %s", i, procs[i].PendingSummary())
+				}
+			}
+			if got := got.Load(); got != int64(n*sends) {
+				t.Fatalf("delivered %d messages, want %d", got, n*sends)
+			}
+			for _, w := range ws {
+				if !w.Drain(10 * time.Second) {
+					t.Fatalf("a world did not drain")
+				}
+			}
+			for _, w := range ws {
+				w.Shutdown()
+			}
+			noLeak()
+		})
 	}
-	for i, w := range ws {
-		d := done[i]
-		w.Proc(i).Start(dets[i], func() { close(d) })
-		dets[i].EnterIdle(0)
-	}
-	const sends = 20
-	for j := 0; j < sends; j++ {
-		ws[0].Proc(0).Send(1, drainTag, []byte{byte(j)})
-		ws[1].Proc(1).Send(0, drainTag, []byte{byte(j)})
-	}
-	for i := range ws {
-		dets[i].Completed(termdet.ExternalSlot)
-	}
-	for i, d := range done {
-		select {
-		case <-d:
-		case <-time.After(20 * time.Second):
-			t.Fatalf("rank %d never saw termination: %s", i, ws[i].Proc(i).PendingSummary())
-		}
-	}
-	if n := got.Load(); n != 2*sends {
-		t.Fatalf("delivered %d messages, want %d", n, 2*sends)
-	}
-	for i, w := range ws {
-		if !w.Drain(10 * time.Second) {
-			t.Fatalf("rank %d did not drain: %s", i, w.Proc(i).PendingSummary())
-		}
-	}
-	ws[0].Shutdown()
-	ws[1].Shutdown()
-	noLeak()
 }

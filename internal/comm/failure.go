@@ -60,8 +60,7 @@ func (m *membership) init(n int) {
 }
 
 // EnableFailureDetection turns on fail-stop failure detection for the whole
-// world. It implies the reliable link layer (detection and recovery assume
-// in-order deduplicated delivery). Must be called before any rank starts.
+// world. Must be called before any rank starts.
 func (w *World) EnableFailureDetection(cfg FDConfig) {
 	w.beforeStart("EnableFailureDetection")
 	if cfg.Heartbeat <= 0 {
@@ -75,8 +74,6 @@ func (w *World) EnableFailureDetection(cfg FDConfig) {
 		panic("comm: failure detection supports at most 64 ranks")
 	}
 	w.fd = &cfg
-	w.reliable = true
-	w.deadWire = make([]atomic.Bool, len(w.procs))
 }
 
 // FailureDetectionEnabled reports whether EnableFailureDetection was called.
@@ -98,26 +95,45 @@ func (p *Proc) SetOnRankDead(f func(dead, epoch int)) { p.onRankDead = f }
 // on any goroutine. Must be called before Start.
 func (p *Proc) SetOnKilled(f func()) { p.onKilled = f }
 
-// KillRank fail-stops rank r: its wire goes silent in both directions and its
-// progress goroutine is torn down. The rank's onKilled hook (if any) runs
-// first so the local runtime can abort and drain. Survivors notice the
-// silence via heartbeat timeouts and confirm the death through the epoch
-// protocol. Safe from any goroutine; idempotent.
+// KillRank fail-stops local rank r: the fence a confirmed death puts up
+// (fence) silences its wire in both directions, its onKilled hook (if any)
+// runs so the local runtime can abort and drain, and its progress goroutine
+// is torn down. Survivors notice the silence via heartbeat timeouts and
+// confirm the death through the epoch protocol. A rank of another process is
+// fail-stopped by killing that process. Safe from any goroutine; idempotent.
 func (w *World) KillRank(r int) {
-	if w.fd == nil {
-		panic("comm: KillRank requires EnableFailureDetection")
+	p := w.procs[r]
+	if w.fd == nil || p == nil {
+		panic("comm: KillRank needs EnableFailureDetection and a local rank")
 	}
-	if w.net != nil {
-		panic("comm: KillRank is in-process only; fail-stop a network rank by killing its OS process")
-	}
-	if w.deadWire[r].Swap(true) {
+	if !w.fence(r) {
 		return // already dead
 	}
-	p := w.procs[r]
 	if f := p.onKilled; f != nil {
 		f()
 	}
 	p.stopOnce.Do(func() { close(p.quit) })
+}
+
+// fence silences the wire to and from rank r in this world — every
+// transmission and delivery touching it is dropped from now on — and tells
+// each local transport to stop pursuing it. It reports whether r was live.
+func (w *World) fence(r int) bool {
+	if w.deadWire[r].Swap(true) {
+		return false
+	}
+	for _, p := range w.local {
+		if pm, ok := p.tr.(PeerMarker); ok {
+			pm.MarkDead(r)
+		}
+	}
+	return true
+}
+
+// wireDead reports whether a transmission between src and dst touches a
+// fenced rank.
+func (w *World) wireDead(src, dst int) bool {
+	return w.deadWire[src].Load() || w.deadWire[dst].Load()
 }
 
 // Deaths returns how many rank deaths have been confirmed (comm.rank_deaths).
@@ -135,7 +151,7 @@ func (p *Proc) Epoch() int64 { return p.mem.epoch.Load() }
 // meaningful with failure detection on; progress-goroutine view, so callers
 // on other goroutines get an eventually consistent answer.
 func (p *Proc) DeadView(peer int) bool {
-	return p.world.deadWire != nil && p.world.deadWire[peer].Load()
+	return p.world.deadWire[peer].Load()
 }
 
 // deadMask packs this rank's dead view into a bitmask for gossip.
@@ -249,19 +265,16 @@ func (p *Proc) applyGossip(mask int64) {
 }
 
 // selfFence escalates this rank into the fail-stop path after learning that
-// the surviving membership has confirmed it dead: its wire goes silent
-// (network mode) and the kill hook runs so the local runtime aborts and
-// drains exactly as if the rank had been fail-stopped directly. Runs on the
-// progress goroutine; idempotent.
+// the surviving membership has confirmed it dead: its wire goes silent and
+// the kill hook runs so the local runtime aborts and drains exactly as if the
+// rank had been fail-stopped directly. Runs on the progress goroutine;
+// idempotent.
 func (p *Proc) selfFence() {
 	if p.mem.fenced {
 		return
 	}
 	p.mem.fenced = true
-	w := p.world
-	if w.net != nil {
-		w.deadWire[p.rank].Store(true)
-	}
+	p.world.fence(p.rank)
 	if f := p.onKilled; f != nil {
 		f()
 	}
@@ -278,15 +291,10 @@ func (p *Proc) applyRankDead(dead int) {
 	}
 	p.mem.dead[dead] = true
 	epoch := p.mem.epoch.Add(1)
-	if w := p.world; w.net != nil {
-		// Over a real network the confirmed death must also silence the local
-		// wire toward the corpse (retransmissions, heartbeats) and stop the
-		// transport's reconnect loop from pursuing its address.
-		w.deadWire[dead].Store(true)
-		if pm, ok := w.net.(PeerMarker); ok {
-			pm.MarkDead(dead)
-		}
-	}
+	// The confirmed death silences the local wire toward the corpse
+	// (retransmissions, heartbeats) and stops the transport's reconnect loop
+	// from pursuing its address.
+	p.world.fence(dead)
 	p.resetLink(dead)
 	p.restartWave()
 	// Clear thief-side steal state toward the corpse before the recovery

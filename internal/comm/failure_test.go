@@ -147,7 +147,6 @@ func TestPruneNoticesAdvertiseDispatchCounts(t *testing.T) {
 	// cumulative total.
 	h := newHarness(2)
 	h.world.SetRetransmitTimeout(2 * time.Millisecond)
-	h.world.SetDropFilter(func(int, int, int) bool { return false }) // engage the link layer
 	var advertised atomic.Int64
 	h.world.Proc(0).SetOnPrune(func(src int, n int64) {
 		if src != 1 {

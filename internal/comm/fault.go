@@ -1,11 +1,15 @@
 package comm
 
-import "time"
+import (
+	"encoding/binary"
+	"sync"
+	"time"
+)
 
-// FaultPlan describes randomized faults injected into every cross-rank
-// transmission (application payloads, wave control, and acks alike).
-// Probabilities are independent per transmission; retransmissions roll
-// again. Self-sends (src == dst) are never faulted.
+// FaultPlan describes randomized faults injected into every frame a rank
+// sends (application payloads, wave control, and acks alike). Probabilities
+// are independent per frame; retransmissions roll again. Self-sends never
+// reach the wire and are never faulted.
 type FaultPlan struct {
 	Seed     uint64        // RNG seed; 0 is replaced with 1
 	Drop     float64       // probability a transmission is lost
@@ -15,171 +19,170 @@ type FaultPlan struct {
 	MaxDelay time.Duration // bound for Delay faults (default 1ms)
 }
 
-// SetFaultPlan installs a fault plan on the wire and engages the reliable
-// link layer (sequence numbers, cumulative acks, retransmission) on every
-// rank. Must be called after NewWorld and before any Proc is started.
+// SetFaultPlan installs a fault plan on the transport of every local rank
+// (see faultWire), over memory and TCP alike. Must be called after NewWorld
+// or NewNetWorld and before any Proc is started.
 func (w *World) SetFaultPlan(fp FaultPlan) {
 	w.beforeStart("SetFaultPlan")
-	if w.net != nil {
-		panic("comm: SetFaultPlan applies to in-process worlds; inject socket faults in the transport instead")
-	}
 	if fp.Seed == 0 {
 		fp.Seed = 1
 	}
 	if fp.MaxDelay <= 0 {
 		fp.MaxDelay = time.Millisecond
 	}
-	w.fp = &fp
-	w.rngState = fp.Seed
-	w.reliable = true
+	for _, p := range w.local {
+		f := p.faults()
+		f.plan = fp
+		f.rng = fp.Seed + uint64(p.rank)*0x9e3779b97f4a7c15
+	}
 }
 
 // SetDropFilter installs a deterministic drop predicate consulted for every
-// transmission (including retransmissions and acks); returning true drops
-// that transmission. It engages the reliable link layer, making it the tool
-// for scripted-loss tests ("drop the first tagTerminate on link 0→1").
-// Composable with a FaultPlan. Must be called before any Proc is started.
+// frame a local rank sends (including retransmissions and acks); returning
+// true drops that frame. It is the tool for scripted-loss tests ("drop the
+// first tagTerminate on link 0→1"). Composable with a FaultPlan. Must be
+// called before any Proc is started.
 func (w *World) SetDropFilter(f func(src, dst, tag int) bool) {
 	w.beforeStart("SetDropFilter")
-	if w.net != nil {
-		panic("comm: SetDropFilter applies to in-process worlds; inject socket faults in the transport instead")
+	for _, p := range w.local {
+		p.faults().drop = f
 	}
-	w.dropF = f
-	w.reliable = true
 }
 
-// SetRetransmitTimeout adjusts the link layer's retransmission timeout
-// (default 2ms; the retransmit ticker runs at half of it). Must be called
-// before any Proc is started.
-func (w *World) SetRetransmitTimeout(d time.Duration) {
-	w.beforeStart("SetRetransmitTimeout")
-	if d <= 0 {
-		panic("comm: retransmit timeout must be positive")
+// faults returns the fault decorator over p's transport, wrapping the
+// transport in one on first use.
+func (p *Proc) faults() *faultWire {
+	f, ok := p.tr.(*faultWire)
+	if !ok {
+		f = &faultWire{Transport: p.tr, w: p.world}
+		p.tr = f
 	}
-	w.rto = d
+	return f
 }
 
-// SetStallHandler installs a watchdog: when a rank with the link layer
-// active sees no inbound traffic for `after` while still holding undelivered
-// or unacked messages, f fires once (per stall episode) with that rank's
-// PendingSummary — surfacing a diagnostic instead of hanging silently.
-// Must be called before any Proc is started.
-func (w *World) SetStallHandler(after time.Duration, f func(rank int, summary string)) {
-	w.beforeStart("SetStallHandler")
-	w.stallAfter = after
-	w.onStall = f
+// faultWire is the Transport decorator behind SetFaultPlan and
+// SetDropFilter. Every frame its rank sends first passes the drop filter,
+// then rolls the plan's drop, duplicate, reorder and delay faults from a
+// splitmix64 stream seeded by the plan and the rank, so a run's faults are a
+// function of the seed and each rank's send order. Source and tag are read
+// from the frame header. A held-back frame waits in a tracked timer that
+// Close stops, so no delivery outlives the world.
+type faultWire struct {
+	Transport
+	w    *World // for the fault counters
+	plan FaultPlan
+	drop func(src, dst, tag int) bool
+
+	mu     sync.Mutex
+	rng    uint64
+	timers map[*time.Timer]struct{}
+	closed bool
 }
 
-// wireDead reports whether a transmission between src and dst touches a
-// fail-stopped rank. Its wire is silent in both directions: nothing it sends
-// gets out (including in-flight retransmissions racing the kill) and nothing
-// addressed to it gets in.
-func (w *World) wireDead(src, dst int) bool {
-	return w.deadWire != nil && (w.deadWire[src].Load() || w.deadWire[dst].Load())
-}
-
-// rng is a locked splitmix64 shared by all links so fault decisions are a
-// deterministic function of the seed and the global transmission order.
-func (w *World) rng() uint64 {
-	w.rngMu.Lock()
-	w.rngState += 0x9e3779b97f4a7c15
-	z := w.rngState
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	w.rngMu.Unlock()
-	return z
-}
-
-// roll returns a uniform float64 in [0, 1).
-func (w *World) roll() float64 { return float64(w.rng()>>11) / (1 << 53) }
-
-// transmit is the wire: it applies the drop filter and fault plan to one
-// transmission and (maybe, maybe twice, maybe late) delivers it into the
-// destination mailbox. Called for originals, retransmissions, and acks.
-// After Shutdown the wire is down: every transmission is discarded, so no
-// delivery — immediate or delayed — can land in a stopped rank's mailbox.
-func (w *World) transmit(dst int, m message) {
-	if w.closed.Load() {
-		return
-	}
-	if w.net != nil {
-		w.netTransmit(dst, m)
-		return
-	}
-	if w.wireDead(m.src, dst) {
-		return
-	}
-	if w.dropF != nil && w.dropF(m.src, dst, m.tag) {
-		if mx := w.mx; mx != nil {
-			mx.faultDrop.Inc(m.src)
+// Send rolls the faults for one frame and passes on what survives.
+func (f *faultWire) Send(dst int, frame []byte) error {
+	src := int(int32(binary.LittleEndian.Uint32(frame[0:])))
+	tag := int(int32(binary.LittleEndian.Uint32(frame[4:])))
+	mx, fp := f.w.mx, &f.plan
+	if f.drop != nil && f.drop(src, dst, tag) || f.roll(fp.Drop) {
+		if mx != nil {
+			mx.faultDrop.Inc(src)
 		}
-		return
+		return nil
 	}
-	fp := w.fp
-	box := w.procs[dst].mbox
-	if fp == nil {
-		box.push(m)
-		return
-	}
-	if fp.Drop > 0 && w.roll() < fp.Drop {
-		if mx := w.mx; mx != nil {
-			mx.faultDrop.Inc(m.src)
+	if f.roll(fp.Dup) {
+		if mx != nil {
+			mx.faultDup.Inc(src)
 		}
-		return
-	}
-	if fp.Dup > 0 && w.roll() < fp.Dup {
-		if mx := w.mx; mx != nil {
-			mx.faultDup.Inc(m.src)
-		}
-		box.push(m)
+		f.Transport.Send(dst, append([]byte(nil), frame...))
 	}
 	var delay time.Duration
-	if fp.Reorder > 0 && w.roll() < fp.Reorder {
-		// Hold the message back just long enough for later sends to pass.
-		delay += time.Duration(50+w.rng()%450) * time.Microsecond
-		if mx := w.mx; mx != nil {
-			mx.faultReorder.Inc(m.src)
+	if f.roll(fp.Reorder) {
+		// Hold the frame back just long enough for later sends to pass.
+		delay += time.Duration(50+f.rand()%450) * time.Microsecond
+		if mx != nil {
+			mx.faultReorder.Inc(src)
 		}
 	}
-	if fp.Delay > 0 && w.roll() < fp.Delay {
-		delay += time.Duration(w.rng() % uint64(fp.MaxDelay))
-		if mx := w.mx; mx != nil {
-			mx.faultDelay.Inc(m.src)
+	if f.roll(fp.Delay) {
+		delay += time.Duration(f.rand() % uint64(fp.MaxDelay))
+		if mx != nil {
+			mx.faultDelay.Inc(src)
 		}
 	}
 	if delay > 0 {
-		w.deliverLater(dst, m, delay)
-		return
+		f.later(dst, frame, delay)
+		return nil
 	}
-	box.push(m)
+	return f.Transport.Send(dst, frame)
 }
 
-// deliverLater arms a tracked timer that pushes m into dst's mailbox after
-// delay. Tracking lets Shutdown stop pending timers; the callback additionally
-// re-checks closed (Stop may lose the race with an already-firing timer) and
-// deregisters itself so the timer set stays bounded by in-flight deliveries.
-func (w *World) deliverLater(dst int, m message, delay time.Duration) {
-	w.timerMu.Lock()
-	if w.closed.Load() {
-		w.timerMu.Unlock()
+// rand steps the decorator's splitmix64 stream.
+func (f *faultWire) rand() uint64 {
+	f.mu.Lock()
+	f.rng += 0x9e3779b97f4a7c15
+	z := f.rng
+	f.mu.Unlock()
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// roll reports true with probability p, drawing from the stream only when
+// p > 0 (a plan without a fault kind leaves the stream alone).
+func (f *faultWire) roll(p float64) bool {
+	return p > 0 && float64(f.rand()>>11)/(1<<53) < p
+}
+
+// later hands frame to the wrapped transport after d, unless Close comes
+// first. The callback deregisters its timer, so the set stays bounded by the
+// frames in flight; one that finds itself gone lost the race with Close and
+// sends nothing.
+func (f *faultWire) later(dst int, frame []byte, d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
 		return
 	}
-	if w.timers == nil {
-		w.timers = map[*time.Timer]struct{}{}
+	if f.timers == nil {
+		f.timers = map[*time.Timer]struct{}{}
 	}
 	var t *time.Timer
-	t = time.AfterFunc(delay, func() {
-		w.timerMu.Lock()
-		delete(w.timers, t)
-		w.timerMu.Unlock()
-		if w.closed.Load() || w.wireDead(m.src, dst) {
-			return // an endpoint was killed while this delivery was in flight
+	t = time.AfterFunc(d, func() {
+		f.mu.Lock()
+		_, live := f.timers[t]
+		delete(f.timers, t)
+		f.mu.Unlock()
+		if live {
+			f.Transport.Send(dst, frame)
 		}
-		w.procs[dst].mbox.push(m)
 	})
-	w.timers[t] = struct{}{}
-	w.timerMu.Unlock()
+	f.timers[t] = struct{}{}
+}
+
+// Close stops every pending delayed frame, then closes the wrapped transport.
+func (f *faultWire) Close() error {
+	f.mu.Lock()
+	f.closed = true
+	for t := range f.timers {
+		t.Stop()
+	}
+	f.timers = nil
+	f.mu.Unlock()
+	return f.Transport.Close()
+}
+
+// MarkDead reaches the wrapped transport's PeerMarker, if it has one.
+func (f *faultWire) MarkDead(peer int) {
+	if pm, ok := f.Transport.(PeerMarker); ok {
+		pm.MarkDead(peer)
+	}
+}
+
+// Reconnects reaches the wrapped transport's TransportStats, if it has one.
+func (f *faultWire) Reconnects() int64 {
+	if s, ok := f.Transport.(TransportStats); ok {
+		return s.Reconnects()
+	}
+	return 0
 }

@@ -42,8 +42,8 @@ func FuzzWireFrame(f *testing.F) {
 		f.Add(appendWireFrame(nil, m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hub := newNetHub(2, 0, 0, 1)
-		w, err := NewNetWorld(hub.transport(1))
+		trs := NewMemNetwork(2)
+		w, err := NewNetWorld(trs[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func FuzzWireFrame(f *testing.F) {
 			Done:     func(int, bool) {},
 		})
 		p.Start(termdet.New(1, false), func() {})
-		hub.deliver[1](append([]byte(nil), data...))
+		deliverTo(trs[1], append([]byte(nil), data...))
 		for {
 			p.mbox.mu.Lock()
 			n := len(p.mbox.queue)

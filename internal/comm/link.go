@@ -9,9 +9,30 @@ import (
 
 // The reliable link layer: per-link sequence numbers, cumulative acks,
 // adaptive retransmission, in-order deduplicated release to dispatch, and
-// the stall watchdog. It is engaged for every cross-rank message of a world
-// with a fault plan, drop filter or failure detection, and always over a
-// network Transport; otherwise post hands messages straight to the mailbox.
+// the stall watchdog. Every World runs it under every sequenced cross-rank
+// message, whatever the transport; only self-sends bypass it.
+
+// SetRetransmitTimeout adjusts the link layer's retransmission timeout
+// (default 2ms; the retransmit ticker runs at half of it). Must be called
+// before any Proc is started.
+func (w *World) SetRetransmitTimeout(d time.Duration) {
+	w.beforeStart("SetRetransmitTimeout")
+	if d <= 0 {
+		panic("comm: retransmit timeout must be positive")
+	}
+	w.rto = d
+}
+
+// SetStallHandler installs a watchdog: when a rank sees no inbound traffic
+// for `after` while still holding undelivered or unacked messages, f fires
+// once (per stall episode) with that rank's PendingSummary — surfacing a
+// diagnostic instead of hanging silently. Must be called before any Proc is
+// started.
+func (w *World) SetStallHandler(after time.Duration, f func(rank int, summary string)) {
+	w.beforeStart("SetStallHandler")
+	w.stallAfter = after
+	w.onStall = f
+}
 
 // sendLink is the reliable link layer's per-destination sender state.
 type sendLink struct {
@@ -92,12 +113,11 @@ func (p *Proc) initLinks(n int) {
 }
 
 // post is the wire entry point for all sequenced outbound messages: it
-// sequences the message when the reliable link layer is active (self-sends
-// bypass it) and hands it to the fault-injecting transmitter.
+// sequences the message and hands it to the wire. Self-sends bypass the link
+// layer.
 func (p *Proc) post(dst int, m message) {
-	w := p.world
-	if !w.reliable || dst == p.rank {
-		w.procs[dst].mbox.push(m)
+	if dst == p.rank {
+		p.mbox.push(m)
 		return
 	}
 	l := &p.sendLinks[dst]
@@ -107,7 +127,7 @@ func (p *Proc) post(dst int, m message) {
 	now := time.Now()
 	l.unacked[m.seq] = &pendingSend{msg: m, born: now, last: now}
 	l.mu.Unlock()
-	w.transmit(dst, m)
+	p.transmit(dst, m)
 }
 
 // receive runs the inbound half of the link layer: acks are consumed,
@@ -126,7 +146,7 @@ func (p *Proc) receive(m message) {
 		p.handleAck(m)
 		return
 	}
-	if m.seq == 0 { // unsequenced: self-send, heartbeat, or link layer off
+	if m.seq == 0 { // unsequenced: self-send, heartbeat or telemetry
 		p.dispatch(m)
 		return
 	}
@@ -204,6 +224,11 @@ func (p *Proc) handleAck(m message) {
 		p.stalled = false
 		if empty {
 			p.world.linkDrained()
+			// A quiescent rank that deferred its prune notices behind this
+			// link's unacked sends gets no further quiescence notification.
+			if p.det.Quiescent() {
+				p.maybePrune()
+			}
 		}
 	}
 }
@@ -234,7 +259,7 @@ func (p *Proc) retransmit() {
 			mx.retrans.Add(p.rank, uint64(len(resend)))
 		}
 		for _, m := range resend {
-			p.world.transmit(dst, m)
+			p.transmit(dst, m)
 		}
 	}
 }
@@ -243,9 +268,6 @@ func (p *Proc) retransmit() {
 // retransmit queue (nobody will ever ack it) and any inbound state, so
 // stray state cannot leak.
 func (p *Proc) resetLink(peer int) {
-	if p.sendLinks == nil {
-		return
-	}
 	l := &p.sendLinks[peer]
 	l.mu.Lock()
 	clear(l.unacked)
@@ -258,9 +280,6 @@ func (p *Proc) resetLink(peer int) {
 // rank's link toward dst — the configured floor until the link has observed
 // ack latencies. Safe from any goroutine.
 func (p *Proc) LinkRTO(dst int) time.Duration {
-	if p.sendLinks == nil {
-		return p.world.rto
-	}
 	l := &p.sendLinks[dst]
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -391,10 +410,11 @@ func (w *World) Drain(timeout time.Duration) bool {
 	}
 }
 
-// hasUnacked reports whether any launched local rank still awaits an ack.
+// hasUnacked reports whether any launched local rank still awaits an ack. A
+// fenced rank's wire is silent for good, so it has nothing left to drain.
 func (w *World) hasUnacked() bool {
-	for _, p := range w.procs {
-		if p != nil && p.launched.Load() && p.hasUnacked() {
+	for _, p := range w.local {
+		if p.launched.Load() && !p.DeadView(p.rank) && p.hasUnacked() {
 			return true
 		}
 	}

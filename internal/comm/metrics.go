@@ -196,10 +196,7 @@ func (m *commMetrics) flushCounter(r FlushReason) *metrics.Counter {
 // reasons) so the trace viewer shows the coalescing behaviour inline.
 func (w *World) ChromeEvents() []metrics.ChromeEvent {
 	var out []metrics.ChromeEvent
-	for _, p := range w.procs {
-		if p == nil {
-			continue // network world: remote ranks trace in their own process
-		}
+	for _, p := range w.local {
 		out = append(out, p.ChromeEvents()...)
 	}
 	if mx := w.mx; mx != nil && len(out) > 0 {

@@ -64,7 +64,7 @@ func (p *Proc) emit(dst, tag int, a, b, ep int64, payload []byte) {
 	m := message{src: p.rank, tag: tag, a: a, b: b, ep: ep, payload: payload}
 	pr := &protocols[-tag]
 	if !pr.sequenced {
-		p.world.transmit(dst, m)
+		p.transmit(dst, m)
 		return
 	}
 	if pr.counted {
@@ -87,8 +87,8 @@ func (p *Proc) broadcast(dead []bool, skip, tag int, a, b, ep int64, payload []b
 	}
 }
 
-// Abort broadcasts an abort notification with a reason to every other rank.
-// Reliable when the link layer is active. Safe from any goroutine.
+// Abort broadcasts an abort notification with a reason to every other rank
+// over the reliable links. Safe from any goroutine.
 func (p *Proc) Abort(reason string) {
 	p.broadcast(nil, -1, tagAbort, 0, 0, 0, []byte(reason))
 }

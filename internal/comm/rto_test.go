@@ -56,7 +56,6 @@ func TestRTOEstimatorUnit(t *testing.T) {
 
 func TestRTOStaysAtFloorOnCleanWire(t *testing.T) {
 	h := newHarness(2)
-	h.world.SetDropFilter(func(src, dst, tag int) bool { return false }) // reliable on, no faults
 	// A 50ms floor towers over any in-process ack latency (even under the
 	// race detector), so the adaptive estimate must stay clamped to it.
 	h.world.SetRetransmitTimeout(50 * time.Millisecond)

@@ -29,11 +29,14 @@ func TestShutdownCancelsDelayedDeliveries(t *testing.T) {
 	h.world.Shutdown()
 	afterShutdown := handled.Load()
 
-	h.world.timerMu.Lock()
-	pending := len(h.world.timers)
-	h.world.timerMu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d delayed-delivery timers still tracked after Shutdown", pending)
+	for _, p := range h.world.local {
+		f := p.tr.(*faultWire)
+		f.mu.Lock()
+		pending := len(f.timers)
+		f.mu.Unlock()
+		if pending != 0 {
+			t.Fatalf("rank %d: %d delayed-delivery timers still tracked after Shutdown", p.rank, pending)
+		}
 	}
 
 	// Any timer that raced Stop and fired anyway must see the closed wire
@@ -270,8 +273,7 @@ func TestStealRespDuringDrainRequeuesAtVictim(t *testing.T) {
 // injected at the thief and re-queued at the victim (double execution), and
 // Shutdown must return promptly with steal control messages in flight. The
 // delay fault plan pushes transmissions into timers (the windows Shutdown
-// must close) and engages the reliable link layer, so steal messages take
-// the sequenced path they use on a real network. Run under -race.
+// must close). Run under -race.
 func TestStealShutdownRaceNeverDoubleRuns(t *testing.T) {
 	h := newHarness(2)
 	h.world.SetFaultPlan(FaultPlan{Seed: 11, Delay: 0.5, MaxDelay: 2 * time.Millisecond})

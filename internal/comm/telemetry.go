@@ -14,8 +14,8 @@ func (p *Proc) SetTelemetryHandler(h func(src int, payload []byte)) { p.telemetr
 // down connection is simply a missing interval; the stream carries cumulative
 // values, so the next frame covers the gap). Under a duplicating fault plan a
 // frame can arrive twice — receivers deduplicate by frame sequence number.
-// Traffic to or from a confirmed-dead rank is dropped. Ownership of payload
-// passes with the call. Safe from any goroutine.
+// Traffic to or from a fenced rank is dropped. Ownership of payload passes
+// with the call. Safe from any goroutine.
 func (p *Proc) SendTelemetry(dst int, payload []byte) {
 	w := p.world
 	if w.closed.Load() || w.wireDead(p.rank, dst) {
@@ -24,16 +24,6 @@ func (p *Proc) SendTelemetry(dst int, payload []byte) {
 	if m := w.mx; m != nil {
 		m.telemetryFrames.Inc(p.rank)
 		m.telemetryBytes.Add(p.rank, uint64(len(payload)))
-	}
-	if w.net == nil {
-		// In-process world: hand the frame straight to the destination's
-		// handler. The mailbox path would lose post-termination flushes (the
-		// non-reliable progress goroutine exits at the wave), and drawing
-		// from the shared fault RNG would perturb seeded chaos runs.
-		if h := w.procs[dst].telemetryH; h != nil {
-			h(p.rank, payload)
-		}
-		return
 	}
 	p.emit(dst, tagTelemetry, 0, 0, 0, payload)
 }

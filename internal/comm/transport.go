@@ -1,26 +1,27 @@
-// Transport extraction: the byte-moving substrate under a World.
+// The wire: every cross-rank message is encoded as one frame and handed to a
+// Transport, the byte-moving substrate under a rank.
 //
-// A World built with NewWorld moves message values directly between
-// in-process mailboxes (the historical wire, zero-copy, fault-injectable via
-// FaultPlan). A World built with NewNetWorld materializes exactly one local
-// rank and hands every cross-rank transmission — encoded as a framed byte
-// slice — to a Transport implementation, so ranks can be separate OS
-// processes on separate machines. internal/comm/tcptransport is the real
-// network backend (TCP with dial backoff, deadlines, reconnect, and socket
-// fault injection).
+// There is one delivery path. Each local rank owns one transport endpoint;
+// transmit encodes a message into a 40-byte-header frame and Sends it, and the
+// endpoint's deliver callback (deliverFrame) decodes inbound frames into the
+// rank's mailbox. NewWorld runs n local ranks over one in-memory network
+// (MemTransport); NewNetWorld runs one local rank over any Transport —
+// internal/comm/tcptransport is the real network backend (TCP with dial
+// backoff, deadlines, reconnect and socket fault injection). Only self-sends
+// skip the transport.
 //
-// Reliability layering is unchanged: a network transport is best-effort (a
-// frame queued while a connection is down is simply dropped), and the
-// sequence-number + cumulative-ack + retransmit link layer above recovers
-// losses, deduplicates, and restores order — including across transparent
-// reconnects, because the per-link sequence state lives in the Proc, not the
-// connection. Network worlds therefore always run with the reliable layer on.
+// Transports are best-effort (a frame queued while a connection is down is
+// simply dropped, and World.SetFaultPlan layers seeded frame faults over any
+// of them), so every World runs the sequence-number + cumulative-ack +
+// retransmit link layer above: it recovers losses, deduplicates, and restores
+// order — including across transparent reconnects, because the per-link
+// sequence state lives in the Proc, not the connection.
 package comm
 
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
+	"sync/atomic"
 )
 
 // Transport moves framed wire bytes between ranks. Implementations are
@@ -93,6 +94,56 @@ type PeerEvent struct {
 	Err     error // the triggering error (PeerDialFailed/PeerDown), if any
 }
 
+// MemTransport is one rank's endpoint of an in-memory network
+// (NewMemNetwork). Send hands the frame to the destination endpoint's deliver
+// callback on the sending goroutine: it never loses, duplicates or reorders a
+// frame, so the only thing it adds to a message is the frame encoding. A
+// frame toward an endpoint that is not started, or already closed, is
+// dropped, as a socket toward a process that is not up would drop it.
+type MemTransport struct {
+	deliver []atomic.Pointer[func([]byte)] // shared by the network's endpoints, by rank
+	self    int
+}
+
+// NewMemNetwork returns the n endpoints of one in-memory network, endpoint r
+// bound to rank r. Give each to its own NewNetWorld (or use NewWorld, which
+// runs all n ranks in one World).
+func NewMemNetwork(n int) []*MemTransport {
+	deliver := make([]atomic.Pointer[func([]byte)], n)
+	trs := make([]*MemTransport, n)
+	for i := range trs {
+		trs[i] = &MemTransport{deliver: deliver, self: i}
+	}
+	return trs
+}
+
+// Self returns the rank this endpoint is bound to.
+func (t *MemTransport) Self() int { return t.self }
+
+// Size returns the number of endpoints in the network.
+func (t *MemTransport) Size() int { return len(t.deliver) }
+
+// Start attaches deliver: frames sent to this endpoint from now on reach it.
+// There are no connections, hence no peer events.
+func (t *MemTransport) Start(deliver func([]byte), _ func(PeerEvent)) error {
+	t.deliver[t.self].Store(&deliver)
+	return nil
+}
+
+// Send delivers frame to dst's deliver callback before returning.
+func (t *MemTransport) Send(dst int, frame []byte) error {
+	if d := t.deliver[dst].Load(); d != nil {
+		(*d)(frame)
+	}
+	return nil
+}
+
+// Close detaches the endpoint: frames sent to it are dropped from now on.
+func (t *MemTransport) Close() error {
+	t.deliver[t.self].Store(nil)
+	return nil
+}
+
 // wireFrameHdr is the fixed header of an encoded wire frame:
 //
 //	[4B src][4B tag][8B a][8B b][8B ep][8B seq][payload...]   (little-endian)
@@ -135,83 +186,70 @@ func decodeWireFrame(frame []byte) (message, error) {
 	return m, nil
 }
 
-// NewNetWorld creates a network-backed world: only the local rank (tr.Self())
-// is materialized in this process; every cross-rank transmission is encoded
-// and handed to tr, and inbound frames are decoded into the local mailbox.
-// The reliable link layer is always engaged (a real network is lossy by
-// definition), and the transport is started immediately so peers can connect
-// while the graph is still being built — inbound frames buffer in the
-// mailbox until the rank starts.
-//
-// In-process fault injection (SetFaultPlan, SetDropFilter, KillRank) does not
-// apply to network worlds: inject faults at the socket level instead (see
-// tcptransport.FaultConfig) and kill ranks by killing their OS processes.
+// NewNetWorld creates a world whose only local rank is tr.Self(): the other
+// ranks live behind tr (in other processes, or other Worlds of this one).
+// The transport is started immediately so peers can connect while the graph
+// is still being built — inbound frames buffer in the mailbox until the rank
+// starts.
 func NewNetWorld(tr Transport) (*World, error) {
-	n := tr.Size()
-	self := tr.Self()
+	n, self := tr.Size(), tr.Self()
 	if n < 1 {
 		return nil, fmt.Errorf("comm: transport world size %d < 1", n)
 	}
 	if self < 0 || self >= n {
 		return nil, fmt.Errorf("comm: transport self rank %d out of [0,%d)", self, n)
 	}
-	w := &World{
-		procs:    make([]*Proc, n),
-		rto:      2 * time.Millisecond,
-		net:      tr,
-		self:     self,
-		reliable: true,
-	}
-	w.procs[self] = newProc(w, self)
-	if err := tr.Start(w.deliverFrame, w.peerEvent); err != nil {
+	w := newWorld(n)
+	if err := w.attach(tr); err != nil {
 		return nil, fmt.Errorf("comm: transport start: %w", err)
 	}
 	return w, nil
 }
 
-// NetBacked reports whether this world runs over a network Transport.
-func (w *World) NetBacked() bool { return w.net != nil }
-
-// SelfRank returns the local rank of a network-backed world (0 for
-// in-process worlds, where every rank is local).
-func (w *World) SelfRank() int { return w.self }
-
-// netTransmit serializes one outbound message onto the network transport.
-// Outbound traffic toward a confirmed-dead peer is suppressed here (the
-// in-process wire models this with deadWire; over a real network the same
-// check stops retransmissions and heartbeats spamming a corpse's address).
-func (w *World) netTransmit(dst int, m message) {
-	if dst == w.self {
-		w.procs[dst].mbox.push(m)
-		return
-	}
-	if w.wireDead(m.src, dst) {
-		return
-	}
-	frame := appendWireFrame(make([]byte, 0, wireFrameHdr+len(m.payload)), m)
-	_ = w.net.Send(dst, frame) // best-effort: the link layer retransmits
+// attach materializes the local rank tr is bound to and starts tr.
+func (w *World) attach(tr Transport) error {
+	p := newProc(w, tr)
+	w.procs[p.rank] = p
+	w.local = append(w.local, p)
+	return tr.Start(p.deliverFrame, w.peerEvent)
 }
 
-// deliverFrame is the transport's inbound callback: decode and enqueue into
-// the local rank's mailbox. Malformed or misaddressed frames are dropped —
-// remote bytes must never be able to take the progress goroutine down.
-func (w *World) deliverFrame(frame []byte) {
-	m, err := decodeWireFrame(frame)
-	if err != nil {
-		return
-	}
-	if m.src < 0 || m.src >= len(w.procs) || m.src == w.self {
-		return
-	}
+// transmit puts one message on the wire toward dst: a self-send lands in this
+// rank's mailbox, anything else is encoded and handed to the transport (best
+// effort: the link layer retransmits). Called for originals,
+// retransmissions, and acks. After Shutdown, and to or from a fail-stopped
+// rank, the wire is down and the message is discarded.
+func (p *Proc) transmit(dst int, m message) {
+	w := p.world
 	if w.closed.Load() {
 		return
 	}
-	w.procs[w.self].mbox.push(m)
+	if dst == p.rank {
+		p.mbox.push(m)
+		return
+	}
+	if w.wireDead(p.rank, dst) {
+		return
+	}
+	_ = p.tr.Send(dst, appendWireFrame(make([]byte, 0, wireFrameHdr+len(m.payload)), m))
+}
+
+// deliverFrame is the transport's inbound callback: decode and enqueue into
+// this rank's mailbox. Malformed or misaddressed frames are dropped — remote
+// bytes must never be able to take the progress goroutine down — and so is
+// anything arriving after Shutdown or touching a fail-stopped rank.
+func (p *Proc) deliverFrame(frame []byte) {
+	m, err := decodeWireFrame(frame)
+	w := p.world
+	if err != nil || m.src < 0 || m.src >= len(w.procs) || m.src == p.rank ||
+		w.closed.Load() || w.wireDead(m.src, p.rank) {
+		return
+	}
+	p.mbox.push(m)
 }
 
 // SetPeerEventHook installs an observer for transport peer lifecycle events
-// (network worlds only; events may arrive on any transport goroutine). Safe
-// to call at any time.
+// (events may arrive on any transport goroutine). Safe to call at any time.
 func (w *World) SetPeerEventHook(f func(PeerEvent)) { w.peerHook.Store(&f) }
 
 func (w *World) peerEvent(ev PeerEvent) {
@@ -220,11 +258,14 @@ func (w *World) peerEvent(ev PeerEvent) {
 	}
 }
 
-// Reconnects reports how many times the transport re-established a lost
-// peer connection (comm.reconnects; 0 for in-process worlds).
+// Reconnects reports how many times the local transports re-established a
+// lost peer connection (comm.reconnects; 0 over memory).
 func (w *World) Reconnects() int64 {
-	if s, ok := w.net.(TransportStats); ok {
-		return s.Reconnects()
+	var n int64
+	for _, p := range w.local {
+		if s, ok := p.tr.(TransportStats); ok {
+			n += s.Reconnects()
+		}
 	}
-	return 0
+	return n
 }

@@ -11,114 +11,51 @@ import (
 	"gottg/internal/termdet"
 )
 
-// hubTransport is an in-memory Transport: N transports share a hub that
-// routes frames between them, optionally dropping or duplicating with a
-// seeded stream. It exists to test the network world machinery (frame
-// codec, NewNetWorld, reliable recovery over a lossy transport, peer
-// events) without sockets; tcptransport has its own socket-level tests.
-type netHub struct {
-	mu      sync.Mutex
-	deliver []func([]byte)
-	loss    float64
-	dup     float64
-	state   uint64
-}
-
-func (h *netHub) rand() float64 {
-	h.state += 0x9e3779b97f4a7c15
-	z := h.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return float64((z^(z>>31))>>11) / (1 << 53)
-}
-
-type hubTransport struct {
-	hub        *netHub
-	self, size int
-	closed     atomic.Bool
-	dead       []atomic.Bool
-	reconnects atomic.Int64
-	events     func(PeerEvent)
-}
-
-func newNetHub(n int, loss, dup float64, seed uint64) *netHub {
-	if seed == 0 {
-		seed = 1
-	}
-	return &netHub{deliver: make([]func([]byte), n), loss: loss, dup: dup, state: seed}
-}
-
-func (h *netHub) transport(self int) *hubTransport {
-	return &hubTransport{hub: h, self: self, size: len(h.deliver), dead: make([]atomic.Bool, len(h.deliver))}
-}
-
-func (t *hubTransport) Self() int { return t.self }
-func (t *hubTransport) Size() int { return t.size }
-
-func (t *hubTransport) Start(deliver func([]byte), events func(PeerEvent)) error {
-	t.events = events
-	t.hub.mu.Lock()
-	t.hub.deliver[t.self] = deliver
-	t.hub.mu.Unlock()
-	return nil
-}
-
-func (t *hubTransport) Send(dst int, frame []byte) error {
-	if t.closed.Load() || t.dead[dst].Load() {
-		return nil // best-effort: silently dropped
-	}
-	h := t.hub
-	h.mu.Lock()
-	d := h.deliver[dst]
-	drop := h.rand() < h.loss
-	dup := h.rand() < h.dup
-	h.mu.Unlock()
-	if d == nil || drop {
-		return nil
-	}
-	d(frame)
-	if dup {
-		d(frame)
-	}
-	return nil
-}
-
-func (t *hubTransport) MarkDead(peer int) { t.dead[peer].Store(true) }
-func (t *hubTransport) Reconnects() int64 { return t.reconnects.Load() }
-func (t *hubTransport) Close() error      { t.closed.Store(true); return nil }
-
-var _ Transport = (*hubTransport)(nil)
-var _ TransportStats = (*hubTransport)(nil)
-var _ PeerMarker = (*hubTransport)(nil)
-
-// netHarness is N network worlds (one materialized rank each) over a shared
-// hub — the in-memory analogue of N OS processes.
+// netHarness runs rank i of an n-rank run on worlds[i]: one network world
+// per rank (the in-memory analogue of N OS processes), or one World for all.
 type netHarness struct {
-	hub    *netHub
 	worlds []*World
 	dets   []*termdet.Detector
 	done   []chan struct{}
 }
 
-func newNetHarness(t *testing.T, n int, loss, dup float64, seed uint64) *netHarness {
+// newNetHarness builds one network world per transport.
+func newNetHarness(t *testing.T, trs ...Transport) *netHarness {
 	t.Helper()
-	h := &netHarness{
-		hub:    newNetHub(n, loss, dup, seed),
-		worlds: make([]*World, n),
-		dets:   make([]*termdet.Detector, n),
-		done:   make([]chan struct{}, n),
-	}
-	for i := 0; i < n; i++ {
-		w, err := NewNetWorld(h.hub.transport(i))
+	ws := make([]*World, len(trs))
+	for i, tr := range trs {
+		w, err := NewNetWorld(tr)
 		if err != nil {
 			t.Fatalf("NewNetWorld(%d): %v", i, err)
 		}
-		h.worlds[i] = w
+		ws[i] = w
+	}
+	return harnessOf(ws)
+}
+
+// memHarness is newNetHarness over one in-memory network of n ranks.
+func memHarness(t *testing.T, n int) *netHarness {
+	t.Helper()
+	trs := make([]Transport, n)
+	for i, tr := range NewMemNetwork(n) {
+		trs[i] = tr
+	}
+	return newNetHarness(t, trs...)
+}
+
+// harnessOf wraps worlds, worlds[i] running rank i.
+func harnessOf(ws []*World) *netHarness {
+	h := &netHarness{worlds: ws, dets: make([]*termdet.Detector, len(ws)), done: make([]chan struct{}, len(ws))}
+	for i := range ws {
 		h.dets[i] = termdet.New(1, false)
 		h.done[i] = make(chan struct{})
 	}
 	return h
 }
+
+// deliverTo hands frame to the deliver callback attached to tr, as a peer's
+// Send would.
+func deliverTo(tr *MemTransport, frame []byte) { (*tr.deliver[tr.self].Load())(frame) }
 
 func (h *netHarness) proc(i int) *Proc { return h.worlds[i].Proc(i) }
 
@@ -142,6 +79,10 @@ func (h *netHarness) waitAll(t *testing.T) {
 	for _, w := range h.worlds {
 		w.Drain(5 * time.Second)
 	}
+	h.shutdown()
+}
+
+func (h *netHarness) shutdown() {
 	for _, w := range h.worlds {
 		w.Shutdown()
 	}
@@ -171,8 +112,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 }
 
 func TestNetWorldValidation(t *testing.T) {
-	hub := newNetHub(2, 0, 0, 1)
-	bad := hub.transport(0)
+	bad := NewMemNetwork(2)[0]
 	bad.self = 5 // out of range
 	if _, err := NewNetWorld(bad); err == nil {
 		t.Fatalf("out-of-range self accepted")
@@ -182,7 +122,7 @@ func TestNetWorldValidation(t *testing.T) {
 func TestNetWorldRingRelay(t *testing.T) {
 	const n = 4
 	const hops = 100
-	h := newNetHarness(t, n, 0, 0, 1)
+	h := memHarness(t, n)
 	var handled atomic.Int64
 	for i := 0; i < n; i++ {
 		i := i
@@ -207,17 +147,19 @@ func TestNetWorldRingRelay(t *testing.T) {
 	if got := handled.Load(); got != hops+1 {
 		t.Fatalf("handled %d messages, want %d", got, hops+1)
 	}
-	if !h.worlds[0].NetBacked() {
-		t.Fatalf("net world does not report NetBacked")
-	}
 }
 
 func TestNetWorldLossyTransportRecovers(t *testing.T) {
-	// 20% loss and 10% duplication at the transport; the reliable link layer
-	// must deliver everything exactly once, in order, and terminate.
+	// 20% loss and 10% duplication on every network world's transport (the
+	// fault decorator over memory); the reliable link layer must deliver
+	// everything exactly once, in order, and terminate.
 	const n = 3
 	const hops = 60
-	h := newNetHarness(t, n, 0.20, 0.10, 42)
+	h := memHarness(t, n)
+	for _, w := range h.worlds {
+		w.SetFaultPlan(FaultPlan{Seed: 42, Drop: 0.20, Dup: 0.10})
+		w.EnableMetrics()
+	}
 	var handled atomic.Int64
 	var outOfOrder atomic.Int64
 	last := make([]int64, n)
@@ -254,14 +196,25 @@ func TestNetWorldLossyTransportRecovers(t *testing.T) {
 	if ooo := outOfOrder.Load(); ooo != 0 {
 		t.Fatalf("%d messages dispatched out of order (dup/ordering leak through the link layer)", ooo)
 	}
+	var dropped, duplicated uint64
+	for _, w := range h.worlds {
+		c := w.MetricsSnapshot().Counters
+		dropped += c["comm.fault.dropped"]
+		duplicated += c["comm.fault.duplicated"]
+	}
+	if dropped == 0 || duplicated == 0 {
+		t.Fatalf("fault decorator injected %d drops and %d duplicates, want both > 0", dropped, duplicated)
+	}
 }
 
 func TestNetWorldBatchedOverTransport(t *testing.T) {
 	// Coalesced frames must survive the encode/decode path: entries appended
 	// with BatchBegin/BatchEnd on one world arrive once each on the peer.
-	const n = 2
 	const entries = 200
-	h := newNetHarness(t, n, 0.10, 0, 7)
+	h := memHarness(t, 2)
+	for _, w := range h.worlds {
+		w.SetFaultPlan(FaultPlan{Seed: 7, Drop: 0.10})
+	}
 	var got atomic.Int64
 	h.proc(0).RegisterBatched(9, func(src int, entry []byte) {})
 	h.proc(1).RegisterBatched(9, func(src int, entry []byte) {
@@ -284,9 +237,20 @@ func TestNetWorldBatchedOverTransport(t *testing.T) {
 	}
 }
 
+// eventTransport keeps the peer-event callback its world passes to Start, so
+// a test can play the transport reporting a connection transition.
+type eventTransport struct {
+	*MemTransport
+	events func(PeerEvent)
+}
+
+func (e *eventTransport) Start(deliver func([]byte), events func(PeerEvent)) error {
+	e.events = events
+	return e.MemTransport.Start(deliver, events)
+}
+
 func TestNetWorldPeerEventHook(t *testing.T) {
-	hub := newNetHub(2, 0, 0, 1)
-	tr := hub.transport(0)
+	tr := &eventTransport{MemTransport: NewMemNetwork(2)[0]}
 	w, err := NewNetWorld(tr)
 	if err != nil {
 		t.Fatalf("NewNetWorld: %v", err)
@@ -311,7 +275,8 @@ func TestNetWorldPeerEventHook(t *testing.T) {
 // gossiped dead mask includes itself must fence — silence its wire and run
 // the kill hook — instead of running split-brained.
 func TestNetWorldSelfFenceOnGossip(t *testing.T) {
-	h := newNetHarness(t, 2, 0, 0, 1)
+	trs := NewMemNetwork(2)
+	h := newNetHarness(t, trs[0], trs[1])
 	for _, w := range h.worlds {
 		w.EnableFailureDetection(FDConfig{Heartbeat: time.Millisecond, SuspectAfter: time.Hour})
 	}
@@ -321,11 +286,7 @@ func TestNetWorldSelfFenceOnGossip(t *testing.T) {
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
 	// Forge rank 0's view: "rank 1 is dead" gossiped straight to rank 1.
-	frame := appendWireFrame(nil, message{src: 0, tag: tagHeartbeat, a: 1 << 1})
-	h.hub.mu.Lock()
-	deliver := h.hub.deliver[1]
-	h.hub.mu.Unlock()
-	deliver(frame)
+	deliverTo(trs[1], appendWireFrame(nil, message{src: 0, tag: tagHeartbeat, a: 1 << 1}))
 	select {
 	case <-killed:
 	case <-time.After(5 * time.Second):
@@ -340,15 +301,14 @@ func TestNetWorldSelfFenceOnGossip(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	h.dets[0].Completed(termdet.ExternalSlot)
-	for _, w := range h.worlds {
-		w.Shutdown()
-	}
+	h.shutdown()
 }
 
 // TestNetWorldSelfFenceOnRankDead: same degradation when the membership
 // announcement arrives as an explicit tagRankDead naming the receiver.
 func TestNetWorldSelfFenceOnRankDead(t *testing.T) {
-	h := newNetHarness(t, 2, 0, 0, 1)
+	trs := NewMemNetwork(2)
+	h := newNetHarness(t, trs[0], trs[1])
 	for _, w := range h.worlds {
 		w.EnableFailureDetection(FDConfig{Heartbeat: time.Millisecond, SuspectAfter: time.Hour})
 	}
@@ -358,42 +318,43 @@ func TestNetWorldSelfFenceOnRankDead(t *testing.T) {
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
 	// Sequenced control message: seq 1 is the first the link expects.
-	frame := appendWireFrame(nil, message{src: 0, tag: tagRankDead, a: 1, seq: 1})
-	h.hub.mu.Lock()
-	deliver := h.hub.deliver[1]
-	h.hub.mu.Unlock()
-	deliver(frame)
+	deliverTo(trs[1], appendWireFrame(nil, message{src: 0, tag: tagRankDead, a: 1, seq: 1}))
 	select {
 	case <-killed:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("rank 1 did not self-fence on a rankDead naming itself")
 	}
 	h.dets[0].Completed(termdet.ExternalSlot)
-	for _, w := range h.worlds {
-		w.Shutdown()
-	}
+	h.shutdown()
 }
+
+// markingTransport records which peers its world told it to stop pursuing.
+type markingTransport struct {
+	*MemTransport
+	dead []atomic.Bool
+}
+
+func (m *markingTransport) MarkDead(peer int) { m.dead[peer].Store(true) }
 
 // TestNetWorldRankDeathEscalation: a confirmed remote death in a network
 // world must mark the transport (MarkDead) so the reconnect loop stops.
 func TestNetWorldRankDeathEscalation(t *testing.T) {
 	const n = 3
-	h := newNetHarness(t, n, 0, 0, 1)
-	trs := make([]*hubTransport, n)
-	for i := range trs {
-		trs[i] = h.worlds[i].net.(*hubTransport)
+	trs := make([]*markingTransport, n)
+	ts := make([]Transport, n)
+	for i, tr := range NewMemNetwork(n) {
+		trs[i] = &markingTransport{MemTransport: tr, dead: make([]atomic.Bool, n)}
+		ts[i] = trs[i]
 	}
+	h := newNetHarness(t, ts...)
 	for _, w := range h.worlds {
 		w.EnableFailureDetection(FDConfig{Heartbeat: time.Millisecond, SuspectAfter: 50 * time.Millisecond})
 	}
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
-	// Silence rank 2 by detaching its deliver hooks: peers stop hearing its
-	// heartbeats and must confirm it dead.
-	h.hub.mu.Lock()
-	h.hub.deliver[2] = nil
-	h.hub.mu.Unlock()
-	trs[2].Close() // its own sends stop too
+	// Rank 2's process goes away: peers stop hearing its heartbeats and must
+	// confirm it dead.
+	h.worlds[2].Shutdown()
 	deadline := time.Now().Add(10 * time.Second)
 	for !trs[0].dead[2].Load() || !trs[1].dead[2].Load() {
 		if time.Now().After(deadline) {
@@ -406,32 +367,28 @@ func TestNetWorldRankDeathEscalation(t *testing.T) {
 		t.Fatalf("rank 0 applied no epoch bump")
 	}
 	h.dets[0].Completed(termdet.ExternalSlot)
-	for _, w := range h.worlds {
-		w.Shutdown()
-	}
+	h.shutdown()
 }
 
-// TestNetWorldFaultInjectionRejected: in-process fault injection does not
-// apply to network worlds.
-func TestNetWorldFaultInjectionRejected(t *testing.T) {
-	h := newNetHarness(t, 2, 0, 0, 1)
+// TestNetWorldFaultInjection: a network world takes the fault decorator on
+// its transport (the drop filter and the plan share one), and KillRank
+// fences only a rank the world runs.
+func TestNetWorldFaultInjection(t *testing.T) {
+	h := memHarness(t, 2)
+	defer h.shutdown()
+	w := h.worlds[0]
+	w.SetDropFilter(func(int, int, int) bool { return false })
+	w.SetFaultPlan(FaultPlan{Drop: 0.5})
+	if f, ok := w.Proc(0).tr.(*faultWire); !ok || f.drop == nil || f.plan.Drop != 0.5 || f.plan.Seed != 1 {
+		t.Fatalf("fault decorator not installed once with both settings: %#v", w.Proc(0).tr)
+	}
+	w.EnableFailureDetection(FDConfig{})
 	defer func() {
-		for _, w := range h.worlds {
-			w.Shutdown()
+		if recover() == nil {
+			t.Fatalf("KillRank of a rank in another process did not panic")
 		}
 	}()
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s on a network world did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("SetFaultPlan", func() { h.worlds[0].SetFaultPlan(FaultPlan{Drop: 0.5}) })
-	mustPanic("SetDropFilter", func() { h.worlds[0].SetDropFilter(func(int, int, int) bool { return true }) })
-	h.worlds[0].EnableFailureDetection(FDConfig{})
-	mustPanic("KillRank", func() { h.worlds[0].KillRank(1) })
+	w.KillRank(1)
 }
 
 // TestShutdownConcurrent is the regression test for the Shutdown
@@ -480,8 +437,8 @@ func TestShutdownConcurrent(t *testing.T) {
 func TestForgedRankDeadDropped(t *testing.T) {
 	for _, fd := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fd=%v", fd), func(t *testing.T) {
-			hub := newNetHub(2, 0, 0, 1)
-			w, err := NewNetWorld(hub.transport(1))
+			trs := NewMemNetwork(2)
+			w, err := NewNetWorld(trs[1])
 			if err != nil {
 				t.Fatalf("NewNetWorld: %v", err)
 			}
@@ -498,7 +455,7 @@ func TestForgedRankDeadDropped(t *testing.T) {
 				victims = append(victims, 0) // in range, but nobody tracks membership
 			}
 			for i, a := range victims {
-				hub.deliver[1](appendWireFrame(nil, message{src: 0, tag: tagRankDead, a: a, seq: int64(i + 1)}))
+				deliverTo(trs[1], appendWireFrame(nil, message{src: 0, tag: tagRankDead, a: a, seq: int64(i + 1)}))
 			}
 			for range victims {
 				select {

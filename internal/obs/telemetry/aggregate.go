@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"gottg/internal/metrics"
 )
@@ -24,15 +25,21 @@ type Aggregator struct {
 	events []Event
 	evCap  int
 	evTot  map[string]uint64
+
+	// changed is non-nil while AwaitClosed waits; every ingest and death
+	// closes it (and the next wait re-arms it).
+	changed chan struct{}
 }
 
 // rankSeries is one rank's schema and cumulative ring as seen by rank 0.
+// closed latches once the rank's closing interval (ColClosed) arrives.
 type rankSeries struct {
 	schema  schema
 	ring    *ring
 	lastSeq uint64
 	lastTs  int64
 	scratch []float64
+	closed  bool
 }
 
 // NewAggregator builds the cluster model for a world of size ranks. window
@@ -103,10 +110,14 @@ func (a *Aggregator) Ingest(r int, seq, epoch uint64, tsNs int64, cols []Col, va
 		rs.scratch[idx] = vals[i]
 	}
 	rs.ring.push(seq, tsNs, rs.scratch)
+	if i, ok := rs.schema.index[ColClosed]; ok && rs.scratch[i] != 0 {
+		rs.closed = true
+	}
 	evs := a.det.observe(a.liveRanksLocked(), r, rs, tsNs)
 	for _, e := range evs {
 		a.noteLocked(e)
 	}
+	a.wakeLocked()
 	a.mu.Unlock()
 }
 
@@ -128,7 +139,47 @@ func (a *Aggregator) MarkDead(r int, e uint64) {
 	if e > a.epoch {
 		a.epoch = e
 	}
+	a.wakeLocked()
 	a.mu.Unlock()
+}
+
+// AwaitClosed blocks until every rank's stream has ended — its closing
+// interval ingested or the rank marked dead — or until timeout, and reports
+// whether the streams all ended. It does not poll: each ingest and each
+// death wakes it to re-check.
+func (a *Aggregator) AwaitClosed(timeout time.Duration) bool {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		a.mu.Lock()
+		open := false
+		for r := 0; r < a.size && !open; r++ {
+			rs := a.ranks[r]
+			open = !a.dead[r] && (rs == nil || !rs.closed)
+		}
+		if !open {
+			a.mu.Unlock()
+			return true
+		}
+		if a.changed == nil {
+			a.changed = make(chan struct{})
+		}
+		changed := a.changed
+		a.mu.Unlock()
+		select {
+		case <-changed:
+		case <-deadline.C:
+			return false
+		}
+	}
+}
+
+// wakeLocked wakes a waiting AwaitClosed: the model changed.
+func (a *Aggregator) wakeLocked() {
+	if a.changed != nil {
+		close(a.changed)
+		a.changed = nil
+	}
 }
 
 // Note appends a lifecycle event to the bounded cluster event log.

@@ -29,6 +29,7 @@
 package telemetry
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,10 @@ const DefaultInterval = 250 * time.Millisecond
 // DefaultWindow is the per-rank ring size when Options.Window is zero: at
 // the default interval, 64 slots keep the last ~16 seconds.
 const DefaultWindow = 64
+
+// ColClosed is the gauge a rank's closing interval (the sample Sampler.Stop
+// takes) carries as 1, so rank 0 can tell when a rank's stream has ended.
+const ColClosed = "telemetry.closed"
 
 // ColKind distinguishes cumulative columns (deltas are meaningful) from
 // level columns (the sampled value is the reading).
@@ -260,14 +265,20 @@ func NewSampler(rank int, snap func() metrics.Snapshot, interval time.Duration, 
 func (s *Sampler) SampleNow() {
 	now := time.Now()
 	snap := s.snap()
+	if s.stopped.Load() {
+		g := make(map[string]int64, len(snap.Gauges)+1)
+		maps.Copy(g, snap.Gauges)
+		g[ColClosed] = 1
+		snap.Gauges = g
+	}
 	s.mu.Lock()
 	s.scratch = s.schema.flatten(snap, s.scratch)
 	seq := s.ring.pushNext(now.UnixNano(), s.scratch)
 	var frame []byte
 	if s.wire != nil && s.rank != 0 {
 		// The frame is freshly allocated per interval: payload ownership
-		// passes to the wire (in-process delivery shares the slice with the
-		// receiving rank, so reusing an encode buffer would race).
+		// passes to the wire, which may hand the slice to a receiver as is,
+		// so reusing an encode buffer would race.
 		frame = encodeFrame(nil, s.rank, seq, 0, now.UnixNano(), s.schema.cols, s.scratch)
 	}
 	if s.sink != nil {

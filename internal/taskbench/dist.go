@@ -16,16 +16,16 @@ import (
 )
 
 // The distributed Task-Bench harness: one rank lifecycle (newRank → run →
-// report → close), two launchers (RunDist for N ranks in this process,
-// RunRank for one rank of a multi-process world) and one merge
-// (MergeNetResults). This is the paper's seamless shared→distributed claim
-// applied to the §V-D benchmark: the TTG program is the shared-memory one
-// plus a process map; halo values cross rank boundaries as serialized
-// activations. Every rank seeds the full SPMD iteration space (owners keep),
-// executes its block partition and reports the last-timestep values IT
-// computed; the merge checks that the reports cover every point and agree
-// bit for bit wherever two ranks computed the same one (a failed rank's
-// tasks re-executed elsewhere, a stolen task).
+// report → close), every rank on a World of its own over a transport, two
+// launchers (RunDist for N ranks in this process, RunRank for one rank of a
+// multi-process world) and one merge (MergeNetResults). This is the paper's
+// seamless shared→distributed claim applied to the §V-D benchmark: the TTG
+// program is the shared-memory one plus a process map; halo values cross
+// rank boundaries as serialized activations. Every rank seeds the full SPMD
+// iteration space (owners keep), executes its block partition and reports
+// the last-timestep values IT computed; the merge checks that the reports
+// cover every point and agree bit for bit wherever two ranks computed the
+// same one (a failed rank's tasks re-executed elsewhere, a stolen task).
 
 func init() {
 	// pointVal is flat (two fixed-width scalars), so it rides the binary
@@ -65,14 +65,15 @@ type DistOptions struct {
 	Sched   rt.SchedKind
 	Tune    Tuning
 
-	// TCP gives every RunDist rank its own World over a loopback TCP
-	// transport instead of one shared in-process World. Fault, when non-nil,
-	// arms the socket-level fault injector on every rank's transport
-	// (per-rank seeds derived from Fault.Seed).
+	// TCP runs RunDist's ranks over loopback TCP transports instead of one
+	// in-memory network. Fault, when non-nil, arms the socket-level fault
+	// injector on every rank's TCP transport (per-rank seeds derived from
+	// Fault.Seed).
 	TCP   bool
 	Fault *tcptransport.FaultConfig
-	// Plan composes randomized message faults on the in-process wire (the
-	// link retransmission timeout drops to 1ms with it).
+	// Plan injects seeded frame faults (drop, duplicate, reorder, delay) on
+	// every rank's transport, memory or TCP, with per-rank seeds derived
+	// from Plan.Seed; the link retransmission timeout drops to 1ms with it.
 	Plan *comm.FaultPlan
 
 	// Metrics enables the wire registry (its counters land in the report);
@@ -123,9 +124,8 @@ type DistOptions struct {
 const drainTimeout = 5 * time.Second
 
 // RankReport is one rank's contribution to a run, shaped for JSON so child
-// processes can report it over a pipe. Counters kept by the World (wire,
-// steal, deaths, reconnects) are reported by the rank that owns it: every
-// rank of a network run, rank 0 of a shared in-process World.
+// processes can report it over a pipe. Every rank has a World of its own, so
+// its counters (wire, steal, deaths, reconnects) are this rank's.
 type RankReport struct {
 	Rank      int   `json:"rank"`
 	Ranks     int   `json:"ranks"`
@@ -151,7 +151,8 @@ type RankReport struct {
 	Messages     uint64 `json:"msgs,omitempty"`         // wire frames sent (comm.msgs.sent; Metrics)
 	Activations  uint64 `json:"activations,omitempty"`  // task activations carried inside them
 	BytesSent    uint64 `json:"bytes_sent,omitempty"`   // payload bytes on the wire
-	Drained      bool   `json:"drained"`                // network rank: links acked before the transport closed
+	Faults       uint64 `json:"faults,omitempty"`       // frames the Plan dropped, duplicated, reordered or delayed (Metrics)
+	Drained      bool   `json:"drained"`                // links acked before the transport closed
 	Err          string `json:"err,omitempty"`          // Wait's error (e.g. this rank was fail-stopped)
 
 	// Telemetry-plane statistics (zero when DistOptions.Telemetry is off).
@@ -175,7 +176,7 @@ type DistReport struct {
 	Reexecuted, Remapped, Pruned               int64
 	StealReqs, Steals, StealTasks, StealAborts int64
 	Rehomed                                    int64
-	Messages, Activations, BytesSent           uint64
+	Messages, Activations, BytesSent, Faults   uint64
 	Samples, Frames                            int64
 	Coverage, Events                           int
 	Keymap                                     []int
@@ -219,6 +220,7 @@ func Summarize(rs []RankReport) DistReport {
 		d.Messages += r.Messages
 		d.Activations += r.Activations
 		d.BytesSent += r.BytesSent
+		d.Faults += r.Faults
 		d.Samples += r.TelemetrySamples
 		d.Frames += r.TelemetryFrames
 		if r.Rank == 0 {
@@ -283,7 +285,7 @@ func buildPointTT(g *core.Graph, s Spec, mapper func(key uint64) int, record rec
 	return point
 }
 
-// rank is one rank of a run between newRank and close.
+// rank is one rank of a run between newRank and close, on a World of its own.
 type rank struct {
 	s     Spec
 	o     DistOptions
@@ -299,32 +301,32 @@ type rank struct {
 	waitErr error
 }
 
-// ownsWorld reports whether this rank accounts for its World: configures it
-// and reports its counters. Every rank of a network run does (one World
-// each); of the ranks sharing an in-process World, rank 0.
-func (r *rank) ownsWorld() bool { return r.world.NetBacked() || r.self == 0 }
-
-// newRank configures the world (if this rank owns it) and builds rank self's
-// graph on it.
-func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap) (*rank, error) {
-	ranks := world.Size()
+// newRank builds rank tr.Self() on a World of its own over tr: it configures
+// the world and builds the rank's graph on it.
+func newRank(s Spec, tr comm.Transport, o DistOptions, wrap recordWrap) (*rank, error) {
+	ranks, self := tr.Size(), tr.Self()
+	if ranks > s.Width {
+		return nil, fmt.Errorf("taskbench: %d ranks exceed width %d", ranks, s.Width)
+	}
+	world, err := comm.NewNetWorld(tr)
+	if err != nil {
+		return nil, err
+	}
 	r := &rank{s: s, o: o, world: world, self: self,
 		rep: RankReport{Rank: self, Ranks: ranks, Points: map[int]float64{}}}
 	runtimeMetrics := o.RuntimeMetrics || o.Telemetry
-	if r.ownsWorld() {
-		if o.FT {
-			world.EnableFailureDetection(comm.FDConfig{SuspectAfter: o.SuspectAfter})
-		}
-		if o.Plan != nil {
-			world.SetFaultPlan(*o.Plan)
-			world.SetRetransmitTimeout(time.Millisecond)
-		}
-		if o.Metrics || runtimeMetrics || o.Trace {
-			world.EnableMetrics()
-		}
-		if o.Trace {
-			world.EnableTracing()
-		}
+	if o.FT {
+		world.EnableFailureDetection(comm.FDConfig{SuspectAfter: o.SuspectAfter})
+	}
+	if o.Plan != nil {
+		world.SetFaultPlan(*o.Plan)
+		world.SetRetransmitTimeout(time.Millisecond)
+	}
+	if o.Metrics || runtimeMetrics || o.Trace {
+		world.EnableMetrics()
+	}
+	if o.Trace {
+		world.EnableTracing()
 	}
 
 	cfg := rt.OptimizedConfig(o.Workers)
@@ -350,13 +352,7 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 		g.EnableMetrics()
 	}
 	if o.Telemetry {
-		// A shared World's registry is folded in by its owner only — every
-		// rank contributing it would multiply the wire totals in the merged
-		// view.
-		snap := g.MetricsSnapshot
-		if r.ownsWorld() {
-			snap = func() metrics.Snapshot { return obs.Merge(g.MetricsSnapshot(), world.MetricsSnapshot()) }
-		}
+		snap := func() metrics.Snapshot { return obs.Merge(g.MetricsSnapshot(), world.MetricsSnapshot()) }
 		// Start before MakeExecutable: rank 0's frame handler must be on the
 		// wire before any peer frame can arrive.
 		r.plane = telemetry.Start(world.Proc(self), snap, telemetry.Options{
@@ -364,7 +360,7 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 			FlightDir: o.FlightDir,
 		})
 		g.SetEventHook(r.plane.OnEvent)
-		world.SetPeerEventHook(func(ev comm.PeerEvent) { // network worlds only
+		world.SetPeerEventHook(func(ev comm.PeerEvent) {
 			detail := ""
 			if ev.Err != nil {
 				detail = ev.Err.Error()
@@ -374,6 +370,7 @@ func newRank(s Spec, world *comm.World, self int, o DistOptions, wrap recordWrap
 		if self == 0 && o.ObsAddr != "" {
 			srv, err := obs.ServeCluster(o.ObsAddr, r.plane.Aggregator(), snap)
 			if err != nil {
+				world.Shutdown()
 				return nil, err
 			}
 			r.obs = srv
@@ -420,8 +417,8 @@ func (r *rank) killWhenReady(kill func(), stop <-chan struct{}) {
 	}
 }
 
-// run seeds the SPMD iteration space, waits for termination, drains a
-// network rank's links and takes the plane's closing sample.
+// run seeds the SPMD iteration space, waits for termination, drains the
+// rank's links and takes the plane's closing sample.
 func (r *rank) run() {
 	if r.plane != nil {
 		defer r.plane.ArmSIGQUIT()()
@@ -444,20 +441,18 @@ func (r *rank) run() {
 	r.rep.ElapsedNs = int64(time.Since(t0))
 	close(stop)
 
-	if r.world.NetBacked() {
-		r.rep.Drained = r.world.Drain(drainTimeout)
-	}
+	r.rep.Drained = r.world.Drain(drainTimeout)
 	if r.plane != nil {
 		// Non-zero ranks flush the closing sample to rank 0; the drain above
 		// only guarantees sequenced traffic, so the flush is best-effort by
-		// design and a network rank 0, which cannot see its peers' samplers,
-		// gives the survivors' frames a grace period (RunDist waits for the
-		// ranks of a shared World itself, once all of them have stopped).
+		// design. A rank 0 that finished gives every live peer's closing
+		// sample a grace period to land, so the cluster model ends on every
+		// rank's final counts (a fenced rank 0 hears from nobody).
 		r.plane.Stop()
 		if r.self == 0 {
 			agg := r.plane.Aggregator()
-			if r.world.NetBacked() {
-				waitUntil(drainTimeout, func() bool { return agg.Coverage() >= r.rep.Ranks-int(r.world.Deaths()) })
+			if r.waitErr == nil {
+				agg.AwaitClosed(drainTimeout)
 			}
 			r.rep.TelemetryCoverage = agg.Coverage()
 			r.rep.TelemetryEvents = len(agg.Events())
@@ -467,15 +462,7 @@ func (r *rank) run() {
 	}
 }
 
-// waitUntil polls cond every millisecond until it holds or timeout passes.
-func waitUntil(timeout time.Duration, cond func() bool) {
-	for deadline := time.Now().Add(timeout); !cond() && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// report collects the rank's counters; call it after run, and under RunDist
-// after every rank's run, so a shared World's counters are final.
+// report collects the rank's counters; call it after run.
 func (r *rank) report() RankReport {
 	rep := &r.rep
 	rep.Tasks, _, _ = r.g.Runtime().Stats()
@@ -486,25 +473,27 @@ func (r *rank) report() RankReport {
 	} else if r.o.FT {
 		rep.Keymap = r.g.RecoveryKeymap()
 	}
-	if w := r.world; r.ownsWorld() {
-		rep.Reconnects = w.Reconnects()
-		rep.Deaths = w.Deaths()
-		rep.WaveRestarts = w.WaveRestarts()
-		rep.StealReqs = w.StealReqs()
-		rep.Steals = w.Steals()
-		rep.StealTasks = w.StealTasks()
-		rep.StealAborts = w.StealAborts()
-		// comm.msgs.sent counts frames, and the comm.batch_size histogram's
-		// sum the activations coalesced into them.
-		snap := w.MetricsSnapshot()
-		rep.Messages = snap.Counters["comm.msgs.sent"]
-		rep.BytesSent = snap.Counters["comm.bytes.sent"]
-		rep.Activations = snap.Histograms["comm.batch_size"].Sum
+	w := r.world
+	rep.Reconnects = w.Reconnects()
+	rep.Deaths = w.Deaths()
+	rep.WaveRestarts = w.WaveRestarts()
+	rep.StealReqs = w.StealReqs()
+	rep.Steals = w.Steals()
+	rep.StealTasks = w.StealTasks()
+	rep.StealAborts = w.StealAborts()
+	// comm.msgs.sent counts frames, and the comm.batch_size histogram's sum
+	// the activations coalesced into them.
+	snap := w.MetricsSnapshot()
+	rep.Messages = snap.Counters["comm.msgs.sent"]
+	rep.BytesSent = snap.Counters["comm.bytes.sent"]
+	rep.Activations = snap.Histograms["comm.batch_size"].Sum
+	for _, k := range []string{"dropped", "duplicated", "reordered", "delayed"} {
+		rep.Faults += snap.Counters["comm.fault."+k]
 	}
 	return *rep
 }
 
-// close stops the rank's servers and its World (idempotent on a shared one).
+// close stops the rank's servers and its World.
 func (r *rank) close() {
 	if r.obs != nil {
 		r.obs.Close()
@@ -517,7 +506,7 @@ func (r *rank) close() {
 // fail-stopped) is reported in RankReport.Err with the partial results
 // preserved.
 func RunRank(s Spec, tr comm.Transport, o DistOptions) (RankReport, error) {
-	r, err := newNetRank(s, tr, o, nil)
+	r, err := newRank(s, tr, o, nil)
 	if err != nil {
 		return RankReport{}, err
 	}
@@ -527,25 +516,9 @@ func RunRank(s Spec, tr comm.Transport, o DistOptions) (RankReport, error) {
 	return rep, nil
 }
 
-// newNetRank is newRank on a World of its own over tr.
-func newNetRank(s Spec, tr comm.Transport, o DistOptions, wrap recordWrap) (*rank, error) {
-	if tr.Size() > s.Width {
-		return nil, fmt.Errorf("taskbench: %d ranks exceed width %d", tr.Size(), s.Width)
-	}
-	world, err := comm.NewNetWorld(tr)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newRank(s, world, tr.Self(), o, wrap)
-	if err != nil {
-		world.Shutdown()
-	}
-	return r, err
-}
-
 // RunDist executes the Task-Bench spec over o.Ranks ranks inside this
-// process — on one shared in-process World, or with o.TCP on one World per
-// rank over real loopback sockets (the single-process harness for the TCP
+// process, each on a World of its own over one in-memory network, or with
+// o.TCP over real loopback sockets (the single-process harness for the TCP
 // wire path; the multi-process form is RunRank under cmd/taskbench). The
 // returned checksum is the merge of the per-rank reports (verified for
 // coverage and duplicate consistency, not against Reference — callers
@@ -557,51 +530,28 @@ func RunDist(s Spec, o DistOptions) (Result, DistReport, error) {
 
 func runDist(s Spec, o DistOptions, wrap recordWrap) (Result, DistReport, error) {
 	n := min(o.Ranks, s.Width)
+	trs, err := transports(n, o)
+	if err != nil {
+		return Result{}, DistReport{}, err
+	}
 	runs := make([]*rank, 0, n)
-	// Worlds close only after every rank has drained: a shared World has to
-	// outlive all its ranks, and a network rank that closed its transport
-	// early would leave a peer's sequenced message unacked for the whole of
-	// that peer's drain timeout.
+	// Worlds close only after every rank has drained: a rank that closed its
+	// transport early would leave a peer's sequenced message unacked for the
+	// whole of that peer's drain timeout.
 	defer func() {
 		for _, r := range runs {
 			r.close()
 		}
 	}()
-	if o.TCP {
-		lns, addrs, err := LoopbackAddrs(n)
+	for i, tr := range trs {
+		r, err := newRank(s, tr, o, wrap)
 		if err != nil {
+			for _, tr := range trs[i:] {
+				tr.Close()
+			}
 			return Result{}, DistReport{}, err
 		}
-		for i := 0; i < n; i++ {
-			var fc *tcptransport.FaultConfig
-			if o.Fault != nil {
-				c := *o.Fault
-				c.Seed += uint64(i) * 0x9e3779b97f4a7c15
-				fc = &c
-			}
-			tr, err := tcptransport.New(tcptransport.Config{Self: i, Peers: addrs, Listener: lns[i], Fault: fc})
-			var r *rank
-			if err == nil {
-				r, err = newNetRank(s, tr, o, wrap)
-			}
-			if err != nil {
-				for _, ln := range lns[i:] {
-					ln.Close()
-				}
-				return Result{}, DistReport{}, err
-			}
-			runs = append(runs, r)
-		}
-	} else {
-		world := comm.NewWorld(n)
-		for i := 0; i < n; i++ {
-			r, err := newRank(s, world, i, o, wrap)
-			if err != nil {
-				world.Shutdown()
-				return Result{}, DistReport{}, err
-			}
-			runs = append(runs, r)
-		}
+		runs = append(runs, r)
 	}
 
 	var wg sync.WaitGroup
@@ -632,22 +582,7 @@ func runDist(s Spec, o DistOptions, wrap recordWrap) (Result, DistReport, error)
 		rep.ChromeEvents = append(rep.ChromeEvents, critpath.FlowEvents(rep.Spans)...)
 	}
 	if o.Telemetry {
-		// The closing frames ride the async dispatch path; wait for every
-		// live rank's last interval to land in the cluster model before
-		// reading it (an aborted rank's flush is gated at the wire and never
-		// arrives, nor does any flush to an aborted rank 0 — don't wait for
-		// those).
 		agg := runs[0].plane.Aggregator()
-		waitUntil(2*time.Second, func() bool {
-			for i, r := range runs[1:] {
-				live := r.waitErr == nil && runs[0].waitErr == nil
-				if live && agg.View(i+1).LastSeq < uint64(reports[i+1].TelemetrySamples) {
-					return false
-				}
-			}
-			return true
-		})
-		rep.Coverage = agg.Coverage()
 		rep.ClusterEvents = agg.Events()
 		rep.Events = len(rep.ClusterEvents)
 		if cv, ok := agg.ClusterJSON().(telemetry.ClusterView); ok {
@@ -662,4 +597,40 @@ func runDist(s Spec, o DistOptions, wrap recordWrap) (Result, DistReport, error)
 	}
 	res, err := MergeNetResults(s, reports)
 	return res, rep, err
+}
+
+// transports returns the n endpoints RunDist's ranks run on: one in-memory
+// network, or with o.TCP loopback TCP transports (under o.Fault, with
+// per-rank seeds).
+func transports(n int, o DistOptions) ([]comm.Transport, error) {
+	trs := make([]comm.Transport, n)
+	if !o.TCP {
+		for i, tr := range comm.NewMemNetwork(n) {
+			trs[i] = tr
+		}
+		return trs, nil
+	}
+	lns, addrs, err := LoopbackAddrs(n)
+	if err != nil {
+		return nil, err
+	}
+	for i := range trs {
+		var fc *tcptransport.FaultConfig
+		if o.Fault != nil {
+			c := *o.Fault
+			c.Seed += uint64(i) * 0x9e3779b97f4a7c15
+			fc = &c
+		}
+		trs[i], err = tcptransport.New(tcptransport.Config{Self: i, Peers: addrs, Listener: lns[i], Fault: fc})
+		if err != nil {
+			for _, tr := range trs[:i] {
+				tr.Close()
+			}
+			for _, ln := range lns[i:] {
+				ln.Close()
+			}
+			return nil, err
+		}
+	}
+	return trs, nil
 }

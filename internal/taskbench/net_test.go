@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gottg/internal/comm"
 	"gottg/internal/comm/tcptransport"
 )
 
@@ -59,7 +60,11 @@ func TestTCPLoopbackSingleRank(t *testing.T) {
 // patterns run over loopback TCP. The run must finish with a bit-identical
 // checksum, at least one reconnect observed (the faults actually bit), and
 // zero rank deaths (partitions stay far below the suspicion budget — the
-// transport layer absorbs everything).
+// transport layer absorbs everything). The random pattern coalesces into few
+// frames, so it runs long enough that zero reconnects is implausible: at 40
+// steps a loaded host saw at most one in about one run in ten, at 200 steps
+// each of 400 runs beside three busy-loop CPU hogs on a 2-vCPU host saw at
+// least 16.
 func TestTCPChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
@@ -78,7 +83,7 @@ func TestTCPChaosSoak(t *testing.T) {
 		s    Spec
 	}{
 		{"stencil_1d", Spec{Pattern: Stencil1D, Width: 16, Steps: 60, Flops: 500}},
-		{"random", Spec{Pattern: Random, Width: 12, Steps: 40, Flops: 500}},
+		{"random", Spec{Pattern: Random, Width: 12, Steps: 200, Flops: 500}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, rep, err := RunDist(tc.s, DistOptions{
@@ -218,5 +223,29 @@ func TestNetRankRejectsTooManyRanks(t *testing.T) {
 	if _, _, err := RunDist(s, DistOptions{Ranks: 8, Workers: 1, TCP: true}); err != nil {
 		// ranks clamp to width, so this must actually succeed.
 		t.Fatalf("rank clamp failed: %v", err)
+	}
+}
+
+// TestTCPFaultPlan: the FaultPlan decorator runs over loopback TCP as it does
+// over memory — seeded drops, duplicates, reorders and delays of every
+// rank's frames — and the link layer still carries both patterns to a
+// bit-identical checksum.
+func TestTCPFaultPlan(t *testing.T) {
+	plan := &comm.FaultPlan{Seed: 26, Drop: 0.05, Dup: 0.05, Reorder: 0.1, Delay: 0.05}
+	for _, s := range []Spec{
+		{Pattern: Stencil1D, Width: 16, Steps: 40, Flops: 500},
+		{Pattern: Random, Width: 12, Steps: 30, Flops: 500},
+	} {
+		t.Run(s.Pattern.String(), func(t *testing.T) {
+			res, rep, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, TCP: true, Plan: plan, Metrics: true})
+			if err != nil {
+				t.Fatalf("RunDist: %v", err)
+			}
+			requireBitIdentical(t, s, res)
+			if rep.Faults == 0 {
+				t.Fatalf("no comm.fault.* counted: the plan never bit over TCP")
+			}
+			t.Logf("%d frames faulted over TCP, checksum bit-identical", rep.Faults)
+		})
 	}
 }

@@ -68,7 +68,11 @@ func TestTelemetryClusterCoverage(t *testing.T) {
 // streamed intervals.
 func TestTelemetryKillProducesFlightDump(t *testing.T) {
 	dir := t.TempDir()
+	// Every task sleeps, so the run outlasts the kill trigger: without it a
+	// loaded host could finish the run before rank 2 streamed an interval,
+	// and no kill (hence no dump) would ever happen.
 	spec := telemetrySpec()
+	spec.SleepNs = 100_000
 	res, rep, err := RunDist(spec, DistOptions{
 		Ranks: 4, Workers: 2, Telemetry: true, FT: true,
 		TelemetryInterval: time.Millisecond,
