@@ -22,20 +22,38 @@ import (
 // to batched handlers via DispatchFrameID so causal tracing can tie a
 // remote activation to the wire message that carried it.
 //
-// Flush rules: a buffer flushes when it reaches the size threshold
-// (SetBatchLimit, default DefaultBatchBytes), when a worker runs out of
-// local work (the runtime's flush-on-idle hook), on the progress goroutine's
-// tick, at local quiescence, and at World.Shutdown. Termination accounting
-// is per-activation at append time (BatchEnd counts MsgSentTo; the receiver
-// counts MsgRecvdFrom per delivered entry), so a buffered-but-uncounted
-// activation cannot exist and false termination is impossible — an unflushed
-// buffer merely keeps the wave unbalanced until a flush rule fires.
+// Flush rule (Nagle's, on the link layer): BatchEnd ships the buffer at once
+// when the link to dst has nothing unacked, and leaves it to gather
+// otherwise; the ack that empties the link ships whatever gathered behind it
+// (handleAck). Only two other flushes exist: on the size threshold
+// (SetBatchLimit, default DefaultBatchBytes) and at World.Shutdown. So at
+// most one batch frame per link waits for its ack, a lone activation leaves
+// without waiting for anything, and a burst rides the next ack together.
+//
+// The rule rests on one invariant: a non-empty batch toward dst implies an
+// unacked message toward dst, whose ack is bound to come (the link layer
+// retransmits until it does) or whose peer is declared dead. BatchEnd and
+// handleAck keep it with a Dekker-style handshake over two atomics, both
+// sequentially consistent in Go: BatchEnd writes count and then reads the
+// link's busy flag; handleAck writes busy=false and then reads count. In any
+// interleaving one of the two reads sees the other's write, so either the
+// appender finds the link idle and flushes, or the ack finds the entry and
+// flushes (both may; the second finds the buffer empty under b.mu). Reading
+// busy costs the append one atomic load.
+//
+// Termination accounting is per-activation at append time (BatchEnd counts
+// MsgSentTo; the receiver counts MsgRecvdFrom per delivered entry), so a
+// buffered-but-uncounted activation cannot exist and false termination is
+// impossible — a buffered activation merely keeps the wave unbalanced until
+// the ack that ships it.
 //
 // Frame buffers come from a per-sender slab pool and are recycled once the
 // frame is provably done: the sender reclaims a slab when the frame's ack
 // arrives (the receiver acks only after dispatch, and the wire carried an
-// encoded copy, so duplicate or delayed copies never touch the slab). Steady
-// state therefore allocates one wire frame per flush, not per activation.
+// encoded copy, made under the link lock the reclaiming ack also takes, so
+// duplicate or delayed copies never touch the slab). The wire frame itself
+// is carved out of a shared chunk (FrameAlloc), so steady state allocates a
+// small fraction of an object per flush.
 const (
 	batchHeaderLen   = 12 // [4B count][8B frame id]
 	batchEntryHdrLen = 4
@@ -51,14 +69,18 @@ const (
 type FlushReason uint8
 
 const (
+	// FlushSize: the buffer reached the batch limit.
 	FlushSize FlushReason = iota
+	// FlushIdle: the link was idle at the append, or the ack that emptied it
+	// arrived.
 	FlushIdle
+	// FlushShutdown: World.Shutdown.
 	FlushShutdown
 )
 
-// batchBuf is one destination's send buffer. count is atomic only so
-// FlushBatches can skip empty buffers without taking the lock; all writes
-// happen under mu.
+// batchBuf is one destination's send buffer. count is atomic so flushBatch
+// can skip empty buffers without taking the lock and so handleAck can read
+// it against BatchEnd (the flush rule); all writes happen under mu.
 type batchBuf struct {
 	mu         sync.Mutex
 	buf        []byte
@@ -110,8 +132,8 @@ func (p *Proc) BatchBegin(dst int) []byte {
 }
 
 // BatchEnd seals the entry opened by BatchBegin, accounts one sent message
-// in the termination protocol, and flushes the buffer if it crossed the
-// size threshold.
+// in the termination protocol, and flushes the buffer if it crossed the size
+// threshold or the link to dst has nothing unacked (the flush rule above).
 func (p *Proc) BatchEnd(dst int, buf []byte) {
 	b := &p.batch[dst]
 	binary.LittleEndian.PutUint32(buf[b.entryStart-batchEntryHdrLen:], uint32(len(buf)-b.entryStart))
@@ -120,6 +142,8 @@ func (p *Proc) BatchEnd(dst int, buf []byte) {
 	p.det.MsgSentTo(dst)
 	if len(buf) >= p.world.batchLimit {
 		p.flushLocked(dst, b, FlushSize)
+	} else if !p.sendLinks[dst].busy.Load() {
+		p.flushLocked(dst, b, FlushIdle)
 	}
 	b.mu.Unlock()
 }
@@ -133,21 +157,26 @@ func (p *Proc) BatchCancel(dst int) {
 }
 
 // FlushBatches ships every non-empty batch buffer. Safe from any goroutine;
-// this is what the runtime's flush-on-idle hook, the progress tick, and
-// quiescence call.
+// World.Shutdown calls it. The flush rule needs no other caller: the ack
+// that empties a link flushes for it.
 func (p *Proc) FlushBatches(reason FlushReason) {
+	for dst := range p.batch {
+		p.flushBatch(dst, reason)
+	}
+}
+
+// flushBatch ships dst's batch buffer if it holds anything.
+func (p *Proc) flushBatch(dst int, reason FlushReason) {
 	if p.batch == nil {
 		return
 	}
-	for dst := range p.batch {
-		b := &p.batch[dst]
-		if b.count.Load() == 0 {
-			continue
-		}
-		b.mu.Lock()
-		p.flushLocked(dst, b, reason)
-		b.mu.Unlock()
+	b := &p.batch[dst]
+	if b.count.Load() == 0 {
+		return
 	}
+	b.mu.Lock()
+	p.flushLocked(dst, b, reason)
+	b.mu.Unlock()
 }
 
 // flushLocked seals and posts dst's frame; the caller holds b.mu.

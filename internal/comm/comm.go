@@ -268,6 +268,11 @@ type Proc struct {
 	frameSeq   atomic.Uint64
 	curFrameID uint64
 
+	// frames allocates outbound wire frames; transmit runs on any
+	// goroutine, hence framesMu.
+	framesMu sync.Mutex
+	frames   FrameAlloc
+
 	// progress-goroutine-private bookkeeping
 	terminated bool
 	dropped    int64 // malformed or unroutable messages dropped (diagnostics)
@@ -369,12 +374,9 @@ func (p *Proc) progress() {
 			if p.world.fd != nil {
 				p.fdTick(time.Now())
 			}
-			// Bound the latency of appends the idle hook cannot see (the
-			// progress goroutine's own forwards, trickle traffic).
-			p.FlushBatches(FlushIdle)
 			// Pump the steal policy: the runtime idle hook only fires on the
 			// idle transition, so retrying a failed probe (with every worker
-			// parked in its spin loop) needs this periodic pulse.
+			// parked) needs this periodic pulse.
 			if h := p.steal.hooks; h != nil && h.Tick != nil && !p.terminated {
 				h.Tick()
 			}

@@ -702,25 +702,32 @@ func (t *Transport) readLoop(c net.Conn) {
 		return
 	}
 	t.logf("tcptransport: rank %d: accepted connection from rank %d (%s)", t.cfg.Self, src, c.RemoteAddr())
-	var lenBuf [4]byte
+	// Clear the handshake deadline once; re-arm one per frame only when
+	// ReadTimeout asks for it (each Set re-programs a runtime poll timer).
+	rt := t.cfg.ReadTimeout
+	if rt <= 0 {
+		c.SetReadDeadline(time.Time{})
+	}
+	var (
+		lenBuf [4]byte
+		frames comm.FrameAlloc // the link layer keeps each frame
+	)
 	for {
 		if t.closed.Load() {
 			return
 		}
-		if rt := t.cfg.ReadTimeout; rt > 0 {
+		if rt > 0 {
 			c.SetReadDeadline(time.Now().Add(rt))
-		} else {
-			c.SetReadDeadline(time.Time{})
 		}
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return
 		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
+		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 		if n == 0 || n > maxFrameLen {
 			t.logf("tcptransport: rank %d: bad frame length %d from rank %d", t.cfg.Self, n, src)
 			return
 		}
-		frame := make([]byte, n) // fresh per frame: the link layer keeps it
+		frame := frames.Make(n)
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return // torn frame: the sender's retransmission re-carries it
 		}

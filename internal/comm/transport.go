@@ -231,7 +231,37 @@ func (p *Proc) transmit(dst int, m message) {
 	if w.wireDead(p.rank, dst) {
 		return
 	}
-	_ = p.tr.Send(dst, appendWireFrame(make([]byte, 0, wireFrameHdr+len(m.payload)), m))
+	p.framesMu.Lock()
+	frame := p.frames.Make(wireFrameHdr + len(m.payload))
+	p.framesMu.Unlock()
+	_ = p.tr.Send(dst, appendWireFrame(frame[:0], m))
+}
+
+// FrameAlloc hands out wire frame buffers without an allocation per frame:
+// a frame of up to 1 KiB — an ack, a small batch — is carved out of a shared
+// 8 KiB chunk, a larger one gets its own. A carved frame is a 3-index slice
+// no other frame overlaps, so ownership still passes with it as Transport
+// requires; a chunk is never reused, and the GC frees it with the last
+// frame carved from it. The zero value is ready; not safe for concurrent
+// use.
+type FrameAlloc struct{ chunk []byte }
+
+const (
+	frameChunkSize = 8 << 10
+	frameChunkMax  = 1 << 10
+)
+
+// Make returns a frame buffer of length n.
+func (a *FrameAlloc) Make(n int) []byte {
+	if n > frameChunkMax {
+		return make([]byte, n)
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]byte, 0, frameChunkSize)
+	}
+	off := len(a.chunk)
+	a.chunk = a.chunk[:off+n]
+	return a.chunk[off : off+n : off+n]
 }
 
 // deliverFrame is the transport's inbound callback: decode and enqueue into

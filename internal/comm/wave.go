@@ -76,11 +76,11 @@ func (p *Proc) handleTerminate(message) {
 }
 
 // handleQuiescent runs when the local detector announces quiescence.
+//
+// A batch still buffered here needs no flush: its link has an unacked
+// message whose ack ships it (batch.go, "Flush rule"), and until then the
+// activations it holds keep the wave unbalanced.
 func (p *Proc) handleQuiescent() {
-	// Local quiescence means every worker passed through the idle hook, but
-	// the hook races the notification; flush again so no activation sits
-	// buffered while this rank contributes balanced-looking counters.
-	p.FlushBatches(FlushIdle)
 	if !p.det.Quiescent() {
 		return // stale notification; work arrived meanwhile
 	}

@@ -220,17 +220,12 @@ func (g *Graph) MakeExecutable() {
 			}
 			g.installSteal()
 		}
-		// Flush coalesced activations whenever a worker runs out of local
-		// work: outbound latency must not gate on the next progress tick.
-		// With stealing on, an idle worker is also the trigger to go find
-		// remote work.
+		// Coalesced activations need no idle flush: comm ships a batch at
+		// once toward an idle link and on the ack that empties a busy one.
+		// With stealing on, an idle worker is the trigger to go find remote
+		// work.
 		if g.steal != nil {
-			g.rtm.SetIdleHook(func() {
-				g.proc.FlushBatches(comm.FlushIdle)
-				g.maybeSteal()
-			})
-		} else {
-			g.rtm.SetIdleHook(func() { g.proc.FlushBatches(comm.FlushIdle) })
+			g.rtm.SetIdleHook(g.maybeSteal)
 		}
 		g.proc.Start(g.rtm.Det, func() { g.rtm.SignalDone() })
 		g.rtm.Start(true)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gottg/internal/comm"
 	"gottg/internal/rt"
 )
 
@@ -386,9 +385,6 @@ func (ft *ftState) onRankDead(dead, epoch int) {
 		ft.remapped.Add(1)
 		g.replaySeed(cw, s)
 	}
-	// Replayed sends coalesce like any others; push them onto the wire now so
-	// recovery latency does not ride on the next flush tick.
-	g.proc.FlushBatches(comm.FlushIdle)
 }
 
 // replaySeed re-delivers one inherited seed locally.

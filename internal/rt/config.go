@@ -45,7 +45,9 @@ func (k SchedKind) String() string {
 	return "?"
 }
 
-// Config assembles a runtime instance.
+// Config assembles a runtime instance. The idle protocol has no field: an
+// idle worker spins only while a sibling runs, bounded by an internal
+// constant, and otherwise parks until a producer wakes it.
 type Config struct {
 	// Workers is the number of worker threads (default: GOMAXPROCS).
 	Workers int
@@ -68,10 +70,6 @@ type Config struct {
 	CountAtomics bool
 	// PinWorkers locks each worker goroutine to an OS thread.
 	PinWorkers bool
-	// SpinBeforePark is how many failed acquisition rounds an idle worker
-	// spins before it parks — blocks until a producer wakes it (default
-	// 2048).
-	SpinBeforePark int
 	// BundleReady batches the tasks made eligible during one task's
 	// execution and inserts them into the scheduler as a single pre-sorted
 	// chain at task end — the paper's §IV-C bundling, which turns the LLP
@@ -103,9 +101,6 @@ type Config struct {
 func (c Config) Normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.SpinBeforePark <= 0 {
-		c.SpinBeforePark = 2048
 	}
 	if c.InlineThresholdNs <= 0 {
 		c.InlineThresholdNs = 3000

@@ -43,8 +43,8 @@ func waitDoneOrDump(t *testing.T, r *Runtime, timeout time.Duration) {
 	}
 }
 
-// TestParkNoLostWakeup is the lost-wakeup stress: workers park after a
-// single failed look (SpinBeforePark 1), and an external goroutine injects
+// TestParkNoLostWakeup is the lost-wakeup stress: a worker with no running
+// sibling parks after a single failed look, and an external goroutine injects
 // single tasks whose bodies run for a seeded 0–2 µs, each one only after
 // everything injected before it has started and a seeded gap of 0–200 µs
 // (three in four under 2 µs) has passed — so an Inject keeps landing inside
@@ -63,7 +63,7 @@ func TestParkNoLostWakeup(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%dw", sched, workers), func(t *testing.T) {
 				t.Parallel()
 				cfg := Config{Workers: workers, Sched: sched, ThreadLocalTermDet: true,
-					UsePools: true, SpinBeforePark: 1}.Normalize()
+					UsePools: true}.Normalize()
 				r := New(cfg)
 				var started, executed atomic.Int64
 				leaf := func(w *Worker, tk *Task) {
@@ -162,7 +162,7 @@ func TestParkNoLostWakeup(t *testing.T) {
 // 1 ms or more on Linux.)
 func TestWakeLatency(t *testing.T) {
 	cfg := Config{Workers: 2, Sched: SchedLLP, ThreadLocalTermDet: true,
-		UsePools: true, SpinBeforePark: 1}.Normalize()
+		UsePools: true}.Normalize()
 	r := New(cfg)
 	started := make(chan time.Time, 1)
 	exec := func(w *Worker, tk *Task) {
@@ -212,7 +212,7 @@ func TestChildOfRunningBodyWakesSleeper(t *testing.T) {
 	for _, sched := range []SchedKind{SchedLLP, SchedLFQ, SchedLL} {
 		t.Run(sched.String(), func(t *testing.T) {
 			cfg := Config{Workers: 2, Sched: sched, ThreadLocalTermDet: true,
-				UsePools: true, SpinBeforePark: 1}.Normalize()
+				UsePools: true}.Normalize()
 			r := New(cfg)
 			childStarted := make(chan time.Time, 1)
 			lat := make(chan time.Duration, 1)
@@ -271,7 +271,7 @@ func TestChildOfRunningBodyWakesSleeper(t *testing.T) {
 // the block that follows counts in Stats.Parks.
 func TestStaleTokenIsNotAPark(t *testing.T) {
 	cfg := Config{Workers: 1, Sched: SchedLLP, ThreadLocalTermDet: true,
-		UsePools: true, SpinBeforePark: 1}.Normalize()
+		UsePools: true}.Normalize()
 	r := New(cfg)
 	r.idle.searching.Store(1) // the unit a token carries
 	r.wake <- struct{}{}
@@ -305,7 +305,7 @@ func TestSignalDoneReleasesParkedWorkers(t *testing.T) {
 	for _, sched := range []SchedKind{SchedLLP, SchedLFQ, SchedLL} {
 		t.Run(sched.String(), func(t *testing.T) {
 			cfg := Config{Workers: 4, Sched: sched, ThreadLocalTermDet: true,
-				UsePools: true, SpinBeforePark: 1}.Normalize()
+				UsePools: true}.Normalize()
 			r := New(cfg)
 			r.Start(true) // distributed: nobody but the test signals done
 			waitAllParked(t, r)
@@ -324,7 +324,7 @@ func TestSignalDoneReleasesParkedWorkers(t *testing.T) {
 // termination detector as usual.
 func TestAbortWithAllWorkersParked(t *testing.T) {
 	cfg := Config{Workers: 4, Sched: SchedLLP, ThreadLocalTermDet: true,
-		UsePools: true, SpinBeforePark: 1}.Normalize()
+		UsePools: true}.Normalize()
 	r := New(cfg)
 	var ran atomic.Int64
 	exec := func(w *Worker, tk *Task) {
@@ -362,5 +362,137 @@ func TestAbortWithAllWorkersParked(t *testing.T) {
 	}
 	if got, put := r.TaskBalance(); got != put {
 		t.Fatalf("task leak: got %d, put %d", got, put)
+	}
+}
+
+// popCounter counts the Pop calls its scheduler serves: every findTask
+// starts with one, so the count is the number of looks a worker took.
+type popCounter struct {
+	scheduler
+	pops atomic.Int64
+}
+
+func (c *popCounter) Pop(wid int) *Task {
+	c.pops.Add(1)
+	return c.scheduler.Pop(wid)
+}
+
+// TestLoneIdleWorkerParksWithoutSpinning: with no sibling running, an idle
+// worker's only producers are goroutines that need the P it holds, so it
+// parks at once — its first look in run and the re-check in park are the
+// only two looks it takes before it blocks, and it takes a few per task it
+// is woken for, not a spin's 2 048.
+func TestLoneIdleWorkerParksWithoutSpinning(t *testing.T) {
+	cfg := Config{Workers: 1, Sched: SchedLLP, ThreadLocalTermDet: true, UsePools: true}.Normalize()
+	r := New(cfg)
+	pc := &popCounter{scheduler: r.sched}
+	r.sched = pc
+	r.Start(true)
+	waitAllParked(t, r)
+	if n := pc.pops.Load(); n > 2 {
+		t.Fatalf("lone worker took %d looks before it parked, want 2 (no spin)", n)
+	}
+	ran := make(chan struct{})
+	sw := r.ServiceWorker(0)
+	const tasks = 20
+	for i := 0; i < tasks; i++ {
+		tk := sw.NewTask()
+		tk.Exec = func(w *Worker, tk *Task) {
+			w.FreeTask(tk)
+			ran <- struct{}{}
+		}
+		r.Inject(tk)
+		<-ran
+		waitAllParked(t, r)
+	}
+	// A wake-up takes three looks — the woken look finds the task, the look
+	// in run and the re-check in park find nothing — or four when the task
+	// landed between the announce and the re-check and a stale token costs
+	// one more round.
+	if n := pc.pops.Load(); n > 2+4*tasks {
+		t.Fatalf("lone worker took %d looks over %d wake-ups, want at most %d (no spin)", n, tasks, 2+4*tasks)
+	}
+	r.SignalDone()
+	waitDoneOrDump(t, r, 10*time.Second)
+}
+
+// TestIdleWorkerBesideRunningSiblingSpins: while a sibling runs, an idle
+// worker keeps spinning instead of parking, and takes the child the sibling
+// pushes by stealing it — no park, no wake token. The parent first pushes a
+// filler child, which wakes the other worker; once that worker has run the
+// filler and is searching, the parent pushes the child proper and waits for
+// it to start there. An attempt whose spin ran out before the push (a
+// preempted parent) is retried.
+func TestIdleWorkerBesideRunningSiblingSpins(t *testing.T) {
+	for _, sched := range []SchedKind{SchedLLP, SchedLFQ, SchedLL} {
+		t.Run(sched.String(), func(t *testing.T) {
+			cfg := Config{Workers: 2, Sched: sched, ThreadLocalTermDet: true, UsePools: true}.Normalize()
+			r := New(cfg)
+			r.BeginAction()
+			r.Start(false)
+			sw := r.ServiceWorker(0)
+			var failure string
+			for attempt := 0; attempt < 3; attempt++ {
+				waitAllParked(t, r)
+				childOn := make(chan int, 1)
+				result := make(chan string, 1)
+				leaf := func(w *Worker, tk *Task) {
+					w.Completed()
+					w.FreeTask(tk)
+				}
+				child := func(w *Worker, tk *Task) {
+					childOn <- w.ID
+					leaf(w, tk)
+				}
+				parent := func(w *Worker, tk *Task) {
+					defer leaf(w, tk)
+					filler := w.NewTask()
+					filler.Exec = leaf
+					w.Discovered()
+					w.Schedule(filler)
+					for deadline := time.Now().Add(time.Second); r.idle.searching.Load() != 1 || r.idle.parked.Load() != 0; {
+						if time.Now().After(deadline) {
+							result <- "the sibling was never seen searching"
+							return
+						}
+					}
+					_, _, parks := r.Stats()
+					c := w.NewTask()
+					c.Exec = child
+					w.Discovered()
+					w.Schedule(c)
+					select {
+					case id := <-childOn:
+						_, _, after := r.Stats()
+						switch {
+						case id == w.ID:
+							result <- "the child ran on its parent's worker"
+						case after != parks:
+							result <- fmt.Sprintf("the sibling parked %d time(s) before it took the child", after-parks)
+						case len(r.wake) != 0:
+							result <- "a wake token was sent for the child"
+						default:
+							result <- ""
+						}
+					case <-time.After(time.Second):
+						result <- "the child did not start while its parent ran"
+						<-childOn // this worker runs it after the body
+					}
+				}
+				tk := sw.NewTask()
+				tk.Exec = parent
+				r.BeginAction()
+				r.Inject(tk)
+				if failure = <-result; failure == "" {
+					break
+				}
+				t.Logf("attempt %d: %s", attempt, failure)
+			}
+			r.EndAction()
+			waitDoneOrDump(t, r, 10*time.Second)
+			if failure != "" {
+				t.Fatal(failure)
+			}
+		})
 	}
 }

@@ -248,7 +248,7 @@ func TestWorkerParkAndWake(t *testing.T) {
 	// Force parking quickly, then inject late work: the Injects must wake
 	// the parked workers, and the run must terminate.
 	cfg := Config{Workers: 2, Sched: SchedLLP, ThreadLocalTermDet: true,
-		UsePools: true, SpinBeforePark: 4}.Normalize()
+		UsePools: true}.Normalize()
 	r := New(cfg)
 	var executed atomic.Int64
 	exec := func(w *Worker, tk *Task) {
@@ -258,8 +258,8 @@ func TestWorkerParkAndWake(t *testing.T) {
 	}
 	r.BeginAction()
 	r.Start(false)
-	// Let the workers spin down into the parked state (with SpinBeforePark=4
-	// they block on the runtime's wake channel within microseconds).
+	// Let the workers park: with no sibling running, an idle worker blocks
+	// on the runtime's wake channel at once.
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 32; i++ {
 		r.BeginAction()

@@ -40,9 +40,9 @@ type Runtime struct {
 	// Idle-protocol state (Worker.idle / Worker.park / wakeOne). parked
 	// counts workers that announced they are about to block on wake;
 	// searching counts workers awake without a task (spinning, or woken and
-	// taking their first look). Producers read both after every publish, so the
-	// pair sits on a cache line of its own that is only written when a
-	// worker changes idle state. wake carries at most one token: a token is
+	// taking their first look). Producers read both after every publish, and
+	// a searching worker before every spin round, so the pair sits on a cache
+	// line of its own that is only written when a worker changes idle state. wake carries at most one token: a token is
 	// only sent by whoever moved searching from 0 to 1, and that unit is
 	// only given up by the worker that received the token.
 	_    xsync.Pad
@@ -67,8 +67,8 @@ type Runtime struct {
 	// silently truncated.
 	// idleHook, when set, runs on a worker immediately before it enters the
 	// idle state (flushing thread-local termination counters). Distributed
-	// frontends install the comm batch-buffer flush here so no activation
-	// sits coalesced while the rank looks quiescent. Install before Start.
+	// frontends with inter-rank stealing install their steal trigger here.
+	// Install before Start.
 	idleHook func()
 
 	aborting   atomic.Bool
@@ -210,6 +210,15 @@ func (r *Runtime) wakeOne() {
 		return
 	}
 	r.wake <- struct{}{} // never blocks: see the wake field
+}
+
+// siblingRunning reports whether some worker is not idle, which is what a
+// searching worker's spin waits for: a running sibling may push a task it
+// can steal. With none running, the only producers left are goroutines (comm
+// readers and progress, Inject callers) that need the P a spinner would hold,
+// so the searcher parks at once.
+func (r *Runtime) siblingRunning() bool {
+	return int(r.idle.searching.Load()+r.idle.parked.Load()) < len(r.workers)
 }
 
 // EnableLoadTracking turns on the approximate ready-queue depth counter.

@@ -47,7 +47,7 @@ func (a *AtomicCounts) add(o *AtomicCounts) {
 type WorkerStats struct {
 	Executed atomic.Int64 // tasks executed from the scheduler (excludes inlined)
 	Steals   atomic.Int64 // successful steals
-	Parks    atomic.Int64 // times the worker blocked in park after spinning
+	Parks    atomic.Int64 // times the worker blocked in park
 	Inlined  atomic.Int64 // tasks executed inline at the discovery site
 
 	// Object-lifetime accounting: obtained versus fully released/freed.
@@ -347,14 +347,17 @@ func (w *Worker) run() {
 	}
 }
 
+// spinBeforePark bounds the failed rounds a searching worker spins beside a
+// running sibling before it parks.
+const spinBeforePark = 2048
+
 // idle is the starvation path (DESIGN.md §9, "Idle protocol: spin, park,
 // wake"): it returns the worker's next task, or nil once termination has
-// been signaled. The worker runs the idle hook (distributed mode flushes
-// this rank's coalesced send buffers — anything this worker appended must
-// reach the wire before the rank can look quiescent), goes idle for the
-// termination detector (flushing its thread-local counters, possibly
-// announcing quiescence), spins for Config.SpinBeforePark rounds as a
-// searching worker, and then parks until a producer wakes it.
+// been signaled. The worker runs the idle hook (inter-rank stealing looks
+// for remote work there), goes idle for the termination detector (flushing
+// its thread-local counters, possibly announcing quiescence), spins as a
+// searching worker while a sibling runs (up to spinBeforePark rounds), and
+// then parks until a producer wakes it.
 func (w *Worker) idle() *Task {
 	rt := w.rt
 	if rt.done.Load() {
@@ -369,7 +372,7 @@ func (w *Worker) idle() *Task {
 
 	rt.idle.searching.Add(1)
 	var t *Task
-	for spins := 1; spins < rt.cfg.SpinBeforePark; spins++ {
+	for spins := 1; spins < spinBeforePark && rt.siblingRunning(); spins++ {
 		if rt.done.Load() {
 			rt.idle.searching.Add(-1)
 			return nil
