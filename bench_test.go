@@ -341,35 +341,6 @@ func BenchmarkPublicAPIChain(b *testing.B) {
 	g.Wait()
 }
 
-// BenchmarkAblationInline{On,Off}: the paper's future-work item — running
-// an eligible successor immediately at its discovery site instead of a
-// scheduler round-trip (rt.Config.InlineAuto, the adaptive policy).
-func inlineBench(b *testing.B, inline bool) {
-	cfg := rt.OptimizedConfig(1)
-	cfg.InlineAuto = inline
-	cfg.PinWorkers = false
-	g := core.New(cfg)
-	e := core.NewEdge("chain")
-	limit := uint64(b.N)
-	pt := g.NewTT("p", 1, 1, func(tc core.TaskContext) {
-		if k := tc.Key(); k < limit {
-			tc.SendControl(0, k+1)
-		}
-	})
-	pt.Out(0, e)
-	e.To(pt, 0)
-	g.MakeExecutable()
-	b.ResetTimer()
-	g.InvokeControl(pt, 1)
-	g.Wait()
-	if inline && b.N > 1 && g.Runtime().Workers()[0].Stats.Inlined.Load() == 0 {
-		b.Fatal("the adaptive policy inlined nothing on a chain")
-	}
-}
-
-func BenchmarkAblationInlineOn(b *testing.B)  { inlineBench(b, true) }
-func BenchmarkAblationInlineOff(b *testing.B) { inlineBench(b, false) }
-
 // BenchmarkAblationAggregatorVsStreaming: §V-D1's design point. Both
 // terminals gather K items per task; the aggregator keeps the items as
 // TTG-managed copies (shareable onward without copying), the streaming

@@ -46,25 +46,18 @@ var (
 	flagSkew    = flag.Float64("skew", 0, "tilt kernel cost linearly across points: point p costs (1 + skew*p/(width-1)) x flops")
 	flagSleepNs = flag.Int64("sleep-ns", 0, "add a skew-scaled blocking sleep of this many ns to each task (task-bench sleep kernel)")
 
-	flagPriority   = flag.Bool("priority", false, "enable online bottom-level task priorities (TTG runners)")
-	flagInlineAuto = flag.Bool("inline-auto", false, "enable the adaptive inline policy (TTG runners)")
-	flagLockFree   = flag.Bool("lockfree-ht", false, "enable the wait-free discovery-table hit path (TTG runners)")
+	flagPriority = flag.Bool("priority", false, "enable online bottom-level task priorities (TTG runners)")
 )
 
-// tuning assembles the scheduling knobs from the flags.
-func tuning() taskbench.Tuning {
-	return taskbench.Tuning{Priority: *flagPriority, InlineAuto: *flagInlineAuto, LockFreeHit: *flagLockFree}
-}
-
-// tuned applies the scheduling knobs to the shared-memory TTG runners (the
-// other contenders have no equivalent policy to toggle).
+// tuned applies -priority to the shared-memory TTG runners (the other
+// contenders have no equivalent policy to toggle).
 func tuned(runners []taskbench.Runner) []taskbench.Runner {
 	for i, r := range runners {
 		if tr, ok := r.(taskbench.TTGRunner); ok {
 			base := tr.Cfg
 			tr.Cfg = func(threads int) rt.Config {
 				c := base(threads)
-				tuning().Apply(&c)
+				c.AutoPriority = *flagPriority
 				return c
 			}
 			runners[i] = tr
@@ -81,12 +74,12 @@ func netMode() bool { return *flagNet || *flagRankID >= 0 }
 // this process's rank — from the flags.
 func distOptions() taskbench.DistOptions {
 	o := taskbench.DistOptions{
-		Ranks:   *flagRanks,
-		Workers: *flagThreads,
-		Tune:    tuning(),
-		Trace:   *flagCritpath && !netMode(), // spans do not cross the process pipe
-		Steal:   *flagSteal,
-		FT:      netMode() || *flagKillRank >= 0,
+		Ranks:    *flagRanks,
+		Workers:  *flagThreads,
+		Priority: *flagPriority,
+		Trace:    *flagCritpath && !netMode(), // spans do not cross the process pipe
+		Steal:    *flagSteal,
+		FT:       netMode() || *flagKillRank >= 0,
 	}
 	if netMode() { // the flags that say "with -net"
 		o.SuspectAfter = time.Duration(*flagSuspectMS) * time.Millisecond
@@ -139,12 +132,6 @@ func emitRecord(name string, workers, ranks int, res taskbench.Result, spec task
 	}
 	if *flagPriority {
 		rec.Config["priority"] = true
-	}
-	if *flagInlineAuto {
-		rec.Config["inline_auto"] = true
-	}
-	if *flagLockFree {
-		rec.Config["lockfree_ht"] = true
 	}
 	rec.Metrics = mx
 	rec.Critpath = cp

@@ -115,8 +115,6 @@ func launchNet(spec taskbench.Spec, o taskbench.DistOptions) (taskbench.Result, 
 			"-sleep-ns", fmt.Sprint(spec.SleepNs),
 			fmt.Sprintf("-steal=%v", *flagSteal),
 			fmt.Sprintf("-priority=%v", *flagPriority),
-			fmt.Sprintf("-inline-auto=%v", *flagInlineAuto),
-			fmt.Sprintf("-lockfree-ht=%v", *flagLockFree),
 			"-threads", fmt.Sprint(*flagThreads),
 			"-net-suspect-ms", fmt.Sprint(*flagSuspectMS),
 			"-net-kill-rank", fmt.Sprint(*flagNetKillRank),

@@ -7,8 +7,7 @@
 //
 //	ttg-bench [flags] fig1|fig5|fig6a|fig6b|fig7|fig8|fig9|fig10|fig11|fig12|model|all
 //	ttg-bench [-json] bench            # LLP vs LFQ smoke matrix, BENCH records
-//	ttg-bench [-json] sched            # critpath-guided scheduling off vs on, critpath BENCH records
-//	ttg-bench [-json] metg             # METG(50%) granularity sweep off vs on, BENCH records
+//	ttg-bench [-json] metg             # METG(50%) granularity sweep, priorities off vs on, BENCH records
 //	ttg-bench [-json] steal            # work-stealing matrix (balanced/skewed x off/on), BENCH records
 //	ttg-bench [-json] [-trace f] critpath  # causal critical-path profile (docs/OBSERVABILITY.md)
 //	ttg-bench [-json] telemetry        # telemetry-plane overhead A/B, BENCH records
@@ -88,7 +87,7 @@ func (c *ctx) measurableThreads(list []int) []int {
 func main() {
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: ttg-bench [flags] fig1|fig2|fig5|fig6a|fig6b|fig7|fig8|fig9|fig10|fig11|fig12|model|chaos|all|bench|sched|metg|steal|critpath|telemetry|top|validate [files...]")
+		fmt.Fprintln(os.Stderr, "usage: ttg-bench [flags] fig1|fig2|fig5|fig6a|fig6b|fig7|fig8|fig9|fig10|fig11|fig12|model|chaos|all|bench|metg|steal|critpath|telemetry|top|validate [files...]")
 		os.Exit(2)
 	}
 	spin.SetClockGHz(*flagGHz)
@@ -114,8 +113,6 @@ func main() {
 		switch cmd {
 		case "bench":
 			figBench(c)
-		case "sched":
-			cmdSched(c)
 		case "metg":
 			cmdMETG(c)
 		case "steal":

@@ -144,7 +144,6 @@ type Transport struct {
 	accepted   atomic.Int64
 	sent       atomic.Int64
 	dropped    atomic.Int64
-	delivered  atomic.Int64
 }
 
 var _ comm.Transport = (*Transport)(nil)
@@ -301,9 +300,6 @@ func (t *Transport) Reconnects() int64 { return t.reconnects.Load() }
 
 // Dials counts dial attempts (successful or not).
 func (t *Transport) Dials() int64 { return t.dials.Load() }
-
-// Delivered counts inbound frames handed to the deliver callback.
-func (t *Transport) Delivered() int64 { return t.delivered.Load() }
 
 // Dropped counts outbound frames dropped (outbox full, write failed, or
 // fault-injected).
@@ -731,7 +727,6 @@ func (t *Transport) readLoop(c net.Conn) {
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return // torn frame: the sender's retransmission re-carries it
 		}
-		t.delivered.Add(1)
 		t.deliver(frame)
 	}
 }

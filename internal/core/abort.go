@@ -96,9 +96,9 @@ func (g *Graph) sweepTabled() {
 				continue
 			}
 			for {
-				// Drain unlinks a batch under the writer lock, so the sweep
-				// cannot race the lock-free reader fast path (FindFast never
-				// observes a half-removed entry).
+				// Drain unlinks a batch under the writer lock, which excludes
+				// every delivery (each holds the reader lock with its bucket
+				// lock), so no delivery observes a half-removed entry.
 				sw.CountBucketLock()
 				ents := ht.Drain(128)
 				if len(ents) == 0 {

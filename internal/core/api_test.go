@@ -205,15 +205,14 @@ func TestGraphCheckWarnings(t *testing.T) {
 }
 
 // TestChaosMixedGraph runs a graph combining every feature — multi-input
-// joins, aggregators, streaming, priorities, inlining, bundling, move and
-// copy sends — under elevated GOMAXPROCS for aggressive preemption, and
+// joins, aggregators, streaming, priorities, bundling, move and copy sends
+// — under elevated GOMAXPROCS for aggressive preemption, and
 // checks a deterministic checksum.
 func TestChaosMixedGraph(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	for _, workers := range []int{1, 3, 7} {
 		cfg := testCfg(workers)
-		cfg.InlineAuto = true
 		cfg.BundleReady = true
 		g := New(cfg)
 		eFan := NewEdge("fan")

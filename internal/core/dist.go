@@ -53,7 +53,7 @@ func (g *Graph) remoteSend(w *rt.Worker, tt *TT, slot int, key uint64, c *rt.Cop
 	if g.causal {
 		hdr[0] |= actFlagSpan
 	}
-	if prio != nil && prio.writePrio {
+	if prio != nil {
 		hdr[0] |= actFlagPrio
 	}
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(tt.id))

@@ -127,7 +127,7 @@ func TestSoakRandomPanicsEverySchedulerAndTermDet(t *testing.T) {
 		for _, tl := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/tl=%v", sched, tl), func(t *testing.T) {
 				cfg := rt.Config{Workers: 4, Sched: sched, ThreadLocalTermDet: tl,
-					UsePools: true, InlineAuto: true, BundleReady: true}
+					UsePools: true, BundleReady: true}
 				var nodes, joins atomic.Int64
 				g := New(cfg)
 				node, join := buildTreeWithJoins(g, n, shouldPanic, &nodes, &joins)

@@ -64,12 +64,12 @@ type Graph struct {
 	// see EnableMetrics.
 	mx *graphMetrics
 
-	// prio is the online bottom-level estimator (nil unless AutoPriority or
-	// InlineAuto); fastHit/inlineAuto cache the per-delivery gates resolved
-	// by MakeExecutable.
-	prio       *prioState
-	fastHit    bool
-	inlineAuto bool
+	// prio is the online bottom-level estimator (nil unless AutoPriority).
+	// prioUpdates counts its online refinements (core.priority_updates); it
+	// lives here, not in prio, because a metrics sampler may read it before
+	// MakeExecutable creates prio.
+	prio        *prioState
+	prioUpdates atomic.Int64
 
 	// aggs are the per-worker-identity Aggregate free lists (aggregator.go),
 	// indexed by HTSlot; nil when Config.UsePools is off.
@@ -161,17 +161,12 @@ func (g *Graph) NewTT(name string, nIn, nOut int, body Body) *TT {
 func (g *Graph) MakeExecutable() {
 	g.mustBeOpen()
 	g.frozen = true
-	if g.cfg.AutoPriority || g.cfg.InlineAuto {
+	if g.cfg.AutoPriority {
 		g.prio = newPrioState(g)
 	}
-	g.inlineAuto = g.cfg.InlineAuto
 	if g.cfg.UsePools {
 		g.aggs = make([]aggFreeList, g.cfg.Workers+numServiceIdentities)
 	}
-	// The lock-free hit path skips the bucket lock, under which causal
-	// tracing writes its span causes — so it is mutually exclusive with
-	// EnableCausalTracing.
-	g.fastHit = g.cfg.LockFreeHit && !g.causal
 	for _, tt := range g.tts {
 		tt.bypass = g.cfg.HTBypassSingleInput && tt.nIn == 1 && tt.slots[0].kind == slotPlain
 		if !tt.bypass {
@@ -380,12 +375,7 @@ func (g *Graph) EnableMetrics() *metrics.Registry {
 			codecGob:   reg.Counter("core.codec_gob"),
 		}
 		reg.Func("core.errors_suppressed", g.rtm.SuppressedErrors)
-		reg.Func("core.priority_updates", func() int64 {
-			if ps := g.prio; ps != nil {
-				return ps.updates.Load()
-			}
-			return 0
-		})
+		reg.Func("core.priority_updates", g.prioUpdates.Load)
 		reg.Func("core.tasks_reexecuted", func() int64 {
 			if ft := g.ft; ft != nil {
 				return ft.reexec.Load()
@@ -464,12 +454,7 @@ func (g *Graph) Report(w io.Writer) {
 		fmt.Fprintf(w, "  %-24s %10d tasks\n", tt.name, tt.TasksCreated())
 	}
 	exec, steals, parks := g.rtm.Stats()
-	var inlined int64
-	for _, wk := range g.rtm.Workers() {
-		inlined += wk.Stats.Inlined.Load()
-	}
-	fmt.Fprintf(w, "  executed %d (inlined %d), steals %d, parks %d\n",
-		exec, inlined, steals, parks)
+	fmt.Fprintf(w, "  executed %d, steals %d, parks %d\n", exec, steals, parks)
 }
 
 // Check returns human-readable warnings about suspicious topology:

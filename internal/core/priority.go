@@ -34,15 +34,13 @@ const defaultBodyNs = 1000
 const prioSampleMask = 31
 
 // prioWorkerState is the estimator's per-worker-identity cell (indexed by
-// HTSlot, padded to a cache line): the sampling tick, the ambient priority
-// hint parsed off the activation wire (set around the receive-side deliver),
-// and the template task currently executing on this identity (the adaptive
-// inline policy's producer).
+// HTSlot, padded to a cache line): the sampling tick and the ambient
+// priority hint parsed off the activation wire (set around the receive-side
+// deliver).
 type prioWorkerState struct {
-	tick   uint32
-	hint   int32
-	prodTT int32 // executing TT id, -1 outside task bodies
-	_      [xsync.CacheLineSize - 12]byte
+	tick uint32
+	hint int32
+	_    [xsync.CacheLineSize - 8]byte
 }
 
 // prioState is the per-graph online bottom-level estimator.
@@ -51,14 +49,6 @@ type prioState struct {
 	// dropped: a TT that feeds itself recurses at constant bottom-level).
 	succ [][]int32
 
-	// soleOut[id] marks TT id as a chain link: exactly one destination in
-	// the whole template out-fan. Its execution dispatches (at most) one
-	// consumer, so inlining that consumer with nothing else visible starves
-	// no sibling — the consumer would have been this worker's next pop
-	// under any schedule. (A single terminal Send-broadcasting many keys
-	// can still fan out; the depth and budget caps bound that case.)
-	soleOut []bool
-
 	// bodyNs[id] is the EWMA of observed body nanoseconds; blNs[id] the
 	// bottom-level estimate (body + max successor bottom-level). Atomics:
 	// written by whichever worker samples, read on every ready-time refresh;
@@ -66,14 +56,7 @@ type prioState struct {
 	bodyNs []atomic.Int64
 	blNs   []atomic.Int64
 
-	ws      []prioWorkerState
-	updates atomic.Int64 // online refinements applied (core.priority_updates)
-
-	// writePrio gates writing Task.Priority (Config.AutoPriority); with only
-	// InlineAuto set the estimator observes body times but leaves priorities
-	// alone. inlineNs caches Config.InlineThresholdNs.
-	writePrio bool
-	inlineNs  int64
+	ws []prioWorkerState
 }
 
 // numServiceIdentities mirrors the runtime's service-worker count (seeding
@@ -84,25 +67,17 @@ const numServiceIdentities = 3
 func newPrioState(g *Graph) *prioState {
 	n := len(g.tts)
 	ps := &prioState{
-		succ:      make([][]int32, n),
-		bodyNs:    make([]atomic.Int64, n),
-		blNs:      make([]atomic.Int64, n),
-		ws:        make([]prioWorkerState, g.cfg.Workers+numServiceIdentities),
-		writePrio: g.cfg.AutoPriority,
-		inlineNs:  g.cfg.InlineThresholdNs,
+		succ:   make([][]int32, n),
+		bodyNs: make([]atomic.Int64, n),
+		blNs:   make([]atomic.Int64, n),
+		ws:     make([]prioWorkerState, g.cfg.Workers+numServiceIdentities),
 	}
-	for i := range ps.ws {
-		ps.ws[i].prodTT = -1
-	}
-	ps.soleOut = make([]bool, n)
 	for _, tt := range g.tts {
 		seen := make(map[int32]bool)
-		fan := 0
 		for _, e := range tt.outs {
 			if e == nil {
 				continue
 			}
-			fan += len(e.dests)
 			for _, d := range e.dests {
 				id := int32(d.tt.id)
 				if id == int32(tt.id) || seen[id] {
@@ -112,7 +87,6 @@ func newPrioState(g *Graph) *prioState {
 				ps.succ[tt.id] = append(ps.succ[tt.id], id)
 			}
 		}
-		ps.soleOut[tt.id] = fan == 1
 	}
 	// Static bottom-level in hops by bounded relaxation: converges in
 	// depth(DAG) rounds; template-graph cycles (other than the dropped
@@ -164,7 +138,6 @@ func (ps *prioState) observe(id int, d int64) {
 		}
 	}
 	ps.blNs[id].Store(nw + best)
-	ps.updates.Add(1)
 }
 
 // prioFor returns TT tt's current bottom-level estimate clamped to the
@@ -192,9 +165,6 @@ func (ps *prioState) taskPrio(tt *TT, w *rt.Worker) int32 {
 // stays authoritative). Called at dispatch, when the readier exclusively
 // owns the task.
 func (ps *prioState) refresh(w *rt.Worker, t *rt.Task) {
-	if !ps.writePrio {
-		return
-	}
 	tt := t.TT.(*TT)
 	if tt.prioFn != nil {
 		return
@@ -202,27 +172,6 @@ func (ps *prioState) refresh(w *rt.Worker, t *rt.Task) {
 	if p := ps.taskPrio(tt, w); p > t.Priority {
 		t.Priority = p
 	}
-}
-
-// inlineOK reports whether the template task currently executing on w's
-// identity has an observed body time below the inline threshold — the
-// producer-cost gate of the adaptive inline policy (the queue-occupancy and
-// budget gates live in rt.Worker.TryInline).
-func (ps *prioState) inlineOK(w *rt.Worker) bool {
-	st := &ps.ws[w.HTSlot()]
-	if st.prodTT < 0 {
-		return false
-	}
-	return ps.bodyNs[st.prodTT].Load() < ps.inlineNs
-}
-
-// soloInline reports whether the template task executing on w's identity is
-// a chain link (sole template destination), which exempts its consumer from
-// the work-visible occupancy gate: inlining the only successor of a
-// single-out producer starves nobody.
-func (ps *prioState) soloInline(w *rt.Worker) bool {
-	st := &ps.ws[w.HTSlot()]
-	return st.prodTT >= 0 && ps.soleOut[st.prodTT]
 }
 
 // setHint installs (and clearHint removes) the ambient received-priority

@@ -193,37 +193,3 @@ func TestStolenRecordRoundTripPriority(t *testing.T) {
 			gotKey.Load(), gotPrio.Load())
 	}
 }
-
-// TestAdaptiveInlineChain runs a long self-loop chain with the adaptive
-// policy on: the chain TT has template out-degree 1, so consumers inline at
-// the discovery site even with nothing else queued (the solo exemption), and
-// the run must both stay correct and actually inline.
-func TestAdaptiveInlineChain(t *testing.T) {
-	const N = 2000
-	cfg := testCfg(2)
-	cfg.InlineAuto = true
-	g := New(cfg)
-	e := NewEdge("loop")
-	var count atomic.Int64
-	pt := g.NewTT("point", 1, 1, func(tc TaskContext) {
-		count.Add(1)
-		if k := tc.Key(); k < N {
-			tc.SendControl(0, k+1)
-		}
-	})
-	pt.Out(0, e)
-	e.To(pt, 0)
-	g.MakeExecutable()
-	g.InvokeControl(pt, 1)
-	g.Wait()
-	if count.Load() != N {
-		t.Fatalf("executed %d, want %d", count.Load(), N)
-	}
-	var inlined int64
-	for _, w := range g.Runtime().Workers() {
-		inlined += w.Stats.Inlined.Load()
-	}
-	if inlined == 0 {
-		t.Fatal("adaptive inlining never fired on a short chain")
-	}
-}

@@ -528,7 +528,7 @@ func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 		// A donated task keeps the urgency the victim gave it, raised to the
 		// local estimate when this rank runs the estimator too.
 		t.Priority = wirePrio
-		if ps := g.prio; ps != nil && ps.writePrio {
+		if ps := g.prio; ps != nil {
 			if p := ps.prioFor(tt); p > t.Priority {
 				t.Priority = p
 			}

@@ -139,7 +139,7 @@ func (tt *TT) newTask(w *rt.Worker, key uint64) *rt.Task {
 	t.Exec = ttExecute
 	if tt.prioFn != nil {
 		t.Priority = tt.prioFn(key)
-	} else if ps := tt.g.prio; ps != nil && ps.writePrio {
+	} else if ps := tt.g.prio; ps != nil {
 		t.Priority = ps.taskPrio(tt, w)
 	}
 	deps := int32(0)
@@ -170,16 +170,14 @@ func ttExecute(w *rt.Worker, t *rt.Task) {
 	tt := t.TT.(*TT)
 	if tt.g.causal {
 		// Identify the executing span on this worker so deliveries performed
-		// by the body are attributed to it (save/restore handles inlined
-		// child executions nesting on the same worker stack).
+		// by the body are attributed to it.
 		saved := w.CauseCtx()
 		w.SetCauseCtx(rt.CauseCtx{SpanID: t.SpanID(), Rank: tt.g.rank})
 		defer w.SetCauseCtx(saved)
 	}
 	if ft := tt.g.ft; ft != nil {
 		// Identify the executing task on this worker identity so its sends
-		// get deterministic activation ids. Save/restore handles inlined
-		// child executions nesting on the same worker stack.
+		// get deterministic activation ids.
 		sc := &ft.srcCtx[w.HTSlot()]
 		saved := *sc
 		*sc = ftSendCtx{
@@ -190,21 +188,13 @@ func ttExecute(w *rt.Worker, t *rt.Task) {
 		}
 		defer func() { *sc = saved }()
 	}
-	// Priority-estimator hooks: mark this TT as the ambient producer for the
-	// adaptive inline policy (save/restore nests like the contexts above) and
-	// time a sampled fraction of bodies for the bottom-level refinement. The
-	// sample includes any consumers inlined during the body — deliberately:
-	// that is the real occupancy cost of running this TT at the discovery
-	// site, so inlining that starts to snowball damps its own gate.
+	// Priority-estimator hook: time a sampled fraction of bodies for the
+	// bottom-level refinement.
 	var ps *prioState
-	var pst *prioWorkerState
-	var savedProd int32
 	var timed bool
 	var t0 time.Time
 	if ps = tt.g.prio; ps != nil {
-		pst = &ps.ws[w.HTSlot()]
-		savedProd = pst.prodTT
-		pst.prodTT = int32(tt.id)
+		pst := &ps.ws[w.HTSlot()]
 		pst.tick++
 		if pst.tick&prioSampleMask == 0 {
 			timed = true
@@ -212,11 +202,9 @@ func ttExecute(w *rt.Worker, t *rt.Task) {
 		}
 	}
 	tt.body(TaskContext{w: w, t: t, tt: tt})
-	if ps != nil {
-		if timed {
-			ps.observe(tt.id, time.Since(t0).Nanoseconds())
-		}
-		pst.prodTT = savedProd
+	if timed {
+		ps.observe(tt.id, time.Since(t0).Nanoseconds())
+		tt.g.prioUpdates.Add(1)
 	}
 	tt.g.releaseInputs(w, t)
 	w.FlushDeferred()
@@ -331,42 +319,6 @@ func (g *Graph) deliverLocal(w *rt.Worker, d dest, key uint64, c *rt.Copy, owned
 		return
 	}
 	slot := w.HTSlot()
-	if g.fastHit && tt.slots[d.slot].kind == slotPlain {
-		// Wait-free fast path for the steady-state satisfy-dep hit (the
-		// common case once a task's first datum has tabled it): no bucket
-		// lock, just the shared reader lock (zero RMWs under BRAVO) and a
-		// seqlock-validated bucket walk. Safety: this delivery holds one of
-		// the task's undelivered dependences, so the entry cannot be removed
-		// before our SatisfyDep — and after our decrement we touch the task
-		// only if WE took it to zero (a racing final deliverer orders our
-		// SetInput before its dispatch via the deps atomic). Misses, deep
-		// buckets, and resize chains fall back to the locked path below.
-		tt.ht.RLockShared(slot)
-		w.CountReadLock()
-		if e, ok := tt.ht.FindFast(key); ok && e != nil {
-			t := e.Val.(*rt.Task)
-			if mx := g.mx; mx != nil {
-				mx.htFindHit.Inc(slot)
-			}
-			t.SetInput(d.slot, c)
-			ready := t.SatisfyDep(w, 1)
-			if ready {
-				w.CountBucketOnly()
-				tt.ht.LockBucket(key)
-				tt.ht.NoLockRemove(key)
-				tt.ht.UnlockBucket(key)
-				if mx := g.mx; mx != nil {
-					mx.htRemove.Inc(slot)
-				}
-			}
-			tt.ht.RUnlockShared(slot)
-			if ready {
-				g.dispatch(w, t)
-			}
-			return
-		}
-		tt.ht.RUnlockShared(slot)
-	}
 	w.CountBucketLock()
 	tt.ht.LockKey(slot, key)
 	var t *rt.Task
@@ -416,14 +368,11 @@ func (g *Graph) deliverLocal(w *rt.Worker, d dest, key uint64, c *rt.Copy, owned
 }
 
 // dispatch routes an eligible task: refresh its priority to the current
-// bottom-level estimate, inline if the adaptive policy allows, defer into
-// the worker's ready bundle if bundling, else straight to the scheduler.
+// bottom-level estimate, defer into the worker's ready bundle if bundling,
+// else straight to the scheduler.
 func (g *Graph) dispatch(w *rt.Worker, t *rt.Task) {
 	if ps := g.prio; ps != nil {
 		ps.refresh(w, t)
-		if g.inlineAuto && ps.inlineOK(w) && w.TryInline(t, ps.soloInline(w)) {
-			return
-		}
 	}
 	if w.Bundling() {
 		w.Defer(t)

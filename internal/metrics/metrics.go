@@ -41,7 +41,8 @@ type cell struct {
 }
 
 // Counter is a monotonically increasing, per-shard counter. Shards are
-// worker identities (0..Shards-1); Value sums all shards.
+// worker identities (0 up to the registry's shard count); Value sums all
+// shards.
 type Counter struct {
 	name  string
 	cells []cell
@@ -133,8 +134,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 
 // HistSnapshot is a merged view of a Histogram.
 type HistSnapshot struct {
-	Count   uint64             `json:"count"`
-	Sum     uint64             `json:"sum"`
+	Count   uint64              `json:"count"`
+	Sum     uint64              `json:"sum"`
 	Buckets [HistBuckets]uint64 `json:"-"`
 }
 
@@ -243,9 +244,6 @@ func NewRegistry(shards int) *Registry {
 		funcs:    map[string]func() int64{},
 	}
 }
-
-// Shards returns the shard count.
-func (r *Registry) Shards() int { return r.shards }
 
 // Counter returns the counter registered under name, creating it on first
 // use. Panics if the name is already taken by a different metric kind.

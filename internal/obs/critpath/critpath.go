@@ -41,8 +41,7 @@ type Span struct {
 	Start      time.Time
 	End        time.Time
 
-	Inlined bool
-	Causes  []Cause
+	Causes []Cause
 }
 
 // Cause is one input-satisfying activation: the producer span, where it ran,
@@ -73,7 +72,6 @@ func FromTrace(rank int, evs []rt.TraceEvent) []Span {
 			Ready:      e.Ready,
 			Start:      e.Start,
 			End:        e.Start.Add(e.Dur),
-			Inlined:    e.Inlined,
 		}
 		if len(e.Causes) > 0 {
 			s.Causes = make([]Cause, len(e.Causes))
@@ -218,8 +216,8 @@ func Analyze(spans []Span) (*Report, error) {
 			// [cursor, at] is communication/delivery latency (the gating
 			// datum was still in flight), [at, start] is scheduler wait (the
 			// task was deliverable but not yet running). Clamps keep the
-			// cursor monotone; an inlined consumer (start before the
-			// producer's end) yields an empty hand-off.
+			// cursor monotone; a consumer that started before its producer
+			// ended (the datum was sent mid-body) yields an empty hand-off.
 			target := h.span.Start
 			if target.After(cursor) {
 				at := h.cause.At

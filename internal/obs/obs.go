@@ -84,7 +84,6 @@ func promName(name string) string {
 // carries HELP.
 var helpText = map[string]string{
 	"rt.task.executed":      "tasks executed by the runtime",
-	"rt.task.inlined":       "tasks executed inline on the sending worker",
 	"rt.task.ns":            "per-task execution time in nanoseconds",
 	"rt.sched.push":         "tasks pushed onto worker deques",
 	"rt.sched.pop":          "tasks popped from the owner's deque",

@@ -230,40 +230,6 @@ func TestDiscardRespectsMovedInputFlags(t *testing.T) {
 	}
 }
 
-func TestPanicInsideInlinedTask(t *testing.T) {
-	// TryInline routes through the same isolation: a panic in an inlined
-	// child must not unwind the parent worker loop.
-	cfg := Config{Workers: 1, InlineAuto: true, UsePools: true}.Normalize()
-	r := New(cfg)
-	tt := &namedTT{name: "inline-victim"}
-	exec := func(w *Worker, tk *Task) {
-		if tk.Key() == 1 {
-			panic("inline panic")
-		}
-		child := w.NewTask()
-		child.Exec = tk.Exec
-		child.TT = tt
-		child.SetKey(1)
-		w.Discovered()
-		if !w.TryInline(child, true) {
-			w.Schedule(child)
-		}
-		w.Completed()
-		w.FreeTask(tk)
-	}
-	r.BeginAction()
-	r.Start(false)
-	root := &Task{Exec: exec, TT: tt}
-	r.BeginAction()
-	r.Inject(root)
-	r.EndAction()
-	r.WaitDone()
-	var te *TaskError
-	if err := r.Err(); !errors.As(err, &te) || te.Key != 1 {
-		t.Fatalf("Err() = %v, want a TaskError for key 1", r.Err())
-	}
-}
-
 func TestTaskErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("wrapped cause")
 	te := &TaskError{TTName: "x", Key: 7, Value: sentinel}

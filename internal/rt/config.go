@@ -2,15 +2,23 @@
 // threads, task objects with per-worker memory pools, reference-counted data
 // copies, pluggable schedulers (LFQ, LL, LLP), and termination detection.
 //
-// The package exposes exactly the knobs the paper ablates:
+// Besides Workers and PinWorkers, every Config field is one of the paper's
+// ablations or the one scheduling extension beyond it:
 //
-//   - Config.Sched selects the scheduler (§III-B vs §IV-C),
+//   - Config.Sched selects the scheduler (§III-B vs §IV-C), and
+//     Config.BundleReady its bundled ready-task insertion (§IV-C),
 //   - Config.ThreadLocalTermDet selects termination-detection counting
 //     (§III-A vs §IV-B),
 //   - Config.BiasedRWLock selects the hash-table resize lock (§III-C2 vs
 //     §IV-D),
+//   - Config.HTBypassSingleInput skips the discovery table for
+//     single-input template tasks (§V-C),
+//   - Config.UsePools recycles task and copy objects (§IV-E),
 //   - Config.CountAtomics enables the per-task atomic-operation accounting
-//     used to validate the paper's Eq. 1 model (§IV-E).
+//     used to validate the paper's Eq. 1 model (§IV-E),
+//   - Config.AutoPriority lets the graph layer order ready tasks by online
+//     bottom-level estimates (an extension; the paper's priorities are
+//     user-supplied).
 //
 // OriginalConfig() reproduces "original TTG/PaRSEC"; OptimizedConfig() the
 // paper's optimized system.
@@ -79,31 +87,12 @@ type Config struct {
 	// into Task.Priority at ready time, so priority-aware schedulers order
 	// tasks by critical-path depth instead of discovery order.
 	AutoPriority bool
-	// InlineAuto enables task inlining — the paper's future-work item
-	// ("inlined tasks to reduce the number of very short tasks", §V-E) — as
-	// an adaptive policy: a just-readied consumer runs at the discovery site
-	// instead of a scheduler round-trip only when the producing template
-	// task's observed body time is below InlineThresholdNs AND other work
-	// stays visible (so siblings are never starved), bounded by
-	// maxInlineDepth nested levels and inlineBudgetPerTask consumers per
-	// outer task.
-	InlineAuto bool
-	// InlineThresholdNs is the producer body-time ceiling for adaptive
-	// inlining (default 3000ns ≈ the paper's "very short task" regime).
-	InlineThresholdNs int64
-	// LockFreeHit enables the wait-free discovery-table fast path for the
-	// lookup-hit case: the steady-state satisfy-dep path validates a seqlock
-	// instead of taking the bucket spinlock.
-	LockFreeHit bool
 }
 
 // Normalize fills in defaults and returns the receiver for chaining.
 func (c Config) Normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.InlineThresholdNs <= 0 {
-		c.InlineThresholdNs = 3000
 	}
 	return c
 }

@@ -22,7 +22,6 @@ type rtMetrics struct {
 	poolCopyMiss *metrics.Counter // copy objects heap-allocated
 
 	executed  *metrics.Counter // tasks run from the scheduler
-	inlined   *metrics.Counter // tasks run inline at the discovery site
 	discarded *metrics.Counter // tasks dropped by the abort drain
 	panics    *metrics.Counter // isolated task-body panics
 
@@ -30,8 +29,8 @@ type rtMetrics struct {
 
 	// taskNs is the task-body latency distribution in nanoseconds. It is
 	// sampled — 1 in 64 executions per worker (taskSampleMask) — so its
-	// .count is the number of samples, not tasks; use rt.task.executed +
-	// rt.task.inlined for totals.
+	// .count is the number of samples, not tasks; use rt.task.executed for
+	// totals.
 	taskNs *metrics.Histogram
 }
 
@@ -48,7 +47,6 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 		poolCopyHit:  reg.Counter("rt.pool.copy.hit"),
 		poolCopyMiss: reg.Counter("rt.pool.copy.miss"),
 		executed:     reg.Counter("rt.task.executed"),
-		inlined:      reg.Counter("rt.task.inlined"),
 		discarded:    reg.Counter("rt.task.discarded"),
 		panics:       reg.Counter("rt.task.panics"),
 		loadFlush:    reg.Counter("rt.load.flushes"),

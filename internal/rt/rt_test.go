@@ -271,56 +271,3 @@ func TestWorkerParkAndWake(t *testing.T) {
 		t.Fatalf("executed %d, want 32", executed.Load())
 	}
 }
-
-func TestInlineFromRuntimeLevel(t *testing.T) {
-	// TryInline is honored at the rt level and bounded by maxInlineDepth.
-	cfg := Config{Workers: 1, InlineAuto: true, UsePools: true}.Normalize()
-	r := New(cfg)
-	var depth, maxDepth int
-	var exec ExecFn
-	n := 0
-	exec = func(w *Worker, tk *Task) {
-		depth++
-		if depth > maxDepth {
-			maxDepth = depth
-		}
-		n++
-		if n < 100 {
-			nt := w.NewTask()
-			nt.Exec = exec
-			w.Discovered()
-			if !w.TryInline(nt, true) {
-				w.Schedule(nt)
-			}
-		}
-		w.Completed()
-		w.FreeTask(tk)
-		depth--
-	}
-	r.BeginAction()
-	r.Start(false)
-	r.BeginAction()
-	r.Inject(&Task{Exec: exec})
-	r.EndAction()
-	r.WaitDone()
-	if n != 100 {
-		t.Fatalf("executed %d", n)
-	}
-	// Depth 1 for the scheduled task + up to maxInlineDepth nested; a solo
-	// chain on one worker reaches the bound exactly.
-	if maxDepth != maxInlineDepth+1 {
-		t.Fatalf("inline depth reached %d, want %d", maxDepth, maxInlineDepth+1)
-	}
-	if r.Workers()[0].Stats.Inlined.Load() == 0 {
-		t.Fatal("nothing inlined")
-	}
-}
-
-func TestServiceWorkerNeverInlines(t *testing.T) {
-	cfg := Config{Workers: 1, InlineAuto: true}.Normalize()
-	r := New(cfg)
-	sw := r.ServiceWorker(0)
-	if sw.TryInline(&Task{Exec: func(*Worker, *Task) { t.Error("service worker executed a task") }}, true) {
-		t.Fatal("service worker inlined")
-	}
-}

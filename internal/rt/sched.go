@@ -25,8 +25,8 @@ type scheduler interface {
 	// service worker. Safe concurrently with worker Pop/Steal.
 	DrainReady(w *Worker) (*Task, int)
 	// LocalNonEmpty reports (lock-free, approximately) whether worker wid
-	// would find work without stealing — the adaptive-inline policy's
-	// "don't starve siblings" probe.
+	// would find work without stealing — wakeForSurplus's probe for work
+	// left behind the task a waking worker took.
 	LocalNonEmpty(wid int) bool
 	// Name identifies the scheduler in output.
 	Name() string

@@ -19,8 +19,8 @@ const lfqBufCap = 4
 // replaces the original full-buffer linear scans: pop is O(log cap) and
 // insertion O(log cap); only the eviction path (buffer full, overflow
 // decision) scans, and then only the heap's leaves. n mirrors the occupancy
-// as an atomic so the adaptive-inline policy can probe emptiness without
-// touching the lock.
+// as an atomic so LocalNonEmpty (wakeForSurplus) can probe emptiness
+// without touching the lock.
 type lfqBuf struct {
 	lock  xsync.SpinLock
 	n     atomic.Int32

@@ -24,8 +24,6 @@ type TraceEvent struct {
 	Start time.Time
 	// Dur is the execution duration.
 	Dur time.Duration
-	// Inlined marks tasks run at their discovery site.
-	Inlined bool
 
 	// Causal fields, populated only under EnableCausalTracing.
 
@@ -167,8 +165,8 @@ func (t *Task) MarkReady() {
 
 // SetCauseCtx installs the ambient producer context used by AddCause
 // callers on this worker; CauseCtx reads it back. Frontends save/restore
-// around task execution (inlined tasks nest) and around decoding remote
-// activations. Owner-goroutine only.
+// around task execution and around decoding remote activations.
+// Owner-goroutine only.
 func (w *Worker) SetCauseCtx(c CauseCtx) { w.causeCtx = c }
 
 // CauseCtx returns the worker's current producer context.
@@ -177,19 +175,18 @@ func (w *Worker) CauseCtx() CauseCtx { return w.causeCtx }
 // recordNamed appends a trace event to the worker's private log. The task
 // object itself may already be recycled when this runs; callers capture the
 // TT descriptor and key before execution.
-func (w *Worker) recordNamed(tt any, key uint64, start time.Time, dur time.Duration, inlined bool, span *taskSpan) {
+func (w *Worker) recordNamed(tt any, key uint64, start time.Time, dur time.Duration, span *taskSpan) {
 	tr := w.rt.trace
 	name := "?"
 	if n, ok := tt.(Named); ok {
 		name = n.Name()
 	}
 	ev := TraceEvent{
-		Name:    name,
-		Key:     key,
-		Worker:  w.ID,
-		Start:   start,
-		Dur:     dur,
-		Inlined: inlined,
+		Name:   name,
+		Key:    key,
+		Worker: w.ID,
+		Start:  start,
+		Dur:    dur,
 	}
 	if span != nil {
 		ev.SpanID = span.id
@@ -225,17 +222,13 @@ func (r *Runtime) ChromeEvents(pid int) []metrics.ChromeEvent {
 	var evs []metrics.ChromeEvent
 	for wid, list := range r.trace.perWorker {
 		for _, e := range list {
-			cat := "task"
-			if e.Inlined {
-				cat = "task,inlined"
-			}
 			args := map[string]any{"key": e.Key}
 			if e.SpanID != 0 {
 				args["span"] = e.SpanID
 			}
 			evs = append(evs, metrics.ChromeEvent{
 				Name:  e.Name,
-				Cat:   cat,
+				Cat:   "task",
 				Phase: "X",
 				Start: e.Start,
 				Dur:   e.Dur,

@@ -53,45 +53,6 @@ func TestTracingRecordsEveryTask(t *testing.T) {
 	}
 }
 
-func TestTracingInlinedFlag(t *testing.T) {
-	cfg := Config{Workers: 1, InlineAuto: true, UsePools: true}.Normalize()
-	r := New(cfg)
-	r.EnableTracing()
-	var budget atomic.Int64
-	budget.Store(50)
-	var exec ExecFn
-	exec = func(w *Worker, tk *Task) {
-		if budget.Add(-1) > 0 {
-			nt := w.NewTask()
-			nt.Exec = exec
-			w.Discovered()
-			if !w.TryInline(nt, true) {
-				w.Schedule(nt)
-			}
-		}
-		w.Completed()
-		w.FreeTask(tk)
-	}
-	r.BeginAction()
-	r.Start(false)
-	r.BeginAction()
-	r.Inject(&Task{Exec: exec})
-	r.EndAction()
-	r.WaitDone()
-	inlined := 0
-	for _, e := range r.Trace() {
-		if e.Inlined {
-			inlined++
-		}
-		if e.Name != "?" {
-			t.Fatalf("unlabeled task traced as %q", e.Name)
-		}
-	}
-	if inlined == 0 {
-		t.Fatal("no inlined events recorded")
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	cfg := Config{Workers: 1, UsePools: true}.Normalize()
 	r := New(cfg)

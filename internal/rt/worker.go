@@ -45,10 +45,9 @@ func (a *AtomicCounts) add(o *AtomicCounts) {
 // goroutine at any time, which is what lets Runtime.Stats and the metrics
 // endpoint poll a live run without a data race.
 type WorkerStats struct {
-	Executed atomic.Int64 // tasks executed from the scheduler (excludes inlined)
+	Executed atomic.Int64 // tasks executed from the scheduler
 	Steals   atomic.Int64 // successful steals
 	Parks    atomic.Int64 // times the worker blocked in park
-	Inlined  atomic.Int64 // tasks executed inline at the discovery site
 
 	// Object-lifetime accounting: obtained versus fully released/freed.
 	// Summed across workers after a run, got must equal put or the run
@@ -85,16 +84,11 @@ type Worker struct {
 	Atomics AtomicCounts
 	Stats   WorkerStats
 
-	rngState    uint64
-	count       bool       // cached Config.CountAtomics
-	mx          *rtMetrics // non-nil when Runtime.EnableMetrics was called
-	mxTick      uint64     // task counter driving latency sampling
-	inlineDepth int
-	victims     []int // scratch for steal-order scans
-
-	// inlineBudget is the remaining adaptive-inline allowance of the
-	// currently executing outer task (reset by execute).
-	inlineBudget int
+	rngState uint64
+	count    bool       // cached Config.CountAtomics
+	mx       *rtMetrics // non-nil when Runtime.EnableMetrics was called
+	mxTick   uint64     // task counter driving latency sampling
+	victims  []int      // scratch for steal-order scans
 
 	// loadBuf is the worker's combining buffer for the runtime's advertised
 	// ready-depth counter: deltas accumulate worker-locally and flush to the
@@ -139,22 +133,6 @@ func (w *Worker) CountBucketLock() {
 		if !w.rt.cfg.BiasedRWLock {
 			w.Atomics.RWLock += 2
 		}
-	}
-}
-
-// CountReadLock accounts the reader-lock RMWs of a lock-free hash-table hit
-// (no bucket lock taken; zero RMWs under the BRAVO bias).
-func (w *Worker) CountReadLock() {
-	if w.count && !w.rt.cfg.BiasedRWLock {
-		w.Atomics.RWLock += 2
-	}
-}
-
-// CountBucketOnly accounts a bucket-lock acquisition taken while the reader
-// lock is already held (the lock-free hit path's final-removal case).
-func (w *Worker) CountBucketOnly() {
-	if w.count {
-		w.Atomics.Bucket++
 	}
 }
 
@@ -458,45 +436,37 @@ func (w *Worker) wakeForSurplus() {
 }
 
 // execute runs one task, recording a trace event when tracing is enabled
-// and a latency sample when metrics are enabled. After an Abort, dequeued
-// tasks are discarded instead of executed.
+// and a latency sample when metrics are enabled and this execution is
+// sampled. After an Abort, dequeued tasks are discarded instead of executed.
 func (w *Worker) execute(t *Task) {
+	m := w.mx
 	if w.rt.aborting.Load() {
 		w.Stats.Discarded.Add(1)
-		if m := w.mx; m != nil {
+		if m != nil {
 			m.discarded.Inc(w.htSlot)
 		}
 		w.rt.discard(w, t)
 		return
 	}
-	w.inlineBudget = inlineBudgetPerTask
-	w.timedInvoke(t, false)
-	if m := w.mx; m != nil {
-		m.executed.Inc(w.htSlot)
-	}
-	w.Stats.Executed.Add(1)
-}
-
-// timedInvoke is invoke plus the per-execution bookkeeping shared by the
-// scheduled and the inlined path: a trace event when tracing is enabled and
-// a latency sample when metrics are enabled and this execution is sampled.
-func (w *Worker) timedInvoke(t *Task, inlined bool) {
-	m := w.mx
 	sampled := m != nil && w.sampleTick()
 	if w.rt.trace == nil && !sampled {
 		w.invoke(t)
-		return
+	} else {
+		start := time.Now()
+		tt, key, span := t.TT, t.Key(), t.span // t is recycled inside Exec; capture first
+		w.invoke(t)
+		dur := time.Since(start)
+		if w.rt.trace != nil {
+			w.recordNamed(tt, key, start, dur, span)
+		}
+		if sampled {
+			m.taskNs.Observe(w.htSlot, uint64(dur.Nanoseconds()))
+		}
 	}
-	start := time.Now()
-	tt, key, span := t.TT, t.Key(), t.span // t is recycled inside Exec; capture first
-	w.invoke(t)
-	dur := time.Since(start)
-	if w.rt.trace != nil {
-		w.recordNamed(tt, key, start, dur, inlined, span)
+	if m != nil {
+		m.executed.Inc(w.htSlot)
 	}
-	if sampled {
-		m.taskNs.Observe(w.htSlot, uint64(dur.Nanoseconds()))
-	}
+	w.Stats.Executed.Add(1)
 }
 
 // invoke runs one task's Exec with panic isolation: a panicking body is
@@ -553,47 +523,6 @@ func (w *Worker) FlushDeferred() {
 	head, n := w.deferred, w.nDeferred
 	w.deferred, w.deferredTail, w.nDeferred = nil, nil, 0
 	w.ScheduleChain(SortChain(head), n)
-}
-
-// Inlining bounds: maxInlineDepth caps nested inline frames (the stack a
-// chain of inlined consumers may build), inlineBudgetPerTask how many
-// consumers one outer task may inline, so a hub task cannot monopolize its
-// worker.
-const (
-	maxInlineDepth      = 8
-	inlineBudgetPerTask = 32
-)
-
-// TryInline is the inlining step (Config.InlineAuto): it runs t at the
-// discovery site, reporting whether it ran, only when other work remains
-// visible without stealing — this worker's local queue or the shared
-// injector is non-empty, so siblings keep a runnable successor and inlining
-// cannot starve them — within the nesting bound and the per-outer-task
-// budget. solo marks t the sole consumer a chain-link producer can dispatch
-// (template out-degree 1), which waives the occupancy gate: with nothing
-// else visible, t would be this worker's next pop anyway, so the round-trip
-// is pure overhead. The producer-cost gate (body time below
-// Config.InlineThresholdNs) is the caller's job — the graph layer holds the
-// template-task observations. Service workers never inline (they must not
-// execute task bodies).
-func (w *Worker) TryInline(t *Task, solo bool) bool {
-	r := w.rt
-	if !r.cfg.InlineAuto || w.ID < 0 ||
-		w.inlineDepth >= maxInlineDepth || w.inlineBudget <= 0 {
-		return false
-	}
-	if !solo && !r.sched.LocalNonEmpty(w.ID) && r.inject.size.Load() == 0 {
-		return false
-	}
-	w.inlineBudget--
-	w.inlineDepth++
-	w.timedInvoke(t, true)
-	w.inlineDepth--
-	if m := w.mx; m != nil {
-		m.inlined.Inc(w.htSlot)
-	}
-	w.Stats.Inlined.Add(1)
-	return true
 }
 
 // findTask sources work: local queue, injected tasks, then stealing. Each

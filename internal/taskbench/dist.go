@@ -33,37 +33,18 @@ func init() {
 	core.RegisterFlatPayload(&pointVal{})
 }
 
-// Tuning selects the critical-path scheduling knobs for the TTG runners
-// (Config.AutoPriority / InlineAuto / LockFreeHit), so harnesses can run
-// paired off/on comparisons on otherwise identical paths.
-type Tuning struct {
-	Priority    bool  // online bottom-level priorities (Config.AutoPriority)
-	InlineAuto  bool  // adaptive inline policy (Config.InlineAuto)
-	LockFreeHit bool  // wait-free discovery-table hit path (Config.LockFreeHit)
-	InlineNs    int64 // producer body-time ceiling override (0 = Config default)
-}
-
-// Apply writes the knobs into a runtime config.
-func (tn Tuning) Apply(cfg *rt.Config) {
-	cfg.AutoPriority = tn.Priority
-	cfg.InlineAuto = tn.InlineAuto
-	cfg.LockFreeHit = tn.LockFreeHit
-	if tn.InlineNs > 0 {
-		cfg.InlineThresholdNs = tn.InlineNs
-	}
-}
-
 // DistOptions parameterizes a distributed Task-Bench run; the zero value of
 // every field is "off".
 type DistOptions struct {
 	// Ranks is how many ranks RunDist launches (clamped to Spec.Width;
 	// RunRank takes the world size from its transport), Workers the runtime
-	// worker count of each, Sched their scheduler (zero value = LLP), Tune
-	// the critical-path scheduling knobs.
-	Ranks   int
-	Workers int
-	Sched   rt.SchedKind
-	Tune    Tuning
+	// worker count of each, Sched their scheduler (zero value = LLP).
+	// Priority turns on the online bottom-level priorities
+	// (Config.AutoPriority).
+	Ranks    int
+	Workers  int
+	Sched    rt.SchedKind
+	Priority bool
 
 	// TCP runs RunDist's ranks over loopback TCP transports instead of one
 	// in-memory network. Fault, when non-nil, arms the socket-level fault
@@ -81,9 +62,8 @@ type DistOptions struct {
 	// that isolates the sampler+streaming cost of Telemetry from the cost of
 	// the metric counters themselves. Trace enables causal tracing and the
 	// atomic-operation audit: an instrumented profiling run whose throughput
-	// is not comparable to an untraced one, and which forces the locked
-	// discovery-table path (Tune.LockFreeHit has no effect). Steal enables
-	// inter-rank work stealing (two-phase commit when FT is on).
+	// is not comparable to an untraced one. Steal enables inter-rank work
+	// stealing (two-phase commit when FT is on).
 	Metrics        bool
 	RuntimeMetrics bool
 	Trace          bool
@@ -333,7 +313,7 @@ func newRank(s Spec, tr comm.Transport, o DistOptions, wrap recordWrap) (*rank, 
 	cfg.PinWorkers = false
 	cfg.Sched = o.Sched
 	cfg.CountAtomics = o.Trace
-	o.Tune.Apply(&cfg)
+	cfg.AutoPriority = o.Priority
 	g := core.NewDistributed(cfg, world.Proc(self))
 	r.g = g
 	if o.FT {

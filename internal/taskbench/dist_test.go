@@ -83,6 +83,9 @@ func TestRunDistUnion(t *testing.T) {
 	}
 	fault := &tcptransport.FaultConfig{Seed: 20260928, ConnKillProb: 0.01, TornWriteProb: 0.005}
 	telemetry := DistOptions{Telemetry: true, TelemetryInterval: 2 * time.Millisecond}
+	// The telemetry plane carries each rank's core.priority_updates to rank 0.
+	prioritized := telemetry
+	prioritized.Metrics, prioritized.Priority = true, true
 
 	rows := []struct {
 		name  string // the old entry point(s) this row stands for
@@ -95,8 +98,15 @@ func TestRunDistUnion(t *testing.T) {
 			func(t *testing.T, rep DistReport, _ Spec) { wire(t, rep); stealOff(t, rep) }},
 		{"Steal(on)", DistOptions{Metrics: true, Steal: true}, true,
 			func(t *testing.T, rep DistReport, _ Spec) { wire(t, rep); stealOn(t, rep) }},
-		{"Tuned", DistOptions{Metrics: true, Tune: Tuning{Priority: true, InlineAuto: true, LockFreeHit: true}}, false,
-			func(t *testing.T, rep DistReport, _ Spec) { wire(t, rep) }},
+		{"Priority", prioritized, false, func(t *testing.T, rep DistReport, _ Spec) {
+			wire(t, rep)
+			covered(t, rep, ranks)
+			for _, rv := range rep.Cluster.PerRank {
+				if rv.Totals["core.priority_updates"] == 0 {
+					t.Fatalf("rank %d: the priority estimator never refined an estimate", rv.Rank)
+				}
+			}
+		}},
 		{"Traced", DistOptions{Trace: true}, false,
 			func(t *testing.T, rep DistReport, s Spec) { traced(t, rep, s); stealOff(t, rep) }},
 		{"TracedSteal", DistOptions{Trace: true, Steal: true}, true,

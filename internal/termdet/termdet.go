@@ -78,9 +78,6 @@ func New(workers int, threadLocal bool) *Detector {
 // cells and zero pending work. Must be set before workers start.
 func (d *Detector) SetOnQuiescent(f func()) { d.onQuiescent = f }
 
-// ThreadLocal reports which counting mode is active.
-func (d *Detector) ThreadLocal() bool { return d.threadLocal }
-
 // Discovered records the discovery of one task or pending action by the
 // worker occupying `slot` (ExternalSlot for non-workers).
 func (d *Detector) Discovered(slot int) {
@@ -89,15 +86,6 @@ func (d *Detector) Discovered(slot int) {
 		return
 	}
 	d.pending.Add(1)
-}
-
-// DiscoveredN records n discoveries at once.
-func (d *Detector) DiscoveredN(slot int, n int64) {
-	if d.threadLocal && slot >= 0 {
-		d.cells[slot].Delta += n
-		return
-	}
-	d.pending.Add(n)
 }
 
 // Completed records the completion of one task or action.
