@@ -206,10 +206,10 @@ func (p *Proc) flushLocked(dst int, b *batchBuf, reason FlushReason) {
 	p.post(dst, message{src: p.rank, tag: p.batchTag, payload: payload, a: p.stealLoad(), slab: true})
 }
 
-// dispatchBatch unpacks one coalesced frame on the progress goroutine and
+// dispatchBatch unpacks one coalesced frame under the receive lock and
 // feeds each entry to the batched handler in send order. Defensive
-// throughout: remote-supplied bytes must not be able to kill the progress
-// goroutine, so a malformed frame is surfaced through the error hook (which
+// throughout: remote-supplied bytes must not be able to take the rank down,
+// so a malformed frame is surfaced through the error hook (which
 // core wires to a graph abort) instead of panicking. Receipts are counted
 // per entry — the sender counted each activation at append time, and the
 // replay-prune protocol counts activations, not frames.
@@ -300,8 +300,9 @@ func (p *Proc) slabGet() []byte {
 }
 
 // DispatchFrameID returns the id of the coalesced frame currently being
-// unpacked — meaningful only inside a batched handler, on the progress
-// goroutine (0 elsewhere, and for malformed frames too short to carry one).
+// unpacked — meaningful only inside a batched handler, which runs under the
+// rank's receive lock on the goroutine that delivered the frame (0 elsewhere,
+// and for malformed frames too short to carry one).
 // Frame ids are world-unique and never zero.
 func (p *Proc) DispatchFrameID() uint64 { return p.curFrameID }
 

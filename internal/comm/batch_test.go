@@ -128,9 +128,9 @@ func TestBatchExactlyOnceUnderFaults(t *testing.T) {
 }
 
 // TestMalformedBatchFrameAborts injects a forged frame and checks the
-// contract: the error surfaces through the error hook, the progress goroutine
-// survives (a subsequent valid batch still delivers), and the termination
-// wave still completes.
+// contract: the error surfaces through the error hook, the rank survives (a
+// subsequent valid batch still delivers), and the termination wave still
+// completes.
 func TestMalformedBatchFrameAborts(t *testing.T) {
 	h := newHarness(2)
 	var delivered atomic.Int64
@@ -146,7 +146,7 @@ func TestMalformedBatchFrameAborts(t *testing.T) {
 	// A raw Send on the batched tag arrives as a frame: claim 1000 entries,
 	// carry garbage.
 	p0.Send(1, 0, []byte{0xe8, 0x03, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	// The progress goroutine must survive to unpack this valid batch.
+	// The rank must survive to unpack this valid batch.
 	appendEntry(p0, 1, 7)
 	p0.FlushBatches(FlushIdle)
 	h.dets[0].Completed(termdet.ExternalSlot)
@@ -161,8 +161,8 @@ func TestMalformedBatchFrameAborts(t *testing.T) {
 }
 
 // FuzzBatchFrame throws arbitrary bytes at the frame parser. The invariant
-// is purely "never panic": dispatchBatch runs on the progress goroutine,
-// where a panic kills the rank. Runs the parser synchronously against an
+// is purely "never panic": dispatchBatch runs on the goroutine that
+// delivered the frame, where a panic kills the rank. Runs the parser synchronously against an
 // unstarted proc.
 func FuzzBatchFrame(f *testing.F) {
 	f.Add([]byte{})

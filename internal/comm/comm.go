@@ -1,8 +1,16 @@
 // Package comm provides the inter-process communication substrate that TTG
-// uses for distributed-memory execution: a World of N ranks, each with an
-// unbounded mailbox, an active-message dispatch loop (PaRSEC's communication
-// thread), and the 4-counter-wave termination protocol of paper §III-A driven
-// by rank 0.
+// uses for distributed-memory execution: a World of N ranks, each with
+// active-message dispatch and the 4-counter-wave termination protocol of
+// paper §III-A driven by rank 0.
+//
+// There is no communication thread on the receive path. The goroutine that
+// receives a frame — a socket reader, or an in-memory endpoint's delivery
+// goroutine — runs the link layer and the frame's handler itself, under the
+// rank's receive lock (Proc.rx), as TaskTorrent's active messages do. Each
+// rank's progress goroutine keeps the timers (retransmission, stall watch,
+// heartbeats, the steal pulse), the quiescence notifications and the
+// self-sends, which wait in an unbounded mailbox; it takes the receive lock
+// for each of them too.
 //
 // Payloads cross rank boundaries as []byte only; no Go pointers are shared
 // between ranks through this package.
@@ -36,8 +44,9 @@ import (
 	"gottg/internal/termdet"
 )
 
-// Handler processes an application-level active message on the destination
-// rank's progress goroutine.
+// Handler processes an application-level active message under the
+// destination rank's receive lock, on the goroutine that delivered the frame.
+// Handlers of one rank never run concurrently, and must not block.
 type Handler func(src int, payload []byte)
 
 type message struct {
@@ -51,6 +60,7 @@ type message struct {
 }
 
 // mailbox is an unbounded MPSC queue with a wakeup channel usable in select.
+// It carries self-sends, and the frames that arrive before Start.
 type mailbox struct {
 	mu    sync.Mutex
 	queue []message
@@ -183,11 +193,12 @@ func (w *World) beforeStart(op string) {
 }
 
 // Shutdown stops all local progress goroutines and closes the wire and the
-// local transports (which cancels any delayed-fault frames still pending).
-// Safe after termination; this is what releases the progress goroutines that
-// linger after termination, re-acking duplicates. Idempotent, and safe even
-// when some ranks were never started (their progress goroutine does not
-// exist, so there is nothing to join).
+// local transports (which cancels any delayed-fault frames still pending and
+// joins the goroutines that deliver frames). Safe after termination; this is
+// what releases the progress goroutines that linger after termination,
+// retransmitting, and the deliveries that keep re-acking duplicates.
+// Idempotent, and safe even when some ranks were never started (their
+// progress goroutine does not exist, so there is nothing to join).
 func (w *World) Shutdown() {
 	// Close the wire FIRST (atomically snapshotting whether we are the call
 	// that closed it), then drain the batch buffers. The old order — check
@@ -225,11 +236,17 @@ type Proc struct {
 	handlers map[int]Handler
 	det      *termdet.Detector
 
+	// rx is the receive lock. Every inbound message runs the link layer and
+	// its handler under it, on whichever goroutine delivered it, and so does
+	// the progress goroutine's timer work; every field below documented as
+	// rx-private is touched only under it.
+	rx sync.Mutex
+
 	qNotify  chan struct{}
 	quit     chan struct{}
 	stopped  chan struct{}
 	stopOnce sync.Once
-	launched atomic.Bool // Start ran; stopped will eventually close
+	launched atomic.Bool // Start ran: frames dispatch in place, stopped will eventually close
 
 	// Chrome-trace event log (World.EnableTracing); guarded because Send may
 	// run on any goroutine. asyncSeq numbers the async ("b"/"e") dispatch
@@ -241,15 +258,15 @@ type Proc struct {
 	onTerminate func()
 	onError     func(err error)
 	onAbort     func(src int, reason string)
-	onRankDead  func(dead, epoch int)  // progress goroutine, after membership update
+	onRankDead  func(dead, epoch int)  // under rx, after membership update
 	onKilled    func()                 // any goroutine, when this rank is fail-stopped
-	onPrune     func(src int, n int64) // progress goroutine: src dispatched n of our app sends
+	onPrune     func(src int, n int64) // under rx: src dispatched n of our app sends
 	telemetryH  func(src int, payload []byte)
 
 	// Link-layer state (see link.go). sendLinks is indexed by destination
 	// and guarded by its per-link mutex (Send may be called from any
-	// goroutine); recvLinks is indexed by source and private to the progress
-	// goroutine, like lastActivity and the stall latch.
+	// goroutine); recvLinks is indexed by source and rx-private, like
+	// lastActivity and the stall latch.
 	sendLinks    []sendLink
 	recvLinks    []recvLink
 	lastActivity time.Time
@@ -259,8 +276,8 @@ type Proc struct {
 	// destination; batchTag is the single batched application tag (-1 when
 	// none); slabs is this rank's pool of recycled frame buffers. frameSeq
 	// numbers flushed frames (any goroutine may flush); curFrameID is the id
-	// of the frame being unpacked, progress-goroutine private, exposed to
-	// batched handlers via DispatchFrameID for causal tracing.
+	// of the frame being unpacked, rx-private, exposed to batched handlers
+	// via DispatchFrameID for causal tracing.
 	batch      []batchBuf
 	batchTag   int
 	slabMu     sync.Mutex
@@ -273,7 +290,7 @@ type Proc struct {
 	framesMu sync.Mutex
 	frames   FrameAlloc
 
-	// progress-goroutine-private bookkeeping
+	// rx-private bookkeeping, like the protocol states below
 	terminated bool
 	dropped    int64 // malformed or unroutable messages dropped (diagnostics)
 
@@ -298,21 +315,25 @@ func (p *Proc) Register(tag int, h Handler) {
 	p.handlers[tag] = h
 }
 
-// SetOnError installs a hook invoked on the progress goroutine when a
-// message must be dropped (for example an unknown application tag, which a
-// remote rank could otherwise use to kill this rank's progress goroutine).
-// The dropped message is still counted as received so the termination wave
-// stays balanced. Must be called before Start.
+// SetOnError installs a hook invoked under the rank's receive lock, on the
+// goroutine that delivered the frame, when a message must be dropped (for
+// example an unknown application tag, which a remote rank could otherwise use
+// to take this rank down). The dropped message is still counted as received
+// so the termination wave stays balanced. Must be called before Start.
 func (p *Proc) SetOnError(f func(err error)) { p.onError = f }
 
-// SetOnAbort installs a hook invoked on the progress goroutine when a
-// remote rank broadcasts an abort. Must be called before Start.
+// SetOnAbort installs a hook invoked under the rank's receive lock, on the
+// goroutine that delivered the frame, when a remote rank broadcasts an abort.
+// Must be called before Start.
 func (p *Proc) SetOnAbort(f func(src int, reason string)) { p.onAbort = f }
 
 // Start attaches the rank's termination detector and termination callback
-// and launches the progress goroutine. The detector's quiescence callback is
-// claimed by comm; runtimes in distributed mode must not set their own.
+// and launches the progress goroutine. From here on inbound frames are
+// dispatched as they arrive; those that arrived earlier wait in the mailbox
+// for the progress goroutine. The detector's quiescence callback is claimed
+// by comm; runtimes in distributed mode must not set their own.
 func (p *Proc) Start(det *termdet.Detector, onTerminate func()) {
+	p.rx.Lock()
 	p.det = det
 	p.onTerminate = onTerminate
 	p.world.started.Store(true)
@@ -322,7 +343,9 @@ func (p *Proc) Start(det *termdet.Detector, onTerminate func()) {
 		p.mem.init(n)
 	}
 	det.SetOnQuiescent(p.nudge)
+	p.lastActivity = time.Now()
 	p.launched.Store(true)
+	p.rx.Unlock()
 	go p.progress()
 }
 
@@ -351,24 +374,28 @@ func (p *Proc) Send(dst, tag int, payload []byte) {
 	p.post(dst, message{src: p.rank, tag: tag, payload: payload})
 }
 
+// progress is the rank's timer and self-send goroutine; remote frames never
+// pass through it once the rank started (deliverFrame dispatches them). Each
+// wakeup runs under the receive lock.
 func (p *Proc) progress() {
 	defer close(p.stopped)
 	var buf []message
 	tick := time.NewTicker(p.world.rto / 2)
 	defer tick.Stop()
-	p.lastActivity = time.Now()
-	// The goroutine lingers after termination: it must keep re-acking
-	// duplicates and retransmitting until World.Shutdown, or a peer whose ack
-	// was lost would wait forever.
+	// The goroutine lingers after termination: it must keep retransmitting
+	// until World.Shutdown, or a peer whose ack was lost would wait forever.
 	for {
 		select {
 		case <-p.quit:
 			return
 		case <-p.qNotify:
+			p.rx.Lock()
 			if !p.terminated {
 				p.handleQuiescent()
 			}
+			p.rx.Unlock()
 		case <-tick.C:
+			p.rx.Lock()
 			p.retransmit()
 			p.checkStall()
 			if p.world.fd != nil {
@@ -380,11 +407,14 @@ func (p *Proc) progress() {
 			if h := p.steal.hooks; h != nil && h.Tick != nil && !p.terminated {
 				h.Tick()
 			}
+			p.rx.Unlock()
 		case <-p.mbox.note:
 			buf = p.mbox.drain(buf)
+			p.rx.Lock()
 			for _, m := range buf {
 				p.receive(m)
 			}
+			p.rx.Unlock()
 		}
 	}
 }
@@ -438,8 +468,8 @@ func (p *Proc) dispatchApp(m message) {
 }
 
 // dropUnknown drops a message whose tag nothing handles. A remote-supplied
-// tag must not be able to kill this rank's progress goroutine: count the
-// message (the wave needs it), drop it, and surface the problem.
+// tag must not be able to take this rank down: count the message (the wave
+// needs it), drop it, and surface the problem.
 func (p *Proc) dropUnknown(m message) {
 	p.det.MsgRecvdFrom(m.src)
 	p.reject(fmt.Errorf("comm: rank %d: dropped message from rank %d with unknown tag %d", p.rank, m.src, m.tag))

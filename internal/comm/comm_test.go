@@ -198,7 +198,7 @@ func TestApplicationSendWithReservedTagPanics(t *testing.T) {
 
 func TestUnknownTagInvokesOnErrorAndTerminates(t *testing.T) {
 	// A message for an unregistered tag is remote-supplied input: it must
-	// not kill the receiving rank's progress goroutine. Instead the OnError
+	// not take the receiving rank down. Instead the OnError
 	// hook fires, the message is dropped, and — because the drop is still
 	// counted as a receipt — the termination wave completes normally.
 	h := newHarness(2)
@@ -226,7 +226,7 @@ func TestUnknownTagInvokesOnErrorAndTerminates(t *testing.T) {
 
 func TestUnknownTagWithoutHookStillTerminates(t *testing.T) {
 	// Even without an OnError hook, an unknown tag must only drop the
-	// message (counted), never panic the progress goroutine or stall the
+	// message (counted), never panic the receiving rank or stall the
 	// wave.
 	h := newHarness(2)
 	h.dets[0].Discovered(termdet.ExternalSlot)

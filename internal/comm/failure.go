@@ -3,7 +3,9 @@
 //
 // The failure model is fail-stop with no network partitions: a killed rank
 // stops executing and its wire goes silent in both directions, atomically and
-// permanently. Detection runs on each rank's progress goroutine: every rank
+// permanently. Detection runs under each rank's receive lock (heartbeats and
+// suspicion on the progress goroutine's tick, announcements on the goroutine
+// that delivered them): every rank
 // broadcasts unsequenced heartbeats, tracks when it last heard *anything*
 // from each peer, and suspects peers silent past SuspectAfter. The lowest
 // live non-suspect rank acts as coordinator: it confirms a suspect dead,
@@ -37,7 +39,7 @@ type FDConfig struct {
 
 // membership is one rank's failure-detection state. epoch is atomic so
 // applications can read it from any goroutine (Epoch); everything else is
-// progress-goroutine private. dead is this rank's view of confirmed-dead
+// rx-private. dead is this rank's view of confirmed-dead
 // membership (nil without failure detection), lastHeard the per-peer
 // liveness horizon, lastBeat the last heartbeat broadcast.
 type membership struct {
@@ -84,7 +86,7 @@ func (w *World) FailureDetectionEnabled() bool { return w.fd != nil }
 // that only hold the endpoint).
 func (p *Proc) FailureDetectionOn() bool { return p.world.fd != nil }
 
-// SetOnRankDead installs a hook invoked on the progress goroutine after this
+// SetOnRankDead installs a hook invoked under the rank's receive lock after this
 // rank has confirmed a peer's death and updated its membership view (links to
 // the dead rank reset, epoch bumped, wave state cleared). Recovery layers
 // redirect logged in-flight data from here. Must be called before Start.
@@ -148,8 +150,8 @@ func (w *World) WaveRestarts() int64 { return w.waveRestarts.Load() }
 func (p *Proc) Epoch() int64 { return p.mem.epoch.Load() }
 
 // DeadView reports whether this rank currently considers peer dead. Only
-// meaningful with failure detection on; progress-goroutine view, so callers
-// on other goroutines get an eventually consistent answer.
+// meaningful with failure detection on; it reads the world's fence, so
+// callers outside the receive lock get an eventually consistent answer.
 func (p *Proc) DeadView(peer int) bool {
 	return p.world.deadWire[peer].Load()
 }
@@ -165,7 +167,8 @@ func (p *Proc) deadMask() int64 {
 	return mask
 }
 
-// fdTick runs heartbeat emission and suspicion on the progress goroutine.
+// fdTick runs heartbeat emission and suspicion on the progress goroutine's
+// tick, under the receive lock.
 func (p *Proc) fdTick(now time.Time) {
 	fd, mem := p.world.fd, &p.mem
 	if now.Sub(mem.lastBeat) >= fd.Heartbeat {
@@ -206,7 +209,7 @@ func (p *Proc) fdTick(now time.Time) {
 }
 
 // declareDead confirms a suspect dead: epoch bump, broadcast, local apply.
-// Runs only on the coordinator's progress goroutine.
+// Runs only on the coordinator, from its tick.
 func (p *Proc) declareDead(q int) {
 	p.world.deaths.Add(1)
 	// Broadcast BEFORE applying locally: applying triggers recovery, and
@@ -267,7 +270,7 @@ func (p *Proc) applyGossip(mask int64) {
 // selfFence escalates this rank into the fail-stop path after learning that
 // the surviving membership has confirmed it dead: its wire goes silent and
 // the kill hook runs so the local runtime aborts and drains exactly as if the
-// rank had been fail-stopped directly. Runs on the progress goroutine;
+// rank had been fail-stopped directly. Runs under the receive lock;
 // idempotent.
 func (p *Proc) selfFence() {
 	if p.mem.fenced {
@@ -281,7 +284,8 @@ func (p *Proc) selfFence() {
 }
 
 // applyRankDead installs a confirmed death into this rank's membership view.
-// Runs on the progress goroutine (coordinator locally, others via dispatch).
+// Runs under the receive lock (coordinator from its tick, others via
+// dispatch).
 // The epoch is defined as the number of deaths applied, so every rank that
 // has converged on the same membership agrees on the epoch regardless of the
 // order in which it learned of the deaths.

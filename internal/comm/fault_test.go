@@ -280,7 +280,20 @@ func TestAbortBroadcastReachesAllRanks(t *testing.T) {
 	h.start()
 	h.world.Proc(2).Abort("boom")
 	h.dets[0].Completed(termdet.ExternalSlot)
-	h.waitAll(t)
+	// The wave does not count aborts, so the run can terminate while a
+	// dropped abort still waits for its retransmission: drain (acks follow
+	// dispatch) before Shutdown stops the wire.
+	for i, d := range h.done {
+		select {
+		case <-d:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("rank %d never saw termination", i)
+		}
+	}
+	if !h.world.Drain(5 * time.Second) {
+		t.Fatalf("links did not drain")
+	}
+	h.world.Shutdown()
 	for i := 0; i < n; i++ {
 		want := int32(1)
 		if i == 2 {

@@ -133,7 +133,7 @@ func TestFlushRuleExactlyOnceUnderLoss(t *testing.T) {
 	last[0], last[1] = -1, -1
 	ordered := true
 	p1 := h.proc(1)
-	p1.RegisterBatched(0, func(_ int, e []byte) { // rank 1's progress goroutine
+	p1.RegisterBatched(0, func(_ int, e []byte) { // under rank 1's receive lock
 		v := binary.LittleEndian.Uint32(e)
 		counts[v]++
 		a := v / perAppender

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
@@ -12,11 +11,10 @@ import (
 // FuzzWireFrame throws arbitrary bytes at a started network rank's inbound
 // path — frame decode, link layer, demux and every protocol handler, with
 // failure detection, steal hooks and a batched tag installed. The invariant
-// is "never panic": remote bytes must not be able to take the progress
-// goroutine down. Each input gets a fresh world; the test waits until the
-// progress goroutine has taken the frame out of the mailbox, and Shutdown
-// returns only after it has finished processing it, so a panic is charged to
-// the input that caused it.
+// is "never panic": remote bytes must not be able to take a rank down. Each
+// input gets a fresh world, and deliverTo dispatches the frame on the test
+// goroutine before it returns, so a panic is charged to the input that
+// caused it.
 func FuzzWireFrame(f *testing.F) {
 	recs := encodeStealRecs([][]byte{{1, 2}, {3}})
 	batch := []byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 42}
@@ -64,15 +62,6 @@ func FuzzWireFrame(f *testing.F) {
 		})
 		p.Start(termdet.New(1, false), func() {})
 		deliverTo(trs[1], append([]byte(nil), data...))
-		for {
-			p.mbox.mu.Lock()
-			n := len(p.mbox.queue)
-			p.mbox.mu.Unlock()
-			if n == 0 {
-				break
-			}
-			runtime.Gosched()
-		}
 		w.Shutdown()
 	})
 }

@@ -16,7 +16,9 @@ import (
 // the local rank emits and lets the test play the peers by injecting frames
 // through the deliver callback. The world under test is the only actor that
 // produces frames, so what it emits is a deterministic function of what the
-// test injects.
+// test injects. inject runs deliver on the test goroutine, never inside
+// Send, as the Transport contract requires; the frame is dispatched before
+// inject returns.
 type recordingTransport struct {
 	self, size int
 	mu         sync.Mutex

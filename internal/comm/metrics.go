@@ -22,8 +22,8 @@ type commMetrics struct {
 	retrans    *metrics.Counter // link-layer retransmissions
 
 	batchSize *metrics.Histogram // activations per flushed frame (log2)
-	// frames flushed per FlushReason: on the size threshold, on idle /
-	// progress tick / quiescence, at World.Shutdown
+	// frames flushed per FlushReason: on the size threshold, on an idle
+	// link or the ack that empties it, at World.Shutdown
 	flushes [FlushShutdown + 1]*metrics.Counter
 
 	faultDrop    *metrics.Counter // transmissions lost by the fault plan/filter
@@ -141,8 +141,8 @@ func (p *Proc) recordSend(dst, tag, bytes int, frame uint64) {
 }
 
 // recordRecv appends a span covering one handler dispatch. Dispatches from
-// several source ranks interleave on the progress goroutine's single trace
-// lane (tid -1), so a complete-"X" event would render torn or spuriously
+// several source ranks interleave on the rank's single receive trace lane
+// (tid -1), so a complete-"X" event would render torn or spuriously
 // nested in Perfetto; each dispatch is instead an async "b"/"e" pair with
 // its own pairing id, which the viewer draws on a separate async track per
 // id (the mutex only excludes concurrent senders appending to the log).

@@ -77,8 +77,8 @@ func (p *Proc) emit(dst, tag int, a, b, ep int64, payload []byte) {
 }
 
 // broadcast emits one message to every rank except this one, skip (-1 for
-// none) and the ranks marked in dead. dead is the progress goroutine's
-// membership view; callers on other goroutines pass nil and reach every rank.
+// none) and the ranks marked in dead. dead is the rx-private membership
+// view; callers outside the receive lock pass nil and reach every rank.
 func (p *Proc) broadcast(dead []bool, skip, tag int, a, b, ep int64, payload []byte) {
 	for dst := range p.world.procs {
 		if dst != p.rank && dst != skip && (dead == nil || !dead[dst]) {

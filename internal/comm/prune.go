@@ -7,7 +7,7 @@ package comm
 
 // pruneState counts, per source, the application messages released to
 // dispatch and the count last advertised back. Both are nil while prune
-// notices are off; progress-goroutine private.
+// notices are off; rx-private.
 type pruneState struct {
 	dispatched []int64
 	notified   []int64
@@ -21,7 +21,7 @@ func (p *Proc) EnablePruneNotices() {
 	p.prune = pruneState{dispatched: make([]int64, n), notified: make([]int64, n)}
 }
 
-// SetOnPrune installs a hook invoked on the progress goroutine when a peer
+// SetOnPrune installs a hook invoked under the rank's receive lock when a peer
 // advertises how many of our application sends it has dispatched, making the
 // corresponding replay-log prefix prunable. Must be called before Start.
 func (p *Proc) SetOnPrune(f func(src int, n int64)) { p.onPrune = f }

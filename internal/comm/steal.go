@@ -49,8 +49,9 @@ import (
 const loadHintTTL = 8 * time.Millisecond
 
 // StealHooks is the policy interface the recovery/scheduling layer installs
-// with SetStealHooks. All hooks except Load, Aborting and Tick run on the
-// progress goroutine; Load/Aborting must be safe from any goroutine.
+// with SetStealHooks. All hooks except Load and Aborting run under the rank's
+// receive lock, on the goroutine that delivered the frame (Tick: on the
+// progress goroutine's tick); Load/Aborting must be safe from any goroutine.
 type StealHooks struct {
 	// TwoPhase selects the commit protocol (required when ranks can die).
 	TwoPhase bool
@@ -77,7 +78,7 @@ type StealHooks struct {
 	// in-flight latch and adjust its backoff.
 	Done func(victim int, ok bool)
 	// Tick, when non-nil, is pumped from the progress goroutine's periodic
-	// tick: the runtime's idle hook only fires on the idle *transition*, so
+	// tick, under the receive lock: the runtime's idle hook only fires on the idle *transition*, so
 	// retries after a failed probe need an external pulse.
 	Tick func()
 }
@@ -86,7 +87,7 @@ type StealHooks struct {
 // Start; loadHints holds the last per-peer load hint (-1 = unknown) and
 // actsFrom the per-peer delivered-activation counts (locality signal), both
 // readable from any goroutine. pending buffers two-phase donations on the
-// thief (progress-goroutine private); victim is the rank of this rank's
+// thief (rx-private); victim is the rank of this rank's
 // outstanding steal request (-1 = none).
 type stealState struct {
 	hooks     *StealHooks
@@ -246,7 +247,7 @@ func decodeStealRecs(pl []byte) ([][]byte, bool) {
 	return recs, true
 }
 
-// handleStealReq runs on the victim's progress goroutine. The response is
+// handleStealReq runs on the victim, under its receive lock. The response is
 // sent before the request's receipt is counted (by dispatch), so the wave
 // stays unbalanced across the handoff.
 func (p *Proc) handleStealReq(m message) {
@@ -266,7 +267,7 @@ func (p *Proc) handleStealReq(m message) {
 	p.emit(m.src, tagStealResp, int64(id), p.stealLoad(), p.mem.epoch.Load(), payload)
 }
 
-// handleStealResp runs on the thief's progress goroutine.
+// handleStealResp runs on the thief, under its receive lock.
 func (p *Proc) handleStealResp(m message) {
 	h := p.steal.hooks
 	// The response's b field is the victim's current depth — fresher than
@@ -309,7 +310,7 @@ func (p *Proc) handleStealResp(m message) {
 	p.emit(m.src, tagStealAccept, int64(id), 1, p.mem.epoch.Load(), nil)
 }
 
-// handleStealAccept runs on the victim's progress goroutine (two-phase).
+// handleStealAccept runs on the victim, under its receive lock (two-phase).
 func (p *Proc) handleStealAccept(m message) {
 	h := p.steal.hooks
 	id := uint64(m.a)
@@ -333,7 +334,7 @@ func (p *Proc) handleStealAccept(m message) {
 	p.emit(m.src, tagStealAbort, int64(id), 0, p.mem.epoch.Load(), nil)
 }
 
-// handleStealCommit runs on the thief's progress goroutine (two-phase). The
+// handleStealCommit runs on the thief, under its receive lock (two-phase). The
 // commit is unconditional on the thief: the victim committed under its own
 // epoch check, and from that point the thief owns the tasks — if the thief
 // later dies, the victim's donation sweep re-injects them.
@@ -348,7 +349,7 @@ func (p *Proc) handleStealCommit(m message) {
 	p.stealInject(m.src, recs)
 }
 
-// handleStealAbort runs on the thief's progress goroutine (two-phase).
+// handleStealAbort runs on the thief, under its receive lock (two-phase).
 func (p *Proc) handleStealAbort(m message) {
 	delete(p.steal.pending, stealKey{m.src, uint64(m.a)})
 	p.stealDone(m.src, false)
@@ -358,7 +359,7 @@ func (p *Proc) handleStealAbort(m message) {
 // rank: a buffered donation from it must be dropped (the victim is gone; its
 // own sweep cannot run, but the tasks were never committed to us — the
 // dead rank's work is re-homed and re-executed by recovery), and an
-// outstanding request toward it will never be answered. Progress goroutine.
+// outstanding request toward it will never be answered. Under rx.
 func (p *Proc) stealOnPeerDead(dead int) {
 	if p.steal.hooks == nil {
 		return

@@ -7,7 +7,11 @@
 // traffic (rank i dials rank j for i→j frames, and accepts j's connection
 // for j→i frames). A connection opens with a 9-byte handshake
 // [4B magic][1B version][4B src rank]; after that the stream is a sequence
-// of length-prefixed frames [4B len][frame bytes].
+// of length-prefixed frames [4B len][frame bytes]. A frame toward an idle
+// connection is written by the sending goroutine itself, in one
+// non-blocking attempt; anything else goes through the peer's writer
+// goroutine. Each connection's reader hands the frames it reads to the
+// deliver callback, which dispatches them on that goroutine.
 //
 // Robustness: dials use capped exponential backoff with seeded jitter;
 // writes and reads carry deadlines; a failed connection is torn down and
@@ -28,8 +32,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"gottg/internal/comm"
@@ -183,13 +189,16 @@ func New(cfg Config) (*Transport, error) {
 		if r == cfg.Self {
 			continue
 		}
-		t.peers[r] = &peer{
+		p := &peer{
 			t:      t,
 			rank:   r,
 			addr:   addr,
 			outbox: make(chan []byte, cfg.OutboxLen),
+			kick:   make(chan struct{}, 1),
 			quit:   make(chan struct{}),
 		}
+		p.rawFn = p.writeRaw
+		t.peers[r] = p
 	}
 	return t, nil
 }
@@ -222,8 +231,12 @@ func (t *Transport) Start(deliver func(frame []byte), events func(comm.PeerEvent
 	return nil
 }
 
-// Send queues one frame for rank dst. Best-effort: a full outbox or a dead
-// or closed transport drops the frame (the link layer above retransmits).
+// Send hands one frame to rank dst without ever parking. When nothing is
+// queued toward dst and no writer is mid-write, it writes the frame itself,
+// in one non-blocking attempt (tryDirect); otherwise, and always under
+// Config.Fault, it queues the frame for the peer's writer goroutine.
+// Best-effort: a full outbox or a dead or closed transport drops the frame
+// (the link layer above retransmits).
 func (t *Transport) Send(dst int, frame []byte) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -238,10 +251,15 @@ func (t *Transport) Send(dst int, frame []byte) error {
 	if p.dead.Load() {
 		return ErrPeerDead
 	}
+	if t.inj == nil && len(frame) < coalesceLimit && p.queued.Load() == 0 && p.tryDirect(frame) {
+		return nil
+	}
+	p.queued.Add(1)
 	select {
 	case p.outbox <- frame:
 		return nil
 	default:
+		p.queued.Add(-1)
 		t.dropped.Add(1)
 		return ErrBackpressure
 	}
@@ -320,13 +338,14 @@ func (t *Transport) logf(format string, args ...any) {
 // ---------------------------------------------------------------- outbound
 
 // peer is one outbound simplex connection with reconnect state. conn is
-// owned by the writer goroutine; closeConn may be called from other
+// set by the writer goroutine; closeConn may be called from other
 // goroutines (Close/MarkDead) to interrupt a blocked write.
 type peer struct {
 	t      *Transport
 	rank   int
 	addr   string
 	outbox chan []byte
+	kick   chan struct{} // a direct write left a remainder for the writer
 	quit   chan struct{}
 
 	stopOnce sync.Once
@@ -334,6 +353,27 @@ type peer struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+
+	// Direct writes (tryDirect). wmu is held by whoever writes to the
+	// connection: a sender's one non-blocking attempt, or the writer
+	// goroutine. queued counts the frames the writer owns and has not yet
+	// written or dropped — in the outbox, gathered, or a direct write's
+	// remainder. A sender writes directly only while it is zero, so a frame
+	// never passes one queued before it.
+	wmu    sync.Mutex
+	queued atomic.Int64
+
+	// Under wmu: the length-prefixed direct frame (reused), the part of it
+	// a short write left over and the connection that part belongs to, and
+	// the cached raw connection with its write callback and result.
+	dbuf     []byte
+	rest     []byte // aliases dbuf; no direct write runs until it is written
+	restConn net.Conn
+	rawConn  net.Conn
+	raw      syscall.RawConn
+	rawFn    func(fd uintptr) bool // p.writeRaw, bound once
+	rawN     int
+	rawErr   error
 
 	// writer-private reconnect state
 	everUp     bool
@@ -391,6 +431,97 @@ func (f *frameBuf) writeTo(c net.Conn, deadline time.Time) (int64, error) {
 	return n, err
 }
 
+// tryDirect is Send's direct write, for a frame of less than coalesceLimit
+// bytes: one non-blocking write attempt (a RawConn callback that never asks
+// to wait), from the reused dbuf. It reports whether the frame is taken care
+// of — written whole, or written in part with the remainder handed to the
+// writer goroutine, which writes it before any frame queued after it. It
+// reports false, and the caller queues the frame, when the writer holds the
+// connection, anything is queued, there is no connection, or nothing could
+// be written (a full socket buffer, or an error the writer will meet too):
+// dialing, waiting and failure handling stay in writeLoop.
+func (p *peer) tryDirect(frame []byte) bool {
+	if !p.wmu.TryLock() {
+		return false
+	}
+	defer p.wmu.Unlock()
+	c := p.current()
+	if p.queued.Load() != 0 || c == nil {
+		return false
+	}
+	if c != p.rawConn {
+		sc, ok := c.(syscall.Conn)
+		if !ok {
+			return false
+		}
+		rc, err := sc.SyscallConn()
+		if err != nil {
+			return false
+		}
+		p.rawConn, p.raw = c, rc
+	}
+	p.dbuf = binary.LittleEndian.AppendUint32(p.dbuf[:0], uint32(len(frame)))
+	p.dbuf = append(p.dbuf, frame...)
+	n := p.writeOnce()
+	if n <= 0 {
+		return false
+	}
+	if n < len(p.dbuf) {
+		p.rest, p.restConn = p.dbuf[n:], c
+		p.queued.Add(1)
+		select {
+		case p.kick <- struct{}{}:
+		default:
+		}
+		return true
+	}
+	p.t.sent.Add(1)
+	return true
+}
+
+// writeOnce makes the single write attempt of dbuf and returns the bytes
+// written (0 when none were). The writer's blocking writes leave a deadline
+// on the connection that RawConn.Write honors; one that lapsed is cleared
+// (it guards only those writes) and the attempt made once more.
+func (p *peer) writeOnce() int {
+	p.rawN, p.rawErr = 0, nil
+	err := p.raw.Write(p.rawFn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		p.rawConn.SetWriteDeadline(time.Time{})
+		err = p.raw.Write(p.rawFn)
+	}
+	if err != nil || p.rawErr != nil {
+		return 0
+	}
+	return p.rawN
+}
+
+// writeRaw is the RawConn write callback: one write, and done whatever it
+// wrote, so the runtime never parks the sender to wait for buffer space.
+func (p *peer) writeRaw(fd uintptr) bool {
+	p.rawN, p.rawErr = rawWrite(fd, p.dbuf)
+	return true
+}
+
+// writeRest writes what a short direct write left over, ahead of anything
+// queued after it. The caller holds wmu (the writer goroutine).
+func (p *peer) writeRest() {
+	if p.rest == nil {
+		return
+	}
+	c := p.restConn
+	c.SetWriteDeadline(time.Now().Add(p.t.cfg.WriteTimeout))
+	_, err := c.Write(p.rest)
+	p.rest, p.restConn = nil, nil
+	p.queued.Add(-1)
+	if err != nil {
+		p.dropConn(c, err)
+		p.t.dropped.Add(1)
+		return
+	}
+	p.t.sent.Add(1)
+}
+
 // writeFrame writes the length prefix for a frame of size bytes and then
 // body in one writev, straight from the caller's slice. body is the whole
 // frame, or its first half for an injected torn write.
@@ -409,108 +540,142 @@ func writeFrame(c net.Conn, size int, body []byte, deadline time.Time) error {
 // frames are dropped fast, so retransmission traffic cannot pile up.
 //
 // Frames are gathered into one buffer and written when the outbox runs
-// empty or the buffer reaches coalesceLimit, so a lone frame costs one
-// Write (prefix and body together) and a queued burst costs one Write for
-// all of it. A frame of coalesceLimit bytes or more is not copied: what was
-// gathered goes out first, then its prefix and body in one writev. Every
+// empty or the buffer reaches coalesceLimit, so a queued burst costs one
+// Write for all of it. A frame of coalesceLimit bytes or more is not copied:
+// what was gathered goes out first, then its prefix and body in one writev.
+// Every write holds wmu and first finishes a direct write's remainder. Every
 // frame still passes the fault injector on its own; a fault first writes
 // what was gathered ahead of it, keeping frame order.
 func (p *peer) writeLoop() {
-	t := p.t
-	defer t.writerWg.Done()
-	var (
-		fb   frameBuf
-		conn net.Conn // the connection fb's frames were gathered for
-	)
-	flush := func() bool {
-		if fb.n == 0 {
-			return true
-		}
-		n, err := fb.writeTo(conn, time.Now().Add(t.cfg.WriteTimeout))
-		if err != nil {
-			p.dropConn(conn, err)
-			t.dropped.Add(n)
-			return false
-		}
-		t.sent.Add(n)
-		return true
-	}
+	defer p.t.writerWg.Done()
+	var w writer
+	w.p = p
 	for {
 		var frame []byte
-		if fb.n == 0 {
+		if w.fb.n == 0 {
 			select {
 			case <-p.quit:
-				p.flushResidual(&fb)
+				p.flushResidual(&w.fb)
 				return
+			case <-p.kick:
+				p.wmu.Lock()
+				p.writeRest()
+				p.wmu.Unlock()
+				continue
 			case frame = <-p.outbox:
 			}
 		} else {
 			select {
 			case frame = <-p.outbox:
 			default:
-				flush()
+				w.flush()
 				continue
 			}
 		}
-		if p.dead.Load() || t.closed.Load() {
-			continue // drain and drop
-		}
-		if t.inj != nil && t.inj.partitioned(p.rank) {
-			// Partition episode: this direction is black-holed. Kill any
-			// established connection so the episode also manifests as a
-			// connection-lifecycle fault, then drop.
-			flush()
-			if c := p.current(); c != nil {
-				p.closeConn(c)
-				t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: errInjectedPartition})
-			}
-			t.dropped.Add(1)
-			continue
-		}
-		c := p.ensureConn()
-		if c != conn {
-			flush() // the old connection is gone (MarkDead, Close): fails fast
-			conn = c
-		}
-		if c == nil {
-			t.dropped.Add(1)
-			continue
-		}
-		// Seeded write faults: tear the connection down, or write a torn
-		// (truncated) frame first so the receiver exercises its resync path.
-		if t.inj != nil {
-			switch t.inj.writeFault() {
-			case faultConnKill:
-				flush()
-				p.dropConn(c, errInjectedConnKill)
-				t.dropped.Add(1)
-				continue
-			case faultTornWrite:
-				flush()
-				writeFrame(c, len(frame), frame[:len(frame)/2], time.Now().Add(t.cfg.WriteTimeout))
-				p.dropConn(c, errInjectedTornWrite)
-				t.dropped.Add(1)
-				continue
-			}
-		}
-		if len(frame) >= coalesceLimit {
-			if !flush() {
-				t.dropped.Add(1) // the connection went down under the frames ahead
-				continue
-			}
-			if err := writeFrame(c, len(frame), frame, time.Now().Add(t.cfg.WriteTimeout)); err != nil {
-				p.dropConn(c, err)
-				t.dropped.Add(1)
-				continue
-			}
-			t.sent.Add(1)
-			continue
-		}
-		fb.add(frame)
-		if fb.full() {
-			flush()
+		if !w.take(frame) {
+			p.queued.Add(-1) // written or dropped
 		}
 	}
+}
+
+// writer is writeLoop's state: the frames gathered so far and the
+// connection they were gathered for.
+type writer struct {
+	p    *peer
+	fb   frameBuf
+	conn net.Conn
+}
+
+// flush writes the gathered frames, reporting whether they went out.
+func (w *writer) flush() bool {
+	if w.fb.n == 0 {
+		return true
+	}
+	p, t := w.p, w.p.t
+	p.wmu.Lock()
+	p.writeRest()
+	n, err := w.fb.writeTo(w.conn, time.Now().Add(t.cfg.WriteTimeout))
+	p.queued.Add(-n)
+	p.wmu.Unlock()
+	if err != nil {
+		p.dropConn(w.conn, err)
+		t.dropped.Add(n)
+		return false
+	}
+	t.sent.Add(n)
+	return true
+}
+
+// take routes one queued frame: it drops it, writes it on its own, or
+// gathers it for the next flush, and reports true only in the last case.
+func (w *writer) take(frame []byte) bool {
+	p, t := w.p, w.p.t
+	if p.dead.Load() || t.closed.Load() {
+		return false // drain and drop
+	}
+	if t.inj != nil && t.inj.partitioned(p.rank) {
+		// Partition episode: this direction is black-holed. Kill any
+		// established connection so the episode also manifests as a
+		// connection-lifecycle fault, then drop.
+		w.flush()
+		if c := p.current(); c != nil {
+			p.closeConn(c)
+			t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: errInjectedPartition})
+		}
+		t.dropped.Add(1)
+		return false
+	}
+	c := p.ensureConn()
+	if c != w.conn {
+		w.flush() // the old connection is gone (MarkDead, Close): fails fast
+		w.conn = c
+	}
+	if c == nil {
+		t.dropped.Add(1)
+		return false
+	}
+	// Seeded write faults: tear the connection down, or write a torn
+	// (truncated) frame first so the receiver exercises its resync path.
+	// (No direct write runs under Config.Fault, so there is no remainder.)
+	if t.inj != nil {
+		switch t.inj.writeFault() {
+		case faultConnKill:
+			w.flush()
+			p.dropConn(c, errInjectedConnKill)
+			t.dropped.Add(1)
+			return false
+		case faultTornWrite:
+			w.flush()
+			p.wmu.Lock()
+			writeFrame(c, len(frame), frame[:len(frame)/2], time.Now().Add(t.cfg.WriteTimeout))
+			p.wmu.Unlock()
+			p.dropConn(c, errInjectedTornWrite)
+			t.dropped.Add(1)
+			return false
+		}
+	}
+	if len(frame) >= coalesceLimit {
+		if !w.flush() {
+			t.dropped.Add(1) // the connection went down under the frames ahead
+			return false
+		}
+		p.wmu.Lock()
+		p.writeRest()
+		err := writeFrame(c, len(frame), frame, time.Now().Add(t.cfg.WriteTimeout))
+		p.wmu.Unlock()
+		if err != nil {
+			p.dropConn(c, err)
+			t.dropped.Add(1)
+			return false
+		}
+		t.sent.Add(1)
+		return false
+	}
+	w.fb.add(frame)
+	if w.fb.full() {
+		w.flush()
+	}
+	return true
 }
 
 // flushResidual best-effort-writes whatever is still queued in the outbox
@@ -523,6 +688,9 @@ func (p *peer) flushResidual(fb *frameBuf) {
 	if c == nil || p.dead.Load() {
 		return
 	}
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	p.writeRest()
 	deadline := time.Now().Add(100 * time.Millisecond)
 	for {
 		select {

@@ -2,8 +2,8 @@ package comm
 
 // SetTelemetryHandler installs the receiver for telemetry frames shipped via
 // SendTelemetry (the cluster metric plane's aggregation sink, normally only
-// installed on rank 0). The handler runs on the progress goroutine and must
-// stay cheap. Must be called before Start.
+// installed on rank 0). The handler runs under the rank's receive lock, on
+// the goroutine that delivered the frame, and must stay cheap. Must be called before Start.
 func (p *Proc) SetTelemetryHandler(h func(src int, payload []byte)) { p.telemetryH = h }
 
 // SendTelemetry ships one telemetry frame to rank dst. Telemetry is

@@ -3,12 +3,14 @@
 //
 // There is one delivery path. Each local rank owns one transport endpoint;
 // transmit encodes a message into a 40-byte-header frame and Sends it, and the
-// endpoint's deliver callback (deliverFrame) decodes inbound frames into the
-// rank's mailbox. NewWorld runs n local ranks over one in-memory network
+// endpoint's deliver callback (deliverFrame) decodes each inbound frame and
+// dispatches it at once, under the rank's receive lock, on the goroutine that
+// delivered it. NewWorld runs n local ranks over one in-memory network
 // (MemTransport); NewNetWorld runs one local rank over any Transport —
 // internal/comm/tcptransport is the real network backend (TCP with dial
 // backoff, deadlines, reconnect and socket fault injection). Only self-sends
-// skip the transport.
+// skip the transport: they wait in the rank's mailbox for the progress
+// goroutine, as do frames that arrive before the rank starts.
 //
 // Transports are best-effort (a frame queued while a connection is down is
 // simply dropped, and World.SetFaultPlan layers seeded frame faults over any
@@ -21,7 +23,7 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
+	"sync"
 )
 
 // Transport moves framed wire bytes between ranks. Implementations are
@@ -30,16 +32,26 @@ import (
 // concurrent use; ownership of a frame passes with the call (the sender must
 // not reuse a sent frame, the transport hands each delivered frame to the
 // receiver for keeps).
+//
+// deliver dispatches the frame in place, under the receiving rank's receive
+// lock, and the handlers it runs Send. Two rules follow. A transport never
+// calls deliver from within Send: the sender holds a link lock across Send,
+// and the receive lock's holder may be waiting for that link lock. And Send
+// never parks: workers call it, and so does whichever goroutine holds the
+// receive lock. A transport delivers from goroutines of its own — one per
+// connection, or one per endpoint as MemTransport does.
 type Transport interface {
 	// Self returns the local rank this transport is bound to.
 	Self() int
 	// Size returns the world size (number of ranks).
 	Size() int
 	// Start begins delivery: inbound frames are handed to deliver (possibly
-	// concurrently from several peer connections), and per-peer connection
-	// lifecycle transitions are reported through events (may be nil).
+	// concurrently from several peer connections, never from within Send),
+	// and per-peer connection lifecycle transitions are reported through
+	// events (may be nil).
 	Start(deliver func(frame []byte), events func(PeerEvent)) error
-	// Send queues one frame for best-effort delivery to rank dst.
+	// Send hands one frame over for best-effort delivery to rank dst. It
+	// never parks and never calls deliver.
 	Send(dst int, frame []byte) error
 	// Close tears down all connections and background goroutines.
 	Close() error
@@ -95,24 +107,43 @@ type PeerEvent struct {
 }
 
 // MemTransport is one rank's endpoint of an in-memory network
-// (NewMemNetwork). Send hands the frame to the destination endpoint's deliver
-// callback on the sending goroutine: it never loses, duplicates or reorders a
-// frame, so the only thing it adds to a message is the frame encoding. A
-// frame toward an endpoint that is not started, or already closed, is
-// dropped, as a socket toward a process that is not up would drop it.
+// (NewMemNetwork). Send queues the frame on the destination endpoint, whose
+// delivery goroutine hands it to the deliver callback — the in-memory
+// analogue of a socket's reader. It never loses, duplicates or reorders a
+// frame, so all it adds to a message is the frame encoding and one goroutine
+// hand-off. A frame toward an endpoint that is not started, or already
+// closed, is dropped, as a socket toward a process that is not up would drop
+// it.
 type MemTransport struct {
-	deliver []atomic.Pointer[func([]byte)] // shared by the network's endpoints, by rank
-	self    int
+	eps  []*memEndpoint // shared by the network's endpoints, by rank
+	self int
+}
+
+// memEndpoint is one endpoint's inbound side: an unbounded MPSC frame queue
+// with a wakeup channel, drained by the delivery goroutine Start launches
+// and Close joins.
+type memEndpoint struct {
+	mu      sync.Mutex
+	queue   [][]byte
+	live    bool // started and not closed: Send queues, else drops
+	closed  bool
+	deliver func([]byte)
+	note    chan struct{}
+	quit    chan struct{}
+	done    chan struct{}
 }
 
 // NewMemNetwork returns the n endpoints of one in-memory network, endpoint r
 // bound to rank r. Give each to its own NewNetWorld (or use NewWorld, which
 // runs all n ranks in one World).
 func NewMemNetwork(n int) []*MemTransport {
-	deliver := make([]atomic.Pointer[func([]byte)], n)
+	eps := make([]*memEndpoint, n)
+	for i := range eps {
+		eps[i] = &memEndpoint{note: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
+	}
 	trs := make([]*MemTransport, n)
 	for i := range trs {
-		trs[i] = &MemTransport{deliver: deliver, self: i}
+		trs[i] = &MemTransport{eps: eps, self: i}
 	}
 	return trs
 }
@@ -121,26 +152,74 @@ func NewMemNetwork(n int) []*MemTransport {
 func (t *MemTransport) Self() int { return t.self }
 
 // Size returns the number of endpoints in the network.
-func (t *MemTransport) Size() int { return len(t.deliver) }
+func (t *MemTransport) Size() int { return len(t.eps) }
 
-// Start attaches deliver: frames sent to this endpoint from now on reach it.
-// There are no connections, hence no peer events.
+// Start attaches deliver and launches the endpoint's delivery goroutine:
+// frames sent to this endpoint from now on reach it. There are no
+// connections, hence no peer events.
 func (t *MemTransport) Start(deliver func([]byte), _ func(PeerEvent)) error {
-	t.deliver[t.self].Store(&deliver)
+	ep := t.eps[t.self]
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.live || ep.closed {
+		return fmt.Errorf("comm: memory endpoint %d started twice", t.self)
+	}
+	ep.deliver, ep.live = deliver, true
+	go ep.run()
 	return nil
 }
 
-// Send delivers frame to dst's deliver callback before returning.
+// Send queues frame on dst's endpoint for its delivery goroutine.
 func (t *MemTransport) Send(dst int, frame []byte) error {
-	if d := t.deliver[dst].Load(); d != nil {
-		(*d)(frame)
+	ep := t.eps[dst]
+	ep.mu.Lock()
+	if !ep.live {
+		ep.mu.Unlock()
+		return nil
+	}
+	ep.queue = append(ep.queue, frame)
+	ep.mu.Unlock()
+	select {
+	case ep.note <- struct{}{}:
+	default:
 	}
 	return nil
 }
 
-// Close detaches the endpoint: frames sent to it are dropped from now on.
+// run delivers queued frames in arrival order until Close.
+func (ep *memEndpoint) run() {
+	defer close(ep.done)
+	var buf [][]byte
+	for {
+		select {
+		case <-ep.quit:
+			return
+		case <-ep.note:
+		}
+		ep.mu.Lock()
+		buf, ep.queue = ep.queue, buf[:0]
+		ep.mu.Unlock()
+		for _, f := range buf {
+			ep.deliver(f)
+		}
+		clear(buf) // the receiver owns the frames now
+	}
+}
+
+// Close detaches the endpoint — frames sent to it are dropped from now on —
+// and joins its delivery goroutine. Idempotent.
 func (t *MemTransport) Close() error {
-	t.deliver[t.self].Store(nil)
+	ep := t.eps[t.self]
+	ep.mu.Lock()
+	started, first := ep.live, !ep.closed
+	ep.live, ep.closed, ep.queue = false, true, nil
+	ep.mu.Unlock()
+	if first {
+		close(ep.quit)
+		if started {
+			<-ep.done
+		}
+	}
 	return nil
 }
 
@@ -264,10 +343,12 @@ func (a *FrameAlloc) Make(n int) []byte {
 	return a.chunk[off : off+n : off+n]
 }
 
-// deliverFrame is the transport's inbound callback: decode and enqueue into
-// this rank's mailbox. Malformed or misaddressed frames are dropped — remote
-// bytes must never be able to take the progress goroutine down — and so is
-// anything arriving after Shutdown or touching a fail-stopped rank.
+// deliverFrame is the transport's inbound callback: decode the frame and run
+// it through the link layer and its handler right here, under the receive
+// lock, on the goroutine that delivered it. A frame that arrives before Start
+// waits in the mailbox for the progress goroutine. Malformed or misaddressed
+// frames are dropped — remote bytes must never be able to take a rank down —
+// and so is anything arriving after Shutdown or touching a fail-stopped rank.
 func (p *Proc) deliverFrame(frame []byte) {
 	m, err := decodeWireFrame(frame)
 	w := p.world
@@ -275,7 +356,13 @@ func (p *Proc) deliverFrame(frame []byte) {
 		w.closed.Load() || w.wireDead(m.src, p.rank) {
 		return
 	}
-	p.mbox.push(m)
+	p.rx.Lock()
+	if p.launched.Load() {
+		p.receive(m)
+	} else {
+		p.mbox.push(m)
+	}
+	p.rx.Unlock()
 }
 
 // SetPeerEventHook installs an observer for transport peer lifecycle events

@@ -53,9 +53,16 @@ func harnessOf(ws []*World) *netHarness {
 	return h
 }
 
-// deliverTo hands frame to the deliver callback attached to tr, as a peer's
-// Send would.
-func deliverTo(tr *MemTransport, frame []byte) { (*tr.deliver[tr.self].Load())(frame) }
+// deliverTo hands frame to the deliver callback attached to tr, as tr's
+// delivery goroutine would after a peer's Send, but on the calling goroutine:
+// the frame is dispatched before deliverTo returns.
+func deliverTo(tr *MemTransport, frame []byte) {
+	ep := tr.eps[tr.self]
+	ep.mu.Lock()
+	deliver := ep.deliver
+	ep.mu.Unlock()
+	deliver(frame)
+}
 
 func (h *netHarness) proc(i int) *Proc { return h.worlds[i].Proc(i) }
 
@@ -171,7 +178,7 @@ func TestNetWorldLossyTransportRecovers(t *testing.T) {
 		h.proc(i).Register(0, func(src int, payload []byte) {
 			handled.Add(1)
 			left := int64(binary.LittleEndian.Uint32(payload))
-			if left >= last[i] { // handler runs on the progress goroutine: no lock needed
+			if left >= last[i] { // one rank's handlers never run concurrently: no lock needed
 				outOfOrder.Add(1)
 			}
 			last[i] = left
@@ -433,7 +440,7 @@ func TestShutdownConcurrent(t *testing.T) {
 // TestForgedRankDeadDropped: a rank-dead announcement naming a rank outside
 // the world, or arriving at a rank that runs no failure detection, is remote
 // garbage. It must be dropped and reported through the error hook; it must
-// not take the progress goroutine down or move the membership epoch.
+// not take the rank down or move the membership epoch.
 func TestForgedRankDeadDropped(t *testing.T) {
 	for _, fd := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fd=%v", fd), func(t *testing.T) {

@@ -9,7 +9,7 @@ import "sync/atomic"
 // broadcast. Probes and replies carry a stamp (epoch<<32 | round) so a wave
 // restarted by a membership change discards contributions to the old one.
 
-// waveState is the wave's progress-goroutine-private state (rounds excepted).
+// waveState is the wave's rx-private state (rounds excepted).
 type waveState struct {
 	// Non-root: owedStamp is the round stamp of the latest probe that caught
 	// this rank busy; 0 = none. The stamp is echoed in the reply.

@@ -433,10 +433,11 @@ type streamEnc struct {
 	enc *gob.Encoder
 }
 
-// streamDec mirrors streamEnc on the receive side, one per source peer. The
-// progress goroutine feeds each stream-gob payload into the buffer and
-// decodes exactly one value; stream-gob payloads from one peer must be
-// decoded in wire order (the in-order link guarantees this).
+// streamDec mirrors streamEnc on the receive side, one per source peer.
+// Under the rank's receive lock, on the goroutine that delivered the frame,
+// each stream-gob payload is fed into the buffer and decoded as exactly one
+// value; stream-gob payloads from one peer must be decoded in wire order
+// (the in-order link guarantees this).
 type streamDec struct {
 	buf bytes.Buffer
 	dec *gob.Decoder

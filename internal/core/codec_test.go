@@ -193,7 +193,7 @@ func TestStreamGobRoundTrip(t *testing.T) {
 
 // FuzzCodecDecode throws arbitrary bytes at the self-contained payload
 // decoder: it must return a value or an error, never panic — it runs on the
-// progress goroutine against remote-supplied bytes.
+// goroutine that delivered the frame, against remote-supplied bytes.
 func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(codecIDGob), 1, 2, 3})

@@ -95,10 +95,11 @@ func (g *Graph) remoteSend(w *rt.Worker, tt *TT, slot int, key uint64, c *rt.Cop
 	g.proc.BatchEnd(dstRank, buf)
 }
 
-// handleActivation runs on the communication progress goroutine (service
-// worker 1), once per activation entry unpacked from a batch frame: decode
-// and deliver locally. Remote-supplied bytes must never be able to kill the
-// progress goroutine — every malformation aborts the graph instead.
+// handleActivation runs under the rank's receive lock, on the goroutine that
+// delivered the frame (as service worker 1), once per activation entry
+// unpacked from a batch frame: decode and deliver locally. Remote-supplied
+// bytes must never be able to kill that goroutine — every malformation
+// aborts the graph instead.
 func (g *Graph) handleActivation(src int, payload []byte) {
 	if g.rtm.Aborting() {
 		return // abort drain: skip the decode; comm still counts the receipt
@@ -154,7 +155,8 @@ func (g *Graph) handleActivation(src int, payload []byte) {
 	if g.causal {
 		// Attribute the local delivery to the remote producer span and the
 		// wire frame that carried it. handleActivation never nests (batched
-		// handlers run sequentially on the progress goroutine), but reset the
+		// handlers run one at a time, under the rank's receive lock, on the
+		// goroutine that delivered the frame), but reset the
 		// context after the delivery so later non-activation work on this
 		// service identity does not inherit it.
 		cw.SetCauseCtx(rt.CauseCtx{SpanID: producerSpan, Rank: src, Frame: g.proc.DispatchFrameID()})

@@ -11,7 +11,8 @@ import "strconv"
 //	"abort"      the graph aborted (detail = the abort reason)
 //	"steal"      an inter-rank steal completed (rank = the victim)
 //
-// Hooks run on runtime or comm-progress goroutines and must not block.
+// Hooks run on runtime goroutines, or under the rank's receive lock on the
+// goroutine that delivered the frame, and must not block.
 type EventHook func(kind string, rank int, detail string)
 
 // SetEventHook installs (or, with nil, removes) the lifecycle event hook.

@@ -247,9 +247,10 @@ func (g *Graph) RecoveryStats() (reexecuted, remapped, pruned int64) {
 }
 
 // killLocal runs on the victim when World.KillRank fail-stops this rank: the
-// runtime aborts and drains, and — because the comm progress goroutine that
-// normally signals termination is being torn down — a poller signals done
-// once the drain reaches quiescence, so the harness's Wait returns.
+// runtime aborts and drains, and — because the fenced rank dispatches no
+// more frames, so no termination message will ever reach it — a poller
+// signals done once the drain reaches quiescence, so the harness's Wait
+// returns.
 func (g *Graph) killLocal() {
 	g.event("killed", g.rank, "fail-stop")
 	g.rtm.Abort(ErrRankKilled)
@@ -336,8 +337,10 @@ func (g *Graph) replayLocal(w *rt.Worker, e ftLogEntry) {
 	g.deliverLocal(w, dest{tt: tt, slot: int(e.slot)}, e.key, c, true)
 }
 
-// onRankDead is the recovery orchestrator, invoked on the comm progress
-// goroutine after the membership layer confirmed a death: re-home the dead
+// onRankDead is the recovery orchestrator, invoked under the rank's receive
+// lock, on the goroutine that delivered the frame (or on the progress
+// goroutine's tick, for the coordinator), after the membership layer
+// confirmed a death: re-home the dead
 // rank's keys, then replay logged activations and seeds toward their new
 // owners. Runs once per (rank, death) — comm dedups announcements.
 func (ft *ftState) onRankDead(dead, epoch int) {
@@ -492,11 +495,12 @@ func (g *Graph) remoteSendFT(w *rt.Worker, tt *TT, slot int, key uint64, c *rt.C
 	})
 }
 
-// handleActivationFT is the fault-tolerant inbound path (progress goroutine),
-// called once per activation entry unpacked from a batch frame: journal
-// dedup, re-route if the key's owner moved while the message was in flight,
-// then local delivery. Malformed remote bytes abort the graph — they must
-// never panic the progress goroutine.
+// handleActivationFT is the fault-tolerant inbound path (under the rank's
+// receive lock, on the goroutine that delivered the frame), called once per
+// activation entry unpacked from a batch frame: journal dedup, re-route if
+// the key's owner moved while the message was in flight, then local
+// delivery. Malformed remote bytes abort the graph — they must never panic
+// that goroutine.
 func (g *Graph) handleActivationFT(src int, payload []byte) {
 	ft := g.ft
 	if len(payload) < ftHeaderLen {

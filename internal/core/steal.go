@@ -239,7 +239,8 @@ func (s *stealState) bumpBackoff() {
 	s.nextProbe.Store(time.Now().UnixNano() + b)
 }
 
-// stealFill is the victim-side extraction hook (progress goroutine): drain
+// stealFill is the victim-side extraction hook (under the rank's receive
+// lock, on the goroutine that delivered the frame): drain
 // ready tasks from the local scheduler, donate half (capped), serialize them
 // self-contained, and record the donation. Tasks that fail to serialize stay
 // home. Returns id 0 when nothing is donated.
@@ -317,7 +318,8 @@ func (g *Graph) stealCommit(thief int, id uint64) bool {
 }
 
 // stealCancel returns a declined donation (the thief was draining) to the
-// local queues. Two-phase, progress goroutine.
+// local queues. Two-phase; under the rank's receive lock, on the goroutine
+// that delivered the frame.
 func (g *Graph) stealCancel(thief int, id uint64) {
 	s := g.steal
 	s.mu.Lock()
@@ -347,7 +349,8 @@ func (g *Graph) stealRequeue(d *stealDonation) {
 	s.rehomed.Add(int64(len(d.recs)))
 }
 
-// stealInject is the thief-side injection hook (progress goroutine): decode
+// stealInject is the thief-side injection hook (under the rank's receive
+// lock, on the goroutine that delivered the frame): decode
 // each record and re-discover the task locally.
 func (g *Graph) stealInject(victim int, recs [][]byte) {
 	if g.rtm.Aborting() || g.rtm.Terminated() {
@@ -496,7 +499,8 @@ func appendStealU32(b []byte, v uint32) []byte {
 // thief-side span caused by the victim's origin span, so the trace records
 // the EXECUTING rank, with a cross-rank arrow from where the inputs were
 // assembled. Malformed records abort the graph — they must never panic the
-// progress goroutine.
+// goroutine that delivered the frame, which runs this under the rank's
+// receive lock.
 func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 	if g.rtm.Aborting() || g.rtm.Terminated() {
 		return

@@ -104,8 +104,8 @@ func New(cfg Config) *Runtime {
 		w.copies.owner = w
 		r.workers[i] = w
 	}
-	// Service identities: 0 = main goroutine, 1 = communication progress
-	// thread, 2 = the abort sweeper that discards tabled tasks.
+	// Service identities: 0 = main goroutine, 1 = the communication receive
+	// path, 2 = the abort sweeper that discards tabled tasks.
 	for i := range r.service {
 		w := &Worker{ID: -1 - i, detSlot: termdet.ExternalSlot, htSlot: cfg.Workers + i,
 			rt: r, rngState: ^uint64(i) | 1, count: cfg.CountAtomics}
@@ -119,9 +119,9 @@ func New(cfg Config) *Runtime {
 
 // ServiceWorker returns one of the runtime's non-executing worker
 // identities: index 0 is reserved for the application's main goroutine
-// (graph construction and seeding), index 1 for the communication progress
-// thread, index 2 for the abort sweeper. Each must be used by at most one
-// goroutine at a time.
+// (graph construction and seeding), index 1 for the communication receive
+// path (whichever goroutine holds the rank's receive lock), index 2 for the
+// abort sweeper. Each must be used by at most one goroutine at a time.
 func (r *Runtime) ServiceWorker(i int) *Worker { return r.service[i] }
 
 // Config returns the runtime configuration.

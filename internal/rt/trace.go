@@ -60,7 +60,7 @@ type TraceCause struct {
 
 // CauseCtx is the ambient "who is producing right now" context a frontend
 // sets on a Worker while it delivers activations: the executing span for
-// local sends, or the decoded wire origin on the comm progress worker.
+// local sends, or the decoded wire origin on the comm receive worker.
 type CauseCtx struct {
 	SpanID uint64
 	Rank   int

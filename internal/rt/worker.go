@@ -67,7 +67,7 @@ type WorkerStats struct {
 //
 // Runtimes also carry service workers (negative ID): non-executing worker
 // identities used by the main goroutine (graph seeding) and the
-// communication progress thread, so those contexts get pools, accounting,
+// communication receive path, so those contexts get pools, accounting,
 // and a BRAVO lock slot without participating in scheduling.
 type Worker struct {
 	ID int
