@@ -14,9 +14,9 @@ func init() {
 	RegisterPayload(float64(0))
 }
 
-// buildRanks constructs one graph replica per rank (SPMD) and runs body on
-// each concurrently, then waits for all.
-func runSPMD(t *testing.T, ranks, workers int, build func(g *Graph) (seed func())) {
+// runSPMD constructs one graph replica per rank (SPMD), seeds and waits on
+// each concurrently, shuts the world down, and returns the graphs.
+func runSPMD(t *testing.T, ranks, workers int, build func(g *Graph) (seed func())) []*Graph {
 	t.Helper()
 	world := comm.NewWorld(ranks)
 	graphs := make([]*Graph, ranks)
@@ -39,6 +39,7 @@ func runSPMD(t *testing.T, ranks, workers int, build func(g *Graph) (seed func()
 	}
 	wg.Wait()
 	world.Shutdown()
+	return graphs
 }
 
 func TestDistributedChain(t *testing.T) {

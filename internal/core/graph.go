@@ -12,6 +12,7 @@ import (
 	"gottg/internal/hashtable"
 	"gottg/internal/metrics"
 	"gottg/internal/rt"
+	"gottg/internal/xsync"
 )
 
 // Graph is a template task graph bound to a runtime instance. Typical use:
@@ -150,6 +151,7 @@ func (g *Graph) NewTT(name string, nIn, nOut int, body Body) *TT {
 		outs:    make([]*Edge, nOut),
 		inBound: make([]bool, nIn),
 		slots:   make([]inputSlot, nIn),
+		created: make([]xsync.PaddedInt64, g.cfg.Workers+numServiceIdentities),
 	}
 	g.tts = append(g.tts, tt)
 	return tt

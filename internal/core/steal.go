@@ -619,7 +619,7 @@ func (g *Graph) injectStolenTask(w *rt.Worker, victim int, rec []byte) {
 		return
 	}
 	t.ArmDeps(0)
-	tt.created.Add(1)
+	tt.created[w.HTSlot()].V.Add(1)
 	if g.causal {
 		t.AddCause(rt.CauseCtx{SpanID: originSpan, Rank: victim})
 		t.MarkReady()

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"gottg/internal/hashtable"
 	"gottg/internal/rt"
+	"gottg/internal/xsync"
 )
 
 // Body is a template task's user function. The TaskContext is passed by
@@ -35,7 +35,9 @@ type TT struct {
 	ht     *hashtable.Table
 	bypass bool
 
-	created atomic.Int64
+	// created counts task instances per worker identity (indexed by
+	// HTSlot), so the identities that discover tasks never share a line.
+	created []xsync.PaddedInt64
 }
 
 // Name returns the template task's name.
@@ -126,7 +128,13 @@ func (tt *TT) WithStreaming(slot int, count func(key uint64) int, reduce func(ac
 }
 
 // TasksCreated reports how many task instances this TT has created.
-func (tt *TT) TasksCreated() int64 { return tt.created.Load() }
+func (tt *TT) TasksCreated() int64 {
+	var n int64
+	for i := range tt.created {
+		n += tt.created[i].V.Load()
+	}
+	return n
+}
 
 // newTask builds a task instance for key (pool-backed), armed with the number
 // of data items it needs: each slot's need is computed once, so count(key)
@@ -154,7 +162,7 @@ func (tt *TT) newTask(w *rt.Worker, key uint64) *rt.Task {
 		}
 	}
 	t.ArmDeps(deps)
-	tt.created.Add(1)
+	tt.created[w.HTSlot()].V.Add(1)
 	if ft := tt.g.ft; ft != nil && tt.mapFn != nil && tt.mapFn(key) != tt.g.rank {
 		// A task instance for a key this rank does not statically own can
 		// only exist here because the owner died and its keys were re-homed.

@@ -37,8 +37,8 @@ func TestFindFastFallsBackDuringResizeChain(t *testing.T) {
 	if tb.Depth() < 2 {
 		t.Skip("table did not chain old arrays")
 	}
-	// Some keys still live only in old arrays: FindFast must refuse to
-	// declare a miss (ok=false), never return a wrong verdict.
+	// Some keys still live only in old arrays: FindFast must never report
+	// one of them absent.
 	tb.RLockShared(0)
 	sawFallback := false
 	for i := uint64(0); i < 256; i++ {
@@ -60,7 +60,7 @@ func TestFindFastFallsBackDuringResizeChain(t *testing.T) {
 
 // TestFindFastConcurrent churns inserts/removes on half the key space while
 // readers run FindFast on permanently-resident keys; run with -race this
-// exercises the seqlock validation's happens-before edges.
+// checks that its bucket lock orders every chain read.
 func TestFindFastConcurrent(t *testing.T) {
 	tb := New(Options{InitialSize: 64, Lock: rwlock.NewBRAVO(8, nil)})
 	const resident = 128

@@ -21,13 +21,10 @@
 //     the baseline AtomicRW reproduces the contended behaviour of §III-C2,
 //     and the BRAVO wrapper the optimized zero-RMW fast path of §IV-D.
 //
-//   - On top of the locked protocol sits a wait-free fast path for the
-//     lookup-hit case (FindFast): each bucket carries a seqlock whose odd/even
-//     transitions bracket every chain mutation, and the chain links themselves
-//     are atomics, so a reader holding only the shared reader lock can walk
-//     the bucket and validate that no mutation raced the walk. Misses and
-//     contended walks fall back to the locked path; they are never decided
-//     lock-free unless provably authoritative.
+//   - Every chain field (bucket head and fill, entry key and link) is a
+//     plain field, read and written only under its bucket lock or under the
+//     writer lock that excludes every bucket holder. The locks order them;
+//     a chain mutation costs no fenced store of its own.
 //
 // Keys are uint64 (already-hashed task IDs); values are arbitrary pointers
 // boxed in `any`.
@@ -44,80 +41,45 @@ import (
 // (PaRSEC uses 16).
 const DefaultHighWaterMark = 16
 
-// fastFindMaxHops bounds the bucket walk a lock-free lookup will attempt
-// before declaring the bucket too deep and falling back to the locked path
-// (deep buckets are about to trigger a resize anyway).
-const fastFindMaxHops = 64
-
 // Entry is a chained hash-table node. Entries are exposed so callers can
 // embed per-task state next to the key and Val without a second allocation.
-// The key and chain link are atomics because the FindFast path traverses
-// them without holding the bucket lock; Val is plain — fast-path readers
-// only dereference it after seqlock validation proves it was published
-// before the walk began.
+// All fields are plain: while the entry is resident, its bucket lock guards
+// them; before insertion and after removal, its owner does.
 type Entry struct {
-	key  atomic.Uint64
+	key  uint64
 	Val  any
-	next atomic.Pointer[Entry]
+	next *Entry
 }
 
 // Key returns the entry's key.
-func (e *Entry) Key() uint64 { return e.key.Load() }
+func (e *Entry) Key() uint64 { return e.key }
 
 // SetKey sets the entry's key. Only legal while the entry is not resident in
 // a table (callers set the key before NoLockInsert).
-func (e *Entry) SetKey(k uint64) { e.key.Store(k) }
+func (e *Entry) SetKey(k uint64) { e.key = k }
 
 // Reset zeroes the entry for reuse (pool recycling). Only legal while the
 // entry is not resident in a table.
-func (e *Entry) Reset() {
-	e.key.Store(0)
-	e.Val = nil
-	e.next.Store(nil)
-}
+func (e *Entry) Reset() { *e = Entry{} }
 
 type bucket struct {
+	head *Entry
 	lock xsync.SpinLock
-	// seq is the bucket's mutation sequence: odd while a chain mutation is
-	// in progress, even otherwise. Writers (serialized by the bucket lock)
-	// bump it around every head/next rewrite; FindFast readers snapshot it
-	// before walking and discard the verdict if it changed or was odd.
-	seq  atomic.Uint32
-	head atomic.Pointer[Entry]
-	fill int32 // entries chained here; maintained under lock
-	_    [xsync.CacheLineSize - 20]byte
-}
-
-// beginMutate/endMutate bracket a chain rewrite. Plain load+store is enough:
-// the bucket lock serializes writers, and atomic.Store gives the release
-// ordering FindFast's validation needs.
-func (b *bucket) beginMutate() { b.seq.Store(b.seq.Load() + 1) }
-func (b *bucket) endMutate()   { b.seq.Store(b.seq.Load() + 1) }
-
-// liveShards spreads the per-array residency gauge over independent cache
-// lines so the satisfy-dep hot path never serializes on one counter word.
-const liveShards = 8
-
-type liveCell struct {
-	n atomic.Int64
-	_ [xsync.CacheLineSize - 8]byte
+	fill int32                                 // entries chained here; maintained under lock
+	_    [xsync.CacheLineSize - 8 - 4 - 4]byte // head, lock, fill
 }
 
 type bucketArray struct {
 	mask    uint64 // len(buckets)-1
 	buckets []bucket
 	older   *bucketArray
-	live    [liveShards]liveCell // entries resident in THIS array, sharded
 }
 
-func (a *bucketArray) liveAdd(key uint64, d int64) {
-	a.live[key&(liveShards-1)].n.Add(d)
-}
-
-func (a *bucketArray) liveSum() int64 {
-	var n int64
-	for i := range a.live {
-		n += a.live[i].n.Load()
+// fill sums the array's bucket fills. Caller holds the writer lock.
+func (a *bucketArray) fill() int {
+	n := 0
+	for i := range a.buckets {
+		n += int(a.buckets[i].fill)
 	}
 	return n
 }
@@ -226,44 +188,14 @@ func (t *Table) UnlockBucket(key uint64) {
 	t.main.Load().bucketFor(key).lock.Unlock()
 }
 
-// FindFast is the wait-free lookup fast path for the hit case. The caller
-// must hold RLockShared for the duration of its use of the returned entry
-// and must guarantee the entry cannot be unlinked concurrently (in TTG the
-// caller holds an undelivered dependence of the tabled task, which keeps it
-// resident). ok=false means the lookup could not be decided lock-free — the
-// bucket mutated mid-walk, the walk was too deep, or the key may live in an
-// old array — and the caller must fall back to the locked path. ok=true with
-// a nil entry is an authoritative miss.
+// FindFast is LockBucket + NoLockFind + UnlockBucket; ok is always true.
+// It survives only for the benchmark's table probe and goes once that probe
+// drops it. The caller must hold RLockShared.
 func (t *Table) FindFast(key uint64) (*Entry, bool) {
-	a := t.main.Load()
-	b := a.bucketFor(key)
-	s := b.seq.Load()
-	if s&1 != 0 {
-		return nil, false // mutation in progress
-	}
-	var found *Entry
-	hops := 0
-	for e := b.head.Load(); e != nil; e = e.next.Load() {
-		if hops++; hops > fastFindMaxHops {
-			return nil, false
-		}
-		if e.key.Load() == key {
-			found = e
-			break
-		}
-	}
-	if b.seq.Load() != s {
-		return nil, false // a mutation raced the walk: verdict unreliable
-	}
-	if found == nil {
-		// A miss in the main array is authoritative only when no old array
-		// could still hold the key.
-		if a.older != nil {
-			return nil, false
-		}
-		return nil, true
-	}
-	return found, true
+	t.LockBucket(key)
+	e := t.NoLockFind(key)
+	t.UnlockBucket(key)
+	return e, true
 }
 
 // NoLockFind returns the entry for key, or nil. The caller must hold the
@@ -273,8 +205,8 @@ func (t *Table) FindFast(key uint64) (*Entry, bool) {
 func (t *Table) NoLockFind(key uint64) *Entry {
 	a := t.main.Load()
 	mb := a.bucketFor(key)
-	for e := mb.head.Load(); e != nil; e = e.next.Load() {
-		if e.key.Load() == key {
+	for e := mb.head; e != nil; e = e.next {
+		if e.key == key {
 			return e
 		}
 	}
@@ -283,24 +215,18 @@ func (t *Table) NoLockFind(key uint64) *Entry {
 		ob := old.bucketFor(key)
 		ob.lock.Lock()
 		var prev *Entry
-		for e := ob.head.Load(); e != nil; prev, e = e, e.next.Load() {
-			if e.key.Load() == key {
-				ob.beginMutate()
+		for e := ob.head; e != nil; prev, e = e, e.next {
+			if e.key == key {
 				if prev == nil {
-					ob.head.Store(e.next.Load())
+					ob.head = e.next
 				} else {
-					prev.next.Store(e.next.Load())
+					prev.next = e.next
 				}
-				ob.endMutate()
 				ob.fill--
-				old.liveAdd(key, -1)
 				ob.lock.Unlock()
-				mb.beginMutate()
-				e.next.Store(mb.head.Load())
-				mb.head.Store(e)
-				mb.endMutate()
+				e.next = mb.head
+				mb.head = e
 				mb.fill++
-				a.liveAdd(key, 1)
 				t.migrations.Add(1)
 				return e
 			}
@@ -313,35 +239,26 @@ func (t *Table) NoLockFind(key uint64) *Entry {
 // NoLockInsert inserts the entry (caller must hold LockKey for e.Key() and
 // must have verified the key is absent).
 func (t *Table) NoLockInsert(e *Entry) {
-	a := t.main.Load()
-	key := e.key.Load()
-	b := a.bucketFor(key)
-	e.next.Store(b.head.Load())
-	b.beginMutate()
-	b.head.Store(e)
-	b.endMutate()
+	b := t.main.Load().bucketFor(e.key)
+	e.next = b.head
+	b.head = e
 	b.fill++
-	a.liveAdd(key, 1)
 }
 
 // NoLockRemove removes and returns the entry for key, or nil if absent.
 // Caller must hold LockKey (or RLockShared+LockBucket) for key.
 func (t *Table) NoLockRemove(key uint64) *Entry {
-	a := t.main.Load()
-	b := a.bucketFor(key)
+	b := t.main.Load().bucketFor(key)
 	var prev *Entry
-	for e := b.head.Load(); e != nil; prev, e = e, e.next.Load() {
-		if e.key.Load() == key {
-			b.beginMutate()
+	for e := b.head; e != nil; prev, e = e, e.next {
+		if e.key == key {
 			if prev == nil {
-				b.head.Store(e.next.Load())
+				b.head = e.next
 			} else {
-				prev.next.Store(e.next.Load())
+				prev.next = e.next
 			}
-			b.endMutate()
 			b.fill--
-			a.liveAdd(key, -1)
-			e.next.Store(nil)
+			e.next = nil
 			return e
 		}
 	}
@@ -369,7 +286,7 @@ func (t *Table) grow(from *bucketArray) {
 func (t *Table) pruneLocked() {
 	a := t.main.Load()
 	for a.older != nil {
-		if a.older.liveSum() == 0 {
+		if a.older.fill() == 0 {
 			a.older = a.older.older
 		} else {
 			a = a.older
@@ -380,7 +297,7 @@ func (t *Table) pruneLocked() {
 // Insert is a convenience: lock, insert-if-absent, unlock. It reports whether
 // the entry was inserted (false if the key already existed).
 func (t *Table) Insert(slot int, e *Entry) bool {
-	key := e.key.Load()
+	key := e.key
 	t.LockKey(slot, key)
 	if t.NoLockFind(key) != nil {
 		t.UnlockKey(slot, key)
@@ -408,14 +325,16 @@ func (t *Table) Remove(slot int, key uint64) *Entry {
 	return e
 }
 
-// Len returns the total number of resident entries (approximate under
-// concurrent mutation).
+// Len returns the total number of resident entries. Like Keys it takes the
+// table-wide writer lock, so it is for diagnostics, not hot paths.
 func (t *Table) Len() int {
-	var n int64
+	t.rw.Lock()
+	defer t.rw.Unlock()
+	n := 0
 	for a := t.main.Load(); a != nil; a = a.older {
-		n += a.liveSum()
+		n += a.fill()
 	}
-	return int(n)
+	return n
 }
 
 // Resizes returns how many grow operations have occurred (the paper observes
@@ -450,8 +369,8 @@ func (t *Table) Keys(limit int) []uint64 {
 	var out []uint64
 	for a := t.main.Load(); a != nil; a = a.older {
 		for i := range a.buckets {
-			for e := a.buckets[i].head.Load(); e != nil; e = e.next.Load() {
-				out = append(out, e.key.Load())
+			for e := a.buckets[i].head; e != nil; e = e.next {
+				out = append(out, e.key)
 				if limit > 0 && len(out) >= limit {
 					return out
 				}
@@ -463,10 +382,7 @@ func (t *Table) Keys(limit int) []uint64 {
 
 // Drain unlinks and returns up to limit resident entries (limit <= 0 means
 // all), oldest arrays last. It holds the table-wide writer lock for the
-// duration, excluding every locked operation AND every FindFast reader (who
-// hold the reader lock) — which is what makes it safe for an abort sweeper
-// to free the returned entries while other threads may still be running the
-// wait-free lookup path.
+// duration, excluding every bucket holder.
 func (t *Table) Drain(limit int) []*Entry {
 	t.rw.Lock()
 	defer t.rw.Unlock()
@@ -474,15 +390,11 @@ func (t *Table) Drain(limit int) []*Entry {
 	for a := t.main.Load(); a != nil; a = a.older {
 		for i := range a.buckets {
 			b := &a.buckets[i]
-			for {
-				e := b.head.Load()
-				if e == nil {
-					break
-				}
-				b.head.Store(e.next.Load())
+			for b.head != nil {
+				e := b.head
+				b.head = e.next
 				b.fill--
-				a.liveAdd(e.key.Load(), -1)
-				e.next.Store(nil)
+				e.next = nil
 				out = append(out, e)
 				if limit > 0 && len(out) >= limit {
 					return out

@@ -10,8 +10,8 @@ import (
 	"gottg/internal/rwlock"
 )
 
-// ent builds an Entry with the key set through the accessor (the Key field
-// became atomic when the FindFast path was added).
+// ent builds an Entry with the key set through the accessor (the key field
+// is unexported).
 func ent(k uint64, v any) *Entry {
 	e := &Entry{Val: v}
 	e.SetKey(k)
@@ -120,6 +120,98 @@ func TestRemoveFromOldArrayDirectly(t *testing.T) {
 	}
 	if tb.Len() != 0 {
 		t.Fatalf("%d entries leaked", tb.Len())
+	}
+}
+
+// TestPruneAfterOldArraysDrain pins that pruning needs no residency gauge:
+// once every key is gone, the next grow unlinks every old array whose
+// buckets are all empty, and Len counts bucket fills.
+func TestPruneAfterOldArraysDrain(t *testing.T) {
+	tb := New(Options{InitialSize: 2, HighWaterMark: 2})
+	const n = 256
+	for i := uint64(0); i < n; i++ {
+		tb.Insert(0, ent(i, i))
+	}
+	if tb.Resizes() < 2 {
+		t.Fatalf("Resizes = %d, want >= 2", tb.Resizes())
+	}
+	if tb.Len() != n {
+		t.Fatalf("Len = %d, want %d", tb.Len(), n)
+	}
+	for i := uint64(0); i < n; i++ {
+		if tb.Remove(0, i) == nil {
+			t.Fatalf("key %d lost", i)
+		}
+	}
+	if tb.Len() != 0 {
+		t.Fatalf("Len = %d after removing every key", tb.Len())
+	}
+	before, resizes := tb.Depth(), tb.Resizes()
+	if before < 3 {
+		t.Fatalf("Depth = %d before the last grow, want >= 3 (old arrays to prune)", before)
+	}
+	// Fill until one more grow happens; it prunes every empty old array.
+	var forced []uint64
+	for k := uint64(1 << 40); tb.Resizes() == resizes; k++ {
+		tb.Insert(0, ent(k, nil))
+		forced = append(forced, k)
+	}
+	for _, k := range forced {
+		if tb.Remove(0, k) == nil {
+			t.Fatalf("key %d lost", k)
+		}
+	}
+	if d := tb.Depth(); d != 1 && d != 2 {
+		t.Fatalf("Depth = %d after the grow, want 1 or 2 (was %d)", d, before)
+	}
+	if tb.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", tb.Len())
+	}
+}
+
+// TestConcurrentLenAndKeysUnderChurn runs the writer-locked diagnostics
+// against inserts, removes and resizes; under -race it checks that no chain
+// field is read outside a lock.
+func TestConcurrentLenAndKeysUnderChurn(t *testing.T) {
+	tb := New(Options{InitialSize: 2, HighWaterMark: 2, Lock: rwlock.NewBRAVO(4, nil)})
+	const writers, window = 3, 32
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			base := uint64(slot) << 40
+			for i := uint64(0); ; i++ {
+				if i >= window {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+				tb.Insert(slot, ent(base|i, nil))
+				if i >= window {
+					tb.Remove(slot, base|(i-window))
+				}
+			}
+		}(w)
+	}
+	const most = writers * (window + 1)
+	for i := 0; i < 300; i++ {
+		if n := tb.Len(); n < 0 || n > most {
+			t.Errorf("Len = %d, want 0..%d", n, most)
+			break
+		}
+		if keys := tb.Keys(0); len(keys) > most {
+			t.Errorf("Keys returned %d, want at most %d", len(keys), most)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n, k := tb.Len(), len(tb.Keys(0)); n != k || n != writers*window {
+		t.Fatalf("after churn Len = %d, len(Keys) = %d, want %d", n, k, writers*window)
 	}
 }
 

@@ -323,9 +323,9 @@ func (r *Runtime) WaitDone() {
 // categories) may be read safely.
 func (r *Runtime) Joined() bool { return r.joined.Load() }
 
-// Stats aggregates per-worker statistics. The per-worker fields are
-// atomics, so this is safe to call at any time — mid-run it returns a live
-// (per-field consistent) view; after WaitDone the final totals.
+// Stats aggregates per-worker statistics. Executed, Steals and Parks are
+// live atomics, so this is safe to call at any time — mid-run it returns a
+// live (per-field consistent) view; after WaitDone the final totals.
 func (r *Runtime) Stats() (exec, steals, parks int64) {
 	for _, w := range r.workers {
 		exec += w.Stats.Executed.Load()
@@ -434,7 +434,9 @@ func (r *Runtime) discard(w *Worker, t *Task) {
 // released, across workers and service identities. After WaitDone — on a
 // clean run or an aborted one — the two must match; any difference is a
 // leaked, still-referenced copy. Mid-run reads are race-free (atomics) but
-// the balance is only meaningful once workers have joined.
+// lag: an executing worker publishes its counts only before it goes idle
+// and when it exits (WorkerStats), so the balance is exact only once
+// workers have joined. Service identities count directly.
 func (r *Runtime) CopyBalance() (got, put int64) {
 	for _, w := range r.workers {
 		got += w.Stats.CopiesGot.Load()
@@ -447,7 +449,8 @@ func (r *Runtime) CopyBalance() (got, put int64) {
 	return
 }
 
-// TaskBalance is CopyBalance for task objects (NewTask versus FreeTask).
+// TaskBalance is CopyBalance for task objects (NewTask versus FreeTask),
+// with the same publish-at-idle-and-exit rule: exact only after WaitDone.
 func (r *Runtime) TaskBalance() (got, put int64) {
 	for _, w := range r.workers {
 		got += w.Stats.TasksGot.Load()

@@ -42,8 +42,10 @@ type Task struct {
 	Flags uint32
 
 	// deps counts input dependencies still unsatisfied. It becomes
-	// meaningful after the frontend arms it with ArmDeps.
-	deps atomic.Int32
+	// meaningful after the frontend arms it with ArmDeps. It is a plain
+	// int32 so that arming and reset are plain writes; once the task is
+	// shared, it is only touched through atomic.AddInt32/LoadInt32.
+	deps int32
 
 	// nIn is the number of input slots in use.
 	nIn int32
@@ -94,19 +96,21 @@ func (t *Task) SetInput(i int, c *Copy) {
 	t.extra[i-MaxInlineInputs] = c
 }
 
-// ArmDeps initializes the dependence counter to n.
-func (t *Task) ArmDeps(n int32) { t.deps.Store(n) }
+// ArmDeps initializes the dependence counter to n. The write is plain: it
+// must happen before the task is shared, and whatever shares it (the bucket
+// lock around NoLockInsert, a scheduler push) publishes the value.
+func (t *Task) ArmDeps(n int32) { t.deps = n }
 
 // SatisfyDep atomically consumes n dependencies and reports whether the task
 // became eligible (counter reached zero). One atomic RMW — the N_IP term of
 // Eq. 1.
 func (t *Task) SatisfyDep(w *Worker, n int32) bool {
 	w.countAtomic(&w.Atomics.Input)
-	return t.deps.Add(-n) == 0
+	return atomic.AddInt32(&t.deps, -n) == 0
 }
 
 // Deps returns the current dependence counter (diagnostics).
-func (t *Task) Deps() int32 { return t.deps.Load() }
+func (t *Task) Deps() int32 { return atomic.LoadInt32(&t.deps) }
 
 // reset clears a task for reuse, keeping capacity.
 func (t *Task) reset() {
@@ -116,7 +120,7 @@ func (t *Task) reset() {
 	t.TT = nil
 	t.Priority = 0
 	t.Flags = 0
-	t.deps.Store(0)
+	t.deps = 0
 	t.nIn = 0
 	t.inputs = [MaxInlineInputs]*Copy{}
 	t.extra = t.extra[:0]
@@ -128,7 +132,9 @@ func (t *Task) reset() {
 // pointer to user data; ownership moves between tasks without copying when
 // the frontend requests move semantics.
 type Copy struct {
-	refs atomic.Int32
+	// refs is plain so that NewCopy sets it with a plain write before the
+	// copy is shared; afterwards only atomic.AddInt32/LoadInt32 touch it.
+	refs int32
 	next *Copy // pool free-list link
 
 	// Val is the payload.
@@ -140,15 +146,15 @@ type Copy struct {
 // Retain adds a reference (one atomic RMW; half the N_IC term of Eq. 1).
 func (c *Copy) Retain(w *Worker) {
 	w.countAtomic(&w.Atomics.CopyRef)
-	c.refs.Add(1)
+	atomic.AddInt32(&c.refs, 1)
 }
 
 // Release drops a reference; at zero the copy returns to the releasing
 // worker's pool (cross-pool returns are handled by the pool itself).
 func (c *Copy) Release(w *Worker) {
 	w.countAtomic(&w.Atomics.CopyRef)
-	if c.refs.Add(-1) == 0 {
-		w.Stats.CopiesPut.Add(1)
+	if atomic.AddInt32(&c.refs, -1) == 0 {
+		w.tally(&w.tallies.copiesPut, &w.Stats.CopiesPut)
 		c.Val = nil
 		if c.pool != nil {
 			c.pool.put(w, c)
@@ -157,4 +163,4 @@ func (c *Copy) Release(w *Worker) {
 }
 
 // Refs returns the current reference count (diagnostics).
-func (c *Copy) Refs() int32 { return c.refs.Load() }
+func (c *Copy) Refs() int32 { return atomic.LoadInt32(&c.refs) }

@@ -39,11 +39,14 @@ func (a *AtomicCounts) add(o *AtomicCounts) {
 	a.Alloc += o.Alloc
 }
 
-// WorkerStats are per-worker execution statistics. Fields are atomics —
-// writes come only from the owning worker (uncontended, so the atomic add
-// stays on a worker-private cache line), but reads are safe from any
-// goroutine at any time, which is what lets Runtime.Stats and the metrics
-// endpoint poll a live run without a data race.
+// WorkerStats are per-worker execution statistics. Fields are atomics, so
+// reads are safe from any goroutine at any time, which is what lets
+// Runtime.Stats and the metrics endpoint poll a live run without a data
+// race. Executed, Steals, Parks, Discarded and Panics are live: the owning
+// worker adds to them as it goes. The four lifetime tallies are not: an
+// executing worker counts them in plain owner-private fields and publishes
+// them here before it goes idle and when it exits, so they are exact only
+// once the workers have joined. Service identities add to them directly.
 type WorkerStats struct {
 	Executed atomic.Int64 // tasks executed from the scheduler
 	Steals   atomic.Int64 // successful steals
@@ -61,6 +64,9 @@ type WorkerStats struct {
 	Discarded atomic.Int64 // tasks disposed of without execution (abort drain)
 	Panics    atomic.Int64 // task bodies that panicked and were isolated
 }
+
+// lifeTallies are WorkerStats' four lifetime counts, buffered.
+type lifeTallies struct{ tasksGot, tasksPut, copiesGot, copiesPut int64 }
 
 // Worker is one runtime execution thread. Worker methods must only be
 // called from the worker's own goroutine unless documented otherwise.
@@ -83,6 +89,10 @@ type Worker struct {
 
 	Atomics AtomicCounts
 	Stats   WorkerStats
+
+	// tallies buffers an executing worker's lifetime counts until
+	// flushIdle moves them into Stats. Owner-goroutine only.
+	tallies lifeTallies
 
 	rngState uint64
 	count    bool       // cached Config.CountAtomics
@@ -158,6 +168,30 @@ func (w *Worker) loadAdd(n int64) {
 	}
 }
 
+// tally counts one object-lifetime event: in the plain owner-private cell
+// on an executing worker, straight into the published atomic on a service
+// identity, which has no idle or exit point to publish at.
+func (w *Worker) tally(own *int64, pub *atomic.Int64) {
+	if w.ID < 0 {
+		pub.Add(1)
+		return
+	}
+	*own++
+}
+
+// flushIdle publishes everything an executing worker buffers privately —
+// the ready-depth delta and the lifetime tallies — before it advertises
+// idleness and at exit.
+func (w *Worker) flushIdle() {
+	w.flushLoad()
+	t := &w.tallies
+	w.Stats.TasksGot.Add(t.tasksGot)
+	w.Stats.TasksPut.Add(t.tasksPut)
+	w.Stats.CopiesGot.Add(t.copiesGot)
+	w.Stats.CopiesPut.Add(t.copiesPut)
+	*t = lifeTallies{}
+}
+
 // flushLoad publishes the buffered ready-depth delta to the shared counter.
 // Called on threshold, before idling, and at worker exit, so the advertised
 // depth can under- or over-shoot by at most loadFlushDelta per busy worker.
@@ -195,7 +229,7 @@ func (w *Worker) Runtime() *Runtime { return w.rt }
 
 // NewTask obtains a task object (recycled when pools are enabled).
 func (w *Worker) NewTask() *Task {
-	w.Stats.TasksGot.Add(1)
+	w.tally(&w.tallies.tasksGot, &w.Stats.TasksGot)
 	var t *Task
 	if w.rt.cfg.UsePools {
 		t = w.TaskPool.Get(w)
@@ -214,7 +248,7 @@ func (w *Worker) NewTask() *Task {
 
 // FreeTask recycles a task to its owning pool (or drops it for the GC).
 func (w *Worker) FreeTask(t *Task) {
-	w.Stats.TasksPut.Add(1)
+	w.tally(&w.tallies.tasksPut, &w.Stats.TasksPut)
 	if t.pool != nil {
 		t.pool.Put(w, t)
 	}
@@ -223,7 +257,7 @@ func (w *Worker) FreeTask(t *Task) {
 // NewCopy wraps a value in a reference-counted copy with refcount 1.
 func (w *Worker) NewCopy(v any) *Copy {
 	var c *Copy
-	w.Stats.CopiesGot.Add(1)
+	w.tally(&w.tallies.copiesGot, &w.Stats.CopiesGot)
 	if w.rt.cfg.UsePools {
 		c = w.copies.get(w)
 	} else {
@@ -234,7 +268,7 @@ func (w *Worker) NewCopy(v any) *Copy {
 		c = &Copy{}
 	}
 	c.Val = v
-	c.refs.Store(1)
+	c.refs = 1 // plain: c is not shared until the caller hands it on
 	return c
 }
 
@@ -313,7 +347,7 @@ func (w *Worker) run() {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	defer w.flushLoad()
+	defer w.flushIdle()
 	for {
 		t := w.findTask()
 		if t == nil {
@@ -344,7 +378,7 @@ func (w *Worker) idle() *Task {
 	if f := rt.idleHook; f != nil {
 		f()
 	}
-	w.flushLoad() // publish buffered deltas before advertising idleness
+	w.flushIdle() // publish buffered deltas before advertising idleness
 	rt.Det.EnterIdle(w.ID)
 	defer rt.Det.LeaveIdle(w.ID)
 

@@ -5,9 +5,13 @@
 // These primitives mirror the ones the paper's PaRSEC implementation relies
 // on (C11 atomic_flag locks, cache-line-aligned counters). Go's sync/atomic
 // operations are sequentially consistent; the paper's relaxed/acquire-release
-// distinction therefore cannot be expressed, but the *number* and *placement*
-// of atomic read-modify-write operations — the quantity the paper minimizes —
-// is faithfully reproduced.
+// distinction therefore cannot be expressed. The *number* and *placement* of
+// hand-placed atomic read-modify-write operations — the quantity the paper
+// minimizes, and what Config.CountAtomics counts — is reproduced, but stores
+// are not: on amd64 every sync/atomic Store is an XCHG, a full fence that
+// costs what an RMW costs, where the paper's release under TSO is a plain
+// MOV. CountAtomics does not count these stores; DESIGN.md §9 lists the
+// ones left on a task's path.
 package xsync
 
 import (
@@ -66,9 +70,10 @@ var dummy atomic.Uint32
 // atomic_flag lock. It is the bucket lock of the scalable hash table and the
 // guard of the LFQ scheduler's bounded buffers.
 //
-// Lock performs exactly one successful atomic RMW; Unlock is a plain atomic
-// store (the paper's "release is a regular store under TSO" optimization has
-// the same op count here).
+// Lock performs exactly one successful atomic RMW. Unlock is an atomic
+// store, which on amd64 compiles to XCHG and costs an RMW: the paper's
+// "release is a regular store under TSO" does not carry over, and
+// CountAtomics does not count the store.
 type SpinLock struct {
 	f atomic.Uint32
 }
