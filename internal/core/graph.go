@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gottg/internal/comm"
-	"gottg/internal/hashtable"
 	"gottg/internal/metrics"
 	"gottg/internal/rt"
 	"gottg/internal/xsync"
@@ -172,17 +171,12 @@ func (g *Graph) MakeExecutable() {
 	for _, tt := range g.tts {
 		tt.bypass = g.cfg.HTBypassSingleInput && tt.nIn == 1 && tt.slots[0].kind == slotPlain
 		if !tt.bypass {
-			tt.ht = hashtable.New(hashtable.Options{
-				InitialSize: 64,
-				Lock:        g.rtm.NewRW(),
-			})
+			tt.ht = g.rtm.NewTable()
 			if reg := g.rtm.Metrics(); reg != nil {
 				ht := tt.ht
 				prefix := "core.ht." + tt.name
 				reg.Func(prefix+".resizes", func() int64 { return int64(ht.Resizes()) })
-				reg.Func(prefix+".depth", func() int64 { return int64(ht.Depth()) })
 				reg.Func(prefix+".buckets", func() int64 { return int64(ht.Buckets()) })
-				reg.Func(prefix+".migrations", ht.Migrations)
 				reg.Func(prefix+".pending", func() int64 { return int64(ht.Len()) })
 			}
 		}

@@ -339,7 +339,7 @@ func (g *Graph) deliverLocal(w *rt.Worker, d dest, key uint64, c *rt.Copy, owned
 		t = tt.newTask(w, key)
 		t.Entry.Val = t
 		w.Discovered()
-		tt.ht.NoLockInsert(&t.Entry)
+		tt.ht.NoLockInsert(slot, &t.Entry)
 		if mx := g.mx; mx != nil {
 			mx.htFindMiss.Inc(slot)
 			mx.htInsert.Inc(slot)

@@ -10,7 +10,7 @@ func FuzzOpsVsMap(f *testing.F) {
 	f.Add([]byte("insert remove find insert insert"))
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tb := New(Options{InitialSize: 2, HighWaterMark: 2})
+		tb := New(Options{InitialSize: 2})
 		model := map[uint64]bool{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := uint64(ops[i+1] % 64)

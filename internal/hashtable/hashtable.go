@@ -2,29 +2,36 @@
 // (paper §III-C, Fig. 3), the structure that tracks discovered-but-not-yet-
 // eligible tasks per template task.
 //
-// Design, mirroring PaRSEC:
+// Design:
 //
-//   - The table is a chain of bucket arrays. New entries always go into the
-//     newest ("main") array. When an insert observes a bucket whose fill
-//     exceeds a high-water mark, the inserter grows the table by allocating a
-//     new main array with twice the buckets and pushing the previous one onto
-//     the chain of old arrays. Old entries are not rehashed eagerly.
-//
-//   - Lookups (and removals) lock the key's bucket in the main array, then
-//     walk the chain of old arrays; a hit in an old array migrates the entry
-//     into the main array so the next search is fast. Because entries live in
-//     the table only for a bounded time, the old arrays eventually drain and
-//     are unlinked.
+//   - One array of cache-line-sized buckets, each with its own spinlock.
+//     Lookups, inserts and removals lock the key's bucket and walk its chain.
 //
 //   - Threads performing bucket operations take a table-wide *reader* lock;
 //     a thread resizing takes the *writer* lock. The reader lock is pluggable:
 //     the baseline AtomicRW reproduces the contended behaviour of §III-C2,
 //     and the BRAVO wrapper the optimized zero-RMW fast path of §IV-D.
 //
-//   - Every chain field (bucket head and fill, entry key and link) is a
-//     plain field, read and written only under its bucket lock or under the
-//     writer lock that excludes every bucket holder. The locks order them;
-//     a chain mutation costs no fenced store of its own.
+//   - The table is sized by collision rate, not by bucket fill: each reader
+//     slot counts, in its own padded cell, how many of its inserts land in an
+//     already-occupied bucket. When more than 1/8 of a slot's last 64 inserts
+//     collided, the slot asks for a grow. The grow doubles the array and
+//     rehashes every resident into it under the writer lock, which excludes
+//     every bucket holder, so there is never more than one array. A grow is
+//     refused while residents × 8 ≤ buckets (the collisions then come from
+//     hash clustering, not load), which bounds the table at 16 buckets per
+//     peak resident; a refused slot doubles its sample window.
+//
+//     PaRSEC instead chains the old arrays and migrates entries lazily on
+//     find, to avoid a stop-the-world over huge tables. Here the residents
+//     are few and short-lived, the writer lock already stops the world, and
+//     rehashing them is amortized O(1) per insert; lazy migration would make
+//     every miss lock a bucket in each drained old array.
+//
+//   - Every chain field (bucket head, entry key and link) and every slot
+//     counter is a plain field, read and written only under its bucket lock,
+//     its slot's reader lock, or the writer lock that excludes them all. The
+//     locks order them; a chain mutation costs no fenced store of its own.
 //
 // Keys are uint64 (already-hashed task IDs); values are arbitrary pointers
 // boxed in `any`.
@@ -37,9 +44,15 @@ import (
 	"gottg/internal/xsync"
 )
 
-// DefaultHighWaterMark is the bucket fill that triggers a table resize
-// (PaRSEC uses 16).
-const DefaultHighWaterMark = 16
+const (
+	// sampleWindow is how many inserts a slot counts before judging the
+	// collision rate.
+	sampleWindow = 64
+	// loadShift sets both the collision target (more than 1/8 of a window's
+	// inserts collided) and the memory bound (a grow is refused while
+	// residents<<loadShift <= buckets, so buckets stay below 16 per resident).
+	loadShift = 3
+)
 
 // Entry is a chained hash-table node. Entries are exposed so callers can
 // embed per-task state next to the key and Val without a second allocation.
@@ -65,31 +78,16 @@ func (e *Entry) Reset() { *e = Entry{} }
 type bucket struct {
 	head *Entry
 	lock xsync.SpinLock
-	fill int32                                 // entries chained here; maintained under lock
-	_    [xsync.CacheLineSize - 8 - 4 - 4]byte // head, lock, fill
+	_    [xsync.CacheLineSize - 8 - 4]byte // head, lock
 }
 
 type bucketArray struct {
 	mask    uint64 // len(buckets)-1
 	buckets []bucket
-	older   *bucketArray
 }
 
-// fill sums the array's bucket fills. Caller holds the writer lock.
-func (a *bucketArray) fill() int {
-	n := 0
-	for i := range a.buckets {
-		n += int(a.buckets[i].fill)
-	}
-	return n
-}
-
-func newBucketArray(size int, older *bucketArray) *bucketArray {
-	return &bucketArray{
-		mask:    uint64(size - 1),
-		buckets: make([]bucket, size),
-		older:   older,
-	}
+func newBucketArray(size int) *bucketArray {
+	return &bucketArray{mask: uint64(size - 1), buckets: make([]bucket, size)}
 }
 
 func (a *bucketArray) bucketFor(key uint64) *bucket {
@@ -99,15 +97,36 @@ func (a *bucketArray) bucketFor(key uint64) *bucket {
 	return &a.buckets[(h>>32^h)&a.mask]
 }
 
+// residents counts the array's entries. Caller holds the writer lock.
+func (a *bucketArray) residents() int {
+	n := 0
+	for i := range a.buckets {
+		for e := a.buckets[i].head; e != nil; e = e.next {
+			n++
+		}
+	}
+	return n
+}
+
+// slotStats samples one reader slot's inserts. Only the goroutine holding
+// that slot's reader lock, or the writer that excludes it, touches the cell.
+type slotStats struct {
+	inserts    int  // in the current window
+	collisions int  // inserts of the current window that found their bucket occupied
+	window     int  // inserts per sample; doubles after a refused grow
+	wantGrow   bool // the last full window asked for a grow; UnlockKey runs it
+	_          [xsync.CacheLineSize - 3*8 - 8]byte
+}
+
 // Table is the scalable hash table. All exported methods are safe for
-// concurrent use; callers identify themselves with their worker slot for the
-// benefit of the BRAVO reader lock.
+// concurrent use; callers identify themselves with their reader slot, which
+// the BRAVO reader lock and the per-slot collision sampling both key on.
 type Table struct {
-	main       atomic.Pointer[bucketArray]
-	rw         rwlock.RW
-	highWater  int32
-	resizes    atomic.Int64 // statistics: number of grow operations
-	migrations atomic.Int64 // statistics: old-array hits migrated to main
+	main    atomic.Pointer[bucketArray]
+	rw      rwlock.RW
+	slots   []slotStats
+	resizes atomic.Int64 // statistics: number of grow operations
+	refused int          // grows refused by the memory bound; under the writer lock
 }
 
 // Options configures a Table.
@@ -116,8 +135,10 @@ type Options struct {
 	// two; default 64). Kept deliberately small: the paper notes tables must
 	// start small to bound memory in TT instances with few tasks.
 	InitialSize int
-	// HighWaterMark is the per-bucket fill triggering a resize (default 16).
-	HighWaterMark int
+	// Slots is the number of reader slots (0..Slots-1) callers pass to the
+	// locking methods, one per goroutine that may use the table at once
+	// (default 1).
+	Slots int
 	// Lock guards resizes; defaults to a plain AtomicRW. Pass a BRAVO lock
 	// for the optimized configuration.
 	Lock rwlock.RW
@@ -134,164 +155,133 @@ func New(opt Options) *Table {
 	for p < size {
 		p <<= 1
 	}
-	hw := opt.HighWaterMark
-	if hw <= 0 {
-		hw = DefaultHighWaterMark
-	}
 	l := opt.Lock
 	if l == nil {
 		l = rwlock.NewAtomicRW()
 	}
-	t := &Table{rw: l, highWater: int32(hw)}
-	t.main.Store(newBucketArray(p, nil))
+	t := &Table{rw: l, slots: make([]slotStats, max(opt.Slots, 1))}
+	for i := range t.slots {
+		t.slots[i].window = sampleWindow
+	}
+	t.main.Store(newBucketArray(p))
 	return t
 }
 
-// LockKey takes the table reader lock and the key's main-array bucket lock.
-// Between LockKey and UnlockKey the caller may call the NoLock* methods for
-// this key. This is the paper's "typical TTG pattern": lock the bucket for a
-// task ID, look up, insert or remove, unlock.
+// LockKey takes the table reader lock and the key's bucket lock. Between
+// LockKey and UnlockKey the caller may call the NoLock* methods for this key.
+// This is the paper's "typical TTG pattern": lock the bucket for a task ID,
+// look up, insert or remove, unlock.
 func (t *Table) LockKey(slot int, key uint64) {
 	t.rw.RLock(slot)
 	t.main.Load().bucketFor(key).lock.Lock()
 }
 
 // UnlockKey releases the bucket and reader locks taken by LockKey, then
-// performs any resize the caller's inserts made necessary.
+// performs any grow the caller's inserts asked for.
 func (t *Table) UnlockKey(slot int, key uint64) {
 	a := t.main.Load()
-	b := a.bucketFor(key)
-	grow := b.fill > t.highWater
-	b.lock.Unlock()
+	a.bucketFor(key).lock.Unlock()
+	s := &t.slots[slot]
+	grow := s.wantGrow
+	s.wantGrow = false
 	t.rw.RUnlock(slot)
 	if grow {
-		t.grow(a)
+		t.grow(slot, a)
 	}
 }
 
 // RLockShared takes only the table-wide reader lock — the prerequisite for
-// FindFast and LockBucket. With the BRAVO wrapper this is the zero-RMW
-// visible-readers fast path.
+// FindFast. With the BRAVO wrapper this is the zero-RMW visible-readers fast
+// path.
 func (t *Table) RLockShared(slot int) { t.rw.RLock(slot) }
 
 // RUnlockShared releases RLockShared.
 func (t *Table) RUnlockShared(slot int) { t.rw.RUnlock(slot) }
 
-// LockBucket locks the key's main-array bucket. The caller must already hold
-// RLockShared (which pins the main array: growing requires the writer lock).
-func (t *Table) LockBucket(key uint64) {
-	t.main.Load().bucketFor(key).lock.Lock()
-}
-
-// UnlockBucket releases LockBucket.
-func (t *Table) UnlockBucket(key uint64) {
-	t.main.Load().bucketFor(key).lock.Unlock()
-}
-
-// FindFast is LockBucket + NoLockFind + UnlockBucket; ok is always true.
+// FindFast locks the key's bucket, finds and unlocks; ok is always true.
 // It survives only for the benchmark's table probe and goes once that probe
 // drops it. The caller must hold RLockShared.
 func (t *Table) FindFast(key uint64) (*Entry, bool) {
-	t.LockBucket(key)
+	b := t.main.Load().bucketFor(key)
+	b.lock.Lock()
 	e := t.NoLockFind(key)
-	t.UnlockBucket(key)
+	b.lock.Unlock()
 	return e, true
 }
 
 // NoLockFind returns the entry for key, or nil. The caller must hold the
-// key's bucket via LockKey. A hit in an old array is migrated into the main
-// array (still under the caller's bucket lock, which covers the key in the
-// main array; old-array buckets are locked individually during the walk).
+// key's bucket via LockKey.
 func (t *Table) NoLockFind(key uint64) *Entry {
-	a := t.main.Load()
-	mb := a.bucketFor(key)
-	for e := mb.head; e != nil; e = e.next {
+	for e := t.main.Load().bucketFor(key).head; e != nil; e = e.next {
 		if e.key == key {
 			return e
 		}
 	}
-	// Walk older arrays; migrate on hit.
-	for old := a.older; old != nil; old = old.older {
-		ob := old.bucketFor(key)
-		ob.lock.Lock()
-		var prev *Entry
-		for e := ob.head; e != nil; prev, e = e, e.next {
-			if e.key == key {
-				if prev == nil {
-					ob.head = e.next
-				} else {
-					prev.next = e.next
-				}
-				ob.fill--
-				ob.lock.Unlock()
-				e.next = mb.head
-				mb.head = e
-				mb.fill++
-				t.migrations.Add(1)
-				return e
-			}
-		}
-		ob.lock.Unlock()
-	}
 	return nil
 }
 
-// NoLockInsert inserts the entry (caller must hold LockKey for e.Key() and
-// must have verified the key is absent).
-func (t *Table) NoLockInsert(e *Entry) {
+// NoLockInsert inserts the entry on behalf of reader slot `slot` (the
+// caller must hold LockKey(slot, e.Key()) and must have verified the key is
+// absent), and samples whether it collided.
+func (t *Table) NoLockInsert(slot int, e *Entry) {
 	b := t.main.Load().bucketFor(e.key)
+	s := &t.slots[slot]
+	s.inserts++
+	if b.head != nil {
+		s.collisions++
+	}
+	if s.inserts >= s.window {
+		s.wantGrow = s.collisions<<loadShift > s.inserts
+		s.inserts, s.collisions = 0, 0
+	}
 	e.next = b.head
 	b.head = e
-	b.fill++
 }
 
 // NoLockRemove removes and returns the entry for key, or nil if absent.
-// Caller must hold LockKey (or RLockShared+LockBucket) for key.
+// Caller must hold LockKey for key.
 func (t *Table) NoLockRemove(key uint64) *Entry {
 	b := t.main.Load().bucketFor(key)
-	var prev *Entry
-	for e := b.head; e != nil; prev, e = e, e.next {
-		if e.key == key {
-			if prev == nil {
-				b.head = e.next
-			} else {
-				prev.next = e.next
-			}
-			b.fill--
+	for p := &b.head; *p != nil; p = &(*p).next {
+		if e := *p; e.key == key {
+			*p = e.next
 			e.next = nil
 			return e
 		}
 	}
-	// The entry may still live in an old array (never touched since the
-	// resize): find migrates it into the main bucket first.
-	if t.NoLockFind(key) != nil {
-		return t.NoLockRemove(key)
-	}
 	return nil
 }
 
-// grow doubles the table if `from` is still the main array. Runs under the
-// writer lock, so no reader holds any bucket.
-func (t *Table) grow(from *bucketArray) {
+// grow doubles the table if `from` is still the main array and holds enough
+// residents, rehashing every one of them into the new array; otherwise it
+// refuses and doubles the asking slot's sample window, so a table whose
+// collisions come from clustered keys is not asked again every window. Runs
+// under the writer lock, so no reader holds any bucket or slot cell.
+func (t *Table) grow(slot int, from *bucketArray) {
 	t.rw.Lock()
-	if t.main.Load() == from { // otherwise someone else already grew it
-		t.main.Store(newBucketArray(len(from.buckets)*2, from))
-		t.resizes.Add(1)
-		t.pruneLocked()
+	defer t.rw.Unlock()
+	if t.main.Load() != from { // someone else already grew it
+		return
 	}
-	t.rw.Unlock()
-}
-
-// pruneLocked unlinks empty old arrays. Caller holds the writer lock.
-func (t *Table) pruneLocked() {
-	a := t.main.Load()
-	for a.older != nil {
-		if a.older.fill() == 0 {
-			a.older = a.older.older
-		} else {
-			a = a.older
+	s := &t.slots[slot]
+	if from.residents()<<loadShift <= len(from.buckets) {
+		t.refused++
+		s.window *= 2
+		return
+	}
+	s.window = sampleWindow
+	to := newBucketArray(2 * len(from.buckets))
+	for i := range from.buckets {
+		for e := from.buckets[i].head; e != nil; {
+			next := e.next
+			b := to.bucketFor(e.key)
+			e.next = b.head
+			b.head = e
+			e = next
 		}
 	}
+	t.main.Store(to)
+	t.resizes.Add(1)
 }
 
 // Insert is a convenience: lock, insert-if-absent, unlock. It reports whether
@@ -303,7 +293,7 @@ func (t *Table) Insert(slot int, e *Entry) bool {
 		t.UnlockKey(slot, key)
 		return false
 	}
-	t.NoLockInsert(e)
+	t.NoLockInsert(slot, e)
 	t.UnlockKey(slot, key)
 	return true
 }
@@ -330,11 +320,7 @@ func (t *Table) Remove(slot int, key uint64) *Entry {
 func (t *Table) Len() int {
 	t.rw.Lock()
 	defer t.rw.Unlock()
-	n := 0
-	for a := t.main.Load(); a != nil; a = a.older {
-		n += a.fill()
-	}
-	return n
+	return t.main.Load().residents()
 }
 
 // Resizes returns how many grow operations have occurred (the paper observes
@@ -342,22 +328,8 @@ func (t *Table) Len() int {
 // heavily reader-biased).
 func (t *Table) Resizes() int { return int(t.resizes.Load()) }
 
-// Migrations returns how many old-array hits have been migrated into the
-// main array (each one is a resize-displaced entry made fast again).
-func (t *Table) Migrations() int64 { return t.migrations.Load() }
-
-// Buckets returns the current main-array bucket count (diagnostics).
+// Buckets returns the current bucket count (diagnostics).
 func (t *Table) Buckets() int { return len(t.main.Load().buckets) }
-
-// Depth returns the number of arrays in the chain including the main one
-// (diagnostics; 1 when fully drained/pruned).
-func (t *Table) Depth() int {
-	n := 0
-	for a := t.main.Load(); a != nil; a = a.older {
-		n++
-	}
-	return n
-}
 
 // Keys returns up to limit resident keys (limit <= 0 means all). It takes
 // the table-wide writer lock, excluding every bucket holder and resizer for
@@ -367,13 +339,12 @@ func (t *Table) Keys(limit int) []uint64 {
 	t.rw.Lock()
 	defer t.rw.Unlock()
 	var out []uint64
-	for a := t.main.Load(); a != nil; a = a.older {
-		for i := range a.buckets {
-			for e := a.buckets[i].head; e != nil; e = e.next {
-				out = append(out, e.key)
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
+	a := t.main.Load()
+	for i := range a.buckets {
+		for e := a.buckets[i].head; e != nil; e = e.next {
+			out = append(out, e.key)
+			if limit > 0 && len(out) >= limit {
+				return out
 			}
 		}
 	}
@@ -381,24 +352,22 @@ func (t *Table) Keys(limit int) []uint64 {
 }
 
 // Drain unlinks and returns up to limit resident entries (limit <= 0 means
-// all), oldest arrays last. It holds the table-wide writer lock for the
-// duration, excluding every bucket holder.
+// all). It holds the table-wide writer lock for the duration, excluding
+// every bucket holder.
 func (t *Table) Drain(limit int) []*Entry {
 	t.rw.Lock()
 	defer t.rw.Unlock()
 	var out []*Entry
-	for a := t.main.Load(); a != nil; a = a.older {
-		for i := range a.buckets {
-			b := &a.buckets[i]
-			for b.head != nil {
-				e := b.head
-				b.head = e.next
-				b.fill--
-				e.next = nil
-				out = append(out, e)
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
+	a := t.main.Load()
+	for i := range a.buckets {
+		b := &a.buckets[i]
+		for b.head != nil {
+			e := b.head
+			b.head = e.next
+			e.next = nil
+			out = append(out, e)
+			if limit > 0 && len(out) >= limit {
+				return out
 			}
 		}
 	}

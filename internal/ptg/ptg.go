@@ -78,7 +78,7 @@ func (g *Graph) MakeExecutable() {
 	g.frozen = true
 	for _, c := range g.classes {
 		if c.numDeps != nil {
-			c.ht = hashtable.New(hashtable.Options{InitialSize: 64, Lock: g.rtm.NewRW()})
+			c.ht = g.rtm.NewTable()
 		}
 	}
 	g.rtm.BeginAction()
@@ -123,7 +123,7 @@ func (cl *Class) activate(w *rt.Worker, key uint64) {
 		t = cl.newTask(w, key, int32(need))
 		t.Entry.Val = t
 		w.Discovered()
-		cl.ht.NoLockInsert(&t.Entry)
+		cl.ht.NoLockInsert(slot, &t.Entry)
 	}
 	ready := t.SatisfyDep(w, 1)
 	if ready {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gottg/internal/hashtable"
 	"gottg/internal/rwlock"
 	"gottg/internal/termdet"
 	"gottg/internal/xsync"
@@ -134,11 +135,17 @@ func (r *Runtime) Workers() []*Worker { return r.workers }
 // SchedulerName reports the active scheduler implementation.
 func (r *Runtime) SchedulerName() string { return r.sched.Name() }
 
+// NewTable builds a discovery hash table with one reader slot per worker
+// plus the service identities, guarded by a NewRW lock. Frontends use it for
+// their pending-task tables.
+func (r *Runtime) NewTable() *hashtable.Table {
+	return hashtable.New(hashtable.Options{Slots: r.cfg.Workers + len(r.service), Lock: r.NewRW()})
+}
+
 // NewRW builds a reader-writer lock honoring Config.BiasedRWLock, with one
-// reader slot per worker plus the service identities. Frontends use it for
-// their discovery hash tables. With metrics enabled, BRAVO locks report
-// their fast-path/slow-path RLock split into the runtime registry
-// (aggregated across all locks built by this runtime).
+// reader slot per worker plus the service identities. With metrics enabled,
+// BRAVO locks report their fast-path/slow-path RLock split into the runtime
+// registry (aggregated across all locks built by this runtime).
 func (r *Runtime) NewRW() rwlock.RW {
 	l := rwlock.New(r.cfg.BiasedRWLock, r.cfg.Workers+len(r.service))
 	if r.mx != nil {
