@@ -116,27 +116,31 @@ func TestTCPChaosSoak(t *testing.T) {
 // TestTCPStealSkewed runs the skewed instance over real loopback TCP with
 // work stealing on (one-phase: no failure detection, nobody can die): load
 // hints must propagate over the wire via batch frames, donations must cross
-// the transport intact, and the checksum must stay bit-identical.
+// the transport intact, and the checksum must stay bit-identical. Whether a
+// steal completes depends on timing (about one run in five completes none),
+// so the run repeats, every attempt fully checked, until one steals.
 func TestTCPStealSkewed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rank TCP run")
 	}
 	s := skewedSpec()
-	res, rep, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, TCP: true, Steal: true})
-	if err != nil {
-		t.Fatalf("RunDist: %v", err)
-	}
-	requireBitIdentical(t, s, res)
 	var steals, stolen int64
-	for _, r := range rep.Ranks {
-		steals += r.Steals
-		stolen += r.StealTasks
-		if !r.Drained {
-			t.Fatalf("rank %d did not drain its links before shutdown", r.Rank)
+	for attempt := 0; attempt < 4 && steals == 0; attempt++ {
+		res, rep, err := RunDist(s, DistOptions{Ranks: 4, Workers: 2, TCP: true, Steal: true})
+		if err != nil {
+			t.Fatalf("RunDist: %v", err)
+		}
+		requireBitIdentical(t, s, res)
+		for _, r := range rep.Ranks {
+			steals += r.Steals
+			stolen += r.StealTasks
+			if !r.Drained {
+				t.Fatalf("rank %d did not drain its links before shutdown", r.Rank)
+			}
 		}
 	}
 	if steals == 0 {
-		t.Skip("no steals completed this run — checksum verified, nothing stolen to check")
+		t.Skip("no steals completed in 4 runs — checksums verified, nothing stolen to check")
 	}
 	t.Logf("TCP skewed run: %d steals moved %d tasks, checksum bit-identical", steals, stolen)
 }

@@ -246,7 +246,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 		}
 		return res.Elapsed
 	}
-	const rounds = 9
+	const rounds = 25
 	ratios := make([]float64, 0, rounds)
 	for i := 0; i < rounds; i++ {
 		var off, on time.Duration
