@@ -10,7 +10,7 @@ import (
 
 // Per-destination activation coalescing: senders append activations into a
 // per-destination buffer (BatchBegin/BatchEnd) and the buffer ships as ONE
-// framed wire message, so N activations cost one mailbox push, one sequence
+// framed wire message, so N activations cost one transport send, one sequence
 // number, one ack, and one retransmit-queue entry instead of N of each.
 //
 // Frame layout:

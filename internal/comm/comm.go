@@ -3,14 +3,18 @@
 // active-message dispatch and the 4-counter-wave termination protocol of
 // paper §III-A driven by rank 0.
 //
-// There is no communication thread on the receive path. The goroutine that
-// receives a frame — a socket reader, or an in-memory endpoint's delivery
-// goroutine — runs the link layer and the frame's handler itself, under the
-// rank's receive lock (Proc.rx), as TaskTorrent's active messages do. Each
-// rank's progress goroutine keeps the timers (retransmission, stall watch,
-// heartbeats, the steal pulse), the quiescence notifications and the
-// self-sends, which wait in an unbounded mailbox; it takes the receive lock
-// for each of them too.
+// There is no communication thread. The goroutine that receives a frame — a
+// socket reader, or an in-memory endpoint's delivery goroutine — runs the
+// link layer and the frame's handler itself, under the rank's receive lock
+// (Proc.rx), as TaskTorrent's active messages do. Time-driven work runs on
+// timers that are armed only while there is something to time: the link
+// timer while a link holds unacked or out-of-order frames, and the heartbeat
+// timer while failure detection is on; each callback takes the receive lock.
+// Work that other goroutines hand the rank — a quiescence notification, a
+// self-send — is delegated to the receive lock's holder: the poster runs it
+// itself when the lock is free and otherwise leaves it for unlockRx, which
+// every holder releases the lock through. An idle rank has no goroutine and
+// no armed timer of its own.
 //
 // Payloads cross rank boundaries as []byte only; no Go pointers are shared
 // between ranks through this package.
@@ -59,36 +63,6 @@ type message struct {
 	slab    bool  // payload is a pooled batch frame; the sender recycles it on ack
 }
 
-// mailbox is an unbounded MPSC queue with a wakeup channel usable in select.
-// It carries self-sends, and the frames that arrive before Start.
-type mailbox struct {
-	mu    sync.Mutex
-	queue []message
-	note  chan struct{}
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{note: make(chan struct{}, 1)}
-}
-
-func (m *mailbox) push(msg message) {
-	m.mu.Lock()
-	m.queue = append(m.queue, msg)
-	m.mu.Unlock()
-	select {
-	case m.note <- struct{}{}:
-	default:
-	}
-}
-
-func (m *mailbox) drain(buf []message) []message {
-	m.mu.Lock()
-	buf = append(buf[:0], m.queue...)
-	m.queue = m.queue[:0]
-	m.mu.Unlock()
-	return buf
-}
-
 // World is the set of ranks sharing a termination wave, as seen from this
 // process: procs is indexed by rank, and only the local ranks are
 // materialized (all of them for NewWorld, one for NewNetWorld).
@@ -126,8 +100,7 @@ type World struct {
 	stealAborts atomic.Int64
 
 	// closed flips in Shutdown: from then on the wire discards every
-	// transmission instead of delivering it, so nothing repopulates the
-	// mailboxes of stopped ranks.
+	// transmission instead of delivering it, and the rank timers stop.
 	closed atomic.Bool
 
 	// peerHook observes transport connection lifecycle events.
@@ -168,14 +141,12 @@ func newProc(w *World, tr Transport) *Proc {
 		rank:     tr.Self(),
 		world:    w,
 		tr:       tr,
-		mbox:     newMailbox(),
 		handlers: map[int]Handler{},
-		qNotify:  make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		stopped:  make(chan struct{}),
 		batchTag: -1,
 	}
 	p.initLinks(len(w.procs))
+	p.linkTimer = time.AfterFunc(time.Hour, p.onLinkTimer)
+	p.linkTimer.Stop() // armed by armLinks, never allocated again
 	return p
 }
 
@@ -192,61 +163,69 @@ func (w *World) beforeStart(op string) {
 	}
 }
 
-// Shutdown stops all local progress goroutines and closes the wire and the
-// local transports (which cancels any delayed-fault frames still pending and
-// joins the goroutines that deliver frames). Safe after termination; this is
-// what releases the progress goroutines that linger after termination,
-// retransmitting, and the deliveries that keep re-acking duplicates.
-// Idempotent, and safe even when some ranks were never started (their
-// progress goroutine does not exist, so there is nothing to join).
+// Shutdown closes the wire, stops the rank timers and closes the local
+// transports (which cancels any delayed-fault frames still pending and joins
+// the goroutines that deliver frames). Safe after termination; this is what
+// stops the link timers that keep retransmitting after termination, and the
+// deliveries that keep re-acking duplicates. A timer callback that races it
+// finds the wire closed and neither works nor re-arms. Idempotent, and safe
+// even when some ranks were never started.
 func (w *World) Shutdown() {
 	// Close the wire FIRST (atomically snapshotting whether we are the call
 	// that closed it), then drain the batch buffers. The old order — check
 	// closed, drain, then store — left a window in which a concurrent sender
 	// could re-arm a flush between the drain loop and the close and post a
-	// frame into a half-closed wire whose progress goroutines were already
-	// being torn down. With closed set up front, the drain below (and any
-	// racing flush-on-size) still empties the buffers and counts the flush,
-	// but the wire discards the transmission. After clean termination the
-	// buffers are empty anyway; this is hygiene for aborted or
-	// harness-driven runs.
+	// frame into a half-closed wire. With closed set up front, the drain
+	// below (and any racing flush-on-size) still empties the buffers and
+	// counts the flush, but the wire discards the transmission. After clean
+	// termination the buffers are empty anyway; this is hygiene for aborted
+	// or harness-driven runs.
 	if !w.closed.Swap(true) {
 		for _, p := range w.local {
 			p.FlushBatches(FlushShutdown)
 		}
 	}
 	for _, p := range w.local {
-		p.stopOnce.Do(func() { close(p.quit) })
-		if p.launched.Load() {
-			<-p.stopped
-		}
-	}
-	for _, p := range w.local {
+		p.stopTimers()
 		p.tr.Close()
 	}
 }
 
-// Proc is one rank: its transport endpoint, mailbox, handlers, detector, and
+// Proc is one rank: its transport endpoint, handlers, detector, timers, and
 // the state of each protocol layer, every one owned by its file.
 type Proc struct {
 	rank     int
 	world    *World
 	tr       Transport // this rank's endpoint, behind the fault decorator when one is installed
-	mbox     *mailbox
 	handlers map[int]Handler
 	det      *termdet.Detector
 
 	// rx is the receive lock. Every inbound message runs the link layer and
-	// its handler under it, on whichever goroutine delivered it, and so does
-	// the progress goroutine's timer work; every field below documented as
-	// rx-private is touched only under it.
+	// its handler under it, on whichever goroutine delivered it, and so do
+	// the timer callbacks; every field below documented as rx-private is
+	// touched only under it. It is released only through unlockRx.
 	rx sync.Mutex
 
-	qNotify  chan struct{}
-	quit     chan struct{}
-	stopped  chan struct{}
-	stopOnce sync.Once
-	launched atomic.Bool // Start ran: frames dispatch in place, stopped will eventually close
+	// Work delegated to the receive lock's holder (unlockRx): an owed
+	// quiescence notification, and the queued messages in arrival order —
+	// self-sends, and the frames that arrive before Start. Each flag is set
+	// before the poster tries the lock.
+	qOwed    atomic.Bool
+	queued   atomic.Bool
+	queueMu  sync.Mutex
+	queue    []message   // guarded by queueMu
+	draining []message   // rx-private: the queued messages being dispatched
+	launched atomic.Bool // Start ran: frames dispatch in place, the queue drains
+
+	// linkTimer runs retransmission and the stall check while a link holds
+	// unacked or out-of-order frames; armed is set while it is pending
+	// (link.go). beat, created by Start with failure detection on, runs the
+	// heartbeats and suspicion (failure.go). Both stay off once failStop
+	// ran (halted).
+	linkTimer *time.Timer
+	armed     atomic.Bool
+	beat      *time.Timer
+	halted    atomic.Bool
 
 	// Chrome-trace event log (World.EnableTracing); guarded because Send may
 	// run on any goroutine. asyncSeq numbers the async ("b"/"e") dispatch
@@ -327,33 +306,84 @@ func (p *Proc) SetOnError(f func(err error)) { p.onError = f }
 // Must be called before Start.
 func (p *Proc) SetOnAbort(f func(src int, reason string)) { p.onAbort = f }
 
-// Start attaches the rank's termination detector and termination callback
-// and launches the progress goroutine. From here on inbound frames are
-// dispatched as they arrive; those that arrived earlier wait in the mailbox
-// for the progress goroutine. The detector's quiescence callback is claimed
+// Start attaches the rank's termination detector and termination callback,
+// arms the heartbeat timer when failure detection is on, and dispatches the
+// frames that arrived earlier (unlockRx). From here on inbound frames are
+// dispatched as they arrive. The detector's quiescence callback is claimed
 // by comm; runtimes in distributed mode must not set their own.
 func (p *Proc) Start(det *termdet.Detector, onTerminate func()) {
 	p.rx.Lock()
 	p.det = det
 	p.onTerminate = onTerminate
 	p.world.started.Store(true)
-	n := len(p.world.procs)
-	if p.world.fd != nil {
-		det.EnablePeerCounts(n)
-		p.mem.init(n)
+	if fd := p.world.fd; fd != nil {
+		det.EnablePeerCounts(len(p.world.procs))
+		p.mem.init(len(p.world.procs))
+		p.beat = time.AfterFunc(fd.Heartbeat, p.fdTick)
 	}
-	det.SetOnQuiescent(p.nudge)
+	det.SetOnQuiescent(p.oweQuiescence)
 	p.lastActivity = time.Now()
 	p.launched.Store(true)
-	p.rx.Unlock()
-	go p.progress()
+	p.unlockRx()
 }
 
-// nudge wakes the progress goroutine to re-examine local quiescence.
-func (p *Proc) nudge() {
-	select {
-	case p.qNotify <- struct{}{}:
-	default:
+// oweQuiescence is the detector's quiescence callback. It never blocks: the
+// detector may call it under rx (a handler completing the last pending
+// action, or applyRankDead), so it leaves the notification to the lock's
+// holder when the lock is taken.
+func (p *Proc) oweQuiescence() {
+	p.qOwed.Store(true)
+	if p.rx.TryLock() {
+		p.unlockRx()
+	}
+}
+
+// enqueue queues m for dispatch by the receive lock's holder: a self-send,
+// run after the handler that posted it returns, or a frame that arrived
+// before Start. Any goroutine may enqueue.
+func (p *Proc) enqueue(m message) {
+	p.queueMu.Lock()
+	p.queue = append(p.queue, m)
+	p.queued.Store(true)
+	p.queueMu.Unlock()
+	if p.rx.TryLock() {
+		p.unlockRx()
+	}
+}
+
+// owed reports whether work waits for the receive lock's holder; none is
+// run before Start.
+func (p *Proc) owed() bool {
+	return p.launched.Load() && (p.qOwed.Load() || p.queued.Load())
+}
+
+// unlockRx releases the receive lock. First it runs the work delegated to
+// the holder — an owed quiescence notification, then the queued messages in
+// FIFO order, one batch at a time, never recursively — until none is left.
+// Work posted after that check is caught after the unlock: a poster sets its
+// flag before it tries the lock, and this reads the flags after it unlocks,
+// so with sequentially consistent atomics one side sees the other and
+// whoever gets the lock runs the work.
+func (p *Proc) unlockRx() {
+	for {
+		for p.owed() {
+			if p.qOwed.Swap(false) {
+				p.handleQuiescent()
+			}
+			if p.queued.Swap(false) {
+				p.queueMu.Lock()
+				p.draining, p.queue = p.queue, p.draining[:0]
+				p.queueMu.Unlock()
+				for _, m := range p.draining {
+					p.receive(m)
+				}
+				clear(p.draining)
+			}
+		}
+		p.rx.Unlock()
+		if !p.owed() || !p.rx.TryLock() {
+			return
+		}
 	}
 }
 
@@ -372,51 +402,6 @@ func (p *Proc) Send(dst, tag int, payload []byte) {
 		p.recordSend(dst, tag, len(payload), 0)
 	}
 	p.post(dst, message{src: p.rank, tag: tag, payload: payload})
-}
-
-// progress is the rank's timer and self-send goroutine; remote frames never
-// pass through it once the rank started (deliverFrame dispatches them). Each
-// wakeup runs under the receive lock.
-func (p *Proc) progress() {
-	defer close(p.stopped)
-	var buf []message
-	tick := time.NewTicker(p.world.rto / 2)
-	defer tick.Stop()
-	// The goroutine lingers after termination: it must keep retransmitting
-	// until World.Shutdown, or a peer whose ack was lost would wait forever.
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.qNotify:
-			p.rx.Lock()
-			if !p.terminated {
-				p.handleQuiescent()
-			}
-			p.rx.Unlock()
-		case <-tick.C:
-			p.rx.Lock()
-			p.retransmit()
-			p.checkStall()
-			if p.world.fd != nil {
-				p.fdTick(time.Now())
-			}
-			// Pump the steal policy: the runtime idle hook only fires on the
-			// idle transition, so retrying a failed probe (with every worker
-			// parked) needs this periodic pulse.
-			if h := p.steal.hooks; h != nil && h.Tick != nil && !p.terminated {
-				h.Tick()
-			}
-			p.rx.Unlock()
-		case <-p.mbox.note:
-			buf = p.mbox.drain(buf)
-			p.rx.Lock()
-			for _, m := range buf {
-				p.receive(m)
-			}
-			p.rx.Unlock()
-		}
-	}
 }
 
 // dispatch processes one in-order message. Application tags come first (the

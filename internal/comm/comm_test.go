@@ -10,9 +10,9 @@ import (
 )
 
 // harness builds a world where each rank's single "worker" is permanently
-// idle and all activity happens in message handlers on the progress
-// goroutine (counted through ExternalSlot pending actions implicitly by the
-// dispatch ordering).
+// idle and all activity happens in message handlers, under the receive lock
+// (counted through ExternalSlot pending actions implicitly by the dispatch
+// ordering).
 type harness struct {
 	world *World
 	dets  []*termdet.Detector

@@ -65,8 +65,9 @@ func tcpNetWorlds(t *testing.T, fault0 *tcptransport.FaultConfig) [2]*comm.World
 
 // expectNoNewGoroutines returns a check, to be run once the test has shut
 // its worlds down, that the process is back to the number of goroutines it
-// had when expectNoNewGoroutines was called (progress goroutines, socket
-// readers and writers, timers all gone); on failure it dumps what is left.
+// had when expectNoNewGoroutines was called (endpoint goroutines, socket
+// readers and writers, timer callbacks all gone); on failure it dumps what
+// is left.
 func expectNoNewGoroutines(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -156,8 +157,8 @@ func TestDrainTimesOutWhenPartitioned(t *testing.T) {
 
 // TestNetShutdownLeavesNoGoroutines: ranks with failure detection on
 // exchange traffic both ways and run the termination wave to the end; after
-// Drain and Shutdown every goroutine they started — progress loops, socket
-// readers, writers and dialers, fault timers — is gone. The rows are two
+// Drain and Shutdown every goroutine they started — socket readers, writers
+// and dialers, memory endpoints, rank and fault timers — is gone. The rows are two
 // network worlds over loopback TCP, and one NewWorld(3) whose fault plan
 // delays every frame, so Shutdown finds delays still pending.
 func TestNetShutdownLeavesNoGoroutines(t *testing.T) {

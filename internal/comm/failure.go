@@ -4,10 +4,11 @@
 // The failure model is fail-stop with no network partitions: a killed rank
 // stops executing and its wire goes silent in both directions, atomically and
 // permanently. Detection runs under each rank's receive lock (heartbeats and
-// suspicion on the progress goroutine's tick, announcements on the goroutine
-// that delivered them): every rank
-// broadcasts unsequenced heartbeats, tracks when it last heard *anything*
-// from each peer, and suspects peers silent past SuspectAfter. The lowest
+// suspicion on the heartbeat timer, which fires every FDConfig.Heartbeat and
+// exists only with failure detection on; announcements on the goroutine that
+// delivered them): every rank broadcasts unsequenced heartbeats, tracks when
+// it last heard *anything* from each peer, and suspects peers silent past
+// SuspectAfter. The lowest
 // live non-suspect rank acts as coordinator: it confirms a suspect dead,
 // bumps the membership epoch, and broadcasts tagRankDead over the reliable
 // in-order links. Because the coordinator is also the (new) wave root, every
@@ -18,6 +19,11 @@
 // traffic is dropped unacked), clears the retransmit queue toward it, resets
 // wave state, and invokes the onRankDead hook from which the recovery layer
 // (internal/core) re-homes keys and replays logged in-flight data.
+//
+// A fail-stopped rank (killed, or told by the membership that it was
+// declared dead) leaves the wave: it stops its timers, and its first
+// quiescence after the fence — its runtime drained — is its local
+// termination.
 package comm
 
 import (
@@ -41,13 +47,11 @@ type FDConfig struct {
 // applications can read it from any goroutine (Epoch); everything else is
 // rx-private. dead is this rank's view of confirmed-dead
 // membership (nil without failure detection), lastHeard the per-peer
-// liveness horizon, lastBeat the last heartbeat broadcast.
+// liveness horizon.
 type membership struct {
 	epoch     atomic.Int64
 	dead      []bool
 	lastHeard []time.Time
-	lastBeat  time.Time
-	fenced    bool // the membership declared this rank dead
 }
 
 // init sizes the view for n ranks; nobody is suspect for a grace period.
@@ -58,7 +62,6 @@ func (m *membership) init(n int) {
 	for i := range m.lastHeard {
 		m.lastHeard[i] = now
 	}
-	m.lastBeat = now
 }
 
 // EnableFailureDetection turns on fail-stop failure detection for the whole
@@ -93,28 +96,44 @@ func (p *Proc) FailureDetectionOn() bool { return p.world.fd != nil }
 func (p *Proc) SetOnRankDead(f func(dead, epoch int)) { p.onRankDead = f }
 
 // SetOnKilled installs a hook invoked when this rank itself is fail-stopped
-// via World.KillRank, before its progress goroutine is torn down. It may run
-// on any goroutine. Must be called before Start.
+// (World.KillRank, or the membership told it that it was declared dead),
+// once its wire is silent.
+// It may run on any goroutine. Must be called before Start.
 func (p *Proc) SetOnKilled(f func()) { p.onKilled = f }
 
-// KillRank fail-stops local rank r: the fence a confirmed death puts up
-// (fence) silences its wire in both directions, its onKilled hook (if any)
-// runs so the local runtime can abort and drain, and its progress goroutine
-// is torn down. Survivors notice the silence via heartbeat timeouts and
-// confirm the death through the epoch protocol. A rank of another process is
-// fail-stopped by killing that process. Safe from any goroutine; idempotent.
+// KillRank fail-stops local rank r (failStop). Survivors notice the silence
+// via heartbeat timeouts and confirm the death through the epoch protocol. A
+// rank of another process is fail-stopped by killing that process. Safe from
+// any goroutine; idempotent.
 func (w *World) KillRank(r int) {
 	p := w.procs[r]
 	if w.fd == nil || p == nil {
 		panic("comm: KillRank needs EnableFailureDetection and a local rank")
 	}
-	if !w.fence(r) {
-		return // already dead
+	p.failStop()
+}
+
+// failStop is the fail-stop path, for KillRank and for a rank that learns
+// the membership confirmed it dead: the fence a confirmed death puts up
+// (fence) silences its wire in both directions, the kill hook runs so the
+// local runtime aborts and drains, and its timers stop. Its first quiescence
+// after the fence is its local termination, and it may be quiescent already,
+// so that notification is owed at once. Safe under the receive lock and from
+// any goroutine; idempotent.
+//
+// A rank that another rank of its process fenced (a false death confirmed
+// in-process) has not fail-stopped: it keeps its timers, and like a rank cut
+// off by a partition it suspects every peer and recovers their keys.
+func (p *Proc) failStop() {
+	if p.halted.Swap(true) {
+		return // already halted
 	}
+	p.world.fence(p.rank)
 	if f := p.onKilled; f != nil {
 		f()
 	}
-	p.stopOnce.Do(func() { close(p.quit) })
+	p.stopTimers()
+	p.oweQuiescence()
 }
 
 // fence silences the wire to and from rank r in this world — every
@@ -167,19 +186,22 @@ func (p *Proc) deadMask() int64 {
 	return mask
 }
 
-// fdTick runs heartbeat emission and suspicion on the progress goroutine's
-// tick, under the receive lock.
-func (p *Proc) fdTick(now time.Time) {
-	fd, mem := p.world.fd, &p.mem
-	if now.Sub(mem.lastBeat) >= fd.Heartbeat {
-		mem.lastBeat = now
-		// Heartbeats prove liveness, not order, and occupy no retransmit
-		// state. They gossip the sender's dead set so a survivor that missed
-		// a rankDead broadcast (e.g. the coordinator died mid-broadcast)
-		// still converges; b piggybacks this rank's ready-depth load hint
-		// for the steal policy.
-		p.broadcast(mem.dead, -1, tagHeartbeat, p.deadMask(), p.stealLoad(), 0, nil)
+// fdTick is the heartbeat timer's callback, every FDConfig.Heartbeat until
+// Shutdown or this rank's fence: under the receive lock, it emits a
+// heartbeat, runs suspicion and re-arms.
+func (p *Proc) fdTick() {
+	p.rx.Lock()
+	defer p.unlockRx()
+	fd, mem, now := p.world.fd, &p.mem, time.Now()
+	if p.world.closed.Load() || p.halted.Load() {
+		return
 	}
+	p.beat.Reset(fd.Heartbeat)
+	// Heartbeats prove liveness, not order, and occupy no retransmit state.
+	// They gossip the sender's dead set so a survivor that missed a rankDead
+	// broadcast (e.g. the coordinator died mid-broadcast) still converges; b
+	// piggybacks this rank's ready-depth load hint for the steal policy.
+	p.broadcast(mem.dead, -1, tagHeartbeat, p.deadMask(), p.stealLoad(), 0, nil)
 	// After global termination the run is semantically complete: peers that
 	// finished and tore their wire down are not failures, and declaring
 	// them dead would only generate noise (and spurious recovery) while
@@ -209,7 +231,7 @@ func (p *Proc) fdTick(now time.Time) {
 }
 
 // declareDead confirms a suspect dead: epoch bump, broadcast, local apply.
-// Runs only on the coordinator, from its tick.
+// Runs only on the coordinator, from its heartbeat timer.
 func (p *Proc) declareDead(q int) {
 	p.world.deaths.Add(1)
 	// Broadcast BEFORE applying locally: applying triggers recovery, and
@@ -240,7 +262,7 @@ func (p *Proc) handleRankDead(m message) {
 		// suspicion budget, e.g. the wrong side of a long partition). The
 		// survivors have already re-homed our keys; gracefully degrade to
 		// the fail-stop path instead of fighting them.
-		p.selfFence()
+		p.failStop()
 		return
 	}
 	p.applyRankDead(int(m.a))
@@ -257,7 +279,7 @@ func (p *Proc) applyGossip(mask int64) {
 		// rank (we were partitioned past the suspicion budget and later came
 		// back). Our keys are already re-homed and our traffic is being
 		// dropped; degrade to the fail-stop path instead of running split.
-		p.selfFence()
+		p.failStop()
 		return
 	}
 	for q := range p.mem.dead {
@@ -267,25 +289,9 @@ func (p *Proc) applyGossip(mask int64) {
 	}
 }
 
-// selfFence escalates this rank into the fail-stop path after learning that
-// the surviving membership has confirmed it dead: its wire goes silent and
-// the kill hook runs so the local runtime aborts and drains exactly as if the
-// rank had been fail-stopped directly. Runs under the receive lock;
-// idempotent.
-func (p *Proc) selfFence() {
-	if p.mem.fenced {
-		return
-	}
-	p.mem.fenced = true
-	p.world.fence(p.rank)
-	if f := p.onKilled; f != nil {
-		f()
-	}
-}
-
 // applyRankDead installs a confirmed death into this rank's membership view.
-// Runs under the receive lock (coordinator from its tick, others via
-// dispatch).
+// Runs under the receive lock (coordinator from its heartbeat timer, others
+// via dispatch).
 // The epoch is defined as the number of deaths applied, so every rank that
 // has converged on the same membership agrees on the epoch regardless of the
 // order in which it learned of the deaths.
@@ -309,5 +315,5 @@ func (p *Proc) applyRankDead(dead int) {
 	if f := p.onRankDead; f != nil {
 		f(dead, int(epoch))
 	}
-	p.nudge() // this rank may already be quiescent
+	p.oweQuiescence() // this rank may already be quiescent
 }

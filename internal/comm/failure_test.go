@@ -20,8 +20,9 @@ func fdHarness(n int) *harness {
 	return h
 }
 
-// waitSurvivors is waitAll minus the victim (a killed rank's termination
-// callback never fires; its harness done channel stays open).
+// waitSurvivors is waitAll minus the victim (a killed rank never sees the
+// wave's termination; its callback fires on its own drain instead, which
+// TestKillRankDetectedByAllSurvivors checks).
 func (h *harness) waitSurvivors(t *testing.T, victim int) {
 	t.Helper()
 	for i, d := range h.done {
@@ -54,7 +55,21 @@ func (h *harness) waitEpoch(t *testing.T, victim int, epoch int64) {
 	}
 }
 
+// TestKillRankDetectedByAllSurvivors: every survivor confirms the death
+// once, and the victim's termination callback fires on its first quiescence
+// after the fence — at once when it was quiescent already, with no later
+// event to trigger it, or when its last pending action completes.
 func TestKillRankDetectedByAllSurvivors(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		name := "victim-quiescent"
+		if busy {
+			name = "victim-busy"
+		}
+		t.Run(name, func(t *testing.T) { killRankDetectedByAllSurvivors(t, busy) })
+	}
+}
+
+func killRankDetectedByAllSurvivors(t *testing.T, victimBusy bool) {
 	const n, victim = 4, 2
 	h := fdHarness(n)
 	type death struct{ dead, epoch int }
@@ -67,8 +82,24 @@ func TestKillRankDetectedByAllSurvivors(t *testing.T) {
 		})
 	}
 	h.dets[0].Discovered(termdet.ExternalSlot)
+	if victimBusy {
+		h.dets[victim].Discovered(termdet.ExternalSlot)
+	}
 	h.start()
 	h.world.KillRank(victim)
+	if victimBusy {
+		select {
+		case <-h.done[victim]:
+			t.Fatal("the victim terminated while it still held a pending action")
+		case <-time.After(20 * time.Millisecond):
+		}
+		h.dets[victim].Completed(termdet.ExternalSlot)
+	}
+	select {
+	case <-h.done[victim]:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the killed rank's termination callback never fired on its drain")
+	}
 	h.waitEpoch(t, victim, 1)
 	for i := 0; i < n; i++ {
 		if i == victim {

@@ -116,8 +116,8 @@ func TestAppendsBehindUnackedShipOnAck(t *testing.T) {
 }
 
 // TestFlushRuleExactlyOnceUnderLoss: 10⁴ appends from two goroutines on rank
-// 0, with rank 1 echoing every eighth entry back from its progress
-// goroutine, over a wire that drops 30 % of all frames, acks included. Every
+// 0, with rank 1 echoing every eighth entry back from its handler, over a
+// wire that drops 30 % of all frames, acks included. Every
 // entry and echo arrives exactly once and in its appender's order, and the
 // wave terminates — no buffer is stranded behind a lost ack.
 func TestFlushRuleExactlyOnceUnderLoss(t *testing.T) {

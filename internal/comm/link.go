@@ -14,8 +14,8 @@ import (
 // message, whatever the transport; only self-sends bypass it.
 
 // SetRetransmitTimeout adjusts the link layer's retransmission timeout
-// (default 2ms; the retransmit ticker runs at half of it). Must be called
-// before any Proc is started.
+// (default 2ms). The link timer fires at half of it while a link holds
+// unacked or out-of-order frames. Must be called before any Proc is started.
 func (w *World) SetRetransmitTimeout(d time.Duration) {
 	w.beforeStart("SetRetransmitTimeout")
 	if d <= 0 {
@@ -42,7 +42,8 @@ type sendLink struct {
 	unacked []pendingSend // in seq order: a cumulative ack releases a prefix
 
 	// busy mirrors len(unacked) != 0, written under mu. Batch appends read
-	// it without the lock (batch.go, "Flush rule").
+	// it without the lock (batch.go, "Flush rule"), and so does the link
+	// timer's re-check (armLinks).
 	busy atomic.Bool
 
 	// Adaptive retransmission timeout (Jacobson/Karels, RFC 6298 shape):
@@ -117,8 +118,8 @@ func (p *Proc) initLinks(n int) {
 }
 
 // post is the wire entry point for all sequenced outbound messages: it
-// sequences the message and hands it to the wire. Self-sends bypass the link
-// layer.
+// sequences the message and hands it to the wire, and the link going busy
+// arms the link timer. Self-sends bypass the link layer.
 //
 // The link lock is held across transmit, here and in retransmit, for two
 // reasons: transmit copies a batch frame's slab into the wire frame, and the
@@ -126,7 +127,7 @@ func (p *Proc) initLinks(n int) {
 // copy reads a slab already reused; and frames leave in sequence order.
 func (p *Proc) post(dst int, m message) {
 	if dst == p.rank {
-		p.mbox.push(m)
+		p.enqueue(m)
 		return
 	}
 	l := &p.sendLinks[dst]
@@ -135,7 +136,10 @@ func (p *Proc) post(dst int, m message) {
 	m.seq = l.nextSeq
 	now := time.Now()
 	l.unacked = append(l.unacked, pendingSend{msg: m, born: now, last: now})
-	l.busy.Store(true)
+	if !l.busy.Load() {
+		l.busy.Store(true) // before armLinks tests armed
+		p.armLinks()
+	}
 	p.transmit(dst, m)
 	l.mu.Unlock()
 }
@@ -167,11 +171,13 @@ func (p *Proc) receive(m message) {
 		// Duplicate (retransmit whose original arrived, or a wire dup):
 		// drop, but re-ack so the sender stops retransmitting.
 	case m.seq > l.expected:
-		// Gap: hold out-of-order arrivals, ack the contiguous prefix.
+		// Gap: hold out-of-order arrivals, ack the contiguous prefix; the
+		// link timer watches the hold for a stall.
 		if l.ooo == nil {
 			l.ooo = map[int64]message{}
 		}
 		l.ooo[m.seq] = m
+		p.armLinks()
 	default:
 		// In-order delivery is the only inbound event that counts as forward
 		// progress; it re-arms the stall latch so a *second* stall episode is
@@ -257,10 +263,7 @@ func (p *Proc) handleAck(m message) {
 func (p *Proc) retransmit() {
 	now := time.Now()
 	floor := p.world.rto
-	for dst := range p.sendLinks {
-		if dst == p.rank {
-			continue
-		}
+	for dst := range p.sendLinks { // self-sends never enter a link
 		l := &p.sendLinks[dst]
 		resent := 0
 		l.mu.Lock()
@@ -317,8 +320,57 @@ func (p *Proc) hasUnacked() bool {
 	return false
 }
 
-// checkStall runs on the progress goroutine's retransmit tick, under the
-// receive lock. A stall is a
+// linksPending reports whether a link holds unacked or out-of-order frames:
+// what the link timer runs for. Under rx.
+func (p *Proc) linksPending() bool {
+	for i := range p.recvLinks {
+		if len(p.recvLinks[i].ooo) > 0 || p.sendLinks[i].busy.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// armLinks arms the link timer unless it is pending already. post calls it
+// after it sets busy, and onLinkTimer clears armed before it re-checks the
+// links: with sequentially consistent atomics one of the two sees the
+// other's write, so a busy link never waits without a timer.
+func (p *Proc) armLinks() {
+	if !p.armed.Load() && !p.armed.Swap(true) {
+		p.linkTimer.Reset(p.world.rto / 2)
+	}
+}
+
+// onLinkTimer is the link timer's callback, every rto/2 while armed: it
+// retransmits, runs the stall check, and re-arms while a link still holds
+// unacked or out-of-order frames — after termination too, since Drain and a
+// peer whose ack was lost depend on it. After Shutdown, or once this rank
+// fail-stopped, it does nothing and stays disarmed.
+func (p *Proc) onLinkTimer() {
+	p.rx.Lock()
+	p.armed.Store(false) // before the re-check: see armLinks
+	if !p.world.closed.Load() && !p.halted.Load() {
+		p.retransmit()
+		p.checkStall()
+		if p.linksPending() {
+			p.armLinks()
+		}
+	}
+	p.unlockRx()
+}
+
+// stopTimers stops this rank's timers (Shutdown, failStop). A callback that
+// raced the stop finds the wire closed or the rank halted and does nothing.
+func (p *Proc) stopTimers() {
+	p.linkTimer.Stop()
+	if p.launched.Load() && p.beat != nil {
+		p.beat.Stop()
+	}
+}
+
+// checkStall runs on the link timer, under the receive lock, so only while
+// a link holds unacked or out-of-order frames — the only state a stall can
+// be in. A stall is a
 // lack of *progress*, not of traffic: a dead link still exchanges
 // retransmissions and prefix re-acks forever, so the primary signal is a
 // send that has stayed unacked past the threshold since it was first posted.
@@ -339,10 +391,7 @@ func (p *Proc) checkStall() {
 		l.mu.Unlock()
 	}
 	if !stuck && now.Sub(p.lastActivity) >= w.stallAfter {
-		stuck = p.hasUnacked()
-		for i := range p.recvLinks {
-			stuck = stuck || len(p.recvLinks[i].ooo) > 0
-		}
+		stuck = p.linksPending()
 	}
 	if !stuck {
 		return

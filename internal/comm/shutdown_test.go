@@ -49,8 +49,8 @@ func TestShutdownCancelsDelayedDeliveries(t *testing.T) {
 
 // TestShutdownIdempotentWithUnstartedRanks covers the two Shutdown hangs:
 // calling it twice, and calling it when some ranks never had Start called
-// (their progress goroutine does not exist, so joining it would block
-// forever).
+// (they have no heartbeat timer and an idle endpoint, so stopping them must
+// not wait on anything).
 func TestShutdownIdempotentWithUnstartedRanks(t *testing.T) {
 	w := NewWorld(3)
 	det := termdet.New(1, false)

@@ -35,13 +35,12 @@ import (
 )
 
 // loadHintTTL bounds how long a piggybacked load hint stays credible. Hints
-// are sampled when traffic happens to flow — and batch frames mostly flush on
-// the idle transition, when ReadyApprox is zero by construction — so a busy
-// victim's advertised depth is systematically biased toward zero and, on a
-// slow wire, never corrected: without expiry an idle rank that has heard
-// "cold" from everyone stops probing forever (observed over loopback TCP,
-// where the only spontaneous hint carrier is the 1ms-tick batch flush). A
-// stale hint reverts to unknown, which the victim-selection policy treats as
+// are sampled when traffic happens to flow — and a batch frame mostly leaves
+// when its link goes idle, which is when the sender is short of work — so a
+// busy victim's advertised depth is biased toward zero and, on a slow wire,
+// never corrected: without expiry an idle rank that has heard "cold" from
+// everyone stops probing forever (observed over loopback TCP). A stale hint
+// reverts to unknown, which the victim-selection policy treats as
 // "probe at random under backoff"; the probe's response carries the victim's
 // fresh depth and re-seeds the hint. 8ms spans several 2ms-default heartbeats
 // (their hints stay credible between beats) while keeping rediscovery well
@@ -50,8 +49,10 @@ const loadHintTTL = 8 * time.Millisecond
 
 // StealHooks is the policy interface the recovery/scheduling layer installs
 // with SetStealHooks. All hooks except Load and Aborting run under the rank's
-// receive lock, on the goroutine that delivered the frame (Tick: on the
-// progress goroutine's tick); Load/Aborting must be safe from any goroutine.
+// receive lock, on the goroutine that delivered the frame; Load/Aborting must
+// be safe from any goroutine. comm keeps no clock for the policy: retrying
+// after a failed attempt is the policy's own business (Done reports the
+// failure).
 type StealHooks struct {
 	// TwoPhase selects the commit protocol (required when ranks can die).
 	TwoPhase bool
@@ -77,10 +78,6 @@ type StealHooks struct {
 	// tasks were injected), successful or not, so the policy can clear its
 	// in-flight latch and adjust its backoff.
 	Done func(victim int, ok bool)
-	// Tick, when non-nil, is pumped from the progress goroutine's periodic
-	// tick, under the receive lock: the runtime's idle hook only fires on the idle *transition*, so
-	// retries after a failed probe need an external pulse.
-	Tick func()
 }
 
 // stealState is one rank's work-stealing state. hooks is installed before
@@ -188,7 +185,7 @@ func (p *Proc) PeerActivity(r int) int64 {
 }
 
 // RequestSteal issues a steal request toward victim for up to max tasks.
-// The caller (the policy's idle/tick trigger) must serialize its own
+// The caller (the policy's idle or retry trigger) must serialize its own
 // attempts — at most one outstanding request per rank. Safe from any
 // goroutine.
 func (p *Proc) RequestSteal(victim, max int) {

@@ -9,8 +9,8 @@
 // (MemTransport); NewNetWorld runs one local rank over any Transport —
 // internal/comm/tcptransport is the real network backend (TCP with dial
 // backoff, deadlines, reconnect and socket fault injection). Only self-sends
-// skip the transport: they wait in the rank's mailbox for the progress
-// goroutine, as do frames that arrive before the rank starts.
+// skip the transport: they are queued for the receive lock's holder
+// (enqueue), as are the frames that arrive before the rank starts.
 //
 // Transports are best-effort (a frame queued while a connection is down is
 // simply dropped, and World.SetFaultPlan layers seeded frame faults over any
@@ -268,8 +268,7 @@ func decodeWireFrame(frame []byte) (message, error) {
 // NewNetWorld creates a world whose only local rank is tr.Self(): the other
 // ranks live behind tr (in other processes, or other Worlds of this one).
 // The transport is started immediately so peers can connect while the graph
-// is still being built — inbound frames buffer in the mailbox until the rank
-// starts.
+// is still being built — inbound frames wait until the rank starts.
 func NewNetWorld(tr Transport) (*World, error) {
 	n, self := tr.Size(), tr.Self()
 	if n < 1 {
@@ -293,9 +292,9 @@ func (w *World) attach(tr Transport) error {
 	return tr.Start(p.deliverFrame, w.peerEvent)
 }
 
-// transmit puts one message on the wire toward dst: a self-send lands in this
-// rank's mailbox, anything else is encoded and handed to the transport (best
-// effort: the link layer retransmits). Called for originals,
+// transmit puts one message on the wire toward dst: a self-send is queued
+// for the receive lock's holder, anything else is encoded and handed to the
+// transport (best effort: the link layer retransmits). Called for originals,
 // retransmissions, and acks. After Shutdown, and to or from a fail-stopped
 // rank, the wire is down and the message is discarded.
 func (p *Proc) transmit(dst int, m message) {
@@ -304,7 +303,7 @@ func (p *Proc) transmit(dst int, m message) {
 		return
 	}
 	if dst == p.rank {
-		p.mbox.push(m)
+		p.enqueue(m)
 		return
 	}
 	if w.wireDead(p.rank, dst) {
@@ -346,9 +345,9 @@ func (a *FrameAlloc) Make(n int) []byte {
 // deliverFrame is the transport's inbound callback: decode the frame and run
 // it through the link layer and its handler right here, under the receive
 // lock, on the goroutine that delivered it. A frame that arrives before Start
-// waits in the mailbox for the progress goroutine. Malformed or misaddressed
-// frames are dropped — remote bytes must never be able to take a rank down —
-// and so is anything arriving after Shutdown or touching a fail-stopped rank.
+// is queued until Start. Malformed or misaddressed frames are dropped —
+// remote bytes must never be able to take a rank down — and so is anything
+// arriving after Shutdown or touching a fail-stopped rank.
 func (p *Proc) deliverFrame(frame []byte) {
 	m, err := decodeWireFrame(frame)
 	w := p.world
@@ -356,13 +355,13 @@ func (p *Proc) deliverFrame(frame []byte) {
 		w.closed.Load() || w.wireDead(m.src, p.rank) {
 		return
 	}
-	p.rx.Lock()
-	if p.launched.Load() {
-		p.receive(m)
-	} else {
-		p.mbox.push(m)
+	if !p.launched.Load() {
+		p.enqueue(m) // for Start to dispatch
+		return
 	}
-	p.rx.Unlock()
+	p.rx.Lock()
+	p.receive(m)
+	p.unlockRx()
 }
 
 // SetPeerEventHook installs an observer for transport peer lifecycle events

@@ -75,14 +75,21 @@ func (p *Proc) handleTerminate(message) {
 	}
 }
 
-// handleQuiescent runs when the local detector announces quiescence.
+// handleQuiescent runs, under rx, for a quiescence notification the local
+// detector (or a fence) owed the rank (unlockRx).
 //
 // A batch still buffered here needs no flush: its link has an unacked
 // message whose ack ships it (batch.go, "Flush rule"), and until then the
 // activations it holds keep the wave unbalanced.
 func (p *Proc) handleQuiescent() {
-	if !p.det.Quiescent() {
-		return // stale notification; work arrived meanwhile
+	if p.terminated || !p.det.Quiescent() {
+		return // done, or stale: work arrived meanwhile
+	}
+	if p.halted.Load() {
+		// A fail-stopped rank is cut off from the wave: its first quiescence
+		// after the fence is its local termination.
+		p.handleTerminate(message{})
+		return
 	}
 	if stamp := p.wave.owedStamp; stamp != 0 {
 		p.wave.owedStamp = 0

@@ -523,8 +523,9 @@ func appendStandaloneGob(buf []byte, v any) ([]byte, error) {
 	return append(buf, bb.Bytes()...), nil
 }
 
-// decodePayload decodes one received payload from src. Runs on the progress
-// goroutine only (the stream decoders are single-threaded by construction).
+// decodePayload decodes one received payload from src. Runs under the rank's
+// receive lock only (the stream decoders are single-threaded by
+// construction).
 // Results never alias b.
 func (g *Graph) decodePayload(src int, b []byte) (any, error) {
 	if len(b) == 0 {

@@ -64,7 +64,7 @@ func BenchmarkRemoteActivation(b *testing.B) {
 
 // TestRemoteActivationAllocs pins the zero-allocation wire path: at most one
 // heap allocation per remote activation in steady state (the occasional slab
-// growth and mailbox node amortize far below that; the payload value itself
+// growth and frame chunk amortize far below that; the payload value itself
 // is hoisted, as a real task body's already-boxed Copy would be).
 func TestRemoteActivationAllocs(t *testing.T) {
 	rb := newRemoteBench(1)

@@ -218,7 +218,12 @@ func (g *Graph) MakeExecutable() {
 		if g.steal != nil {
 			g.rtm.SetIdleHook(g.maybeSteal)
 		}
-		g.proc.Start(g.rtm.Det, func() { g.rtm.SignalDone() })
+		g.proc.Start(g.rtm.Det, func() {
+			g.rtm.SignalDone()
+			if g.steal != nil {
+				g.steal.retry.Stop()
+			}
+		})
 		g.rtm.Start(true)
 	} else {
 		g.rtm.Start(false)

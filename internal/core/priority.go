@@ -60,7 +60,7 @@ type prioState struct {
 }
 
 // numServiceIdentities mirrors the runtime's service-worker count (seeding
-// main goroutine, comm progress, steal service); their HTSlots follow the
+// main goroutine, comm handlers, steal service); their HTSlots follow the
 // worker slots.
 const numServiceIdentities = 3
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gottg/internal/rt"
 )
@@ -246,23 +245,14 @@ func (g *Graph) RecoveryStats() (reexecuted, remapped, pruned int64) {
 	return g.ft.reexec.Load(), g.ft.remapped.Load(), g.ft.pruned.Load()
 }
 
-// killLocal runs on the victim when World.KillRank fail-stops this rank: the
-// runtime aborts and drains, and — because the fenced rank dispatches no
-// more frames, so no termination message will ever reach it — a poller
-// signals done once the drain reaches quiescence, so the harness's Wait
+// killLocal runs on the victim when World.KillRank fail-stops this rank (or
+// the membership told it that it was declared dead): the runtime aborts and
+// drains. No termination message reaches a fenced rank, so comm turns its
+// first quiescence after the fence into the termination callback, and Wait
 // returns.
 func (g *Graph) killLocal() {
 	g.event("killed", g.rank, "fail-stop")
 	g.rtm.Abort(ErrRankKilled)
-	go func() {
-		for !g.rtm.Terminated() {
-			if g.rtm.Det.Quiescent() {
-				g.rtm.SignalDone()
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
 }
 
 // seen reports whether id was already delivered locally (read-only).
@@ -338,8 +328,8 @@ func (g *Graph) replayLocal(w *rt.Worker, e ftLogEntry) {
 }
 
 // onRankDead is the recovery orchestrator, invoked under the rank's receive
-// lock, on the goroutine that delivered the frame (or on the progress
-// goroutine's tick, for the coordinator), after the membership layer
+// lock, on the goroutine that delivered the frame (or on the heartbeat
+// timer, for the coordinator), after the membership layer
 // confirmed a death: re-home the dead
 // rank's keys, then replay logged activations and seeds toward their new
 // owners. Runs once per (rank, death) — comm dedups announcements.

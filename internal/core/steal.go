@@ -52,6 +52,10 @@ type stealState struct {
 	inflight  atomic.Bool
 	nextProbe atomic.Int64 // UnixNano before which maybeSteal stays quiet
 	backoff   atomic.Int64
+	// retry re-runs maybeSteal when the backoff a failure installed expires
+	// (bumpBackoff): parked workers make no idle transitions to try again.
+	// Created once in installSteal, stopped at termination.
+	retry *time.Timer
 
 	// rng drives random probing of ranks whose load is unknown. Only touched
 	// under the inflight latch (pickVictim), so it needs no lock.
@@ -132,14 +136,15 @@ func (g *Graph) installSteal() {
 		Cancel:   g.stealCancel,
 		Inject:   g.stealInject,
 		Done:     g.stealDone,
-		Tick:     g.maybeSteal,
 	})
+	g.steal.retry = time.AfterFunc(time.Hour, g.maybeSteal)
+	g.steal.retry.Stop()
 }
 
 // maybeSteal is the thief-side trigger, called from the runtime's idle hook
-// (a worker just ran out of local work) and from the comm progress tick
-// (parked workers produce no idle transitions, so retries need the pulse).
-// Cheap when there is nothing to do; at most one attempt is in flight.
+// (a worker just ran out of local work) and from the retry timer once a
+// failed attempt's backoff expires. Safe from any goroutine and cheap when
+// there is nothing to do; at most one attempt is in flight.
 func (g *Graph) maybeSteal() {
 	s := g.steal
 	if s == nil || g.rtm.Aborting() || g.rtm.Terminated() {
@@ -237,6 +242,7 @@ func (s *stealState) bumpBackoff() {
 	}
 	s.backoff.Store(b)
 	s.nextProbe.Store(time.Now().UnixNano() + b)
+	s.retry.Reset(time.Duration(b))
 }
 
 // stealFill is the victim-side extraction hook (under the rank's receive
@@ -293,8 +299,8 @@ func (g *Graph) releaseStolen(w *rt.Worker, t *rt.Task) {
 	w.FreeTask(t)
 }
 
-// stealCommit is the victim-side decision hook (two-phase, progress
-// goroutine): the donation commits iff it still exists and the membership
+// stealCommit is the victim-side decision hook (two-phase, under the receive
+// lock): the donation commits iff it still exists and the membership
 // epoch has not moved since it was filled. On refusal the tasks have already
 // been re-queued locally (epoch straddle) or were re-queued by the death
 // sweep that removed the record.

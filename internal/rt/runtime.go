@@ -67,9 +67,10 @@ type Runtime struct {
 	// the overflow is counted in suppressed so multi-failure runs are not
 	// silently truncated.
 	// idleHook, when set, runs on a worker immediately before it enters the
-	// idle state (flushing thread-local termination counters). Distributed
-	// frontends with inter-rank stealing install their steal trigger here.
-	// Install before Start.
+	// idle state (flushing thread-local termination counters), after it
+	// published its ready-depth delta, so the hook reads a current depth.
+	// Distributed frontends with inter-rank stealing install their steal
+	// trigger here. Install before Start.
 	idleHook func()
 
 	aborting   atomic.Bool

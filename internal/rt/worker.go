@@ -365,20 +365,22 @@ const spinBeforePark = 2048
 
 // idle is the starvation path (DESIGN.md §9, "Idle protocol: spin, park,
 // wake"): it returns the worker's next task, or nil once termination has
-// been signaled. The worker runs the idle hook (inter-rank stealing looks
-// for remote work there), goes idle for the termination detector (flushing
-// its thread-local counters, possibly announcing quiescence), spins as a
-// searching worker while a sibling runs (up to spinBeforePark rounds), and
-// then parks until a producer wakes it.
+// been signaled. The worker publishes its buffered deltas, runs the idle
+// hook (inter-rank stealing looks for remote work there), goes idle for the
+// termination detector (flushing its thread-local counters, possibly
+// announcing quiescence), spins as a searching worker while a sibling runs
+// (up to spinBeforePark rounds), and then parks until a producer wakes it.
 func (w *Worker) idle() *Task {
 	rt := w.rt
 	if rt.done.Load() {
 		return nil
 	}
+	// Publish buffered deltas before advertising idleness, and before the
+	// hook, so the ready depth it reads counts this worker's pops.
+	w.flushIdle()
 	if f := rt.idleHook; f != nil {
 		f()
 	}
-	w.flushIdle() // publish buffered deltas before advertising idleness
 	rt.Det.EnterIdle(w.ID)
 	defer rt.Det.LeaveIdle(w.ID)
 

@@ -33,8 +33,9 @@ import (
 )
 
 // ExternalSlot designates a caller without a worker identity (the main
-// goroutine seeding a graph, or a communication progress thread). Such
-// callers always update the process-wide counter atomically.
+// goroutine seeding a graph, or a communication handler running on the
+// goroutine that delivered its frame). Such callers always update the
+// process-wide counter atomically.
 const ExternalSlot = -1
 
 // Detector tracks pending work for one process.
