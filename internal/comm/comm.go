@@ -4,9 +4,10 @@
 // paper §III-A driven by rank 0.
 //
 // There is no communication thread. The goroutine that receives a frame — a
-// socket reader, or an in-memory endpoint's delivery goroutine — runs the
-// link layer and the frame's handler itself, under the rank's receive lock
-// (Proc.rx), as TaskTorrent's active messages do. Time-driven work runs on
+// socket reader, an in-memory endpoint's delivery goroutine, or an idle
+// worker polling the rank's transport (Proc.Poll) — runs the link layer and
+// the frame's handler itself, under the rank's receive lock (Proc.rx), as
+// TaskTorrent's active messages do. Time-driven work runs on
 // timers that are armed only while there is something to time: the link
 // timer while a link holds unacked or out-of-order frames, and the heartbeat
 // timer while failure detection is on; each callback takes the receive lock.
@@ -144,6 +145,7 @@ func newProc(w *World, tr Transport) *Proc {
 		handlers: map[int]Handler{},
 		batchTag: -1,
 	}
+	p.poller, _ = tr.(Poller)
 	p.initLinks(len(w.procs))
 	p.linkTimer = time.AfterFunc(time.Hour, p.onLinkTimer)
 	p.linkTimer.Stop() // armed by armLinks, never allocated again
@@ -197,6 +199,7 @@ type Proc struct {
 	rank     int
 	world    *World
 	tr       Transport // this rank's endpoint, behind the fault decorator when one is installed
+	poller   Poller    // the endpoint itself (the decorator faults sends only), when it is a Poller
 	handlers map[int]Handler
 	det      *termdet.Detector
 
@@ -385,6 +388,28 @@ func (p *Proc) unlockRx() {
 			return
 		}
 	}
+}
+
+// CanPoll reports whether the rank's transport is a Poller, so that Poll
+// can find frames.
+func (p *Proc) CanPoll() bool { return p.poller != nil }
+
+// Poll fetches the frames that wait on one of the rank's inbound
+// connections and dispatches them on the calling goroutine, as their reader
+// would, reporting whether there were any. It never parks. Idle workers call
+// it; a handler must not (see Poller).
+func (p *Proc) Poll() bool {
+	if p.poller == nil {
+		return false
+	}
+	n := p.poller.Poll()
+	if n == 0 {
+		return false
+	}
+	if mx := p.world.mx; mx != nil {
+		mx.polled.Add(p.rank, uint64(n))
+	}
+	return true
 }
 
 // Send delivers an application payload to rank dst under tag. It accounts

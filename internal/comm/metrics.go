@@ -17,6 +17,7 @@ type commMetrics struct {
 	recvd      *metrics.Counter // application messages dispatched to handlers
 	bytesSent  *metrics.Counter // application payload bytes sent
 	bytesRecvd *metrics.Counter // application payload bytes dispatched
+	polled     *metrics.Counter // inbound frames a polling worker delivered
 	ctrl       *metrics.Counter // sequenced control messages posted
 	acks       *metrics.Counter // link-layer acks posted
 	retrans    *metrics.Counter // link-layer retransmissions
@@ -53,6 +54,7 @@ func (w *World) EnableMetrics() *metrics.Registry {
 		recvd:      reg.Counter("comm.msgs.recvd"),
 		bytesSent:  reg.Counter("comm.bytes.sent"),
 		bytesRecvd: reg.Counter("comm.bytes.recvd"),
+		polled:     reg.Counter("comm.recv.polled"),
 		ctrl:       reg.Counter("comm.ctrl.sent"),
 		acks:       reg.Counter("comm.acks.sent"),
 		retrans:    reg.Counter("comm.retransmits"),

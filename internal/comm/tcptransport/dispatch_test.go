@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,15 @@ import (
 // per link, the wave must terminate, and Shutdown must leave no goroutine
 // behind. The per-rank receive state below is deliberately unsynchronized:
 // under -race it also checks that one rank's handlers never overlap.
-func TestReaderDispatchExactlyOnce(t *testing.T) {
+func TestReaderDispatchExactlyOnce(t *testing.T) { dispatchExactlyOnce(t, false) }
+
+// TestPolledDispatchExactlyOnce is TestReaderDispatchExactlyOnce with a
+// goroutine per rank calling Proc.Poll throughout, as an idle worker does:
+// frames dispatched by pollers and by readers together are still
+// dispatched exactly once and in order, and comm.recv.polled counts some.
+func TestPolledDispatchExactlyOnce(t *testing.T) { dispatchExactlyOnce(t, true) }
+
+func dispatchExactlyOnce(t *testing.T, poll bool) {
 	const n, perLink = 4, 2000
 	before := runtime.NumGoroutine()
 	lns := make([]net.Listener, n)
@@ -65,6 +75,21 @@ func TestReaderDispatchExactlyOnce(t *testing.T) {
 		w.Proc(i).Start(dets[i], func() { close(done[i]) })
 		dets[i].EnterIdle(0)
 	}
+	var quit atomic.Bool
+	var pollers sync.WaitGroup
+	for i, w := range worlds {
+		if !poll {
+			break
+		}
+		pollers.Add(1)
+		go func(p *comm.Proc) {
+			defer pollers.Done()
+			for !quit.Load() {
+				p.Poll()
+				runtime.Gosched()
+			}
+		}(w.Proc(i))
+	}
 	for i, w := range worlds {
 		go func(i int, p *comm.Proc) {
 			for k := 0; k < perLink; k++ {
@@ -87,12 +112,24 @@ func TestReaderDispatchExactlyOnce(t *testing.T) {
 	for _, w := range worlds {
 		w.Drain(5 * time.Second)
 	}
-	for i, w := range worlds {
+	for _, w := range worlds {
 		w.Shutdown()
+	}
+	quit.Store(true)
+	pollers.Wait()
+	var polled uint64
+	for i, w := range worlds {
 		c := w.MetricsSnapshot().Counters
+		polled += c["comm.recv.polled"]
 		if d, u, r := c["comm.fault.dropped"], c["comm.fault.duplicated"], c["comm.fault.reordered"]; min(d, u, r) == 0 {
 			t.Errorf("rank %d's fault plan injected %d drops, %d duplicates, %d reorders; want each > 0", i, d, u, r)
 		}
+	}
+	if poll && polled == 0 {
+		t.Error("the pollers dispatched no frame (comm.recv.polled = 0)")
+	}
+	if !poll && polled != 0 {
+		t.Errorf("comm.recv.polled = %d with nobody polling", polled)
 	}
 	for dst := range next {
 		for src, got := range next[dst] {

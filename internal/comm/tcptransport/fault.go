@@ -2,8 +2,6 @@ package tcptransport
 
 import (
 	"errors"
-	"io"
-	"net"
 	"sync"
 	"time"
 )
@@ -50,7 +48,8 @@ type FaultConfig struct {
 
 	// SlowReadProb delays an inbound read by a seeded duration in
 	// (0, SlowReadMax] and truncates it to at most 3 bytes, exercising the
-	// receiver's handling of fragmented frames. Default SlowReadMax 1ms.
+	// receiver's handling of fragmented frames. A poller's read is truncated
+	// but not delayed: Poll never parks. Default SlowReadMax 1ms.
 	SlowReadProb float64
 	SlowReadMax  time.Duration
 }
@@ -160,25 +159,11 @@ func (inj *injector) writeFault() faultKind {
 	return faultNone
 }
 
-// slowReader wraps an inbound connection with seeded slow/short reads.
-func (inj *injector) slowReader(c net.Conn) io.Reader {
-	if inj.cfg.SlowReadProb <= 0 {
-		return c
+// slowRead rolls the slow-read fault for one inbound read: when it fires,
+// the read is delayed by the returned duration and shortened to 3 bytes.
+func (inj *injector) slowRead() (time.Duration, bool) {
+	if !inj.rng.roll(inj.cfg.SlowReadProb) {
+		return 0, false
 	}
-	return &slowReadConn{c: c, inj: inj}
-}
-
-type slowReadConn struct {
-	c   net.Conn
-	inj *injector
-}
-
-func (s *slowReadConn) Read(p []byte) (int, error) {
-	if s.inj.rng.roll(s.inj.cfg.SlowReadProb) {
-		time.Sleep(time.Duration(1 + s.inj.rng.n(uint64(s.inj.cfg.SlowReadMax))))
-		if len(p) > 3 {
-			p = p[:3]
-		}
-	}
-	return s.c.Read(p)
+	return time.Duration(1 + inj.rng.n(uint64(inj.cfg.SlowReadMax))), true
 }

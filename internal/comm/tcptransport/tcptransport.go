@@ -10,8 +10,13 @@
 // of length-prefixed frames [4B len][frame bytes]. A frame toward an idle
 // connection is written by the sending goroutine itself, in one
 // non-blocking attempt; anything else goes through the peer's writer
-// goroutine. Each connection's reader hands the frames it reads to the
-// deliver callback, which dispatches them on that goroutine.
+// goroutine. Inbound, each connection's reader goroutine waits for bytes
+// and hands every complete frame to the deliver callback, which dispatches
+// it on that goroutine. Idle workers can read the same connections without
+// blocking (Poll, the comm.Poller contract), so a frame that lands while one
+// spins is dispatched by it and wakes no goroutine. Both go through one
+// read path: a connection's bytes are read by one caller at a time, until
+// the socket is empty.
 //
 // Robustness: dials use capped exponential backoff with seeded jitter;
 // writes and reads carry deadlines; a failed connection is torn down and
@@ -26,13 +31,13 @@
 package tcptransport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -142,8 +147,12 @@ type Transport struct {
 	wg       sync.WaitGroup // accept + read loops
 	writerWg sync.WaitGroup // per-peer writers (joined first in Close)
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{} // accepted inbound conns, for Close
+	// inbound lists the accepted connections, for Close and Poll. A list is
+	// never written once published: connMu serializes its replacements, and
+	// Poll reads it without a lock.
+	connMu   sync.Mutex
+	inbound  atomic.Pointer[[]*inConn]
+	pollNext atomic.Uint32 // Poll's round-robin cursor over inbound
 
 	reconnects atomic.Int64
 	dials      atomic.Int64
@@ -155,6 +164,7 @@ type Transport struct {
 var _ comm.Transport = (*Transport)(nil)
 var _ comm.TransportStats = (*Transport)(nil)
 var _ comm.PeerMarker = (*Transport)(nil)
+var _ comm.Poller = (*Transport)(nil)
 
 // New binds the local listener and prepares (but does not start) the
 // transport.
@@ -165,9 +175,9 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:   cfg,
 		ln:    cfg.Listener,
-		conns: map[net.Conn]struct{}{},
 		peers: make([]*peer, len(cfg.Peers)),
 	}
+	t.inbound.Store(&[]*inConn{})
 	if cfg.Fault != nil {
 		t.inj = newInjector(*cfg.Fault)
 	}
@@ -304,11 +314,11 @@ func (t *Transport) Close() error {
 		p.closeConn(nil)
 	}
 	t.connMu.Lock()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.conns = nil
+	conns := *t.inbound.Load() // complete: acceptLoop adds none once closed is set
 	t.connMu.Unlock()
+	for _, ic := range conns {
+		ic.c.Close()
+	}
 	t.wg.Wait()
 	return nil
 }
@@ -801,6 +811,54 @@ func (p *peer) handshake(c net.Conn) error {
 
 // ---------------------------------------------------------------- inbound
 
+// errBadFrame tears down a connection whose length prefix is zero or above
+// maxFrameLen.
+var errBadFrame = errors.New("tcptransport: bad frame length")
+
+// inConn is one accepted connection's inbound side. Its bytes are read in one
+// place, pump, by whoever holds mu: the connection's reader goroutine, or a
+// poller (Poll). Each reads without blocking until the socket is empty, so
+// the next one continues the stream where the last stopped, and every frame
+// is handed to deliver once, in stream order. mu is held across deliver: a
+// frame read by one caller must be dispatched before the next caller reads.
+type inConn struct {
+	t   *Transport
+	c   net.Conn
+	rc  syscall.RawConn // nil when reads go through c, by the reader alone
+	src int             // the peer rank the handshake named
+	up  atomic.Bool     // handshake done, rc and src set: pollers may read
+
+	// The reader's RawConn.Read callback and the pollers' RawConn.Control
+	// callback, bound once.
+	readFn func(fd uintptr) bool
+	pollFn func(fd uintptr)
+
+	mu     sync.Mutex
+	buf    []byte // coalesceLimit bytes; buf[:end] is read and not yet delivered
+	end    int
+	big    []byte // a frame too large for buf, read in place; big[:bigN] is filled
+	bigN   int
+	frames comm.FrameAlloc // the link layer keeps each frame
+	n      int64           // frames delivered
+	polled int             // frames the current poll delivered
+	err    error           // why the connection is finished; sticky
+}
+
+func (t *Transport) newInConn(c net.Conn) *inConn {
+	ic := &inConn{t: t, c: c, buf: make([]byte, coalesceLimit)}
+	ic.readFn = func(fd uintptr) bool {
+		ic.mu.Lock()
+		k := ic.pump(fd, true)
+		// A finished connection ends the Read, and so does a delivered frame
+		// when ReadTimeout wants its deadline re-armed.
+		done := ic.err != nil || (k > 0 && t.cfg.ReadTimeout > 0)
+		ic.mu.Unlock()
+		return done
+	}
+	ic.pollFn = func(fd uintptr) { ic.polled = ic.pump(fd, false) }
+	return ic
+}
+
 func (t *Transport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -813,88 +871,229 @@ func (t *Transport) acceptLoop() {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
+		ic := t.newInConn(c)
 		t.connMu.Lock()
-		if t.conns == nil { // lost the race with Close
+		if t.closed.Load() { // lost the race with Close
 			t.connMu.Unlock()
 			c.Close()
 			return
 		}
-		t.conns[c] = struct{}{}
+		conns := append(slices.Clip(*t.inbound.Load()), ic)
+		t.inbound.Store(&conns)
 		t.connMu.Unlock()
 		t.accepted.Add(1)
 		t.wg.Add(1)
-		go t.readLoop(c)
+		go t.readLoop(ic)
 	}
 }
 
-func (t *Transport) forget(c net.Conn) {
+// forget unlists a connection whose reader is done and closes it. The list
+// is replaced, never written, so a poller may still hold the old one.
+func (t *Transport) forget(ic *inConn) {
 	t.connMu.Lock()
-	if t.conns != nil {
-		delete(t.conns, c)
-	}
+	conns := slices.DeleteFunc(slices.Clone(*t.inbound.Load()), func(x *inConn) bool { return x == ic })
+	t.inbound.Store(&conns)
 	t.connMu.Unlock()
-	c.Close()
+	ic.c.Close()
 }
 
-// readLoop consumes one inbound connection: handshake, then length-prefixed
-// frames handed to the deliver callback. Any framing violation or read
-// error tears the connection down; the peer re-dials and the link layer
-// recovers whatever was in flight.
-func (t *Transport) readLoop(c net.Conn) {
+// readLoop consumes one inbound connection: the handshake, then pumps
+// whenever the socket turns readable. Any framing violation or read error
+// tears the connection down; the peer re-dials and the link layer recovers
+// whatever was in flight.
+func (t *Transport) readLoop(ic *inConn) {
 	defer t.wg.Done()
-	defer t.forget(c)
-	// One buffered reader over the connection (and over the fault injector's
-	// slow reads, when present): a frame's prefix and body, and every frame
-	// that arrived with it, come out of one Read.
-	var raw io.Reader = c
-	if t.inj != nil {
-		raw = t.inj.slowReader(c)
+	defer t.forget(ic)
+	if !ic.handshake() {
+		return
 	}
-	r := bufio.NewReaderSize(raw, coalesceLimit)
+	rt := t.cfg.ReadTimeout
+	var seen int64 // frames delivered when the deadline was last armed
+	for {
+		if rt > 0 {
+			ic.c.SetReadDeadline(time.Now().Add(rt))
+		}
+		var err error
+		if ic.rc != nil {
+			// Every attempt follows the Read's prepareRead, and the Read
+			// waits on the netpoller between attempts: bytes that arrive
+			// after an attempt (ours or a poller's) found the socket empty
+			// wake this goroutine.
+			err = ic.rc.Read(ic.readFn)
+		} else {
+			for !ic.readFn(0) {
+			}
+		}
+		ic.mu.Lock()
+		failed, n := ic.err != nil, ic.n
+		ic.mu.Unlock()
+		if failed || t.closed.Load() {
+			return
+		}
+		if err != nil && (n == seen || !errors.Is(err, os.ErrDeadlineExceeded)) {
+			return // a lapsed deadline is silence only if no poller delivered either
+		}
+		seen = n
+	}
+}
+
+// handshake reads and checks the 9-byte handshake, straight from the
+// connection so that frames sent right behind it stay in the socket for
+// pump, then makes the connection pollable.
+func (ic *inConn) handshake() bool {
+	t, c := ic.t, ic.c
 	var h [handshakeLen]byte
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.WriteTimeout))
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return
+	if _, err := io.ReadFull(c, h[:]); err != nil {
+		return false
 	}
 	if binary.LittleEndian.Uint32(h[0:]) != handshakeMagic || h[4] != handshakeVersion {
 		t.logf("tcptransport: rank %d: rejecting connection from %s: bad handshake", t.cfg.Self, c.RemoteAddr())
-		return
+		return false
 	}
 	src := int(int32(binary.LittleEndian.Uint32(h[5:])))
 	if src < 0 || src >= len(t.cfg.Peers) || src == t.cfg.Self {
 		t.logf("tcptransport: rank %d: rejecting connection claiming rank %d", t.cfg.Self, src)
-		return
+		return false
 	}
 	t.logf("tcptransport: rank %d: accepted connection from rank %d (%s)", t.cfg.Self, src, c.RemoteAddr())
-	// Clear the handshake deadline once; re-arm one per frame only when
-	// ReadTimeout asks for it (each Set re-programs a runtime poll timer).
-	rt := t.cfg.ReadTimeout
-	if rt <= 0 {
-		c.SetReadDeadline(time.Time{})
+	c.SetReadDeadline(time.Time{})
+	if sc, ok := c.(syscall.Conn); ok && rawReads {
+		if rc, err := sc.SyscallConn(); err == nil {
+			ic.rc = rc
+		}
 	}
-	var (
-		lenBuf [4]byte
-		frames comm.FrameAlloc // the link layer keeps each frame
-	)
-	for {
-		if t.closed.Load() {
-			return
-		}
-		if rt > 0 {
-			c.SetReadDeadline(time.Now().Add(rt))
-		}
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return
-		}
-		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if n == 0 || n > maxFrameLen {
-			t.logf("tcptransport: rank %d: bad frame length %d from rank %d", t.cfg.Self, n, src)
-			return
-		}
-		frame := frames.Make(n)
-		if _, err := io.ReadFull(r, frame); err != nil {
-			return // torn frame: the sender's retransmission re-carries it
-		}
-		t.deliver(frame)
+	ic.src = src
+	ic.up.Store(true)
+	return true
+}
+
+// Poll reads one inbound connection, round-robin, without blocking, and
+// delivers every complete frame it holds on the calling goroutine. It
+// returns how many it delivered: none when the socket is empty, and none at
+// once when the connection's reader or another poller is reading it. The
+// read runs inside RawConn.Control, which holds a reference on the
+// descriptor, so a Close racing the poll waits for it: a poller never reads
+// a closed or reused descriptor.
+func (t *Transport) Poll() int {
+	conns := *t.inbound.Load()
+	if len(conns) == 0 || t.closed.Load() {
+		return 0
 	}
+	ic := conns[t.pollNext.Add(1)%uint32(len(conns))]
+	if !ic.up.Load() || ic.rc == nil || !ic.mu.TryLock() {
+		return 0
+	}
+	if ic.err != nil {
+		ic.mu.Unlock()
+		return 0
+	}
+	ic.polled = 0
+	ic.rc.Control(ic.pollFn)
+	n, failed := ic.polled, ic.err != nil
+	ic.mu.Unlock()
+	if failed {
+		// Wake the reader, which tears the connection down.
+		ic.c.SetReadDeadline(time.Unix(1, 0))
+	}
+	return n
+}
+
+// pump reads until the socket is empty or the connection fails, delivering
+// every frame the bytes complete, and returns how many it delivered. The
+// caller holds mu; fd is the raw descriptor when rc is set. Only the reader
+// goroutine may wait: a poller's slowed read is shortened but not delayed.
+func (ic *inConn) pump(fd uintptr, wait bool) int {
+	k := 0
+	for ic.err == nil {
+		var b []byte
+		if ic.big != nil {
+			b = ic.big[ic.bigN:]
+		} else {
+			b = ic.buf[ic.end:]
+		}
+		if inj := ic.t.inj; inj != nil {
+			if d, slow := inj.slowRead(); slow {
+				if wait {
+					time.Sleep(d)
+				}
+				b = b[:min(len(b), 3)]
+			}
+		}
+		var n int
+		var err error
+		if ic.rc != nil {
+			n, err = rawRead(fd, b)
+		} else {
+			n, err = ic.c.Read(b)
+		}
+		if n > 0 {
+			k += ic.consume(n)
+			if n < len(b) {
+				return k // the read emptied the socket
+			}
+			continue
+		}
+		if wouldBlock(err) {
+			return k
+		}
+		if err == nil {
+			err = io.EOF
+		}
+		ic.err = err
+	}
+	return k
+}
+
+// consume takes the n bytes a read just added and delivers every frame they
+// complete, in order, returning how many. A frame too large for buf is read
+// in place into its own buffer; a partial one moves to the front of buf.
+func (ic *inConn) consume(n int) int {
+	if ic.big != nil {
+		if ic.bigN += n; ic.bigN < len(ic.big) {
+			return 0
+		}
+		f := ic.big
+		ic.big = nil
+		return ic.deliver(f)
+	}
+	ic.end += n
+	k, off := 0, 0
+	for ic.err == nil && ic.end-off >= 4 {
+		size := int(binary.LittleEndian.Uint32(ic.buf[off:]))
+		if size == 0 || size > maxFrameLen {
+			ic.t.logf("tcptransport: rank %d: bad frame length %d from rank %d", ic.t.cfg.Self, size, ic.src)
+			ic.err = errBadFrame
+			break
+		}
+		body := ic.buf[off+4 : ic.end]
+		if len(body) < size {
+			if 4+size > len(ic.buf) {
+				ic.big = ic.frames.Make(size)
+				ic.bigN = copy(ic.big, body)
+				off = ic.end
+			}
+			break
+		}
+		f := ic.frames.Make(size)
+		copy(f, body)
+		off += 4 + size
+		k += ic.deliver(f)
+	}
+	if off > 0 {
+		ic.end = copy(ic.buf, ic.buf[off:ic.end])
+	}
+	return k
+}
+
+// deliver hands one frame to the deliver callback, unless the transport is
+// closing.
+func (ic *inConn) deliver(f []byte) int {
+	if ic.t.closed.Load() {
+		ic.err = ErrClosed
+		return 0
+	}
+	ic.n++
+	ic.t.deliver(f)
+	return 1
 }

@@ -5,7 +5,8 @@
 // transmit encodes a message into a 40-byte-header frame and Sends it, and the
 // endpoint's deliver callback (deliverFrame) decodes each inbound frame and
 // dispatches it at once, under the rank's receive lock, on the goroutine that
-// delivered it. NewWorld runs n local ranks over one in-memory network
+// delivered it: the transport's own, or an idle worker's that polled for it
+// (Poller, Proc.Poll). NewWorld runs n local ranks over one in-memory network
 // (MemTransport); NewNetWorld runs one local rank over any Transport —
 // internal/comm/tcptransport is the real network backend (TCP with dial
 // backoff, deadlines, reconnect and socket fault injection). Only self-sends
@@ -39,7 +40,8 @@ import (
 // and the receive lock's holder may be waiting for that link lock. And Send
 // never parks: workers call it, and so does whichever goroutine holds the
 // receive lock. A transport delivers from goroutines of its own — one per
-// connection, or one per endpoint as MemTransport does.
+// connection, or one per endpoint as MemTransport does — and, if it is a
+// Poller, also on the goroutines that call Poll.
 type Transport interface {
 	// Self returns the local rank this transport is bound to.
 	Self() int
@@ -63,6 +65,24 @@ type TransportStats interface {
 	// Reconnects counts re-established outbound connections: successful
 	// dials after a previously working connection to that peer was lost.
 	Reconnects() int64
+}
+
+// Poller is optionally implemented by transports whose inbound frames an
+// idle worker can fetch itself, so a frame that lands while a worker spins
+// is dispatched by that worker instead of waking a transport goroutine that
+// then wakes a parked worker. The contract:
+//   - Poll never parks: it reads what has already arrived, without waiting;
+//   - it delivers on the caller's goroutine, through the deliver callback
+//     Start was given, and returns how many frames it delivered;
+//   - together with the transport's own goroutines it keeps per-connection
+//     order and hands each frame to deliver exactly once;
+//   - it is never called from inside deliver (a handler polling would take
+//     the receive lock it already holds).
+//
+// The transport's own goroutines keep delivering too: they carry the
+// frames that arrive while no worker polls. MemTransport is no Poller.
+type Poller interface {
+	Poll() int
 }
 
 // PeerMarker is optionally implemented by transports that can stop pursuing

@@ -218,6 +218,11 @@ func (g *Graph) MakeExecutable() {
 		if g.steal != nil {
 			g.rtm.SetIdleHook(g.maybeSteal)
 		}
+		// A rank whose transport can be polled has its idle workers read
+		// the wire themselves before they park.
+		if g.proc.CanPoll() {
+			g.rtm.SetPollHook(g.proc.Poll)
+		}
 		g.proc.Start(g.rtm.Det, func() {
 			g.rtm.SignalDone()
 			if g.steal != nil {
@@ -514,6 +519,14 @@ func (g *Graph) WaitFor(d time.Duration) error {
 		panic("ttg: WaitFor before MakeExecutable")
 	}
 	g.endSeed()
+	// A terminated graph must win over a deadline that already lapsed:
+	// select picks at random among ready cases, so look at Done alone first.
+	select {
+	case <-g.rtm.Done():
+		g.rtm.WaitDone()
+		return g.rtm.Err()
+	default:
+	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

@@ -496,3 +496,64 @@ func TestIdleWorkerBesideRunningSiblingSpins(t *testing.T) {
 		})
 	}
 }
+
+// TestPollHookSpinsDeliversThenParks: a lone idle worker with a poll hook
+// does not park at once. It polls once per spin round and parks when the
+// spin runs out with nothing delivered; an Inject then still wakes it. A
+// task its own poll delivers runs on it with no park and no wake token.
+func TestPollHookSpinsDeliversThenParks(t *testing.T) {
+	cfg := Config{Workers: 1, Sched: SchedLLP, ThreadLocalTermDet: true, UsePools: true}.Normalize()
+	r := New(cfg)
+	var polls atomic.Int64
+	pending := make(chan *Task, 1)
+	r.SetPollHook(func() bool {
+		polls.Add(1)
+		select {
+		case tk := <-pending:
+			r.Inject(tk)
+			return true
+		default:
+			return false
+		}
+	})
+	ran := make(chan string, 2)
+	sw := r.ServiceWorker(0)
+	polled := sw.NewTask()
+	polled.Exec = func(w *Worker, tk *Task) {
+		w.FreeTask(tk)
+		ran <- "polled"
+	}
+	injected := sw.NewTask()
+	injected.Exec = func(w *Worker, tk *Task) {
+		pending <- polled // for this worker's next poll
+		w.FreeTask(tk)
+		ran <- "injected"
+	}
+	r.Start(true)
+	waitAllParked(t, r)
+	if n := polls.Load(); n != spinBeforePark-1 {
+		t.Fatalf("the worker polled %d times before it parked, want a full spin (%d)", n, spinBeforePark-1)
+	}
+	r.Inject(injected)
+	if got := <-ran; got != "injected" {
+		t.Fatalf("ran %q first, want the injected task", got)
+	}
+	_, _, parks := r.Stats()
+	select {
+	case got := <-ran:
+		if got != "polled" {
+			t.Fatalf("ran %q, want the polled task", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the task the poll hook delivered never ran")
+	}
+	if _, _, after := r.Stats(); after != parks {
+		t.Fatalf("the worker parked %d time(s) before it ran the task its poll delivered", after-parks)
+	}
+	if len(r.wake) != 0 {
+		t.Fatal("a wake token was sent for the task the worker polled itself")
+	}
+	waitAllParked(t, r)
+	r.SignalDone()
+	waitDoneOrDump(t, r, 10*time.Second)
+}

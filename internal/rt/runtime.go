@@ -72,6 +72,10 @@ type Runtime struct {
 	// Distributed frontends with inter-rank stealing install their steal
 	// trigger here. Install before Start.
 	idleHook func()
+	// pollHook, when set, fetches inbound wire frames on the calling worker
+	// and reports whether it delivered any (comm.Proc.Poll). A searching
+	// worker calls it once per spin round. Install before Start.
+	pollHook func() bool
 
 	aborting   atomic.Bool
 	errMu      sync.Mutex
@@ -221,10 +225,10 @@ func (r *Runtime) wakeOne() {
 }
 
 // siblingRunning reports whether some worker is not idle, which is what a
-// searching worker's spin waits for: a running sibling may push a task it
-// can steal. With none running, the only producers left are goroutines (comm
-// readers and progress, Inject callers) that need the P a spinner would hold,
-// so the searcher parks at once.
+// searching worker's spin waits for when it has no poll hook: a running
+// sibling may push a task it can steal. With none running, the only
+// producers left are goroutines (comm readers and timers, Inject callers)
+// that need the P a spinner would hold, so the searcher parks at once.
 func (r *Runtime) siblingRunning() bool {
 	return int(r.idle.searching.Load()+r.idle.parked.Load()) < len(r.workers)
 }
@@ -348,6 +352,14 @@ func (r *Runtime) Stats() (exec, steals, parks int64) {
 // Start; the hook must be safe for concurrent callers (every worker runs
 // it).
 func (r *Runtime) SetIdleHook(f func()) { r.idleHook = f }
+
+// SetPollHook installs the routine a searching worker calls on each spin
+// round to fetch inbound frames itself; it reports whether it delivered any.
+// A worker with a poll hook spins up to its bound even with no sibling
+// running, since it is then the one that reads the wire. Must be installed
+// before Start; the hook must never park and must be safe for concurrent
+// callers.
+func (r *Runtime) SetPollHook(f func() bool) { r.pollHook = f }
 
 // SetDropFn installs the frontend's task-discard routine, used to dispose
 // of tasks without running their bodies (abort drain, panic cleanup). The

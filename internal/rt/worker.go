@@ -359,8 +359,8 @@ func (w *Worker) run() {
 	}
 }
 
-// spinBeforePark bounds the failed rounds a searching worker spins beside a
-// running sibling before it parks.
+// spinBeforePark bounds the failed rounds a searching worker spins, beside a
+// running sibling or polling the wire, before it parks.
 const spinBeforePark = 2048
 
 // idle is the starvation path (DESIGN.md §9, "Idle protocol: spin, park,
@@ -369,7 +369,8 @@ const spinBeforePark = 2048
 // hook (inter-rank stealing looks for remote work there), goes idle for the
 // termination detector (flushing its thread-local counters, possibly
 // announcing quiescence), spins as a searching worker while a sibling runs
-// (up to spinBeforePark rounds), and then parks until a producer wakes it.
+// or, with a poll hook, polling the wire each round (up to spinBeforePark
+// rounds), and then parks until a producer wakes it.
 func (w *Worker) idle() *Task {
 	rt := w.rt
 	if rt.done.Load() {
@@ -386,7 +387,8 @@ func (w *Worker) idle() *Task {
 
 	rt.idle.searching.Add(1)
 	var t *Task
-	for spins := 1; spins < spinBeforePark && rt.siblingRunning(); spins++ {
+	poll := rt.pollHook
+	for spins := 1; spins < spinBeforePark && (poll != nil || rt.siblingRunning()); spins++ {
 		if rt.done.Load() {
 			rt.idle.searching.Add(-1)
 			return nil
@@ -394,6 +396,9 @@ func (w *Worker) idle() *Task {
 		if t = w.findTask(); t != nil {
 			rt.idle.searching.Add(-1)
 			break
+		}
+		if poll != nil && poll() {
+			continue // look for the tasks the frames readied first
 		}
 		if spins%64 == 0 {
 			runtime.Gosched()
