@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBroadcastInput(t *testing.T) {
@@ -33,9 +34,84 @@ func TestBroadcastInput(t *testing.T) {
 	e.To(dst, 0)
 	g.MakeExecutable()
 	g.Invoke(src, 0, 7)
-	g.Wait()
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if sum.Load() != 7*N {
 		t.Fatalf("sum = %d, want %d", sum.Load(), 7*N)
+	}
+}
+
+// TestBroadcastNoUseAfterMove runs TestBroadcastInput's shape 20 000 times
+// (1 000 under the race detector) in one graph on two workers. Round r's
+// source broadcasts its input to ten keys; a join of the ten starts round
+// r+1, so the other worker is idle and steals each successor as soon as it
+// is pushed. The broadcast edge also feeds a streaming terminal, listed
+// after the successor, whose reduce runs on the broadcasting worker right
+// after each successor is pushed; after a round's first successor it waits
+// until that successor ran. A Broadcast that moved its reference to the
+// first key and retained for the next ones would then retain a copy the
+// successor had already released to zero: the Retain panics, or a
+// successor reads a recycled copy's value.
+func TestBroadcastNoUseAfterMove(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const fan = 10
+	rounds := uint64(20_000)
+	if raceEnabled {
+		rounds = 1_000
+	}
+	g := New(testCfg(2))
+	eOut, eJoin, eNext := NewEdge("bcast"), NewEdge("join"), NewEdge("next")
+	var ran atomic.Uint64 // successors run, over all rounds
+	src := g.NewTT("src", 1, 1, func(tc TaskContext) {
+		keys := make([]uint64, fan)
+		for i := range keys {
+			keys[i] = tc.Key()*fan + uint64(i)
+		}
+		tc.Broadcast(0, keys, 0)
+	})
+	dst := g.NewTT("dst", 1, 1, func(tc TaskContext) {
+		if v := tc.Value(0).(int); v != int(tc.Key()/fan) {
+			t.Errorf("dst %d read %d, want %d", tc.Key(), v, tc.Key()/fan)
+		}
+		ran.Add(1)
+		tc.Send(0, tc.Key()/fan, 0)
+	})
+	// The n-th reduce follows the push of the n-th successor. After a
+	// round's first one, it holds the broadcasting worker until the other
+	// worker has stolen and run that successor.
+	var reduced atomic.Uint64
+	wait := g.NewTT("wait", 1, 0, func(TaskContext) {}).WithStreaming(0,
+		func(uint64) int { return 1 },
+		func(acc, _ any) any {
+			n := reduced.Add(1)
+			if n%fan != 1 {
+				return acc
+			}
+			for deadline := time.Now().Add(time.Millisecond); ran.Load() < n && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			return acc
+		})
+	join := g.NewTT("join", 1, 1, func(tc TaskContext) {
+		if next := tc.Key() + 1; next < rounds {
+			tc.Send(0, next, int(next))
+		}
+	}).WithAggregator(0, func(uint64) int { return fan })
+	src.Out(0, eOut)
+	eOut.To(dst, 0)
+	eOut.To(wait, 0)
+	dst.Out(0, eJoin)
+	eJoin.To(join, 0)
+	join.Out(0, eNext)
+	eNext.To(src, 0)
+	g.MakeExecutable()
+	g.Invoke(src, 0, 0)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != rounds*fan {
+		t.Fatalf("%d successors ran, want %d", ran.Load(), rounds*fan)
 	}
 }
 

@@ -134,10 +134,29 @@ func (tc TaskContext) SendCopy(term int, key uint64, c *rt.Copy) {
 }
 
 // Broadcast sends the input on `slot` to multiple successor keys through
-// `term` (reference-shared).
+// `term` (reference-shared). It takes every reference the keys need before
+// the first delivery: a successor may run, and release its reference, as
+// soon as it is delivered, and a copy released to zero must never be
+// retained again.
 func (tc TaskContext) Broadcast(term int, keys []uint64, slot int) {
+	c := tc.t.Input(slot)
+	if c == nil || len(keys) == 0 {
+		for _, k := range keys {
+			tc.SendControl(term, k)
+		}
+		return
+	}
+	e := tc.edgeFor(term)
+	refs := len(keys)
+	if bit := uint32(1) << uint(slot); tc.t.Flags&bit == 0 {
+		tc.t.Flags |= bit // our reference moves to one of the keys
+		refs--
+	}
+	for ; refs > 0; refs-- {
+		c.Retain(tc.w)
+	}
 	for _, k := range keys {
-		tc.SendInput(term, k, slot)
+		tc.deliverAll(e, k, c)
 	}
 }
 

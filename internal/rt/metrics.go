@@ -14,6 +14,7 @@ type rtMetrics struct {
 	schedPop    *metrics.Counter // tasks obtained from the local queue
 	schedInject *metrics.Counter // tasks obtained from the injection queue
 	schedSteal  *metrics.Counter // tasks obtained by stealing
+	schedHome   *metrics.Counter // tasks pushed to their creator's inbox
 	schedPark   *metrics.Counter // park episodes (spin budget exhausted)
 
 	poolTaskHit  *metrics.Counter // task objects served from a free list
@@ -41,6 +42,7 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 		schedPop:     reg.Counter("rt.sched.pop"),
 		schedInject:  reg.Counter("rt.sched.inject"),
 		schedSteal:   reg.Counter("rt.sched.steal"),
+		schedHome:    reg.Counter("rt.sched.home"),
 		schedPark:    reg.Counter("rt.sched.park"),
 		poolTaskHit:  reg.Counter("rt.pool.task.hit"),
 		poolTaskMiss: reg.Counter("rt.pool.task.miss"),

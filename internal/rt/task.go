@@ -144,16 +144,26 @@ type Copy struct {
 }
 
 // Retain adds a reference (one atomic RMW; half the N_IC term of Eq. 1).
+// Retaining a copy that was already released to zero is a lifetime bug —
+// the copy may be back in a pool, or re-issued with another value — so it
+// panics; the check reads the value the atomic returns anyway.
 func (c *Copy) Retain(w *Worker) {
 	w.countAtomic(&w.Atomics.CopyRef)
-	atomic.AddInt32(&c.refs, 1)
+	if atomic.AddInt32(&c.refs, 1) == 1 {
+		panic("rt: Retain of a released copy")
+	}
 }
 
 // Release drops a reference; at zero the copy returns to the releasing
 // worker's pool (cross-pool returns are handled by the pool itself).
+// Releasing more references than were taken panics.
 func (c *Copy) Release(w *Worker) {
 	w.countAtomic(&w.Atomics.CopyRef)
-	if atomic.AddInt32(&c.refs, -1) == 0 {
+	refs := atomic.AddInt32(&c.refs, -1)
+	if refs < 0 {
+		panic("rt: Release of a released copy")
+	}
+	if refs == 0 {
 		w.tally(&w.tallies.copiesPut, &w.Stats.CopiesPut)
 		c.Val = nil
 		if c.pool != nil {
