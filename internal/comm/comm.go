@@ -145,7 +145,6 @@ func newProc(w *World, tr Transport) *Proc {
 		handlers: map[int]Handler{},
 		batchTag: -1,
 	}
-	p.poller, _ = tr.(Poller)
 	p.initLinks(len(w.procs))
 	p.linkTimer = time.AfterFunc(time.Hour, p.onLinkTimer)
 	p.linkTimer.Stop() // armed by armLinks, never allocated again
@@ -198,8 +197,8 @@ func (w *World) Shutdown() {
 type Proc struct {
 	rank     int
 	world    *World
-	tr       Transport // this rank's endpoint, behind the fault decorator when one is installed
-	poller   Poller    // the endpoint itself (the decorator faults sends only), when it is a Poller
+	tr       Transport  // this rank's endpoint, behind the fault decorator when one is installed
+	fw       *faultWire // that decorator, if installed
 	handlers map[int]Handler
 	det      *termdet.Detector
 
@@ -390,19 +389,12 @@ func (p *Proc) unlockRx() {
 	}
 }
 
-// CanPoll reports whether the rank's transport is a Poller, so that Poll
-// can find frames.
-func (p *Proc) CanPoll() bool { return p.poller != nil }
-
-// Poll fetches the frames that wait on one of the rank's inbound
-// connections and dispatches them on the calling goroutine, as their reader
-// would, reporting whether there were any. It never parks. Idle workers call
-// it; a handler must not (see Poller).
+// Poll fetches the frames that wait on the rank's transport (Transport.Poll)
+// and dispatches them on the calling goroutine, as their reader would,
+// reporting whether there were any. It never parks. Idle workers call
+// it; a handler must not (see Transport.Poll).
 func (p *Proc) Poll() bool {
-	if p.poller == nil {
-		return false
-	}
-	n := p.poller.Poll()
+	n := p.tr.Poll()
 	if n == 0 {
 		return false
 	}

@@ -144,9 +144,7 @@ func (w *World) fence(r int) bool {
 		return false
 	}
 	for _, p := range w.local {
-		if pm, ok := p.tr.(PeerMarker); ok {
-			pm.MarkDead(r)
-		}
+		p.tr.MarkDead(r)
 	}
 	return true
 }

@@ -52,12 +52,11 @@ func (w *World) SetDropFilter(f func(src, dst, tag int) bool) {
 // faults returns the fault decorator over p's transport, wrapping the
 // transport in one on first use.
 func (p *Proc) faults() *faultWire {
-	f, ok := p.tr.(*faultWire)
-	if !ok {
-		f = &faultWire{Transport: p.tr, w: p.world}
-		p.tr = f
+	if p.fw == nil {
+		p.fw = &faultWire{Transport: p.tr, w: p.world}
+		p.tr = p.fw
 	}
-	return f
+	return p.fw
 }
 
 // faultWire is the Transport decorator behind SetFaultPlan and
@@ -170,19 +169,4 @@ func (f *faultWire) Close() error {
 	f.timers = nil
 	f.mu.Unlock()
 	return f.Transport.Close()
-}
-
-// MarkDead reaches the wrapped transport's PeerMarker, if it has one.
-func (f *faultWire) MarkDead(peer int) {
-	if pm, ok := f.Transport.(PeerMarker); ok {
-		pm.MarkDead(peer)
-	}
-}
-
-// Reconnects reaches the wrapped transport's TransportStats, if it has one.
-func (f *faultWire) Reconnects() int64 {
-	if s, ok := f.Transport.(TransportStats); ok {
-		return s.Reconnects()
-	}
-	return 0
 }

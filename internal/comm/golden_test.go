@@ -31,9 +31,12 @@ type recordedFrame struct {
 	frame []byte
 }
 
-func (r *recordingTransport) Self() int    { return r.self }
-func (r *recordingTransport) Size() int    { return r.size }
-func (r *recordingTransport) Close() error { return nil }
+func (r *recordingTransport) Self() int         { return r.self }
+func (r *recordingTransport) Size() int         { return r.size }
+func (r *recordingTransport) Close() error      { return nil }
+func (r *recordingTransport) Poll() int         { return 0 }
+func (r *recordingTransport) MarkDead(int)      {}
+func (r *recordingTransport) Reconnects() int64 { return 0 }
 
 func (r *recordingTransport) Start(deliver func([]byte), _ func(comm.PeerEvent)) error {
 	r.mu.Lock()

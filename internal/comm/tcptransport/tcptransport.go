@@ -13,7 +13,7 @@
 // goroutine. Inbound, each connection's reader goroutine waits for bytes
 // and hands every complete frame to the deliver callback, which dispatches
 // it on that goroutine. Idle workers can read the same connections without
-// blocking (Poll, the comm.Poller contract), so a frame that lands while one
+// blocking (Poll, as comm.Transport requires), so a frame that lands while one
 // spins is dispatched by it and wakes no goroutine. Both go through one
 // read path: a connection's bytes are read by one caller at a time, until
 // the socket is empty.
@@ -162,9 +162,6 @@ type Transport struct {
 }
 
 var _ comm.Transport = (*Transport)(nil)
-var _ comm.TransportStats = (*Transport)(nil)
-var _ comm.PeerMarker = (*Transport)(nil)
-var _ comm.Poller = (*Transport)(nil)
 
 // New binds the local listener and prepares (but does not start) the
 // transport.

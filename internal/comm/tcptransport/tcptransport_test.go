@@ -356,7 +356,6 @@ func TestManyFramesStress(t *testing.T) {
 func TestQueuedBurstArrivesWholeAndInOrder(t *testing.T) {
 	p := newPair(t, nil, nil, nil)
 	sendUntil(t, p.a, p.bGot, 1, 5*time.Second) // connection up
-	base := p.bGot.len()
 
 	sizes := []int{1, 3, 40, 4096, coalesceLimit - 4, coalesceLimit, 3*coalesceLimit + 7}
 	const burst = 700
@@ -372,16 +371,31 @@ func TestQueuedBurstArrivesWholeAndInOrder(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for p.bGot.len() < base+burst {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/%d frames of the burst (dropped=%d)", p.bGot.len()-base, burst, p.a.Dropped())
+	// sendUntil's probes may still be in flight when it returns, but on one
+	// live connection every probe that arrives at all arrives before the
+	// burst: the burst starts after the last probe delivered.
+	var got [][]byte
+	base := 0
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		got = p.bGot.all()
+		for i, f := range got {
+			if len(f) >= 8 && bytes.Equal(f, frame(binary.LittleEndian.Uint64(f))) {
+				base = i + 1
+			}
 		}
-		time.Sleep(time.Millisecond)
+		if len(got)-base >= burst {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d/%d frames of the burst (dropped=%d)", len(got)-base, burst, p.a.Dropped())
+		}
 	}
-	for i, got := range p.bGot.all()[base:] {
-		if !bytes.Equal(got, mk(i)) {
-			t.Fatalf("frame %d of the burst (len %d) arrived as %d other bytes", i, len(mk(i)), len(got))
+	if len(got)-base != burst {
+		t.Fatalf("delivered %d frames after the last probe, want the %d of the burst", len(got)-base, burst)
+	}
+	for i, f := range got[base:] {
+		if !bytes.Equal(f, mk(i)) {
+			t.Fatalf("frame %d of the burst (len %d) arrived as %d other bytes", i, len(mk(i)), len(f))
 		}
 	}
 	if r := p.a.Reconnects(); r != 0 {

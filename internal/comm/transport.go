@@ -6,8 +6,8 @@
 // endpoint's deliver callback (deliverFrame) decodes each inbound frame and
 // dispatches it at once, under the rank's receive lock, on the goroutine that
 // delivered it: the transport's own, or an idle worker's that polled for it
-// (Poller, Proc.Poll). NewWorld runs n local ranks over one in-memory network
-// (MemTransport); NewNetWorld runs one local rank over any Transport —
+// (Transport.Poll, Proc.Poll). NewWorld runs n local ranks over one in-memory
+// network (MemTransport); NewNetWorld runs one local rank over any Transport —
 // internal/comm/tcptransport is the real network backend (TCP with dial
 // backoff, deadlines, reconnect and socket fault injection). Only self-sends
 // skip the transport: they are queued for the receive lock's holder
@@ -29,10 +29,10 @@ import (
 
 // Transport moves framed wire bytes between ranks. Implementations are
 // best-effort: frames may be lost, duplicated, or reordered; the reliable
-// link layer above recovers. Send and the deliver callback must be safe for
-// concurrent use; ownership of a frame passes with the call (the sender must
-// not reuse a sent frame, the transport hands each delivered frame to the
-// receiver for keeps).
+// link layer above recovers. Send, Poll and the deliver callback must be
+// safe for concurrent use; ownership of a frame passes with the call (the
+// sender must not reuse a sent frame, the transport hands each delivered
+// frame to the receiver for keeps).
 //
 // deliver dispatches the frame in place, under the receiving rank's receive
 // lock, and the handlers it runs Send. Two rules follow. A transport never
@@ -40,8 +40,8 @@ import (
 // and the receive lock's holder may be waiting for that link lock. And Send
 // never parks: workers call it, and so does whichever goroutine holds the
 // receive lock. A transport delivers from goroutines of its own — one per
-// connection, or one per endpoint as MemTransport does — and, if it is a
-// Poller, also on the goroutines that call Poll.
+// connection, or one per endpoint as MemTransport does — and on the
+// goroutines that call Poll.
 type Transport interface {
 	// Self returns the local rank this transport is bound to.
 	Self() int
@@ -55,41 +55,27 @@ type Transport interface {
 	// Send hands one frame over for best-effort delivery to rank dst. It
 	// never parks and never calls deliver.
 	Send(dst int, frame []byte) error
+	// Poll lets an idle worker fetch inbound frames itself, so a frame that
+	// lands while a worker spins is dispatched by that worker instead of
+	// waking a transport goroutine that then wakes a parked worker. Poll
+	// never parks: it reads what has already arrived, and returns 0 at once
+	// when nothing has or another goroutine is reading it. It delivers on
+	// the caller's goroutine, through the deliver callback Start was given,
+	// and returns how many frames it delivered. Together with the
+	// transport's own goroutines, which keep delivering the frames that
+	// arrive while no worker polls, it keeps per-connection order and hands
+	// each frame to deliver exactly once. It is never called from inside
+	// deliver (a handler polling would take the receive lock it holds).
+	Poll() int
+	// MarkDead stops pursuing a peer the failure detector confirmed dead:
+	// reconnect attempts toward it are pointless noise.
+	MarkDead(peer int)
+	// Reconnects counts re-established outbound connections: successful
+	// dials after a previously working connection to that peer was lost
+	// (comm.reconnects).
+	Reconnects() int64
 	// Close tears down all connections and background goroutines.
 	Close() error
-}
-
-// TransportStats is optionally implemented by transports that track
-// connection-lifecycle statistics (surfaced as comm.reconnects).
-type TransportStats interface {
-	// Reconnects counts re-established outbound connections: successful
-	// dials after a previously working connection to that peer was lost.
-	Reconnects() int64
-}
-
-// Poller is optionally implemented by transports whose inbound frames an
-// idle worker can fetch itself, so a frame that lands while a worker spins
-// is dispatched by that worker instead of waking a transport goroutine that
-// then wakes a parked worker. The contract:
-//   - Poll never parks: it reads what has already arrived, without waiting;
-//   - it delivers on the caller's goroutine, through the deliver callback
-//     Start was given, and returns how many frames it delivered;
-//   - together with the transport's own goroutines it keeps per-connection
-//     order and hands each frame to deliver exactly once;
-//   - it is never called from inside deliver (a handler polling would take
-//     the receive lock it already holds).
-//
-// The transport's own goroutines keep delivering too: they carry the
-// frames that arrive while no worker polls. MemTransport is no Poller.
-type Poller interface {
-	Poll() int
-}
-
-// PeerMarker is optionally implemented by transports that can stop pursuing
-// a peer: once a rank is confirmed dead by the failure detector, reconnect
-// attempts toward it are pointless noise.
-type PeerMarker interface {
-	MarkDead(peer int)
 }
 
 // PeerEventKind labels a per-peer connection lifecycle transition.
@@ -128,12 +114,13 @@ type PeerEvent struct {
 
 // MemTransport is one rank's endpoint of an in-memory network
 // (NewMemNetwork). Send queues the frame on the destination endpoint, whose
-// delivery goroutine hands it to the deliver callback — the in-memory
-// analogue of a socket's reader. It never loses, duplicates or reorders a
-// frame, so all it adds to a message is the frame encoding and one goroutine
-// hand-off. A frame toward an endpoint that is not started, or already
-// closed, is dropped, as a socket toward a process that is not up would drop
-// it.
+// delivery goroutine — or an idle worker's Poll — hands it to the deliver
+// callback: the in-memory analogue of a socket's reader. It never loses,
+// duplicates or reorders a frame, so all it adds to a message is the frame
+// encoding and at most one goroutine hand-off. A frame toward an endpoint
+// that is not started, or already closed, is dropped, as a socket toward a
+// process that is not up would drop it. There are no connections: MarkDead
+// does nothing and Reconnects is 0.
 type MemTransport struct {
 	eps  []*memEndpoint // shared by the network's endpoints, by rank
 	self int
@@ -141,7 +128,7 @@ type MemTransport struct {
 
 // memEndpoint is one endpoint's inbound side: an unbounded MPSC frame queue
 // with a wakeup channel, drained by the delivery goroutine Start launches
-// and Close joins.
+// and Close joins, and by Poll.
 type memEndpoint struct {
 	mu      sync.Mutex
 	queue   [][]byte
@@ -151,6 +138,13 @@ type memEndpoint struct {
 	note    chan struct{}
 	quit    chan struct{}
 	done    chan struct{}
+
+	// delivering is held by whoever drains the queue — the delivery
+	// goroutine or a poller — across its swap and its deliveries, so each
+	// frame is delivered once and in arrival order. spare, private to its
+	// holder, is the drained buffer, swapped in as the next queue.
+	delivering sync.Mutex
+	spare      [][]byte
 }
 
 // NewMemNetwork returns the n endpoints of one in-memory network, endpoint r
@@ -206,28 +200,60 @@ func (t *MemTransport) Send(dst int, frame []byte) error {
 	return nil
 }
 
-// run delivers queued frames in arrival order until Close.
+// Poll delivers the endpoint's queued frames on the calling goroutine,
+// unless the delivery goroutine or another poller is delivering them.
+func (t *MemTransport) Poll() int {
+	ep := t.eps[t.self]
+	if !ep.delivering.TryLock() {
+		return 0
+	}
+	defer ep.delivering.Unlock()
+	return ep.drain()
+}
+
+// MarkDead does nothing: memory has no connection to give up.
+func (t *MemTransport) MarkDead(int) {}
+
+// Reconnects is 0: memory has no connection to re-establish.
+func (t *MemTransport) Reconnects() int64 { return 0 }
+
+// drain swaps out the queue and delivers it in arrival order, returning how
+// many frames it delivered. The caller holds delivering.
+func (ep *memEndpoint) drain() int {
+	ep.mu.Lock()
+	buf := ep.queue
+	if len(buf) == 0 {
+		ep.mu.Unlock()
+		return 0
+	}
+	ep.queue = ep.spare[:0]
+	ep.mu.Unlock()
+	for _, f := range buf {
+		ep.deliver(f)
+	}
+	clear(buf) // the receiver owns the frames now
+	ep.spare = buf
+	return len(buf)
+}
+
+// run delivers queued frames until Close.
 func (ep *memEndpoint) run() {
 	defer close(ep.done)
-	var buf [][]byte
 	for {
 		select {
 		case <-ep.quit:
 			return
 		case <-ep.note:
 		}
-		ep.mu.Lock()
-		buf, ep.queue = ep.queue, buf[:0]
-		ep.mu.Unlock()
-		for _, f := range buf {
-			ep.deliver(f)
-		}
-		clear(buf) // the receiver owns the frames now
+		ep.delivering.Lock()
+		ep.drain()
+		ep.delivering.Unlock()
 	}
 }
 
 // Close detaches the endpoint — frames sent to it are dropped from now on —
-// and joins its delivery goroutine. Idempotent.
+// joins its delivery goroutine and waits out a poller still delivering, so
+// no delivery outlives it. Idempotent.
 func (t *MemTransport) Close() error {
 	ep := t.eps[t.self]
 	ep.mu.Lock()
@@ -240,6 +266,8 @@ func (t *MemTransport) Close() error {
 			<-ep.done
 		}
 	}
+	ep.delivering.Lock()
+	ep.delivering.Unlock()
 	return nil
 }
 
@@ -399,9 +427,7 @@ func (w *World) peerEvent(ev PeerEvent) {
 func (w *World) Reconnects() int64 {
 	var n int64
 	for _, p := range w.local {
-		if s, ok := p.tr.(TransportStats); ok {
-			n += s.Reconnects()
-		}
+		n += p.tr.Reconnects()
 	}
 	return n
 }

@@ -142,7 +142,7 @@ func TestSendCopySharesAggregatorItems(t *testing.T) {
 	for i := 0; i < K; i++ {
 		g.InvokeControl(feeder, uint64(i))
 	}
-	g.Wait()
+	waitOK(t, g)
 	if want := int64(K * (K - 1) / 2); got.Load() != want {
 		t.Fatalf("forwarded sum = %d, want %d", got.Load(), want)
 	}
@@ -161,7 +161,7 @@ func TestMapperIgnoredInSharedMemory(t *testing.T) {
 	e.To(tt, 0)
 	g.MakeExecutable()
 	g.InvokeControl(tt, 1)
-	g.Wait()
+	waitOK(t, g)
 	if ran.Load() != 1 {
 		t.Fatal("mapper dropped a shared-memory task")
 	}
@@ -201,7 +201,7 @@ func TestAccessors(t *testing.T) {
 	sw := g.Runtime().ServiceWorker(0)
 	_ = sw
 	g.seed(tt, 1, 5, nil)
-	g.Wait()
+	waitOK(t, g)
 	if tt.TasksCreated() != 1 {
 		t.Fatalf("TasksCreated = %d", tt.TasksCreated())
 	}
@@ -222,7 +222,7 @@ func TestSendToUnconnectedTerminalPanics(t *testing.T) {
 	_ = e
 	g.MakeExecutable()
 	g.InvokeControl(tt, 1)
-	g.Wait()
+	waitOK(t, g)
 	if !sawPanic.Load() {
 		t.Fatal("send on unconnected terminal did not panic")
 	}
@@ -250,7 +250,7 @@ func TestEdgeWiringValidation(t *testing.T) {
 	tt.Out(0, e)
 	e.To(tt, 0)
 	g.MakeExecutable()
-	g.Wait()
+	waitOK(t, g)
 }
 
 func TestGraphCheckWarnings(t *testing.T) {
@@ -277,7 +277,7 @@ func TestGraphCheckWarnings(t *testing.T) {
 		}
 	}
 	g.MakeExecutable()
-	g.Wait()
+	waitOK(t, g)
 }
 
 // TestChaosMixedGraph runs a graph combining every feature — multi-input
@@ -328,7 +328,7 @@ func TestChaosMixedGraph(t *testing.T) {
 		for k := uint64(0); k < N; k++ {
 			g.Invoke(src, k, int(k))
 		}
-		g.Wait()
+		waitOK(t, g)
 		// join(k) emits k + k + 1 (copy a=k, moved seed value b=k).
 		want := int64(0)
 		for k := int64(0); k < N; k++ {

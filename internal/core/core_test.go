@@ -13,6 +13,15 @@ func testCfg(workers int) rt.Config {
 	return c
 }
 
+// waitOK waits for g and fails the test on the error Wait returns, such as
+// a task body's panic. It may run on any goroutine.
+func waitOK(t testing.TB, g *Graph) {
+	t.Helper()
+	if err := g.Wait(); err != nil {
+		t.Errorf("Wait: %v", err)
+	}
+}
+
 func TestChainPipeline(t *testing.T) {
 	// A -> B -> C pipeline moving an accumulating integer.
 	g := New(testCfg(2))
@@ -36,7 +45,7 @@ func TestChainPipeline(t *testing.T) {
 	eBC.To(c, 0)
 	g.MakeExecutable()
 	g.Invoke(a, 7, 4)
-	g.Wait()
+	waitOK(t, g)
 	if got := final.Load(); got != 50 {
 		t.Fatalf("final = %d, want 50 ((4+1)*10)", got)
 	}
@@ -58,7 +67,7 @@ func TestChainOfNTasksMove(t *testing.T) {
 	e.To(pt, 0)
 	g.MakeExecutable()
 	g.Invoke(pt, 1, 42)
-	g.Wait()
+	waitOK(t, g)
 	if count.Load() != N {
 		t.Fatalf("executed %d, want %d", count.Load(), N)
 	}
@@ -98,7 +107,7 @@ func TestMultiFlowChain(t *testing.T) {
 			for f := 0; f < flows; f++ {
 				g.InvokeInput(pt, f, 1, f)
 			}
-			g.Wait()
+			waitOK(t, g)
 			if count.Load() != N {
 				t.Fatalf("flows=%d bypass=%v: executed %d, want %d", flows, bypass, count.Load(), N)
 			}
@@ -128,7 +137,7 @@ func TestBinaryTreeControlFlow(t *testing.T) {
 		e.To(tt, 0)
 		g.MakeExecutable()
 		g.InvokeControl(tt, Pack2(0, 0))
-		g.Wait()
+		waitOK(t, g)
 		want := int64(1<<(H+1) - 1)
 		if count.Load() != want {
 			t.Fatalf("%v: executed %d, want %d", sched, count.Load(), want)
@@ -171,7 +180,7 @@ func TestDiamondJoin(t *testing.T) {
 		g.Invoke(a, k, int(k))
 		want += int64(2*k + 3)
 	}
-	g.Wait()
+	waitOK(t, g)
 	if got.Load() != want {
 		t.Fatalf("sum = %d, want %d", got.Load(), want)
 	}
@@ -195,7 +204,7 @@ func TestEdgeFanout(t *testing.T) {
 	e.To(t1, 0).To(t2, 0)
 	g.MakeExecutable()
 	g.Invoke(src, 1, 21)
-	g.Wait()
+	waitOK(t, g)
 	if x.Load() != 21 || y.Load() != 21 {
 		t.Fatalf("fanout: got (%d,%d), want (21,21)", x.Load(), y.Load())
 	}
@@ -234,7 +243,7 @@ func TestAggregatorTerminal(t *testing.T) {
 			g.InvokeControl(feeder, Pack2(uint32(k), uint32(i)))
 		}
 	}
-	g.Wait()
+	waitOK(t, g)
 	want := int64(K * (K - 1) / 2)
 	for k := 0; k < keys; k++ {
 		if sums[k] != want {
@@ -263,7 +272,7 @@ func TestPrioritiesSteerOrder(t *testing.T) {
 	e.To(work, 0)
 	g.MakeExecutable()
 	g.InvokeControl(gate, 0)
-	g.Wait()
+	waitOK(t, g)
 	if len(order) != 8 {
 		t.Fatalf("ran %d tasks", len(order))
 	}
@@ -293,7 +302,7 @@ func TestMoveVsCopyRefcounts(t *testing.T) {
 	eCp.To(dc, 0)
 	g.MakeExecutable()
 	g.Invoke(src, 0, 5)
-	g.Wait()
+	waitOK(t, g)
 	if moved != orig {
 		t.Fatal("move created a new copy")
 	}
@@ -321,7 +330,7 @@ func TestGraphLifecyclePanics(t *testing.T) {
 	mustPanic("Out after freeze", func() { tt.Out(0, e) })
 	mustPanic("To after freeze", func() { e.To(tt, 0) })
 	g.InvokeControl(tt, 1<<40) // key > chain end; runs one task (sends nothing? it sends nothing)
-	g.Wait()
+	waitOK(t, g)
 	mustPanic("Invoke after Wait", func() { g.InvokeControl(tt, 2) })
 	mustPanic("double Wait", func() { g.Wait() })
 }
@@ -361,7 +370,7 @@ func TestOriginalConfigRuns(t *testing.T) {
 	e.To(tt, 0)
 	g.MakeExecutable()
 	g.InvokeControl(tt, 0)
-	g.Wait()
+	waitOK(t, g)
 	if count.Load() != 1<<11-1 {
 		t.Fatalf("executed %d", count.Load())
 	}

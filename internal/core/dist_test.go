@@ -34,7 +34,7 @@ func runSPMD(t *testing.T, ranks, workers int, build func(g *Graph) (seed func()
 			defer wg.Done()
 			graphs[r].MakeExecutable()
 			seeds[r]()
-			graphs[r].Wait()
+			waitOK(t, graphs[r])
 		}(r)
 	}
 	wg.Wait()
@@ -129,7 +129,7 @@ func TestDistributedSameResultAsShared(t *testing.T) {
 			e.To(tt, 0)
 			g.MakeExecutable()
 			g.InvokeControl(tt, 0)
-			g.Wait()
+			waitOK(t, g)
 		} else {
 			runSPMD(t, 4, 1, func(g *Graph) func() {
 				e := NewEdge("t")

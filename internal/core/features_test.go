@@ -39,7 +39,7 @@ func TestStreamingTerminalReduces(t *testing.T) {
 			g.InvokeControl(feeder, Pack2(uint32(k), uint32(i)))
 		}
 	}
-	g.Wait()
+	waitOK(t, g)
 	want := int64(K * (K - 1) / 2)
 	for k := 0; k < keys; k++ {
 		if sums[k] != want {
@@ -70,7 +70,7 @@ func TestStreamingReleasesCopiesEagerly(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		g.InvokeControl(feeder, uint64(i))
 	}
-	g.Wait()
+	waitOK(t, g)
 }
 
 func TestSendInputMutableMovesWhenSoleOwner(t *testing.T) {
@@ -89,7 +89,7 @@ func TestSendInputMutableMovesWhenSoleOwner(t *testing.T) {
 	eM.To(dst, 0)
 	g.MakeExecutable()
 	g.Invoke(src, 0, 7)
-	g.Wait()
+	waitOK(t, g)
 	if clones != 0 {
 		t.Fatalf("sole-owner mutable send cloned %d times", clones)
 	}
@@ -131,7 +131,7 @@ func TestSendInputMutableClonesWhenShared(t *testing.T) {
 	eM.To(sink, 0)
 	g.MakeExecutable()
 	g.Invoke(src, 0, 7)
-	g.Wait()
+	waitOK(t, g)
 	if clones != 1 {
 		t.Fatalf("shared mutable send cloned %d times, want 1", clones)
 	}
@@ -159,7 +159,7 @@ func TestDotOutput(t *testing.T) {
 	// Drain the graph so workers shut down cleanly.
 	g.MakeExecutable()
 	g.InvokeControl(a, 0)
-	g.Wait()
+	waitOK(t, g)
 }
 
 func TestStreamingIntoControlFlowPanics(t *testing.T) {
@@ -183,7 +183,7 @@ func TestStreamingIntoControlFlowPanics(t *testing.T) {
 	// The reducer task never becomes eligible; release its pending count by
 	// satisfying it with a real datum so Wait terminates.
 	g.InvokeInput(red, 0, 0, 1)
-	g.Wait()
+	waitOK(t, g)
 }
 
 func TestGraphTracingAndReport(t *testing.T) {
@@ -199,7 +199,7 @@ func TestGraphTracingAndReport(t *testing.T) {
 	e.To(pt, 0)
 	g.MakeExecutable()
 	g.InvokeControl(pt, 1)
-	g.Wait()
+	waitOK(t, g)
 	evs := g.Runtime().Trace()
 	if len(evs) != 50 {
 		t.Fatalf("traced %d events, want 50", len(evs))
@@ -238,7 +238,7 @@ func TestBundleReadyCorrectness(t *testing.T) {
 		e.To(tt, 0)
 		g.MakeExecutable()
 		g.InvokeControl(tt, Pack2(0, 0))
-		g.Wait()
+		waitOK(t, g)
 		if want := int64(1<<13 - 1); count.Load() != want {
 			t.Fatalf("%v: executed %d, want %d", sched, count.Load(), want)
 		}
@@ -265,7 +265,7 @@ func TestBundleReadyPreservesPriorityOrder(t *testing.T) {
 	e.To(work, 0)
 	g.MakeExecutable()
 	g.InvokeControl(gate, 0)
-	g.Wait()
+	waitOK(t, g)
 	if len(order) != 8 {
 		t.Fatalf("ran %d tasks", len(order))
 	}
@@ -301,7 +301,7 @@ func TestBundleWithAggregatorsAndData(t *testing.T) {
 	for i := 0; i < K; i++ {
 		g.InvokeControl(feeder, Pack2(3, uint32(i)))
 	}
-	g.Wait()
+	waitOK(t, g)
 	if want := int64(K * (K - 1) / 2); sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
 	}

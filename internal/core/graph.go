@@ -218,11 +218,8 @@ func (g *Graph) MakeExecutable() {
 		if g.steal != nil {
 			g.rtm.SetIdleHook(g.maybeSteal)
 		}
-		// A rank whose transport can be polled has its idle workers read
-		// the wire themselves before they park.
-		if g.proc.CanPoll() {
-			g.rtm.SetPollHook(g.proc.Poll)
-		}
+		// Idle workers read the wire themselves before they park.
+		g.rtm.SetPollHook(g.proc.Poll)
 		g.proc.Start(g.rtm.Det, func() {
 			g.rtm.SignalDone()
 			if g.steal != nil {

@@ -22,7 +22,7 @@ func TestNoGoroutineLeakAcrossGraphs(t *testing.T) {
 		e.To(pt, 0)
 		g.MakeExecutable()
 		g.InvokeControl(pt, 1)
-		g.Wait()
+		waitOK(t, g)
 	}
 	runOne() // warm up lazily initialized runtime state
 	runtime.GC()

@@ -69,7 +69,7 @@ func TestBottomLevelPriorityOrdering(t *testing.T) {
 		order, prios := buildDiamondChain(g)
 		g.MakeExecutable()
 		g.InvokeControl(g.tts[0], 1)
-		g.Wait()
+		waitOK(t, g)
 
 		if len(*order) != 5 {
 			t.Fatalf("%v: executed %v, want 5 tasks", sched, *order)
@@ -148,7 +148,7 @@ func TestPrioritySurvivesWire(t *testing.T) {
 			defer wg.Done()
 			graphs[r].MakeExecutable()
 			seeds[r]()
-			graphs[r].Wait()
+			waitOK(t, graphs[r])
 		}(r)
 	}
 	wg.Wait()
@@ -187,7 +187,7 @@ func TestStolenRecordRoundTripPriority(t *testing.T) {
 		t.Fatalf("encoded priority = %d, want 1234", p)
 	}
 	g.injectStolenTask(sw, 0, rec)
-	g.Wait()
+	waitOK(t, g)
 	if gotKey.Load() != 7 || gotPrio.Load() != 1234 {
 		t.Fatalf("injected task ran with key=%d prio=%d, want key=7 prio=1234",
 			gotKey.Load(), gotPrio.Load())

@@ -109,7 +109,7 @@ func TestQuickRandomLayeredDAG(t *testing.T) {
 		for i := 0; i < width; i++ {
 			g.Invoke(node, Pack2(0, uint32(i)), nil)
 		}
-		g.Wait()
+		waitOK(t, g)
 		for l := 0; l < layers; l++ {
 			for i := 0; i < width; i++ {
 				if got[l][i] != ref[l][i] {

@@ -213,7 +213,9 @@ func TestAnalyzeRealChainBothSchedulers(t *testing.T) {
 			g.MakeExecutable()
 			t0 := time.Now()
 			g.Invoke(pt, 1, 42)
-			g.Wait()
+			if err := g.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
 			elapsed := time.Since(t0)
 			if count.Load() != N {
 				t.Fatalf("executed %d, want %d", count.Load(), N)

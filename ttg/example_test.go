@@ -31,7 +31,9 @@ func Example() {
 
 	g.MakeExecutable()
 	g.Invoke(double, 0, 21)
-	g.Wait()
+	if err := g.Wait(); err != nil {
+		panic(err)
+	}
 	// Output: result: 42
 }
 
@@ -60,7 +62,9 @@ func ExampleTT_WithAggregator() {
 	values.To(reduce, 0)
 	g.MakeExecutable()
 	g.InvokeControl(emit, 0)
-	g.Wait()
+	if err := g.Wait(); err != nil {
+		panic(err)
+	}
 	// Output: [1 2 3 4] sum: 10
 }
 
@@ -85,7 +89,9 @@ func ExampleTT_WithStreaming() {
 	values.To(sum, 0)
 	g.MakeExecutable()
 	g.InvokeControl(emit, 0)
-	g.Wait()
+	if err := g.Wait(); err != nil {
+		panic(err)
+	}
 	// Output: sum: 15
 }
 
@@ -109,7 +115,9 @@ func ExampleTT_WithPriority() {
 	e.To(work, 0)
 	g.MakeExecutable()
 	g.InvokeControl(gate, 0)
-	g.Wait()
+	if err := g.Wait(); err != nil {
+		panic(err)
+	}
 	// Output:
 	// key 3
 	// key 2
@@ -126,7 +134,9 @@ func ExampleGraph_Dot() {
 	e.To(b, 0)
 	fmt.Print(g.Dot())
 	g.MakeExecutable()
-	g.Wait()
+	if err := g.Wait(); err != nil {
+		panic(err)
+	}
 	// Output:
 	// digraph ttg {
 	//   rankdir=LR;

@@ -14,6 +14,15 @@ func cfg(workers int) ttg.Config {
 	return c
 }
 
+// waitOK waits for g and fails the test on the error Wait returns, such as
+// a task body's panic. It may run on any goroutine.
+func waitOK(t testing.TB, g *ttg.Graph) {
+	t.Helper()
+	if err := g.Wait(); err != nil {
+		t.Errorf("Wait: %v", err)
+	}
+}
+
 // TestQuickstartShape mirrors the README example end to end.
 func TestQuickstartShape(t *testing.T) {
 	g := ttg.New(cfg(2))
@@ -29,7 +38,7 @@ func TestQuickstartShape(t *testing.T) {
 	e.To(print, 0)
 	g.MakeExecutable()
 	g.Invoke(hello, 0, "hello")
-	g.Wait()
+	waitOK(t, g)
 	if got.Load() != "hello world" {
 		t.Fatalf("got %v", got.Load())
 	}
@@ -64,7 +73,7 @@ func TestSumOfSquares(t *testing.T) {
 	squares.To(sum, 0)
 	g.MakeExecutable()
 	g.InvokeControl(gen, 0)
-	g.Wait()
+	waitOK(t, g)
 	if want := (n - 1) * n * (2*n - 1) / 6; total != want {
 		t.Fatalf("total = %d, want %d", total, want)
 	}
@@ -129,7 +138,7 @@ func TestWavefrontMini(t *testing.T) {
 	e.To(blk, 0)
 	g.MakeExecutable()
 	g.Invoke(blk, 0, nil)
-	g.Wait()
+	waitOK(t, g)
 
 	// Sequential reference.
 	ref := make([][]int64, nb)
@@ -179,7 +188,7 @@ func TestDistributedPublicAPI(t *testing.T) {
 			e.To(tt, 0)
 			g.MakeExecutable()
 			g.Invoke(tt, 1, 0)
-			g.Wait()
+			waitOK(t, g)
 		}(r)
 	}
 	wg.Wait()
