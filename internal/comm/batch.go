@@ -22,24 +22,29 @@ import (
 // to batched handlers via DispatchFrameID so causal tracing can tie a
 // remote activation to the wire message that carried it.
 //
-// Flush rule (Nagle's, on the link layer): BatchEnd ships the buffer at once
-// when the link to dst has nothing unacked, and leaves it to gather
-// otherwise; the ack that empties the link ships whatever gathered behind it
-// (handleAck). Only two other flushes exist: on the size threshold
-// (SetBatchLimit, default DefaultBatchBytes) and at World.Shutdown. So at
-// most one batch frame per link waits for its ack, a lone activation leaves
-// without waiting for anything, and a burst rides the next ack together.
+// Flush rule (Nagle's, on the link layer, with a window of two): BatchEnd
+// ships the buffer at once when the link to dst has fewer than sendWindow
+// (two) frames unacked, and leaves it to gather otherwise; the ack that
+// brings the link below two ships whatever gathered behind it (handleAck).
+// Only two other flushes exist: on the size threshold (SetBatchLimit,
+// default DefaultBatchBytes) and at World.Shutdown. So a batch gathers only
+// behind two frames in flight, a lone activation leaves without waiting for
+// anything, and a burst rides the next ack together. The window of two is
+// what lets acks ride on data frames (link.go): a rank whose boundary frame
+// waits for an ack that comes on the peer's next data frame can still send
+// its next one, so two ranks exchanging activations never fall into a
+// ping-pong of one frame per round trip.
 //
-// The rule rests on one invariant: a non-empty batch toward dst implies an
-// unacked message toward dst, whose ack is bound to come (the link layer
-// retransmits until it does) or whose peer is declared dead. BatchEnd and
+// The rule rests on one invariant: a non-empty batch toward dst implies two
+// unacked messages toward dst, whose acks are bound to come (the link layer
+// retransmits until they do) or whose peer is declared dead. BatchEnd and
 // handleAck keep it with a Dekker-style handshake over two atomics, both
 // sequentially consistent in Go: BatchEnd writes count and then reads the
-// link's busy flag; handleAck writes busy=false and then reads count. In any
+// link's full flag; handleAck writes full=false and then reads count. In any
 // interleaving one of the two reads sees the other's write, so either the
-// appender finds the link idle and flushes, or the ack finds the entry and
-// flushes (both may; the second finds the buffer empty under b.mu). Reading
-// busy costs the append one atomic load.
+// appender finds the window open and flushes, or the ack finds the entry
+// and flushes (both may; the second finds the buffer empty under b.mu).
+// Reading full costs the append one atomic load.
 //
 // Termination accounting is per-activation at append time (BatchEnd counts
 // MsgSentTo; the receiver counts MsgRecvdFrom per delivered entry), so a
@@ -49,11 +54,11 @@ import (
 //
 // Frame buffers come from a per-sender slab pool and are recycled once the
 // frame is provably done: the sender reclaims a slab when the frame's ack
-// arrives (the receiver acks only after dispatch, and the wire carried an
-// encoded copy, made under the link lock the reclaiming ack also takes, so
-// duplicate or delayed copies never touch the slab). The wire frame itself
-// is carved out of a shared chunk (FrameAlloc), so steady state allocates a
-// small fraction of an object per flush.
+// arrives (the receiver holds the frame in order by then, and the wire
+// carried an encoded copy, made under the link lock the reclaiming ack also
+// takes, so duplicate or delayed copies never touch the slab). The wire
+// frame itself is carved out of a shared chunk (FrameAlloc), so steady state
+// allocates a small fraction of an object per flush.
 const (
 	batchHeaderLen   = 12 // [4B count][8B frame id]
 	batchEntryHdrLen = 4
@@ -71,8 +76,8 @@ type FlushReason uint8
 const (
 	// FlushSize: the buffer reached the batch limit.
 	FlushSize FlushReason = iota
-	// FlushIdle: the link was idle at the append, or the ack that emptied it
-	// arrived.
+	// FlushIdle: the link had fewer than two frames unacked at the append,
+	// or the ack that brought it below two arrived.
 	FlushIdle
 	// FlushShutdown: World.Shutdown.
 	FlushShutdown
@@ -133,7 +138,8 @@ func (p *Proc) BatchBegin(dst int) []byte {
 
 // BatchEnd seals the entry opened by BatchBegin, accounts one sent message
 // in the termination protocol, and flushes the buffer if it crossed the size
-// threshold or the link to dst has nothing unacked (the flush rule above).
+// threshold or the link to dst has fewer than two frames unacked (the flush
+// rule above).
 func (p *Proc) BatchEnd(dst int, buf []byte) {
 	b := &p.batch[dst]
 	binary.LittleEndian.PutUint32(buf[b.entryStart-batchEntryHdrLen:], uint32(len(buf)-b.entryStart))
@@ -142,7 +148,7 @@ func (p *Proc) BatchEnd(dst int, buf []byte) {
 	p.det.MsgSentTo(dst)
 	if len(buf) >= p.world.batchLimit {
 		p.flushLocked(dst, b, FlushSize)
-	} else if !p.sendLinks[dst].busy.Load() {
+	} else if !p.sendLinks[dst].full.Load() {
 		p.flushLocked(dst, b, FlushIdle)
 	}
 	b.mu.Unlock()
@@ -158,7 +164,7 @@ func (p *Proc) BatchCancel(dst int) {
 
 // FlushBatches ships every non-empty batch buffer. Safe from any goroutine;
 // World.Shutdown calls it. The flush rule needs no other caller: the ack
-// that empties a link flushes for it.
+// that reopens a link's window flushes for it.
 func (p *Proc) FlushBatches(reason FlushReason) {
 	for dst := range p.batch {
 		p.flushBatch(dst, reason)

@@ -7,10 +7,11 @@
 // socket reader, an in-memory endpoint's delivery goroutine, or an idle
 // worker polling the rank's transport (Proc.Poll) — runs the link layer and
 // the frame's handler itself, under the rank's receive lock (Proc.rx), as
-// TaskTorrent's active messages do. Time-driven work runs on
-// timers that are armed only while there is something to time: the link
-// timer while a link holds unacked or out-of-order frames, and the heartbeat
-// timer while failure detection is on; each callback takes the receive lock.
+// TaskTorrent's active messages do. Time-driven work runs on timers that are
+// armed only while there is something to time: the link timer while a link
+// holds unacked or out-of-order frames or owes an ack (acks ride on frames,
+// link.go), and the heartbeat timer while failure detection is on; each
+// callback takes the receive lock.
 // Work that other goroutines hand the rank — a quiescence notification, a
 // self-send — is delegated to the receive lock's holder: the poster runs it
 // itself when the lock is free and otherwise leaves it for unlockRx, which
@@ -61,6 +62,7 @@ type message struct {
 	a, b    int64 // control fields for wave messages
 	ep      int64 // membership epoch / wave round stamp (epoch<<32 | round)
 	seq     int64 // link-layer sequence number; 0 = unsequenced (direct)
+	ack     int64 // cumulative ack of the reverse link, stamped by transmit
 	slab    bool  // payload is a pooled batch frame; the sender recycles it on ack
 }
 
@@ -181,6 +183,9 @@ func (w *World) Shutdown() {
 	// counts the flush, but the wire discards the transmission. After clean
 	// termination the buffers are empty anyway; this is hygiene for aborted
 	// or harness-driven runs.
+	for _, p := range w.local {
+		p.payAcks(true) // the peers may still drain
+	}
 	if !w.closed.Swap(true) {
 		for _, p := range w.local {
 			p.FlushBatches(FlushShutdown)
@@ -228,6 +233,12 @@ type Proc struct {
 	armed     atomic.Bool
 	beat      *time.Timer
 	halted    atomic.Bool
+
+	// Ack debt (link.go): ackOwed is set while an in-order delivery may have
+	// left its ack unsent; awake (SetAwake) says whether a worker will poll
+	// or send before long.
+	ackOwed atomic.Bool
+	awake   func() bool
 
 	// Chrome-trace event log (World.EnableTracing); guarded because Send may
 	// run on any goroutine. asyncSeq numbers the async ("b"/"e") dispatch
@@ -307,6 +318,14 @@ func (p *Proc) SetOnError(f func(err error)) { p.onError = f }
 // goroutine that delivered the frame, when a remote rank broadcasts an abort.
 // Must be called before Start.
 func (p *Proc) SetOnAbort(f func(src int, reason string)) { p.onAbort = f }
+
+// SetAwake installs the report of whether some worker of the rank is awake —
+// running a task or spinning for one — and so will poll (Poll) or send
+// before long. While one is, the ack of an in-order frame may stay owed, to
+// ride on a later frame (link.go); without the report, or with every worker
+// parked, it is sent at once. Must be called before Start; f must be safe
+// from any goroutine.
+func (p *Proc) SetAwake(f func() bool) { p.awake = f }
 
 // Start attaches the rank's termination detector and termination callback,
 // arms the heartbeat timer when failure detection is on, and dispatches the
@@ -393,7 +412,14 @@ func (p *Proc) unlockRx() {
 // and dispatches them on the calling goroutine, as their reader would,
 // reporting whether there were any. It never parks. Idle workers call
 // it; a handler must not (see Transport.Poll).
+//
+// A round first pays the acks that stayed owed since the last one (oweAck),
+// by then not carried by any frame the workers sent while they ran the
+// tasks those frames readied.
 func (p *Proc) Poll() bool {
+	if p.ackOwed.Load() {
+		p.payAcks(false)
+	}
 	n := p.tr.Poll()
 	if n == 0 {
 		return false

@@ -11,8 +11,9 @@ import (
 )
 
 // The flush rule (batch.go) over memory networks, with no FlushBatches call
-// and no idle hook: BatchEnd flushes toward an idle link, and the ack that
-// empties a busy one flushes what gathered behind it.
+// and no idle hook: BatchEnd flushes toward a link with fewer than two
+// frames unacked, and the ack that brings a full one below two flushes what
+// gathered behind it.
 
 // sendCounter counts the frames its rank hands to the wire.
 type sendCounter struct {
@@ -56,12 +57,13 @@ func TestLoneAppendLeavesAtOnce(t *testing.T) {
 	h.waitAll(t)
 }
 
-// TestAppendsBehindUnackedShipOnAck: appends made while a frame is unacked
-// gather, and the ack ships them together as one frame. The receiver holds
-// its ack back by blocking in the handler of the first frame (acks follow
-// dispatch).
-func TestAppendsBehindUnackedShipOnAck(t *testing.T) {
-	const behind = 9
+// TestAppendsBehindTwoUnackedShipOnAck: the first two appends toward a link
+// leave at once, one frame each; the appends made while both are unacked
+// gather, and the ack that reopens the window ships them together as one
+// frame. The receiver holds its acks back by blocking in the handler of the
+// first frame (an ack is sent after its frame's dispatch).
+func TestAppendsBehindTwoUnackedShipOnAck(t *testing.T) {
+	const window, last = 2, 9 // entries 0 and 1 leave alone, 2..last gather
 	h, c := countedMemHarness(t)
 	release := make(chan struct{})
 	var mu sync.Mutex
@@ -78,36 +80,35 @@ func TestAppendsBehindUnackedShipOnAck(t *testing.T) {
 		fid := p1.DispatchFrameID()
 		frames[fid] = append(frames[fid], v)
 		mu.Unlock()
-		if v == behind {
+		if v == last {
 			close(done)
 		}
 	})
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
 	p0 := h.proc(0)
-	appendEntry(p0, 1, 0)
-	for i := uint32(1); i <= behind; i++ {
+	for i := uint32(0); i <= last; i++ {
 		appendEntry(p0, 1, i)
-	}
-	if n := c.sends.Load(); n != 1 {
-		t.Fatalf("rank 0 sent %d frames while its first was unacked, want 1", n)
+		if want := int64(min(i+1, window)); c.sends.Load() != want {
+			t.Fatalf("after append %d rank 0 had sent %d frames, want %d", i, c.sends.Load(), want)
+		}
 	}
 	close(release)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the appends behind the unacked frame never arrived")
+		t.Fatal("the appends behind the two unacked frames never arrived")
 	}
-	if n := c.sends.Load(); n != 2 {
-		t.Fatalf("rank 0 sent %d frames, want 2 (one, then the rest on its ack)", n)
+	if n := c.sends.Load(); n != window+1 {
+		t.Fatalf("rank 0 sent %d frames, want %d (two, then the rest on an ack)", n, window+1)
 	}
 	mu.Lock()
-	if len(frames) != 2 {
-		t.Fatalf("entries arrived in %d frames, want 2: %v", len(frames), frames)
+	if len(frames) != window+1 {
+		t.Fatalf("entries arrived in %d frames, want %d: %v", len(frames), window+1, frames)
 	}
 	for _, vs := range frames {
-		if len(vs) != 1 && len(vs) != behind {
-			t.Fatalf("frame carried %v, want one of 1 or %d entries", vs, behind)
+		if len(vs) != 1 && len(vs) != last+1-window {
+			t.Fatalf("frame carried %v, want 1 or %d entries", vs, last+1-window)
 		}
 	}
 	mu.Unlock()

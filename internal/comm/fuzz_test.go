@@ -19,11 +19,11 @@ func FuzzWireFrame(f *testing.F) {
 	recs := encodeStealRecs([][]byte{{1, 2}, {3}})
 	batch := []byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 42}
 	seeds := []message{
-		{tag: tagProbe, ep: 1, seq: 1},
+		{tag: tagProbe, ep: 1, seq: 1, ack: 1},
 		{tag: tagReply, a: 3, b: 3, ep: 1, seq: 1},
 		{tag: tagTerminate, seq: 1},
 		{tag: tagAbort, seq: 1, payload: []byte("boom")},
-		{tag: tagAck, a: 1},
+		{tag: tagAck, ack: 1},
 		{tag: tagHeartbeat, a: 1, b: 4},
 		{tag: tagRankDead, a: 0, seq: 1},
 		{tag: tagPrune, a: 2, seq: 1},

@@ -91,9 +91,9 @@ func (r *recordingTransport) await(t *testing.T, tag int32, ep int64) recordedFr
 }
 
 // wireFrame encodes one frame by the wire spec: [4B src][4B tag][8B a][8B b]
-// [8B ep][8B seq][payload], little-endian.
+// [8B ep][8B seq][8B ack][payload], little-endian, with no ack (0).
 func wireFrame(src, tag int32, a, b, ep, seq int64, payload []byte) []byte {
-	f := make([]byte, 40, 40+len(payload))
+	f := make([]byte, 48, 48+len(payload))
 	binary.LittleEndian.PutUint32(f[0:], uint32(src))
 	binary.LittleEndian.PutUint32(f[4:], uint32(tag))
 	binary.LittleEndian.PutUint64(f[8:], uint64(a))
@@ -179,11 +179,15 @@ func TestGoldenWireFrames(t *testing.T) {
 	})
 
 	t.Run("wave-reply", func(t *testing.T) {
+		// The reply leaves while the probe is dispatched, so it carries the
+		// probe's ack and no standalone ack follows.
 		e := newGoldenEnv(t, 2, 1, nil)
 		e.det.EnterIdle(0)
 		e.tr.inject(wireFrame(0, -1, 0, 0, 1, 1, nil))
 		capture(got, "reply", e.tr.await(t, -2, -1))
-		capture(got, "ack", e.tr.await(t, -5, -1))
+		if f, ok := e.tr.first(-5, -1); ok {
+			t.Errorf("standalone ack %x sent beside the reply that carries it", f.frame)
+		}
 	})
 
 	t.Run("steal-thief", func(t *testing.T) {
@@ -261,29 +265,31 @@ func TestGoldenWireFrames(t *testing.T) {
 			p.Register(3, func(int, []byte) {})
 			p.EnablePruneNotices()
 		})
+		// Nothing goes back to rank 0 while the frame is dispatched and no
+		// worker polls, so its ack leaves at once, alone.
 		e.tr.inject(wireFrame(0, 3, 0, 0, 0, 1, []byte("x")))
-		e.tr.await(t, -5, -1)
+		capture(got, "ack", e.tr.await(t, -5, -1))
 		e.det.EnterIdle(0)
 		capture(got, "prune", e.tr.await(t, -8, -1))
 	})
 
 	want := map[string]string{
-		"send":         "1:0000000003000000000000000000000000000000000000000000000000000000010000000000000068656c6c6f",
-		"abort":        "1:00000000fcffffff0000000000000000000000000000000000000000000000000200000000000000626f6f6d",
-		"telemetry":    "1:00000000f2ffffff0000000000000000000000000000000000000000000000000000000000000000010203",
-		"batch":        "1:0000000005000000000000000000000000000000000000000000000000000000010000000000000001000000010000000001000003000000616374",
-		"probe":        "1:00000000ffffffff0000000000000000000000000000000001000000000000000100000000000000",
-		"terminate":    "1:00000000fdffffff0000000000000000000000000000000000000000000000000300000000000000",
-		"reply":        "0:01000000feffffff0000000000000000000000000000000001000000000000000100000000000000",
-		"ack":          "0:01000000fbffffff0100000000000000000000000000000000000000000000000000000000000000",
-		"steal-req":    "1:00000000f7ffffff0400000000000000000000000000000000000000000000000100000000000000",
-		"steal-accept": "1:00000000f5ffffff0700000000000000010000000000000000000000000000000200000000000000",
-		"steal-resp":   "0:01000000f6ffffff0700000000000000030000000000000000000000000000000100000000000000020000000200000061620100000063",
-		"steal-commit": "0:01000000f4ffffff0700000000000000000000000000000000000000000000000200000000000000",
-		"steal-abort":  "0:01000000f3ffffff0800000000000000000000000000000000000000000000000400000000000000",
-		"heartbeat":    "1:00000000faffffff0000000000000000030000000000000000000000000000000000000000000000",
-		"rank-dead":    "1:00000000f9ffffff0200000000000000000000000000000000000000000000000100000000000000",
-		"prune":        "0:01000000f8ffffff0100000000000000000000000000000000000000000000000100000000000000",
+		"send":         "1:00000000030000000000000000000000000000000000000000000000000000000100000000000000000000000000000068656c6c6f",
+		"abort":        "1:00000000fcffffff00000000000000000000000000000000000000000000000002000000000000000000000000000000626f6f6d",
+		"telemetry":    "1:00000000f2ffffff00000000000000000000000000000000000000000000000000000000000000000000000000000000010203",
+		"batch":        "1:00000000050000000000000000000000000000000000000000000000000000000100000000000000000000000000000001000000010000000001000003000000616374",
+		"probe":        "1:00000000ffffffff00000000000000000000000000000000010000000000000001000000000000000000000000000000",
+		"terminate":    "1:00000000fdffffff00000000000000000000000000000000000000000000000003000000000000000200000000000000",
+		"reply":        "0:01000000feffffff00000000000000000000000000000000010000000000000001000000000000000100000000000000",
+		"ack":          "0:01000000fbffffff00000000000000000000000000000000000000000000000000000000000000000100000000000000",
+		"steal-req":    "1:00000000f7ffffff04000000000000000000000000000000000000000000000001000000000000000000000000000000",
+		"steal-accept": "1:00000000f5ffffff07000000000000000100000000000000000000000000000002000000000000000100000000000000",
+		"steal-resp":   "0:01000000f6ffffff07000000000000000300000000000000000000000000000001000000000000000100000000000000020000000200000061620100000063",
+		"steal-commit": "0:01000000f4ffffff07000000000000000000000000000000000000000000000002000000000000000200000000000000",
+		"steal-abort":  "0:01000000f3ffffff08000000000000000000000000000000000000000000000004000000000000000400000000000000",
+		"heartbeat":    "1:00000000faffffff00000000000000000300000000000000000000000000000000000000000000000000000000000000",
+		"rank-dead":    "1:00000000f9ffffff02000000000000000000000000000000000000000000000001000000000000000000000000000000",
+		"prune":        "0:01000000f8ffffff01000000000000000000000000000000000000000000000001000000000000000100000000000000",
 	}
 	if len(want) != 16 {
 		t.Errorf("golden table has %d frames, want 16", len(want))

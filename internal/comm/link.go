@@ -12,10 +12,27 @@ import (
 // adaptive retransmission, in-order deduplicated release to dispatch, and
 // the stall watchdog. Every World runs it under every sequenced cross-rank
 // message, whatever the transport; only self-sends bypass it.
+//
+// Acks ride on frames. Every frame's header carries the cumulative ack of
+// the reverse link (transport.go), stamped when the frame is transmitted, and
+// receive applies it after the frame's own dispatch, so a batch that the ack
+// ships already carries the ack for the frame just dispatched. A standalone
+// ack frame (tagAck) is sent only when nothing else carries the ack. An
+// in-order delivery leaves an ack debt, which the first of these pays:
+//   - any frame to that peer (transmit stamps the ack);
+//   - the next Proc.Poll round of the rank's workers;
+//   - termination, World.Drain and World.Shutdown;
+//   - the link timer, within rto/2, so a busy receiver never provokes a
+//     retransmission.
+// The debt is paid at once for duplicates and out-of-order holds (the sender
+// is retransmitting, or waits on a gap), whenever no worker of the rank is
+// awake to poll or send (every worker parked, or no runtime reports, as in
+// a bare comm world; oweAck), and after termination.
 
 // SetRetransmitTimeout adjusts the link layer's retransmission timeout
 // (default 2ms). The link timer fires at half of it while a link holds
-// unacked or out-of-order frames. Must be called before any Proc is started.
+// unacked or out-of-order frames or owes an ack. Must be called before any
+// Proc is started.
 func (w *World) SetRetransmitTimeout(d time.Duration) {
 	w.beforeStart("SetRetransmitTimeout")
 	if d <= 0 {
@@ -41,10 +58,12 @@ type sendLink struct {
 	nextSeq int64
 	unacked []pendingSend // in seq order: a cumulative ack releases a prefix
 
-	// busy mirrors len(unacked) != 0, written under mu. Batch appends read
-	// it without the lock (batch.go, "Flush rule"), and so does the link
-	// timer's re-check (armLinks).
+	// busy mirrors len(unacked) != 0 and full mirrors len(unacked) >=
+	// sendWindow, both written under mu. Batch appends read full without the
+	// lock (batch.go, "Flush rule"); the link timer's re-check (armLinks) and
+	// Drain read busy.
 	busy atomic.Bool
+	full atomic.Bool
 
 	// Adaptive retransmission timeout (Jacobson/Karels, RFC 6298 shape):
 	// smoothed RTT and variance in nanoseconds, fed by ack latencies of
@@ -53,6 +72,10 @@ type sendLink struct {
 	srtt   int64
 	rttvar int64
 }
+
+// sendWindow is how many unacked frames a link holds before batch appends
+// toward it gather instead of leaving (batch.go, "Flush rule").
+const sendWindow = 2
 
 // maxLinkRTO caps the adaptive retransmission timeout so a burst of delayed
 // acks cannot park a link for good.
@@ -102,10 +125,33 @@ type pendingSend struct {
 	tries int
 }
 
-// recvLink is the per-source receiver state (rx-private).
+// recvLink is the per-source receiver state. expected and ooo are
+// rx-private; the acks are read by any goroutine that transmits toward the
+// source.
 type recvLink struct {
 	expected int64 // next in-order sequence number wanted
 	ooo      map[int64]message
+
+	// through is expected-1, published before each in-order dispatch: the
+	// cumulative ack every frame toward the source carries. told is the
+	// highest ack stamped on a frame handed to the wire. owed is the ack
+	// point an in-order delivery left owed (oweAck): the debt is owed >
+	// told. through can run ahead of owed while a frame is dispatched.
+	through atomic.Int64
+	told    atomic.Int64
+	owed    atomic.Int64
+}
+
+// stamp returns the ack to carry on a frame toward the link's source and
+// records it as told. Safe from any goroutine.
+func (l *recvLink) stamp() int64 {
+	a := l.through.Load()
+	for {
+		t := l.told.Load()
+		if t >= a || l.told.CompareAndSwap(t, a) {
+			return a
+		}
+	}
 }
 
 // initLinks allocates the link state toward and from each of n ranks.
@@ -140,13 +186,17 @@ func (p *Proc) post(dst int, m message) {
 		l.busy.Store(true) // before armLinks tests armed
 		p.armLinks()
 	}
+	if len(l.unacked) == sendWindow {
+		l.full.Store(true)
+	}
 	p.transmit(dst, m)
 	l.mu.Unlock()
 }
 
-// receive runs the inbound half of the link layer: acks are consumed,
-// sequenced messages are deduplicated and released to dispatch strictly
-// in-order per link, and everything else goes straight through.
+// receive runs the inbound half of the link layer: sequenced messages are
+// deduplicated and released to dispatch strictly in-order per link,
+// everything else goes straight through, and the ack every frame carries is
+// applied after the frame's own dispatch.
 func (p *Proc) receive(m message) {
 	if p.mem.dead != nil && m.src != p.rank {
 		if p.mem.dead[m.src] {
@@ -156,12 +206,9 @@ func (p *Proc) receive(m message) {
 		}
 		p.mem.lastHeard[m.src] = time.Now()
 	}
-	if m.tag == tagAck {
-		p.handleAck(m)
-		return
-	}
-	if m.seq == 0 { // unsequenced: self-send, heartbeat or telemetry
+	if m.seq == 0 { // unsequenced: self-send, ack, heartbeat or telemetry
 		p.dispatch(m)
+		p.handleAck(m.src, m.ack)
 		return
 	}
 	p.lastActivity = time.Now()
@@ -169,67 +216,120 @@ func (p *Proc) receive(m message) {
 	switch {
 	case m.seq < l.expected:
 		// Duplicate (retransmit whose original arrived, or a wire dup):
-		// drop, but re-ack so the sender stops retransmitting.
+		// drop, but re-ack at once so the sender stops retransmitting.
+		p.handleAck(m.src, m.ack)
+		p.sendAck(m.src)
 	case m.seq > l.expected:
-		// Gap: hold out-of-order arrivals, ack the contiguous prefix; the
-		// link timer watches the hold for a stall.
+		// Gap: hold out-of-order arrivals and ack the contiguous prefix at
+		// once; the link timer watches the hold for a stall.
 		if l.ooo == nil {
 			l.ooo = map[int64]message{}
 		}
 		l.ooo[m.seq] = m
 		p.armLinks()
+		p.handleAck(m.src, m.ack)
+		p.sendAck(m.src)
 	default:
 		// In-order delivery is the only inbound event that counts as forward
 		// progress; it re-arms the stall latch so a *second* stall episode is
 		// reported too. Duplicates and out-of-order holds above deliberately
-		// do not — they stream in constantly on a half-dead link.
+		// do not — they stream in constantly on a half-dead link. The ack
+		// point moves before each dispatch, so whatever the handler sends
+		// back carries the ack of the frame it handles.
 		p.stalled = false
-		p.dispatch(m)
-		l.expected++
-		for {
-			nxt, ok := l.ooo[l.expected]
-			if !ok {
-				break
-			}
-			delete(l.ooo, l.expected)
-			p.dispatch(nxt)
+		for next, ok := m, true; ok; next, ok = l.ooo[l.expected] {
+			delete(l.ooo, next.seq)
+			l.through.Store(l.expected)
 			l.expected++
+			p.dispatch(next)
 		}
+		p.handleAck(m.src, m.ack)
+		p.oweAck(m.src)
 	}
-	// Cumulative ack of everything up to the contiguous prefix. Acks are
-	// unsequenced and cross the faulty wire like any other message; a lost
-	// ack is recovered by the sender's retransmit provoking a re-ack.
+}
+
+// oweAck settles the ack of an in-order delivery from src, under rx. A frame
+// sent to src meanwhile already carried it. Otherwise, while a worker is
+// awake (SetAwake) and before termination, it stays owed: the worker polls
+// or sends before long, and the link timer pays it within rto/2 at the
+// latest. With every worker parked, none reporting, or after termination,
+// it is sent at once.
+func (p *Proc) oweAck(src int) {
+	l := &p.recvLinks[src]
+	if l.through.Load() <= l.told.Load() {
+		return
+	}
+	if p.terminated || p.awake == nil || !p.awake() {
+		p.sendAck(src)
+		return
+	}
+	l.owed.Store(l.through.Load())
+	p.ackOwed.Store(true) // after owed: see payAcks
+	p.armLinks()
+}
+
+// sendAck sends src a standalone ack frame; transmit stamps the ack on it.
+// Safe from any goroutine.
+func (p *Proc) sendAck(src int) {
 	if mx := p.world.mx; mx != nil {
 		mx.acks.Inc(p.rank)
 	}
-	p.emit(m.src, tagAck, l.expected-1, 0, 0, nil)
+	p.emit(src, tagAck, 0, 0, 0, nil)
 }
 
-// handleAck releases the pending sends up to the cumulative ack point m.a, a
-// prefix of the seq-ordered queue. The stall latch only clears when the ack
-// made progress — empty prefix re-acks stream in constantly on a dead link
-// and must not reset it. An ack that empties the link ships the batch that
-// gathered behind it (batch.go, "Flush rule").
+// payAcks sends a standalone ack on every link that still owes one, and
+// with all set, also on every link whose frames were dispatched further
+// than any frame toward its source told: termination, Drain and Shutdown
+// leave no ack behind, the ack of a frame being dispatched included. The
+// flag is cleared before the links are read, and oweAck sets owed before the
+// flag, so an ack left owed meanwhile is paid here or keeps the flag set.
+// Safe from any goroutine.
+func (p *Proc) payAcks(all bool) {
+	p.ackOwed.Store(false)
+	for src := range p.recvLinks {
+		l := &p.recvLinks[src]
+		due := l.owed.Load()
+		if all {
+			due = l.through.Load()
+		}
+		if due > l.told.Load() {
+			p.sendAck(src)
+		}
+	}
+}
+
+// handleAck releases the pending sends toward src up to the cumulative ack
+// point, a prefix of the seq-ordered queue. The stall latch only clears when
+// the ack made progress — the same ack point streams in on every frame, and
+// re-acks stream in constantly on a dead link, so neither may reset it. An
+// ack that takes the link below sendWindow unacked frames ships the batch
+// that gathered behind it (batch.go, "Flush rule").
 //
 // Each released send that was never retransmitted contributes an RTT sample
 // to the link's adaptive retransmission timeout (Karn's algorithm: a
 // retransmitted message's ack is ambiguous and must not be sampled).
-func (p *Proc) handleAck(m message) {
-	now := time.Now()
-	p.lastActivity = now
-	l := &p.sendLinks[m.src]
+func (p *Proc) handleAck(src int, ack int64) {
+	if ack <= 0 { // a self-send, or nothing from src dispatched yet
+		return
+	}
+	l := &p.sendLinks[src]
 	l.mu.Lock()
+	if len(l.unacked) == 0 || l.unacked[0].msg.seq > ack {
+		l.mu.Unlock()
+		return
+	}
+	now := time.Now()
 	k := 0
-	for ; k < len(l.unacked) && l.unacked[k].msg.seq <= m.a; k++ {
+	for ; k < len(l.unacked) && l.unacked[k].msg.seq <= ack; k++ {
 		ps := &l.unacked[k]
 		if ps.tries == 0 {
 			l.observeRTT(now.Sub(ps.born))
 		}
 		if ps.msg.slab {
-			// Acked ⇒ the receiver dispatched the frame (acks follow
-			// dispatch); any duplicate still in flight is dropped by
-			// sequence number without reading the payload, so the slab is
-			// safely reusable. Lock order l.mu → slabMu is acyclic.
+			// Acked ⇒ the receiver holds the frame in order, and any
+			// duplicate still in flight is dropped by sequence number; the
+			// wire carried copies made under l.mu, so the slab is safely
+			// reusable. Lock order l.mu → slabMu is acyclic.
 			p.slabPut(ps.msg.payload)
 		}
 	}
@@ -237,15 +337,14 @@ func (p *Proc) handleAck(m message) {
 	clear(l.unacked[n:]) // drop the released payload references
 	l.unacked = l.unacked[:n]
 	l.busy.Store(n != 0)
+	l.full.Store(n >= sendWindow)
 	l.mu.Unlock()
-	if k == 0 {
-		return
-	}
+	p.lastActivity = now
 	p.stalled = false
-	if n != 0 {
+	if n >= sendWindow {
 		return
 	}
-	p.flushBatch(m.src, FlushIdle)
+	p.flushBatch(src, FlushIdle)
 	if l.busy.Load() {
 		return // the flush (or another sender) put the link back to work
 	}
@@ -294,9 +393,14 @@ func (p *Proc) resetLink(peer int) {
 	clear(l.unacked)
 	l.unacked = l.unacked[:0]
 	l.busy.Store(false)
+	l.full.Store(false)
 	l.mu.Unlock()
 	p.world.linkDrained()
-	p.recvLinks[peer] = recvLink{expected: 1}
+	r := &p.recvLinks[peer]
+	r.expected, r.ooo = 1, nil
+	r.through.Store(0)
+	r.told.Store(0)
+	r.owed.Store(0)
 }
 
 // LinkRTO reports the current (adaptive) retransmission timeout of this
@@ -334,7 +438,9 @@ func (p *Proc) linksPending() bool {
 // armLinks arms the link timer unless it is pending already. post calls it
 // after it sets busy, and onLinkTimer clears armed before it re-checks the
 // links: with sequentially consistent atomics one of the two sees the
-// other's write, so a busy link never waits without a timer.
+// other's write, so a busy link never waits without a timer. oweAck calls
+// it under rx, as the callback runs, so an owed ack never waits without one
+// either.
 func (p *Proc) armLinks() {
 	if !p.armed.Load() && !p.armed.Swap(true) {
 		p.linkTimer.Reset(p.world.rto / 2)
@@ -342,15 +448,19 @@ func (p *Proc) armLinks() {
 }
 
 // onLinkTimer is the link timer's callback, every rto/2 while armed: it
-// retransmits, runs the stall check, and re-arms while a link still holds
-// unacked or out-of-order frames — after termination too, since Drain and a
-// peer whose ack was lost depend on it. After Shutdown, or once this rank
-// fail-stopped, it does nothing and stays disarmed.
+// retransmits, pays the owed acks, runs the stall check, and re-arms while
+// a link still holds unacked or out-of-order frames — after termination
+// too, since Drain and a peer whose ack was lost depend on it. After
+// Shutdown, or once this rank fail-stopped, it does nothing and stays
+// disarmed.
 func (p *Proc) onLinkTimer() {
 	p.rx.Lock()
 	p.armed.Store(false) // before the re-check: see armLinks
 	if !p.world.closed.Load() && !p.halted.Load() {
 		p.retransmit()
+		if p.ackOwed.Load() {
+			p.payAcks(false)
+		}
 		p.checkStall()
 		if p.linksPending() {
 			p.armLinks()
@@ -450,8 +560,12 @@ func (p *Proc) PendingSummary() string {
 // broadcast). Links toward confirmed-dead ranks are already cleared by the
 // membership protocol and do not block draining. Drain does not poll: it
 // sleeps until a link's retransmit queue empties (linkDrained) or the
-// timeout expires.
+// timeout expires. It first pays the acks the local ranks owe, which the
+// peers' own Drain may be waiting for.
 func (w *World) Drain(timeout time.Duration) bool {
+	for _, p := range w.local {
+		p.payAcks(true)
+	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {

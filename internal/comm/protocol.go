@@ -11,7 +11,7 @@ const (
 	tagReply       = -2  // all -> root: (sent, recvd) contribution
 	tagTerminate   = -3  // root -> all: global termination
 	tagAbort       = -4  // any -> all: abort notification with a reason payload
-	tagAck         = -5  // link layer: cumulative ack
+	tagAck         = -5  // link layer: a standalone cumulative ack
 	tagHeartbeat   = -6  // failure detection: liveness beacon
 	tagRankDead    = -7  // coordinator -> all: rank a confirmed dead
 	tagPrune       = -8  // receiver -> sender: a app messages dispatched; replay log prefix is durable
@@ -45,7 +45,7 @@ func init() {
 		-tagReply:       {sequenced: true, handle: (*Proc).handleReply},
 		-tagTerminate:   {sequenced: true, handle: (*Proc).handleTerminate},
 		-tagAbort:       {sequenced: true, handle: (*Proc).handleAbort},
-		-tagAck:         {handle: (*Proc).handleAck},
+		-tagAck:         {handle: func(*Proc, message) {}}, // the header's ack is the message (receive)
 		-tagHeartbeat:   {handle: (*Proc).handleHeartbeat},
 		-tagRankDead:    {sequenced: true, handle: (*Proc).handleRankDead},
 		-tagPrune:       {sequenced: true, handle: (*Proc).handlePrune},

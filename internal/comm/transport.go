@@ -2,7 +2,7 @@
 // Transport, the byte-moving substrate under a rank.
 //
 // There is one delivery path. Each local rank owns one transport endpoint;
-// transmit encodes a message into a 40-byte-header frame and Sends it, and the
+// transmit encodes a message into a 48-byte-header frame and Sends it, and the
 // endpoint's deliver callback (deliverFrame) decodes each inbound frame and
 // dispatches it at once, under the rank's receive lock, on the goroutine that
 // delivered it: the transport's own, or an idle worker's that polled for it
@@ -273,12 +273,17 @@ func (t *MemTransport) Close() error {
 
 // wireFrameHdr is the fixed header of an encoded wire frame:
 //
-//	[4B src][4B tag][8B a][8B b][8B ep][8B seq][payload...]   (little-endian)
+//	[4B src][4B tag][8B a][8B b][8B ep][8B seq][8B ack][payload...]   (little-endian)
 //
-// The destination is implicit (the transport routes the frame); the payload
-// runs to the end of the frame. Length framing — and everything below it —
-// is the transport's concern.
-const wireFrameHdr = 40
+// ack is the cumulative ack of the reverse link: the sender has dispatched
+// (or is dispatching) every sequenced frame the destination sent it up to
+// that sequence number. transmit stamps it on every frame — originals,
+// retransmissions, control frames, heartbeats and standalone acks alike — so
+// a frame that crosses a link carries the acks the other direction owes
+// (link.go). The destination is implicit (the transport routes the frame);
+// the payload runs to the end of the frame. Length framing — and everything
+// below it — is the transport's concern.
+const wireFrameHdr = 48
 
 // appendWireFrame encodes m after buf.
 func appendWireFrame(buf []byte, m message) []byte {
@@ -289,6 +294,7 @@ func appendWireFrame(buf []byte, m message) []byte {
 	binary.LittleEndian.PutUint64(h[16:], uint64(m.b))
 	binary.LittleEndian.PutUint64(h[24:], uint64(m.ep))
 	binary.LittleEndian.PutUint64(h[32:], uint64(m.seq))
+	binary.LittleEndian.PutUint64(h[40:], uint64(m.ack))
 	buf = append(buf, h[:]...)
 	return append(buf, m.payload...)
 }
@@ -306,6 +312,7 @@ func decodeWireFrame(frame []byte) (message, error) {
 		b:   int64(binary.LittleEndian.Uint64(frame[16:])),
 		ep:  int64(binary.LittleEndian.Uint64(frame[24:])),
 		seq: int64(binary.LittleEndian.Uint64(frame[32:])),
+		ack: int64(binary.LittleEndian.Uint64(frame[40:])),
 	}
 	if len(frame) > wireFrameHdr {
 		m.payload = frame[wireFrameHdr:]
@@ -341,10 +348,11 @@ func (w *World) attach(tr Transport) error {
 }
 
 // transmit puts one message on the wire toward dst: a self-send is queued
-// for the receive lock's holder, anything else is encoded and handed to the
-// transport (best effort: the link layer retransmits). Called for originals,
-// retransmissions, and acks. After Shutdown, and to or from a fail-stopped
-// rank, the wire is down and the message is discarded.
+// for the receive lock's holder, anything else is stamped with the ack the
+// link from dst is owed, encoded and handed to the transport (best effort:
+// the link layer retransmits). Called for originals, retransmissions, and
+// acks. After Shutdown, and to or from a fail-stopped rank, the wire is down
+// and the message is discarded.
 func (p *Proc) transmit(dst int, m message) {
 	w := p.world
 	if w.closed.Load() {
@@ -357,6 +365,7 @@ func (p *Proc) transmit(dst int, m message) {
 	if w.wireDead(p.rank, dst) {
 		return
 	}
+	m.ack = p.recvLinks[dst].stamp()
 	p.framesMu.Lock()
 	frame := p.frames.Make(wireFrameHdr + len(m.payload))
 	p.framesMu.Unlock()

@@ -97,7 +97,7 @@ func (h *netHarness) shutdown() {
 
 func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []message{
-		{src: 0, tag: 0, a: 1, b: 2, ep: 3, seq: 4},
+		{src: 0, tag: 0, a: 1, b: 2, ep: 3, seq: 4, ack: 5},
 		{src: 3, tag: -7, a: -1, b: 1 << 62, ep: 0, seq: 99, payload: []byte("hello")},
 		{src: 63, tag: tagHeartbeat, a: -1 << 40},
 		{src: 1, tag: 5, payload: make([]byte, 4096)},
@@ -109,7 +109,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
 		if got.src != m.src || got.tag != m.tag || got.a != m.a || got.b != m.b ||
-			got.ep != m.ep || got.seq != m.seq || string(got.payload) != string(m.payload) {
+			got.ep != m.ep || got.seq != m.seq || got.ack != m.ack || string(got.payload) != string(m.payload) {
 			t.Fatalf("msg %d: round trip mismatch: sent %+v got %+v", i, m, got)
 		}
 	}

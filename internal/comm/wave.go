@@ -66,9 +66,13 @@ func (p *Proc) handleProbe(m message) {
 	}
 }
 
+// handleTerminate ends the run on this rank. Its workers stop polling, so
+// it pays the acks it owes — the terminate frame's own included — which the
+// peers' Drain waits for.
 func (p *Proc) handleTerminate(message) {
 	if !p.terminated {
 		p.terminated = true
+		p.payAcks(true)
 		if p.onTerminate != nil {
 			p.onTerminate()
 		}
@@ -78,8 +82,8 @@ func (p *Proc) handleTerminate(message) {
 // handleQuiescent runs, under rx, for a quiescence notification the local
 // detector (or a fence) owed the rank (unlockRx).
 //
-// A batch still buffered here needs no flush: its link has an unacked
-// message whose ack ships it (batch.go, "Flush rule"), and until then the
+// A batch still buffered here needs no flush: its link has unacked
+// messages whose ack ships it (batch.go, "Flush rule"), and until then the
 // activations it holds keep the wave unbalanced.
 func (p *Proc) handleQuiescent() {
 	if p.terminated || !p.det.Quiescent() {

@@ -218,8 +218,11 @@ func (g *Graph) MakeExecutable() {
 		if g.steal != nil {
 			g.rtm.SetIdleHook(g.maybeSteal)
 		}
-		// Idle workers read the wire themselves before they park.
+		// Idle workers read the wire themselves before they park, and pay
+		// the acks the frames they fetched left owed; while a worker is
+		// awake, an ack may wait to ride on a frame it sends.
 		g.rtm.SetPollHook(g.proc.Poll)
+		g.proc.SetAwake(g.rtm.Awake)
 		g.proc.Start(g.rtm.Det, func() {
 			g.rtm.SignalDone()
 			if g.steal != nil {

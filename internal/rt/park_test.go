@@ -381,7 +381,8 @@ func (c *popCounter) Pop(wid int) *Task {
 // worker's only producers are goroutines that need the P it holds, so it
 // parks at once — its first look in run and the re-check in park are the
 // only two looks it takes before it blocks, and it takes a few per task it
-// is woken for, not a spin's 2 048.
+// is woken for, not a spin's 2 048. Awake reads false while it is parked and
+// true while it runs a task.
 func TestLoneIdleWorkerParksWithoutSpinning(t *testing.T) {
 	cfg := Config{Workers: 1, Sched: SchedLLP, ThreadLocalTermDet: true, UsePools: true}.Normalize()
 	r := New(cfg)
@@ -392,17 +393,22 @@ func TestLoneIdleWorkerParksWithoutSpinning(t *testing.T) {
 	if n := pc.pops.Load(); n > 2 {
 		t.Fatalf("lone worker took %d looks before it parked, want 2 (no spin)", n)
 	}
-	ran := make(chan struct{})
+	ran := make(chan bool)
 	sw := r.ServiceWorker(0)
 	const tasks = 20
 	for i := 0; i < tasks; i++ {
+		if r.Awake() {
+			t.Fatal("Awake with the only worker parked")
+		}
 		tk := sw.NewTask()
 		tk.Exec = func(w *Worker, tk *Task) {
 			w.FreeTask(tk)
-			ran <- struct{}{}
+			ran <- r.Awake()
 		}
 		r.Inject(tk)
-		<-ran
+		if !<-ran {
+			t.Fatal("not Awake while the only worker ran a task")
+		}
 		waitAllParked(t, r)
 	}
 	// A wake-up takes three looks — the woken look finds the task, the look

@@ -233,6 +233,13 @@ func (r *Runtime) siblingRunning() bool {
 	return int(r.idle.searching.Load()+r.idle.parked.Load()) < len(r.workers)
 }
 
+// Awake reports whether some worker is not parked: it is running a task or
+// spinning for one, so it will poll the wire (the poll hook) or send before
+// long. Safe from any goroutine.
+func (r *Runtime) Awake() bool {
+	return int(r.idle.parked.Load()) < len(r.workers)
+}
+
 // EnableLoadTracking turns on the approximate ready-queue depth counter.
 // Must be called before Start.
 func (r *Runtime) EnableLoadTracking() {

@@ -3,6 +3,7 @@ package taskbench
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gottg/internal/comm"
@@ -81,7 +82,8 @@ type DistOptions struct {
 	// many tasks (and, with Telemetry on a rank other than 0, streamed its
 	// first interval, so the flight dump holds one): under RunDist the victim
 	// is KillRank; a child process that is to die passes its own KillFunc (a
-	// self-SIGKILL) to RunRank. Requires FT.
+	// self-SIGKILL) to RunRank. The victim's later task bodies wait for the
+	// kill, so it always lands mid-run. Requires FT.
 	KillRank       int
 	KillAfterTasks int64
 	KillFunc       func()
@@ -223,9 +225,12 @@ type recordWrap func(rank int, rec recordFunc) recordFunc
 // (timestep, point), aggregator input collecting the dependency values sorted
 // by origin, results of the last timestep reported keyed by point through
 // record.
-func buildPointTT(g *core.Graph, s Spec, mapper func(key uint64) int, record recordFunc) *core.TT {
+func buildPointTT(g *core.Graph, s Spec, mapper func(key uint64) int, record recordFunc, hold func()) *core.TT {
 	ePoint := core.NewEdge("point")
 	point := g.NewTT("Point", 1, 1, func(tc core.TaskContext) {
+		if hold != nil {
+			hold()
+		}
 		t, p := core.Unpack2(tc.Key())
 		agg := tc.Aggregate(0)
 		vals := make([]pointVal, 0, 8)
@@ -279,6 +284,10 @@ type rank struct {
 	mu      sync.Mutex // guards rep.Points while tasks run
 	rep     RankReport
 	waitErr error
+
+	// killed is closed once the kill trigger fired or gave up; nil on a
+	// rank that is not to be killed (killWhenReady, holdForKill).
+	killed chan struct{}
 }
 
 // newRank builds rank tr.Self() on a World of its own over tr: it configures
@@ -370,8 +379,28 @@ func newRank(s Spec, tr comm.Transport, o DistOptions, wrap recordWrap) (*rank, 
 		_, p := core.Unpack2(key)
 		return int(p) * ranks / s.Width
 	}
-	r.point = buildPointTT(g, s, mapper, record)
+	var hold func()
+	if o.KillAfterTasks > 0 && (o.KillFunc != nil || self == o.KillRank) {
+		r.killed = make(chan struct{})
+		hold = r.holdForKill()
+	}
+	r.point = buildPointTT(g, s, mapper, record, hold)
 	return r, nil
+}
+
+// holdForKill returns the hold a rank that is to be killed runs at the start
+// of each task body: the bodies after the first KillAfterTasks wait until
+// the kill trigger fired, so the kill lands mid-run. Without it a rank that
+// runs its whole share before the trigger's first look dies after it sent
+// its last wave reply, and the survivors terminate without confirming the
+// death or recovering anything.
+func (r *rank) holdForKill() func() {
+	var started atomic.Int64
+	return func() {
+		if started.Add(1) > r.o.KillAfterTasks {
+			<-r.killed
+		}
+	}
 }
 
 // killWhenReady is the kill trigger: it polls until the rank has executed
@@ -379,8 +408,11 @@ func newRank(s Spec, tr comm.Transport, o DistOptions, wrap recordWrap) (*rank, 
 // point of the kill is a flight dump that holds one, however few intervals
 // that many tasks take; rank 0 streams to nobody, so it is exempt), then
 // calls kill from this goroutine — never from a worker, since a fail-stop
-// drains the runtime. It gives up when stop closes.
+// drains the runtime. It gives up when stop closes or the graph aborts for
+// another reason. Either way it then releases the task bodies holdForKill
+// holds.
 func (r *rank) killWhenReady(kill func(), stop <-chan struct{}) {
+	defer close(r.killed)
 	tick := time.NewTicker(200 * time.Microsecond)
 	defer tick.Stop()
 	for {
@@ -388,6 +420,9 @@ func (r *rank) killWhenReady(kill func(), stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-tick.C:
+		}
+		if r.g.Aborting() {
+			return
 		}
 		streamed := r.plane == nil || r.self == 0 || r.plane.Sampler().Frames() > 0
 		if exec, _, _ := r.g.Runtime().Stats(); exec >= r.o.KillAfterTasks && streamed {
@@ -408,7 +443,7 @@ func (r *rank) run() {
 		kill = func() { r.world.KillRank(r.self) }
 	}
 	stop := make(chan struct{})
-	if r.o.KillAfterTasks > 0 && kill != nil {
+	if r.killed != nil {
 		go r.killWhenReady(kill, stop)
 	}
 
