@@ -58,99 +58,114 @@ func counter(name string, rs [2]*ackRank) uint64 {
 // TestAcksRideOnDataFrames: two ranks exchange activations in lockstep —
 // each sends step k once the peer's step k-1 arrived — and poll while they
 // wait, as idle workers do. Every activation is dispatched exactly once and
-// in its sender's order, and the wave terminates. On memory and TCP, which
-// neither reorder nor lose frames, each data frame carries the ack of the
-// peer's frame before it, so standalone ack frames are at most 5 % of the
-// data frames. A retransmission draws one re-ack, so the acks that answer
-// retransmissions are not counted against that bound: they come from a
-// host that stalled a rank past its timeout (which the 20 ms timeout makes
-// rare), not from acks that failed to ride.
+// in its sender's order, and the wave terminates. No transport case cuts a
+// link, so no frame is resent: comm.retransmits is 0, however long the host
+// stalls a rank. Each data frame carries the ack of the peer's frame before
+// it, so standalone ack frames are at most 5 % of the data frames. A host
+// that starves a rank's goroutine past comm.AckDelay makes the link timer
+// pay acks alone (under -race, beside other packages' tests), so the ratio
+// gets three tries; every try checks the rest.
 func TestAcksRideOnDataFrames(t *testing.T) {
-	const steps = 2000
 	for _, tc := range transportCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := newAckRanks(t, tc.endpoints(t, 2), func(w *comm.World) {
-				w.EnableMetrics()
-				w.SetRetransmitTimeout(20 * time.Millisecond)
-			})
-			var got, bad [2]atomic.Int64
-			for r, rk := range rs {
-				r := r
-				rk.p.RegisterBatched(0, func(_ int, e []byte) { // under rank r's receive lock
-					if int64(binary.LittleEndian.Uint32(e)) != got[r].Load() {
-						bad[r].Add(1)
-					}
-					got[r].Add(1)
-				})
-			}
-			for _, rk := range rs {
-				rk.start()
-			}
-			giveUp := time.Now().Add(30 * time.Second)
-			var stuck atomic.Bool
-			var wg sync.WaitGroup
-			for r, rk := range rs {
-				wg.Add(1)
-				go func(r int, rk *ackRank) {
-					defer wg.Done()
-					spins := 0
-					for k := 0; k < steps && !stuck.Load(); k++ {
-						buf := rk.p.BatchBegin(1 - r)
-						rk.p.BatchEnd(1-r, binary.LittleEndian.AppendUint32(buf, uint32(k)))
-						for got[r].Load() <= int64(k) && !stuck.Load() {
-							if rk.p.Poll() {
-								continue
-							}
-							if spins++; spins%64 == 0 {
-								runtime.Gosched()
-								if time.Now().After(giveUp) {
-									stuck.Store(true)
-								}
-							}
-						}
-					}
-					rk.det.Completed(termdet.ExternalSlot)
-					for {
-						select {
-						case <-rk.done:
-							return
-						default:
-						}
-						if !rk.p.Poll() {
-							runtime.Gosched()
-						}
-						if time.Now().After(giveUp) {
-							stuck.Store(true)
-							return
-						}
-					}
-				}(r, rk)
-			}
-			wg.Wait()
-			if stuck.Load() {
-				t.Fatalf("stuck after 30s: rank 0 got %d, rank 1 got %d of %d activations", got[0].Load(), got[1].Load(), steps)
-			}
-			for _, rk := range rs {
-				if !rk.w.Drain(10 * time.Second) {
-					t.Error("Drain timed out")
+			for try := 1; ; try++ {
+				frames, acks := lockstep(t, tc)
+				if acks*20 <= frames {
+					break
 				}
-			}
-			for _, rk := range rs {
-				rk.w.Shutdown()
-			}
-			for r := range rs {
-				if got[r].Load() != steps || bad[r].Load() != 0 {
-					t.Fatalf("rank %d dispatched %d activations, %d of them duplicated or out of order; want %d in order",
-						r, got[r].Load(), bad[r].Load(), steps)
+				if try == 3 {
+					t.Fatalf("%d standalone acks for %d data frames, want at most 5 %%", acks, frames)
 				}
-			}
-			frames, acks, resent := counter("comm.msgs.sent", rs), counter("comm.acks.sent", rs), counter("comm.retransmits", rs)
-			t.Logf("%d data frames, %d standalone acks, %d retransmissions", frames, acks, resent)
-			if tc.ordered && (acks-min(acks, resent))*20 > frames {
-				t.Fatalf("%d standalone acks (%d of them for retransmissions) for %d data frames, want at most 5 %%", acks, resent, frames)
 			}
 		})
 	}
+}
+
+// lockstep runs TestAcksRideOnDataFrames once over tc and returns the data
+// frames and standalone acks sent.
+func lockstep(t *testing.T, tc transportCase) (frames, acks uint64) {
+	t.Helper()
+	const steps = 2000
+	rs := newAckRanks(t, tc.endpoints(t, 2), func(w *comm.World) {
+		w.EnableMetrics()
+	})
+	var got, bad [2]atomic.Int64
+	for r, rk := range rs {
+		r := r
+		rk.p.RegisterBatched(0, func(_ int, e []byte) { // under rank r's receive lock
+			if int64(binary.LittleEndian.Uint32(e)) != got[r].Load() {
+				bad[r].Add(1)
+			}
+			got[r].Add(1)
+		})
+	}
+	for _, rk := range rs {
+		rk.start()
+	}
+	giveUp := time.Now().Add(30 * time.Second)
+	var stuck atomic.Bool
+	var wg sync.WaitGroup
+	for r, rk := range rs {
+		wg.Add(1)
+		go func(r int, rk *ackRank) {
+			defer wg.Done()
+			spins := 0
+			for k := 0; k < steps && !stuck.Load(); k++ {
+				buf := rk.p.BatchBegin(1 - r)
+				rk.p.BatchEnd(1-r, binary.LittleEndian.AppendUint32(buf, uint32(k)))
+				for got[r].Load() <= int64(k) && !stuck.Load() {
+					if rk.p.Poll() {
+						continue
+					}
+					if spins++; spins%64 == 0 {
+						runtime.Gosched()
+						if time.Now().After(giveUp) {
+							stuck.Store(true)
+						}
+					}
+				}
+			}
+			rk.det.Completed(termdet.ExternalSlot)
+			for {
+				select {
+				case <-rk.done:
+					return
+				default:
+				}
+				if !rk.p.Poll() {
+					runtime.Gosched()
+				}
+				if time.Now().After(giveUp) {
+					stuck.Store(true)
+					return
+				}
+			}
+		}(r, rk)
+	}
+	wg.Wait()
+	if stuck.Load() {
+		t.Fatalf("stuck after 30s: rank 0 got %d, rank 1 got %d of %d activations", got[0].Load(), got[1].Load(), steps)
+	}
+	for _, rk := range rs {
+		if !rk.w.Drain(10 * time.Second) {
+			t.Error("Drain timed out")
+		}
+	}
+	for _, rk := range rs {
+		rk.w.Shutdown()
+	}
+	for r := range rs {
+		if got[r].Load() != steps || bad[r].Load() != 0 {
+			t.Fatalf("rank %d dispatched %d activations, %d of them duplicated or out of order; want %d in order",
+				r, got[r].Load(), bad[r].Load(), steps)
+		}
+	}
+	frames, acks, resent := counter("comm.msgs.sent", rs), counter("comm.acks.sent", rs), counter("comm.retransmits", rs)
+	t.Logf("%d data frames, %d standalone acks, %d resent frames", frames, acks, resent)
+	if resent != 0 {
+		t.Fatalf("%d frames resent on a transport that never cut a link, want 0", resent)
+	}
+	return frames, acks
 }
 
 // pollEndpoint is one endpoint of an in-memory network that delivers only
@@ -216,18 +231,17 @@ func (e *pollEndpoint) Poll() int {
 
 // TestOwedAckPaidWithoutReverseTraffic guards the ack debt. Rank 0 streams
 // frames one way into rank 1, one at a time. Rank 1's worker polls, and
-// after every poll that delivered one of them it stays busy for twice the
-// retransmission timeout: nothing it sends carries the owed ack, and its
-// next poll comes too late. The link timer must send the ack within rto/2
-// (plus scheduling slack), so rank 0 never retransmits. Rank 0 sends the
-// next frame once the worker polls again, so no frame waits in the
-// poll-only transport longer than a timeout either. Then the wave
-// terminates, the worker is busy again after the poll that delivered the
-// terminate frame, and World.Drain must return without waiting for the
-// link timer: termination pays the acks it owes, the terminate frame's own
-// included.
+// after every poll that delivered one of them it stays busy for 40 ms:
+// nothing it sends carries the owed ack, and its next poll comes too late.
+// The link timer must send the ack within comm.AckDelay (plus scheduling
+// slack), so rank 0's Drain does not wait on the busy worker. Rank 0 sends
+// the next frame once the worker polls again. Then the wave terminates, the
+// worker is busy again after the poll that delivered the terminate frame,
+// and World.Drain must return without waiting for the link timer:
+// termination pays the acks it owes, the terminate frame's own included.
+// Nothing is resent: no link is cut.
 func TestOwedAckPaidWithoutReverseTraffic(t *testing.T) {
-	const rto, frames = 40 * time.Millisecond, 4
+	const busyFor, slack, frames = 40 * time.Millisecond, 15 * time.Millisecond, 4
 	eps := newPollNet(2)
 	var mu sync.Mutex
 	var dispatched, acked []time.Time
@@ -240,7 +254,6 @@ func TestOwedAckPaidWithoutReverseTraffic(t *testing.T) {
 	}
 	rs := newAckRanks(t, []comm.Transport{eps[0], eps[1]}, func(w *comm.World) {
 		w.EnableMetrics()
-		w.SetRetransmitTimeout(rto)
 	})
 	var busy atomic.Bool
 	rs[0].p.Register(3, func(int, []byte) {})
@@ -275,7 +288,7 @@ func TestOwedAckPaidWithoutReverseTraffic(t *testing.T) {
 			}
 			if busy.Swap(false) || !terminated && isClosed(rs[1].done) {
 				terminated = isClosed(rs[1].done)
-				time.Sleep(2 * rto)
+				time.Sleep(busyFor)
 				select {
 				case back <- struct{}{}:
 				default:
@@ -314,8 +327,8 @@ func TestOwedAckPaidWithoutReverseTraffic(t *testing.T) {
 	}
 	start := time.Now()
 	drained := rs[0].w.Drain(10 * time.Second)
-	if d := time.Since(start); !drained || d > rto/4 {
-		t.Errorf("Drain after termination took %v (drained %v), want under %v: the terminate frame's ack waited for the link timer", d, drained, rto/4)
+	if d := time.Since(start); !drained || d > busyFor/4 {
+		t.Errorf("Drain after termination took %v (drained %v), want under %v: the terminate frame's ack waited for the link timer", d, drained, busyFor/4)
 	}
 
 	mu.Lock()
@@ -334,12 +347,12 @@ func TestOwedAckPaidWithoutReverseTraffic(t *testing.T) {
 		if ack.IsZero() {
 			t.Fatalf("frame %d: no standalone ack followed its dispatch", k)
 		}
-		if lag := ack.Sub(d); lag > rto/2+rto/4 {
-			t.Errorf("frame %d: its ack left %v after its dispatch, want within rto/2 = %v (plus slack)", k, lag, rto/2)
+		if lag := ack.Sub(d); lag > comm.AckDelay+slack {
+			t.Errorf("frame %d: its ack left %v after its dispatch, want within %v (plus %v slack)", k, lag, comm.AckDelay, slack)
 		}
 	}
 	if n := counter("comm.retransmits", rs); n != 0 {
-		t.Errorf("%d retransmissions, want 0: an owed ack outlived the sender's timeout", n)
+		t.Errorf("%d frames resent, want 0: no link was cut", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gottg/internal/termdet"
 )
@@ -84,8 +83,7 @@ func TestBatchExactlyOnceUnderFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := tc.h(t)
 			for _, w := range h.worlds {
-				w.SetFaultPlan(FaultPlan{Seed: 99, Drop: 0.2, Dup: 0.2})
-				w.SetRetransmitTimeout(300 * time.Microsecond)
+				w.SetFaultPlan(FaultPlan{Seed: 99, Drop: 0.2, Delay: 0.2})
 				w.SetBatchLimit(64) // force many small frames
 			}
 			var mu sync.Mutex

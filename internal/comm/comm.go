@@ -9,9 +9,9 @@
 // the frame's handler itself, under the rank's receive lock (Proc.rx), as
 // TaskTorrent's active messages do. Time-driven work runs on timers that are
 // armed only while there is something to time: the link timer while a link
-// holds unacked or out-of-order frames or owes an ack (acks ride on frames,
-// link.go), and the heartbeat timer while failure detection is on; each
-// callback takes the receive lock.
+// owes an ack (acks ride on frames, link.go), must resend after a connection
+// cut, or holds unacked frames a stall handler watches, and the heartbeat
+// timer while failure detection is on; each callback takes the receive lock.
 // Work that other goroutines hand the rank — a quiescence notification, a
 // self-send — is delegated to the receive lock's holder: the poster runs it
 // itself when the lock is free and otherwise leaves it for unlockRx, which
@@ -26,10 +26,11 @@
 // detection over two consecutive reductions — is the paper's. There is one
 // wire: every cross-rank message is encoded as a frame and handed to a
 // Transport, in memory for the ranks of NewWorld and over TCP (or anything
-// else) for NewNetWorld. Transports are best-effort, so every World runs a
-// sequence-number + cumulative-ack + retransmit link layer under every
-// cross-rank message — application and wave control alike — and a seeded
-// FaultPlan can drop, duplicate, delay or reorder frames on any of them.
+// else) for NewNetWorld. A transport keeps each sender's frames in order and
+// loses frames only at a connection cut, which it reports; every World runs
+// a sequence-number + cumulative-ack link layer under every cross-rank
+// message — application and wave control alike — that resends what a cut
+// lost, and a seeded FaultPlan can cut and delay links on any transport.
 //
 // The package is layered by file: the wire (transport.go, with the FaultPlan
 // decorator in fault.go) under the reliable link (link.go) under batching
@@ -74,11 +75,9 @@ type World struct {
 	local []*Proc // the materialized ranks, in rank order
 
 	// World-wide options, fixed before any rank starts (started is atomic
-	// because ranks start concurrently): the link layer's retransmission
-	// timeout and stall watchdog (link.go), and the batch flush threshold
-	// (batch.go).
+	// because ranks start concurrently): the link layer's stall watchdog
+	// (link.go) and the batch flush threshold (batch.go).
 	started    atomic.Bool
-	rto        time.Duration
 	stallAfter time.Duration
 	onStall    func(rank int, summary string)
 	batchLimit int
@@ -110,7 +109,7 @@ type World struct {
 	peerHook atomic.Pointer[func(PeerEvent)]
 
 	// drainWait is non-nil while a Drain call waits; linkDrained closes it
-	// when a send link's retransmit queue empties.
+	// when a send link's unacked queue empties.
 	drainMu   sync.Mutex
 	drainWait chan struct{}
 
@@ -135,7 +134,7 @@ func NewWorld(n int) *World {
 // newWorld returns an n-rank world with no rank materialized yet.
 func newWorld(n int) *World {
 	return &World{procs: make([]*Proc, n), deadWire: make([]atomic.Bool, n),
-		rto: 2 * time.Millisecond, batchLimit: DefaultBatchBytes}
+		batchLimit: DefaultBatchBytes}
 }
 
 // newProc builds the endpoint of the rank tr is bound to (not yet started).
@@ -168,11 +167,9 @@ func (w *World) beforeStart(op string) {
 
 // Shutdown closes the wire, stops the rank timers and closes the local
 // transports (which cancels any delayed-fault frames still pending and joins
-// the goroutines that deliver frames). Safe after termination; this is what
-// stops the link timers that keep retransmitting after termination, and the
-// deliveries that keep re-acking duplicates. A timer callback that races it
-// finds the wire closed and neither works nor re-arms. Idempotent, and safe
-// even when some ranks were never started.
+// the goroutines that deliver frames). Safe after termination; a timer
+// callback that races it finds the wire closed and neither works nor
+// re-arms. Idempotent, and safe even when some ranks were never started.
 func (w *World) Shutdown() {
 	// Close the wire FIRST (atomically snapshotting whether we are the call
 	// that closed it), then drain the batch buffers. The old order — check
@@ -224,9 +221,8 @@ type Proc struct {
 	draining []message   // rx-private: the queued messages being dispatched
 	launched atomic.Bool // Start ran: frames dispatch in place, the queue drains
 
-	// linkTimer runs retransmission and the stall check while a link holds
-	// unacked or out-of-order frames; armed is set while it is pending
-	// (link.go). beat, created by Start with failure detection on, runs the
+	// linkTimer pays owed acks, resends after a cut, and runs the stall
+	// check; armed is set while it is pending (link.go). beat, created by Start with failure detection on, runs the
 	// heartbeats and suspicion (failure.go). Both stay off once failStop
 	// ran (halted).
 	linkTimer *time.Timer
@@ -257,12 +253,11 @@ type Proc struct {
 
 	// Link-layer state (see link.go). sendLinks is indexed by destination
 	// and guarded by its per-link mutex (Send may be called from any
-	// goroutine); recvLinks is indexed by source and rx-private, like
-	// lastActivity and the stall latch.
-	sendLinks    []sendLink
-	recvLinks    []recvLink
-	lastActivity time.Time
-	stalled      bool
+	// goroutine); recvLinks is indexed by source, its expected point
+	// rx-private like the stall latch.
+	sendLinks []sendLink
+	recvLinks []recvLink
+	stalled   bool
 
 	// Activation coalescing state (see batch.go). batch is indexed by
 	// destination; batchTag is the single batched application tag (-1 when
@@ -343,7 +338,6 @@ func (p *Proc) Start(det *termdet.Detector, onTerminate func()) {
 		p.beat = time.AfterFunc(fd.Heartbeat, p.fdTick)
 	}
 	det.SetOnQuiescent(p.oweQuiescence)
-	p.lastActivity = time.Now()
 	p.launched.Store(true)
 	p.unlockRx()
 }

@@ -15,17 +15,18 @@ import (
 )
 
 // transportCase is one Transport the contract tests run over: endpoints
-// returns n unstarted endpoints, ranks 0..n-1 of one world, and ordered
-// says whether the transport keeps each sender's frames in order.
+// returns n unstarted endpoints, ranks 0..n-1 of one world, that never cut
+// a link, and cutting, when the transport can be cut, n endpoints whose
+// seeded faults cut links now and then.
 type transportCase struct {
 	name      string
 	endpoints func(t *testing.T, n int) []comm.Transport
-	ordered   bool
+	cutting   func(t *testing.T, n int) []comm.Transport
 }
 
 // transportCases lists every Transport the contract covers: memory, the
-// fault decorator over memory (its plan reorders, so it is not ordered),
-// and loopback TCP.
+// fault decorator over memory (it delays frames, and its drops cut links),
+// and loopback TCP (its socket faults kill connections and tear writes).
 func transportCases() []transportCase {
 	mem := func(_ *testing.T, n int) []comm.Transport {
 		trs := make([]comm.Transport, n)
@@ -34,16 +35,22 @@ func transportCases() []transportCase {
 		}
 		return trs
 	}
-	return []transportCase{
-		{"memory", mem, true},
-		{"faults-over-memory", func(t *testing.T, n int) []comm.Transport {
+	faulty := func(drop float64) func(t *testing.T, n int) []comm.Transport {
+		return func(t *testing.T, n int) []comm.Transport {
 			trs := mem(t, n)
 			for i, tr := range trs {
-				trs[i] = comm.FaultWireOver(tr, comm.FaultPlan{Seed: uint64(i + 1), Reorder: 0.2, Delay: 0.2, MaxDelay: time.Millisecond})
+				trs[i] = comm.FaultWireOver(tr, comm.FaultPlan{Seed: uint64(i + 1), Drop: drop, Delay: 0.2, MaxDelay: time.Millisecond})
 			}
 			return trs
-		}, false},
-		{"tcp", tcpTransports, true},
+		}
+	}
+	return []transportCase{
+		{"memory", mem, nil},
+		{"faults-over-memory", faulty(0), faulty(0.02)},
+		{"tcp", func(t *testing.T, n int) []comm.Transport { return tcpTransports(t, n, nil) },
+			func(t *testing.T, n int) []comm.Transport {
+				return tcpTransports(t, n, &tcptransport.FaultConfig{ConnKillProb: 0.003, TornWriteProb: 0.003})
+			}},
 	}
 }
 
@@ -104,8 +111,7 @@ func TestDeliverNeverRunsInsideSend(t *testing.T) {
 // delivery goroutines: two senders stream sequenced frames to one endpoint
 // that several goroutines Poll back to back, as idle workers do. Every frame
 // is delivered exactly once, never while another frame of its sender is
-// being delivered, and in its sender's order where the transport keeps
-// order. The senders go on past perSender frames until the pollers have
+// being delivered, and in its sender's order. The senders go on past perSender frames until the pollers have
 // delivered some. Once all arrived, Poll on the drained endpoint returns 0
 // at once.
 func TestPollersAndDeliveryExactlyOnce(t *testing.T) {
@@ -136,7 +142,7 @@ func TestPollersAndDeliveryExactlyOnce(t *testing.T) {
 				switch {
 				case seen[src][seq]:
 					bad = append(bad, fmt.Sprintf("sender %d: frame %d delivered twice", src, seq))
-				case tc.ordered && seq != last[src]+1:
+				case seq != last[src]+1:
 					bad = append(bad, fmt.Sprintf("sender %d: frame %d after %d", src, seq, last[src]))
 				}
 				seen[src][seq], last[src] = true, seq
@@ -227,8 +233,8 @@ func TestPollersAndDeliveryExactlyOnce(t *testing.T) {
 }
 
 // tcpTransports returns n unstarted loopback TCP transports, ranks 0..n-1
-// of one world.
-func tcpTransports(t *testing.T, n int) []comm.Transport {
+// of one world, each with its own seed of fault when fault is not nil.
+func tcpTransports(t *testing.T, n int, fault *tcptransport.FaultConfig) []comm.Transport {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
@@ -241,7 +247,13 @@ func tcpTransports(t *testing.T, n int) []comm.Transport {
 	}
 	trs := make([]comm.Transport, n)
 	for i := range trs {
-		tr, err := tcptransport.New(tcptransport.Config{Self: i, Peers: peers, Listener: lns[i]})
+		cfg := tcptransport.Config{Self: i, Peers: peers, Listener: lns[i]}
+		if fault != nil {
+			f := *fault
+			f.Seed = uint64(i + 1)
+			cfg.Fault = &f
+		}
+		tr, err := tcptransport.New(cfg)
 		if err != nil {
 			t.Fatalf("tcptransport.New(%d): %v", i, err)
 		}

@@ -173,11 +173,10 @@ func TestSendsToDeadRankDoNotBlockTermination(t *testing.T) {
 }
 
 func TestPruneNoticesAdvertiseDispatchCounts(t *testing.T) {
-	// A receiver at local quiescence with an empty retransmit queue
+	// A receiver at local quiescence with an empty unacked queue
 	// advertises its per-sender dispatch count; the sender's hook sees the
 	// cumulative total.
 	h := newHarness(2)
-	h.world.SetRetransmitTimeout(2 * time.Millisecond)
 	var advertised atomic.Int64
 	h.world.Proc(0).SetOnPrune(func(src int, n int64) {
 		if src != 1 {

@@ -2,22 +2,34 @@ package comm
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"time"
 )
 
-// FaultPlan describes randomized faults injected into every frame a rank
-// sends (application payloads, wave control, and acks alike). Probabilities
-// are independent per frame; retransmissions roll again. Self-sends never
-// reach the wire and are never faulted.
+// FaultPlan describes randomized faults injected into the frames a rank
+// sends (application payloads, wave control, and acks alike), within the
+// Transport contract: a dropped frame cuts its link, and a delayed frame
+// keeps its link's order. Probabilities are independent per frame, and
+// resent frames roll again. Self-sends never reach the wire and are never
+// faulted.
 type FaultPlan struct {
 	Seed     uint64        // RNG seed; 0 is replaced with 1
-	Drop     float64       // probability a transmission is lost
-	Dup      float64       // probability a transmission is delivered twice
-	Reorder  float64       // probability a transmission is held back briefly, letting later sends pass it
+	Drop     float64       // probability a transmission is lost, cutting its link for a short, seeded while
 	Delay    float64       // probability of an additional random delay of up to MaxDelay
 	MaxDelay time.Duration // bound for Delay faults (default 1ms)
 }
+
+// errFaultCut is the error on the PeerDown that reports a simulated cut.
+var errFaultCut = errors.New("comm: fault plan cut the link")
+
+// Cut windows: a cut lasts a seeded while in [cutMin, cutMin+cutSpread),
+// far below any heartbeat suspicion timeout, so a cut never looks like a
+// dead rank.
+const (
+	cutMin    = 200 * time.Microsecond
+	cutSpread = 800 * time.Microsecond
+)
 
 // SetFaultPlan installs a fault plan on the transport of every local rank
 // (see faultWire), over memory and TCP alike. Must be called after NewWorld
@@ -38,10 +50,11 @@ func (w *World) SetFaultPlan(fp FaultPlan) {
 }
 
 // SetDropFilter installs a deterministic drop predicate consulted for every
-// frame a local rank sends (including retransmissions and acks); returning
-// true drops that frame. It is the tool for scripted-loss tests ("drop the
-// first tagTerminate on link 0→1"). Composable with a FaultPlan. Must be
-// called before any Proc is started.
+// frame a local rank sends (including resent frames and acks); returning
+// true drops that frame and cuts its link, like a FaultPlan drop. It is the
+// tool for scripted-loss tests ("drop the first tagTerminate on link
+// 0→1"). Composable with a FaultPlan. Must be called before any Proc is
+// started.
 func (w *World) SetDropFilter(f func(src, dst, tag int) bool) {
 	w.beforeStart("SetDropFilter")
 	for _, p := range w.local {
@@ -50,10 +63,11 @@ func (w *World) SetDropFilter(f func(src, dst, tag int) bool) {
 }
 
 // faults returns the fault decorator over p's transport, wrapping the
-// transport in one on first use.
+// transport in one on first use. Its simulated cuts report to the rank's
+// event callback, as the transport's own do.
 func (p *Proc) faults() *faultWire {
 	if p.fw == nil {
-		p.fw = &faultWire{Transport: p.tr, w: p.world}
+		p.fw = &faultWire{Transport: p.tr, w: p.world, events: p.peerEvent}
 		p.tr = p.fw
 	}
 	return p.fw
@@ -61,21 +75,38 @@ func (p *Proc) faults() *faultWire {
 
 // faultWire is the Transport decorator behind SetFaultPlan and
 // SetDropFilter. Every frame its rank sends first passes the drop filter,
-// then rolls the plan's drop, duplicate, reorder and delay faults from a
-// splitmix64 stream seeded by the plan and the rank, so a run's faults are a
-// function of the seed and each rank's send order. Source and tag are read
-// from the frame header. A held-back frame waits in a tracked timer that
-// Close stops, so no delivery outlives the world.
+// then rolls the plan's drop and delay faults from a splitmix64 stream
+// seeded by the plan and the rank, so a run's faults are a function of the
+// seed and each rank's send order. Source and tag are read from the frame
+// header.
+//
+// A drop cuts the link toward the frame's destination: that frame and every
+// later one is dropped until, a short seeded while later, the link's timer
+// reports the simulated cut as PeerDown and then PeerUp, after which the
+// link layer resends. A delayed frame waits in the held queue, and so does
+// every later frame until the queue has drained, so release times stay
+// monotone and every link keeps its order. Frames pass to the wrapped
+// transport under mu, so no two releases overtake each other. Close stops
+// the timers, so no delivery outlives the world.
 type faultWire struct {
 	Transport
-	w    *World // for the fault counters
-	plan FaultPlan
-	drop func(src, dst, tag int) bool
+	w      *World // for the fault counters
+	events func(PeerEvent)
+	plan   FaultPlan
+	drop   func(src, dst, tag int) bool
 
 	mu     sync.Mutex
 	rng    uint64
-	timers map[*time.Timer]struct{}
+	cuts   map[int]*time.Timer // the links cut, each until its timer ends the cut
+	held   []heldFrame         // delayed frames, and the frames behind them, in send order
+	timer  *time.Timer         // releases held frames
 	closed bool
+}
+
+type heldFrame struct {
+	dst   int
+	frame []byte
+	at    time.Time
 }
 
 // Send rolls the faults for one frame and passes on what survives.
@@ -83,90 +114,114 @@ func (f *faultWire) Send(dst int, frame []byte) error {
 	src := int(int32(binary.LittleEndian.Uint32(frame[0:])))
 	tag := int(int32(binary.LittleEndian.Uint32(frame[4:])))
 	mx, fp := f.w.mx, &f.plan
-	if f.drop != nil && f.drop(src, dst, tag) || f.roll(fp.Drop) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil
+	}
+	if f.cuts[dst] != nil || f.drop != nil && f.drop(src, dst, tag) || f.roll(fp.Drop) {
 		if mx != nil {
 			mx.faultDrop.Inc(src)
 		}
-		return nil
-	}
-	if f.roll(fp.Dup) {
-		if mx != nil {
-			mx.faultDup.Inc(src)
+		if f.cuts[dst] == nil {
+			f.cut(dst)
 		}
-		f.Transport.Send(dst, append([]byte(nil), frame...))
+		return errFaultCut
 	}
-	var delay time.Duration
-	if f.roll(fp.Reorder) {
-		// Hold the frame back just long enough for later sends to pass.
-		delay += time.Duration(50+f.rand()%450) * time.Microsecond
-		if mx != nil {
-			mx.faultReorder.Inc(src)
-		}
-	}
+	now := time.Now()
+	at := now
 	if f.roll(fp.Delay) {
-		delay += time.Duration(f.rand() % uint64(fp.MaxDelay))
+		at = now.Add(time.Duration(f.rand() % uint64(fp.MaxDelay)))
 		if mx != nil {
 			mx.faultDelay.Inc(src)
 		}
 	}
-	if delay > 0 {
-		f.later(dst, frame, delay)
-		return nil
+	if n := len(f.held); n > 0 && at.Before(f.held[n-1].at) {
+		at = f.held[n-1].at // behind the last held frame: links keep their order
 	}
-	return f.Transport.Send(dst, frame)
+	if len(f.held) == 0 && !at.After(now) {
+		return f.Transport.Send(dst, frame)
+	}
+	f.held = append(f.held, heldFrame{dst, frame, at})
+	if len(f.held) == 1 {
+		f.release()
+	}
+	return nil
 }
 
-// rand steps the decorator's splitmix64 stream.
+// cut starts a cut of the link toward dst, which its timer ends a seeded
+// while from now: it reports PeerDown and then PeerUp, outside mu, once
+// frames pass again, so every frame the cut dropped was dropped before the
+// report. Under mu.
+func (f *faultWire) cut(dst int) {
+	if f.cuts == nil {
+		f.cuts = map[int]*time.Timer{}
+	}
+	f.cuts[dst] = time.AfterFunc(cutMin+time.Duration(f.rand()%uint64(cutSpread)), func() {
+		f.mu.Lock()
+		closed := f.closed
+		delete(f.cuts, dst)
+		f.mu.Unlock()
+		if !closed && f.events != nil {
+			f.events(PeerEvent{Peer: dst, Kind: PeerDown, Err: errFaultCut})
+			f.events(PeerEvent{Peer: dst, Kind: PeerUp})
+		}
+	})
+}
+
+// release hands the held frames whose time has come to the wrapped
+// transport, in order, and sets the timer for the next one. Under mu.
+func (f *faultWire) release() {
+	now := time.Now()
+	k := 0
+	for ; k < len(f.held) && !f.held[k].at.After(now); k++ {
+		f.Transport.Send(f.held[k].dst, f.held[k].frame)
+	}
+	n := copy(f.held, f.held[k:])
+	clear(f.held[n:])
+	f.held = f.held[:n]
+	if n == 0 {
+		return
+	}
+	if f.timer == nil {
+		f.timer = time.AfterFunc(time.Hour, func() {
+			f.mu.Lock()
+			if !f.closed {
+				f.release()
+			}
+			f.mu.Unlock()
+		})
+	}
+	f.timer.Reset(f.held[0].at.Sub(now))
+}
+
+// rand steps the decorator's splitmix64 stream. Under mu.
 func (f *faultWire) rand() uint64 {
-	f.mu.Lock()
 	f.rng += 0x9e3779b97f4a7c15
 	z := f.rng
-	f.mu.Unlock()
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	return z ^ z>>31
 }
 
 // roll reports true with probability p, drawing from the stream only when
-// p > 0 (a plan without a fault kind leaves the stream alone).
+// p > 0 (a plan without a fault kind leaves the stream alone). Under mu.
 func (f *faultWire) roll(p float64) bool {
 	return p > 0 && float64(f.rand()>>11)/(1<<53) < p
 }
 
-// later hands frame to the wrapped transport after d, unless Close comes
-// first. The callback deregisters its timer, so the set stays bounded by the
-// frames in flight; one that finds itself gone lost the race with Close and
-// sends nothing.
-func (f *faultWire) later(dst int, frame []byte, d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	if f.timers == nil {
-		f.timers = map[*time.Timer]struct{}{}
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		f.mu.Lock()
-		_, live := f.timers[t]
-		delete(f.timers, t)
-		f.mu.Unlock()
-		if live {
-			f.Transport.Send(dst, frame)
-		}
-	})
-	f.timers[t] = struct{}{}
-}
-
-// Close stops every pending delayed frame, then closes the wrapped transport.
+// Close stops the timers of the held frames and of the cuts, then closes
+// the wrapped transport.
 func (f *faultWire) Close() error {
 	f.mu.Lock()
 	f.closed = true
-	for t := range f.timers {
+	if f.timer != nil {
+		f.timer.Stop()
+	}
+	for _, t := range f.cuts {
 		t.Stop()
 	}
-	f.timers = nil
+	f.held = nil
 	f.mu.Unlock()
 	return f.Transport.Close()
 }

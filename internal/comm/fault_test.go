@@ -10,27 +10,29 @@ import (
 	"gottg/internal/termdet"
 )
 
-// faultPlanHeavy is the acceptance-criteria plan: >=10% drop plus
-// duplication and reordering on every link.
+// faultPlanHeavy is the acceptance-criteria plan: a tenth of all frames
+// cut their link, and a tenth are delayed, on every link.
 func faultPlanHeavy(seed uint64) FaultPlan {
 	return FaultPlan{
-		Seed:    seed,
-		Drop:    0.15,
-		Dup:     0.10,
-		Reorder: 0.25,
-		Delay:   0.10,
+		Seed:  seed,
+		Drop:  0.10,
+		Delay: 0.10,
 	}
+}
+
+// resent returns the frames h's world resent after cuts, with metrics on.
+func resent(h *harness) uint64 {
+	return h.world.MetricsSnapshot().Counters["comm.retransmits"]
 }
 
 func TestRingRelaySurvivesFaults(t *testing.T) {
 	// The ring-relay workload under a heavy fault plan: every hop's message
-	// can be dropped, duplicated, or reordered, yet the ack/retransmit link
-	// layer must deliver each exactly once and the wave must terminate.
+	// can be lost in a cut or delayed, yet the link layer must deliver each
+	// exactly once and the wave must terminate.
 	const n = 4
 	const hops = 60
 	h := newHarness(n)
 	h.world.SetFaultPlan(faultPlanHeavy(42))
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	var handled atomic.Int64
 	for i := 0; i < n; i++ {
 		i := i
@@ -57,13 +59,15 @@ func TestRingRelaySurvivesFaults(t *testing.T) {
 	}
 }
 
-func TestPerSenderFIFOSurvivesReordering(t *testing.T) {
-	// The wire reorders aggressively; the sequence-number layer must
-	// restore per-link FIFO before dispatch.
+func TestPerSenderFIFOSurvivesCuts(t *testing.T) {
+	// The wire cuts the link often and delays frames: the frames lost in
+	// each cut are resent after it, behind frames that went out later and
+	// arrived past the gap. The receiver must still dispatch per-link FIFO,
+	// each message once.
 	const msgs = 200
 	h := newHarness(2)
-	h.world.SetFaultPlan(FaultPlan{Seed: 7, Reorder: 0.5, Dup: 0.2, Drop: 0.1})
-	h.world.SetRetransmitTimeout(time.Millisecond)
+	h.world.SetFaultPlan(FaultPlan{Seed: 7, Drop: 0.1, Delay: 0.3})
+	h.world.EnableMetrics()
 	var last int32 = -1
 	var outOfOrder atomic.Int64
 	h.world.Proc(1).Register(0, func(src int, payload []byte) {
@@ -88,6 +92,9 @@ func TestPerSenderFIFOSurvivesReordering(t *testing.T) {
 	if last != msgs-1 {
 		t.Fatalf("last = %d, want %d", last, msgs-1)
 	}
+	if resent(h) == 0 {
+		t.Fatal("no frame was resent: the plan never cut the link")
+	}
 }
 
 func TestScatterChainsSurviveFaults(t *testing.T) {
@@ -97,7 +104,6 @@ func TestScatterChainsSurviveFaults(t *testing.T) {
 	const seeds = 15
 	h := newHarness(n)
 	h.world.SetFaultPlan(faultPlanHeavy(1234))
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	var handled atomic.Int64
 	for i := 0; i < n; i++ {
 		i := i
@@ -139,17 +145,17 @@ func TestScatterChainsSurviveFaults(t *testing.T) {
 
 func TestLostTerminateIsRetransmitted(t *testing.T) {
 	// The scenario that deadlocks the unprotected protocol: the root's
-	// tagTerminate to rank 1 is lost. With the link layer active, the root
-	// retransmits until acked, so rank 1 still observes termination instead
-	// of hanging forever.
+	// tagTerminate to rank 1 is lost in a cut. The root resends it when the
+	// cut ends, so rank 1 still observes termination instead of hanging
+	// forever.
 	h := newHarness(3)
+	h.world.EnableMetrics()
 	var dropsLeft atomic.Int32
 	dropsLeft.Store(1)
 	h.world.SetDropFilter(func(src, dst, tag int) bool {
 		return src == 0 && dst == 1 && tag == tagTerminate &&
 			dropsLeft.Add(-1) >= 0
 	})
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
 	h.dets[0].Completed(termdet.ExternalSlot)
@@ -157,13 +163,17 @@ func TestLostTerminateIsRetransmitted(t *testing.T) {
 	if dropsLeft.Load() > 0 {
 		t.Fatal("the scripted tagTerminate drop never triggered")
 	}
+	if resent(h) == 0 {
+		t.Fatal("the lost tagTerminate arrived without a resend")
+	}
 }
 
 func TestLostProbeAndReplyAreRetransmitted(t *testing.T) {
 	// Same idea for the other wave messages: the first probe to rank 1 and
-	// the first reply from rank 2 are lost; retransmission must still
-	// complete the reduction.
+	// the first reply from rank 2 are lost in cuts; the resends after the
+	// cuts must still complete the reduction.
 	h := newHarness(3)
+	h.world.EnableMetrics()
 	var probeDrops, replyDrops atomic.Int32
 	probeDrops.Store(1)
 	replyDrops.Store(1)
@@ -173,22 +183,27 @@ func TestLostProbeAndReplyAreRetransmitted(t *testing.T) {
 		}
 		return src == 2 && dst == 0 && tag == tagReply && replyDrops.Add(-1) >= 0
 	})
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
 	h.dets[0].Completed(termdet.ExternalSlot)
 	h.waitAll(t)
+	if probeDrops.Load() > 0 || replyDrops.Load() > 0 {
+		t.Fatal("a scripted drop never triggered")
+	}
+	if n := resent(h); n < 2 {
+		t.Fatalf("%d frames resent, want at least the lost probe and reply", n)
+	}
 }
 
 func TestStallWatchdogSurfacesDiagnostics(t *testing.T) {
-	// A link that permanently eats rank 0's application sends to rank 1 can
-	// never terminate (sent != received forever). The watchdog must surface
-	// the unacked-send diagnostic instead of letting the test hang.
+	// A link that cuts on every application send from rank 0 to rank 1, the
+	// resends included, can never terminate (sent != received forever). The
+	// watchdog must surface the unacked-send diagnostic instead of letting
+	// the test hang.
 	h := newHarness(2)
 	h.world.SetDropFilter(func(src, dst, tag int) bool {
 		return src == 0 && dst == 1 && tag >= 0
 	})
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	stalls := make(chan string, 2)
 	h.world.SetStallHandler(20*time.Millisecond, func(rank int, summary string) {
 		select {
@@ -223,7 +238,6 @@ func TestStallWatchdogRearmsAfterRecovery(t *testing.T) {
 	h.world.SetDropFilter(func(src, dst, tag int) bool {
 		return hole.Load() && src == 0 && dst == 1 && tag >= 0
 	})
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	stalls := make(chan string, 4)
 	h.world.SetStallHandler(20*time.Millisecond, func(rank int, summary string) {
 		select {
@@ -243,8 +257,8 @@ func TestStallWatchdogRearmsAfterRecovery(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("first stall episode never surfaced")
 	}
-	// Recovery: open the link; the pending retransmit gets through and its
-	// ack clears the latch.
+	// Recovery: open the link; the resend after the current cut gets
+	// through and its ack clears the latch.
 	hole.Store(false)
 	time.Sleep(50 * time.Millisecond)
 	// Episode two: a fresh message into a re-closed hole must surface again.
@@ -261,11 +275,10 @@ func TestStallWatchdogRearmsAfterRecovery(t *testing.T) {
 
 func TestAbortBroadcastReachesAllRanks(t *testing.T) {
 	// Proc.Abort must reach every other rank exactly once per sender, even
-	// over a faulty wire.
+	// over a wire that cuts and delays.
 	const n = 4
 	h := newHarness(n)
 	h.world.SetFaultPlan(faultPlanHeavy(5))
-	h.world.SetRetransmitTimeout(time.Millisecond)
 	aborts := make([]atomic.Int32, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -281,8 +294,8 @@ func TestAbortBroadcastReachesAllRanks(t *testing.T) {
 	h.world.Proc(2).Abort("boom")
 	h.dets[0].Completed(termdet.ExternalSlot)
 	// The wave does not count aborts, so the run can terminate while a
-	// dropped abort still waits for its retransmission: drain (acks follow
-	// dispatch) before Shutdown stops the wire.
+	// dropped abort still waits for its resend: drain (acks follow dispatch)
+	// before Shutdown stops the wire.
 	for i, d := range h.done {
 		select {
 		case <-d:
@@ -310,10 +323,9 @@ func TestFaultConfigAfterStartPanics(t *testing.T) {
 	h.dets[0].Discovered(termdet.ExternalSlot)
 	h.start()
 	for name, f := range map[string]func(){
-		"SetFaultPlan":         func() { h.world.SetFaultPlan(FaultPlan{}) },
-		"SetDropFilter":        func() { h.world.SetDropFilter(func(int, int, int) bool { return false }) },
-		"SetRetransmitTimeout": func() { h.world.SetRetransmitTimeout(time.Millisecond) },
-		"SetStallHandler":      func() { h.world.SetStallHandler(time.Second, func(int, string) {}) },
+		"SetFaultPlan":    func() { h.world.SetFaultPlan(FaultPlan{}) },
+		"SetDropFilter":   func() { h.world.SetDropFilter(func(int, int, int) bool { return false }) },
+		"SetStallHandler": func() { h.world.SetStallHandler(time.Second, func(int, string) {}) },
 	} {
 		func() {
 			defer func() {

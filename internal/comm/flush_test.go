@@ -26,15 +26,13 @@ func (c *sendCounter) Send(dst int, frame []byte) error {
 	return c.Transport.Send(dst, frame)
 }
 
-// countedMemHarness is memHarness with rank 0's sends counted. Rank 0's
-// retransmission timeout is long, so every frame it sends is an original.
+// countedMemHarness is memHarness with rank 0's sends counted. Memory never
+// cuts a link, so every frame rank 0 sends is an original.
 func countedMemHarness(t *testing.T) (*netHarness, *sendCounter) {
 	t.Helper()
 	mem := NewMemNetwork(2)
 	c := &sendCounter{Transport: mem[0]}
-	h := newNetHarness(t, c, mem[1])
-	h.worlds[0].SetRetransmitTimeout(time.Minute)
-	return h, c
+	return newNetHarness(t, c, mem[1]), c
 }
 
 // TestLoneAppendLeavesAtOnce: an append toward a link with nothing unacked
@@ -118,7 +116,8 @@ func TestAppendsBehindTwoUnackedShipOnAck(t *testing.T) {
 
 // TestFlushRuleExactlyOnceUnderLoss: 10⁴ appends from two goroutines on rank
 // 0, with rank 1 echoing every eighth entry back from its handler, over a
-// wire that drops 30 % of all frames, acks included. Every
+// wire where 30 % of all frames, acks included, are lost and cut their link,
+// so frames and acks are lost in every cut until the resend after it. Every
 // entry and echo arrives exactly once and in its appender's order, and the
 // wave terminates — no buffer is stranded behind a lost ack.
 func TestFlushRuleExactlyOnceUnderLoss(t *testing.T) {
@@ -126,7 +125,6 @@ func TestFlushRuleExactlyOnceUnderLoss(t *testing.T) {
 	h := memHarness(t, 2)
 	for _, w := range h.worlds {
 		w.SetFaultPlan(FaultPlan{Seed: 30, Drop: 0.3})
-		w.SetRetransmitTimeout(300 * time.Microsecond)
 		w.EnableMetrics()
 	}
 	var counts, echoes [2 * perAppender]int
@@ -171,11 +169,12 @@ func TestFlushRuleExactlyOnceUnderLoss(t *testing.T) {
 	if !ordered {
 		t.Fatal("an appender's entries arrived out of order")
 	}
-	var dropped uint64
+	var dropped, resent uint64
 	for _, w := range h.worlds {
 		dropped += w.MetricsSnapshot().Counters["comm.fault.dropped"]
+		resent += w.MetricsSnapshot().Counters["comm.retransmits"]
 	}
-	if dropped == 0 {
-		t.Fatal("the fault plan dropped no frame")
+	if dropped == 0 || resent == 0 {
+		t.Fatalf("the fault plan dropped %d frames and the links resent %d, want both > 0", dropped, resent)
 	}
 }

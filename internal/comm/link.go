@@ -8,10 +8,22 @@ import (
 	"time"
 )
 
-// The reliable link layer: per-link sequence numbers, cumulative acks,
-// adaptive retransmission, in-order deduplicated release to dispatch, and
-// the stall watchdog. Every World runs it under every sequenced cross-rank
-// message, whatever the transport; only self-sends bypass it.
+// The reliable link layer: per-link sequence numbers, cumulative acks, a
+// resend after each connection cut, in-order deduplicated release to
+// dispatch, and the stall watchdog. Every World runs it under every
+// sequenced cross-rank message, whatever the transport; only self-sends
+// bypass it.
+//
+// Loss only at a cut. A transport keeps each sender's frames in order and
+// loses a frame only at a cut, which it reports as PeerDown (or
+// PeerDialFailed) before the PeerUp that ends it (Transport). So there is no
+// retransmission timer: each link keeps its unacked frames, and on the
+// PeerUp that ends a cut toward dst it sends them all again, in sequence
+// order, and restates its cumulative ack for dst (resend). The receiver
+// dispatches only the frame it expects next and drops any other: a
+// duplicate, or a frame past a gap that the cut left. Both are safe to drop
+// because the resend makes each connection's stream contiguous from at or
+// below the expected frame.
 //
 // Acks ride on frames. Every frame's header carries the cumulative ack of
 // the reverse link (transport.go), stamped when the frame is transmitted, and
@@ -22,30 +34,20 @@ import (
 //   - any frame to that peer (transmit stamps the ack);
 //   - the next Proc.Poll round of the rank's workers;
 //   - termination, World.Drain and World.Shutdown;
-//   - the link timer, within rto/2, so a busy receiver never provokes a
-//     retransmission.
-// The debt is paid at once for duplicates and out-of-order holds (the sender
-// is retransmitting, or waits on a gap), whenever no worker of the rank is
-// awake to poll or send (every worker parked, or no runtime reports, as in
-// a bare comm world; oweAck), and after termination.
+//   - the link timer, within ackDelay.
+// The debt is paid at once whenever no worker of the rank is awake to poll
+// or send (every worker parked, or no runtime reports, as in a bare comm
+// world; oweAck), and after termination.
 
-// SetRetransmitTimeout adjusts the link layer's retransmission timeout
-// (default 2ms). The link timer fires at half of it while a link holds
-// unacked or out-of-order frames or owes an ack. Must be called before any
-// Proc is started.
-func (w *World) SetRetransmitTimeout(d time.Duration) {
-	w.beforeStart("SetRetransmitTimeout")
-	if d <= 0 {
-		panic("comm: retransmit timeout must be positive")
-	}
-	w.rto = d
-}
+// ackDelay is the longest an owed ack waits for a frame to carry it before
+// the link timer sends it alone, and the link timer's period while it
+// watches for a stall.
+const ackDelay = time.Millisecond
 
-// SetStallHandler installs a watchdog: when a rank sees no inbound traffic
-// for `after` while still holding undelivered or unacked messages, f fires
-// once (per stall episode) with that rank's PendingSummary — surfacing a
-// diagnostic instead of hanging silently. Must be called before any Proc is
-// started.
+// SetStallHandler installs a watchdog: when a rank's send stays unacked for
+// `after`, f fires once (per stall episode) with that rank's PendingSummary —
+// surfacing a diagnostic instead of hanging silently. Must be called before
+// any Proc is started.
 func (w *World) SetStallHandler(after time.Duration, f func(rank int, summary string)) {
 	w.beforeStart("SetStallHandler")
 	w.stallAfter = after
@@ -65,72 +67,24 @@ type sendLink struct {
 	busy atomic.Bool
 	full atomic.Bool
 
-	// Adaptive retransmission timeout (Jacobson/Karels, RFC 6298 shape):
-	// smoothed RTT and variance in nanoseconds, fed by ack latencies of
-	// never-retransmitted sends (Karn). Zero until the first sample. Guarded
-	// by mu.
-	srtt   int64
-	rttvar int64
+	// resend is set by the PeerUp that ends a cut toward the peer, for the
+	// link timer to serve (peerEvent).
+	resend atomic.Bool
 }
 
 // sendWindow is how many unacked frames a link holds before batch appends
 // toward it gather instead of leaving (batch.go, "Flush rule").
 const sendWindow = 2
 
-// maxLinkRTO caps the adaptive retransmission timeout so a burst of delayed
-// acks cannot park a link for good.
-const maxLinkRTO = time.Second
-
-// observeRTT folds one ack-latency sample into the link's RTT estimate.
-// Caller holds l.mu.
-func (l *sendLink) observeRTT(sample time.Duration) {
-	s := int64(sample)
-	if s <= 0 {
-		return
-	}
-	if l.srtt == 0 {
-		l.srtt = s
-		l.rttvar = s / 2
-		return
-	}
-	d := l.srtt - s
-	if d < 0 {
-		d = -d
-	}
-	l.rttvar += (d - l.rttvar) / 4
-	l.srtt += (s - l.srtt) / 8
-}
-
-// rto returns the link's current retransmission timeout: SRTT + 4·RTTVAR,
-// floored at the world's configured timeout (so a fast wire keeps today's
-// behavior exactly) and capped at maxLinkRTO. Caller holds l.mu.
-func (l *sendLink) rto(floor time.Duration) time.Duration {
-	if l.srtt == 0 {
-		return floor
-	}
-	rto := time.Duration(l.srtt + 4*l.rttvar)
-	if rto < floor {
-		return floor
-	}
-	if rto > maxLinkRTO {
-		return maxLinkRTO
-	}
-	return rto
-}
-
 type pendingSend struct {
-	msg   message
-	born  time.Time // first transmission (stall detection)
-	last  time.Time // last transmission attempt
-	tries int
+	msg  message
+	born time.Time // first transmission (stall detection)
 }
 
-// recvLink is the per-source receiver state. expected and ooo are
-// rx-private; the acks are read by any goroutine that transmits toward the
-// source.
+// recvLink is the per-source receiver state. expected is rx-private; the
+// acks are read by any goroutine that transmits toward the source.
 type recvLink struct {
 	expected int64 // next in-order sequence number wanted
-	ooo      map[int64]message
 
 	// through is expected-1, published before each in-order dispatch: the
 	// cumulative ack every frame toward the source carries. told is the
@@ -164,10 +118,11 @@ func (p *Proc) initLinks(n int) {
 }
 
 // post is the wire entry point for all sequenced outbound messages: it
-// sequences the message and hands it to the wire, and the link going busy
-// arms the link timer. Self-sends bypass the link layer.
+// sequences the message and hands it to the wire, and with a stall handler
+// installed the link going busy arms the link timer. Self-sends bypass the
+// link layer.
 //
-// The link lock is held across transmit, here and in retransmit, for two
+// The link lock is held across transmit, here and in resend, for two
 // reasons: transmit copies a batch frame's slab into the wire frame, and the
 // ack that returns the slab to the pool (handleAck) takes the lock too, so no
 // copy reads a slab already reused; and frames leave in sequence order.
@@ -180,11 +135,12 @@ func (p *Proc) post(dst int, m message) {
 	l.mu.Lock()
 	l.nextSeq++
 	m.seq = l.nextSeq
-	now := time.Now()
-	l.unacked = append(l.unacked, pendingSend{msg: m, born: now, last: now})
+	l.unacked = append(l.unacked, pendingSend{msg: m, born: time.Now()})
 	if !l.busy.Load() {
 		l.busy.Store(true) // before armLinks tests armed
-		p.armLinks()
+		if p.world.onStall != nil {
+			p.armLinks()
+		}
 	}
 	if len(l.unacked) == sendWindow {
 		l.full.Store(true)
@@ -194,9 +150,9 @@ func (p *Proc) post(dst int, m message) {
 }
 
 // receive runs the inbound half of the link layer: sequenced messages are
-// deduplicated and released to dispatch strictly in-order per link,
-// everything else goes straight through, and the ack every frame carries is
-// applied after the frame's own dispatch.
+// released to dispatch strictly in order per link, everything else goes
+// straight through, and the ack every frame carries is applied after the
+// frame's own dispatch.
 func (p *Proc) receive(m message) {
 	if p.mem.dead != nil && m.src != p.rank {
 		if p.mem.dead[m.src] {
@@ -211,47 +167,30 @@ func (p *Proc) receive(m message) {
 		p.handleAck(m.src, m.ack)
 		return
 	}
-	p.lastActivity = time.Now()
 	l := &p.recvLinks[m.src]
-	switch {
-	case m.seq < l.expected:
-		// Duplicate (retransmit whose original arrived, or a wire dup):
-		// drop, but re-ack at once so the sender stops retransmitting.
+	if m.seq != l.expected {
+		// A duplicate, or a frame past a gap a cut left: drop it. The
+		// sender's resend after the cut restates every frame from its
+		// oldest unacked one, in order, so nothing dropped here is missed.
 		p.handleAck(m.src, m.ack)
-		p.sendAck(m.src)
-	case m.seq > l.expected:
-		// Gap: hold out-of-order arrivals and ack the contiguous prefix at
-		// once; the link timer watches the hold for a stall.
-		if l.ooo == nil {
-			l.ooo = map[int64]message{}
-		}
-		l.ooo[m.seq] = m
-		p.armLinks()
-		p.handleAck(m.src, m.ack)
-		p.sendAck(m.src)
-	default:
-		// In-order delivery is the only inbound event that counts as forward
-		// progress; it re-arms the stall latch so a *second* stall episode is
-		// reported too. Duplicates and out-of-order holds above deliberately
-		// do not — they stream in constantly on a half-dead link. The ack
-		// point moves before each dispatch, so whatever the handler sends
-		// back carries the ack of the frame it handles.
-		p.stalled = false
-		for next, ok := m, true; ok; next, ok = l.ooo[l.expected] {
-			delete(l.ooo, next.seq)
-			l.through.Store(l.expected)
-			l.expected++
-			p.dispatch(next)
-		}
-		p.handleAck(m.src, m.ack)
-		p.oweAck(m.src)
+		return
 	}
+	// In-order delivery is the only inbound event that counts as forward
+	// progress; it re-arms the stall latch so a *second* stall episode is
+	// reported too. The ack point moves before the dispatch, so whatever the
+	// handler sends back carries the ack of the frame it handles.
+	p.stalled = false
+	l.through.Store(l.expected)
+	l.expected++
+	p.dispatch(m)
+	p.handleAck(m.src, m.ack)
+	p.oweAck(m.src)
 }
 
 // oweAck settles the ack of an in-order delivery from src, under rx. A frame
 // sent to src meanwhile already carried it. Otherwise, while a worker is
 // awake (SetAwake) and before termination, it stays owed: the worker polls
-// or sends before long, and the link timer pays it within rto/2 at the
+// or sends before long, and the link timer pays it within ackDelay at the
 // latest. With every worker parked, none reporting, or after termination,
 // it is sent at once.
 func (p *Proc) oweAck(src int) {
@@ -304,10 +243,6 @@ func (p *Proc) payAcks(all bool) {
 // re-acks stream in constantly on a dead link, so neither may reset it. An
 // ack that takes the link below sendWindow unacked frames ships the batch
 // that gathered behind it (batch.go, "Flush rule").
-//
-// Each released send that was never retransmitted contributes an RTT sample
-// to the link's adaptive retransmission timeout (Karn's algorithm: a
-// retransmitted message's ack is ambiguous and must not be sampled).
 func (p *Proc) handleAck(src int, ack int64) {
 	if ack <= 0 { // a self-send, or nothing from src dispatched yet
 		return
@@ -318,14 +253,9 @@ func (p *Proc) handleAck(src int, ack int64) {
 		l.mu.Unlock()
 		return
 	}
-	now := time.Now()
 	k := 0
 	for ; k < len(l.unacked) && l.unacked[k].msg.seq <= ack; k++ {
-		ps := &l.unacked[k]
-		if ps.tries == 0 {
-			l.observeRTT(now.Sub(ps.born))
-		}
-		if ps.msg.slab {
+		if ps := &l.unacked[k]; ps.msg.slab {
 			// Acked ⇒ the receiver holds the frame in order, and any
 			// duplicate still in flight is dropped by sequence number; the
 			// wire carried copies made under l.mu, so the slab is safely
@@ -339,7 +269,6 @@ func (p *Proc) handleAck(src int, ack int64) {
 	l.busy.Store(n != 0)
 	l.full.Store(n >= sendWindow)
 	l.mu.Unlock()
-	p.lastActivity = now
 	p.stalled = false
 	if n >= sendWindow {
 		return
@@ -356,34 +285,46 @@ func (p *Proc) handleAck(src int, ack int64) {
 	}
 }
 
-// retransmit resends every unacked message older than the link's adaptive
-// RTO (SRTT + 4·RTTVAR from observed ack latencies, floored at the world's
-// configured timeout — see sendLink.rto).
-func (p *Proc) retransmit() {
-	now := time.Now()
-	floor := p.world.rto
-	for dst := range p.sendLinks { // self-sends never enter a link
-		l := &p.sendLinks[dst]
-		resent := 0
-		l.mu.Lock()
-		rto := l.rto(floor)
-		for i := range l.unacked {
-			if ps := &l.unacked[i]; now.Sub(ps.last) >= rto {
-				ps.last = now
-				ps.tries++
-				resent++
-				p.transmit(dst, ps.msg) // under l.mu: see post
-			}
-		}
-		l.mu.Unlock()
-		if mx := p.world.mx; mx != nil && resent > 0 {
-			mx.retrans.Add(p.rank, uint64(resent))
-		}
+// peerEvent is the transport's event callback for this rank (Start). A
+// PeerUp ends a cut, so it has the link timer resend — not the transport
+// goroutine that reports, so Send is never re-entered from it. Every event
+// then goes to the world's observer (SetPeerEventHook).
+func (p *Proc) peerEvent(ev PeerEvent) {
+	if ev.Kind == PeerUp && ev.Peer >= 0 && ev.Peer < len(p.sendLinks) && ev.Peer != p.rank {
+		p.sendLinks[ev.Peer].resend.Store(true) // before the timer runs: see onLinkTimer
+		p.armed.Store(true)
+		p.linkTimer.Reset(0)
+	}
+	if f := p.world.peerHook.Load(); f != nil && *f != nil {
+		(*f)(ev)
+	}
+}
+
+// resend sends every unacked frame toward dst again, in sequence order, after
+// a cut on the link: the frames lost in it are among them. It stops at a
+// frame the transport refuses, which cuts the link again: the PeerUp that
+// ends that cut resends from the oldest unacked frame anyway. With nothing
+// unacked it restates the cumulative ack for dst instead, since an ack frame
+// lost in the cut has no other carrier. Under rx, on the link timer.
+func (p *Proc) resend(dst int) {
+	l := &p.sendLinks[dst]
+	l.mu.Lock()
+	n := 0
+	for n < len(l.unacked) && p.transmit(dst, l.unacked[n].msg) == nil { // under l.mu: see post
+		n++
+	}
+	idle := len(l.unacked) == 0
+	l.mu.Unlock()
+	if idle && p.recvLinks[dst].through.Load() > 0 {
+		p.sendAck(dst)
+	}
+	if mx := p.world.mx; mx != nil && n > 0 {
+		mx.retrans.Add(p.rank, uint64(n))
 	}
 }
 
 // resetLink forgets both directions of the link to a dead peer: its
-// retransmit queue (nobody will ever ack it) and any inbound state, so
+// unacked queue (nobody will ever ack it) and any inbound state, so
 // stray state cannot leak. A batch still buffered toward the peer stays
 // where it is: its activations are excluded from the wave with the peer's
 // counts, and the sender's replay log re-homes them under fault tolerance.
@@ -397,20 +338,10 @@ func (p *Proc) resetLink(peer int) {
 	l.mu.Unlock()
 	p.world.linkDrained()
 	r := &p.recvLinks[peer]
-	r.expected, r.ooo = 1, nil
+	r.expected = 1
 	r.through.Store(0)
 	r.told.Store(0)
 	r.owed.Store(0)
-}
-
-// LinkRTO reports the current (adaptive) retransmission timeout of this
-// rank's link toward dst — the configured floor until the link has observed
-// ack latencies. Safe from any goroutine.
-func (p *Proc) LinkRTO(dst int) time.Duration {
-	l := &p.sendLinks[dst]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rto(p.world.rto)
 }
 
 // hasUnacked reports whether any outbound message awaits an ack. Safe from
@@ -424,46 +355,40 @@ func (p *Proc) hasUnacked() bool {
 	return false
 }
 
-// linksPending reports whether a link holds unacked or out-of-order frames:
-// what the link timer runs for. Under rx.
-func (p *Proc) linksPending() bool {
-	for i := range p.recvLinks {
-		if len(p.recvLinks[i].ooo) > 0 || p.sendLinks[i].busy.Load() {
-			return true
-		}
-	}
-	return false
-}
-
 // armLinks arms the link timer unless it is pending already. post calls it
 // after it sets busy, and onLinkTimer clears armed before it re-checks the
 // links: with sequentially consistent atomics one of the two sees the
-// other's write, so a busy link never waits without a timer. oweAck calls
-// it under rx, as the callback runs, so an owed ack never waits without one
-// either.
+// other's write, so a busy link watched for a stall never waits without a
+// timer. oweAck calls it under rx, as the callback runs, so an owed ack
+// never waits without one either.
 func (p *Proc) armLinks() {
 	if !p.armed.Load() && !p.armed.Swap(true) {
-		p.linkTimer.Reset(p.world.rto / 2)
+		p.linkTimer.Reset(ackDelay)
 	}
 }
 
-// onLinkTimer is the link timer's callback, every rto/2 while armed: it
-// retransmits, pays the owed acks, runs the stall check, and re-arms while
-// a link still holds unacked or out-of-order frames — after termination
-// too, since Drain and a peer whose ack was lost depend on it. After
-// Shutdown, or once this rank fail-stopped, it does nothing and stays
-// disarmed.
+// onLinkTimer is the link timer's callback. It resends on the links whose
+// cut ended (peerEvent fires it at once for that), pays the owed acks, and,
+// with a stall handler installed, runs the stall check and re-arms while a
+// link holds unacked frames. After Shutdown, or once this rank fail-stopped,
+// it does nothing and stays disarmed.
 func (p *Proc) onLinkTimer() {
 	p.rx.Lock()
 	p.armed.Store(false) // before the re-check: see armLinks
 	if !p.world.closed.Load() && !p.halted.Load() {
-		p.retransmit()
+		for dst := range p.sendLinks {
+			if p.sendLinks[dst].resend.Swap(false) {
+				p.resend(dst)
+			}
+		}
 		if p.ackOwed.Load() {
 			p.payAcks(false)
 		}
-		p.checkStall()
-		if p.linksPending() {
-			p.armLinks()
+		if p.world.onStall != nil {
+			p.checkStall()
+			if p.hasUnacked() {
+				p.armLinks()
+			}
 		}
 	}
 	p.unlockRx()
@@ -478,17 +403,13 @@ func (p *Proc) stopTimers() {
 	}
 }
 
-// checkStall runs on the link timer, under the receive lock, so only while
-// a link holds unacked or out-of-order frames — the only state a stall can
-// be in. A stall is a
-// lack of *progress*, not of traffic: a dead link still exchanges
-// retransmissions and prefix re-acks forever, so the primary signal is a
-// send that has stayed unacked past the threshold since it was first posted.
-// Receive-side silence while unacked sends or out-of-order messages sit
-// buffered is the complementary signal.
+// checkStall runs on the link timer, under the receive lock, while a stall
+// handler is installed and a link holds unacked frames — the only state a
+// stall can be in. A stall is a lack of *progress*, not of traffic: a send
+// that has stayed unacked past the threshold since it was first posted.
 func (p *Proc) checkStall() {
 	w := p.world
-	if w.onStall == nil || w.stallAfter <= 0 || p.terminated || p.stalled {
+	if w.stallAfter <= 0 || p.terminated || p.stalled {
 		return
 	}
 	now := time.Now()
@@ -500,9 +421,6 @@ func (p *Proc) checkStall() {
 		stuck = stuck || len(l.unacked) > 0 && now.Sub(l.unacked[0].born) >= w.stallAfter
 		l.mu.Unlock()
 	}
-	if !stuck && now.Sub(p.lastActivity) >= w.stallAfter {
-		stuck = p.linksPending()
-	}
 	if !stuck {
 		return
 	}
@@ -511,8 +429,7 @@ func (p *Proc) checkStall() {
 }
 
 // PendingSummary describes this rank's link-layer and detector state for
-// hang diagnosis: per-link unacked sends, out-of-order receive buffers, and
-// the termination counters. Intended to be read from the stall handler (it
+// hang diagnosis: per-link unacked sends and the termination counters. Intended to be read from the stall handler (it
 // runs under the rank's receive lock) or after Shutdown; concurrent use
 // while the rank is live may observe torn receiver state.
 func (p *Proc) PendingSummary() string {
@@ -529,21 +446,14 @@ func (p *Proc) PendingSummary() string {
 		l := &p.sendLinks[dst]
 		l.mu.Lock()
 		n := len(l.unacked)
-		var oldest int
-		for i := range l.unacked {
-			oldest = max(oldest, l.unacked[i].tries)
+		var age time.Duration
+		if n > 0 {
+			age = time.Since(l.unacked[0].born)
 		}
 		l.mu.Unlock()
 		if n > 0 {
 			clean = false
-			fmt.Fprintf(&b, "\n  ->%d: %d unacked send(s), max %d attempt(s)", dst, n, oldest)
-		}
-	}
-	for src := range p.recvLinks {
-		l := &p.recvLinks[src]
-		if len(l.ooo) > 0 {
-			clean = false
-			fmt.Fprintf(&b, "\n  <-%d: %d out-of-order message(s) buffered, waiting for seq %d", src, len(l.ooo), l.expected)
+			fmt.Fprintf(&b, "\n  ->%d: %d unacked send(s), oldest posted %v ago", dst, n, age.Round(time.Microsecond))
 		}
 	}
 	if clean {
@@ -556,10 +466,9 @@ func (p *Proc) PendingSummary() string {
 // local ranks has been cumulatively acked by its peer, or until timeout;
 // it reports whether the links drained clean. Multi-process runs call this
 // between Wait and Shutdown so a process does not tear its sockets down
-// while a peer still needs a retransmission (e.g. of the termination
-// broadcast). Links toward confirmed-dead ranks are already cleared by the
+// while a peer still needs a resend (e.g. of the termination broadcast). Links toward confirmed-dead ranks are already cleared by the
 // membership protocol and do not block draining. Drain does not poll: it
-// sleeps until a link's retransmit queue empties (linkDrained) or the
+// sleeps until a link's unacked queue empties (linkDrained) or the
 // timeout expires. It first pays the acks the local ranks owe, which the
 // peers' own Drain may be waiting for.
 func (w *World) Drain(timeout time.Duration) bool {
@@ -600,7 +509,7 @@ func (w *World) hasUnacked() bool {
 	return false
 }
 
-// linkDrained wakes every waiting Drain: a send link's retransmit queue
+// linkDrained wakes every waiting Drain: a send link's unacked queue
 // just emptied (its last pending send was acked, or its peer was confirmed
 // dead). Costs one uncontended lock when nobody is draining.
 func (w *World) linkDrained() {

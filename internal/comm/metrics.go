@@ -20,17 +20,15 @@ type commMetrics struct {
 	polled     *metrics.Counter // inbound frames a polling worker delivered
 	ctrl       *metrics.Counter // sequenced control messages posted
 	acks       *metrics.Counter // link-layer acks posted
-	retrans    *metrics.Counter // link-layer retransmissions
+	retrans    *metrics.Counter // frames resent after a connection cut
 
 	batchSize *metrics.Histogram // activations per flushed frame (log2)
 	// frames flushed per FlushReason: on the size threshold, on an idle
 	// link or the ack that empties it, at World.Shutdown
 	flushes [FlushShutdown + 1]*metrics.Counter
 
-	faultDrop    *metrics.Counter // transmissions lost by the fault plan/filter
-	faultDup     *metrics.Counter // transmissions duplicated
-	faultDelay   *metrics.Counter // transmissions delayed
-	faultReorder *metrics.Counter // transmissions held back to reorder
+	faultDrop  *metrics.Counter // transmissions lost to the fault plan's or filter's cuts
+	faultDelay *metrics.Counter // transmissions delayed
 
 	telemetryFrames *metrics.Counter // telemetry-plane frames shipped
 	telemetryBytes  *metrics.Counter // telemetry-plane payload bytes shipped
@@ -38,7 +36,7 @@ type commMetrics struct {
 
 // EnableMetrics switches on wire metrics: one registry sharded per rank,
 // counting application messages and bytes, wave control traffic, link-layer
-// acks and retransmissions, and injected faults by kind. Must be called
+// acks and frames resent after cuts, and injected faults by kind. Must be called
 // before any Proc is started; idempotent. Returns the registry (distinct
 // from any runtime registry — merge snapshots by name, the "comm." prefix
 // keeps them disjoint).
@@ -64,10 +62,8 @@ func (w *World) EnableMetrics() *metrics.Registry {
 			FlushIdle:     reg.Counter("comm.flushes.idle"),
 			FlushShutdown: reg.Counter("comm.flushes.shutdown"),
 		},
-		faultDrop:    reg.Counter("comm.fault.dropped"),
-		faultDup:     reg.Counter("comm.fault.duplicated"),
-		faultDelay:   reg.Counter("comm.fault.delayed"),
-		faultReorder: reg.Counter("comm.fault.reordered"),
+		faultDrop:  reg.Counter("comm.fault.dropped"),
+		faultDelay: reg.Counter("comm.fault.delayed"),
 
 		telemetryFrames: reg.Counter("comm.telemetry.frames"),
 		telemetryBytes:  reg.Counter("comm.telemetry.bytes"),

@@ -17,7 +17,7 @@ import (
 func TestShutdownCancelsDelayedDeliveries(t *testing.T) {
 	h := newHarness(2)
 	// Every cross-rank transmission is delayed up to 200ms, so at shutdown
-	// time essentially all of the burst below is sitting in timers.
+	// time essentially all of the burst below is held on its link.
 	h.world.SetFaultPlan(FaultPlan{Seed: 7, Delay: 1.0, MaxDelay: 200 * time.Millisecond})
 	var handled atomic.Int64
 	h.world.Proc(1).Register(0, func(src int, payload []byte) { handled.Add(1) })
@@ -32,10 +32,10 @@ func TestShutdownCancelsDelayedDeliveries(t *testing.T) {
 	for _, p := range h.world.local {
 		f := p.tr.(*faultWire)
 		f.mu.Lock()
-		pending := len(f.timers)
+		pending := len(f.held)
 		f.mu.Unlock()
 		if pending != 0 {
-			t.Fatalf("rank %d: %d delayed-delivery timers still tracked after Shutdown", p.rank, pending)
+			t.Fatalf("rank %d: %d delayed frames still held after Shutdown", p.rank, pending)
 		}
 	}
 
@@ -69,14 +69,14 @@ func TestShutdownIdempotentWithUnstartedRanks(t *testing.T) {
 	}
 }
 
-// TestWorldMetricsAndTracing runs the ring relay over a lossy wire with the
-// observability layer on and checks the counters and the Chrome event log.
+// TestWorldMetricsAndTracing runs the ring relay over a wire that cuts its
+// links with the observability layer on and checks the counters and the
+// Chrome event log.
 func TestWorldMetricsAndTracing(t *testing.T) {
 	const n = 3
 	const hops = 90
 	h := newHarness(n)
 	h.world.SetFaultPlan(FaultPlan{Seed: 42, Drop: 0.2})
-	h.world.SetRetransmitTimeout(500 * time.Microsecond)
 	reg := h.world.EnableMetrics()
 	if again := h.world.EnableMetrics(); again != reg {
 		t.Fatal("EnableMetrics is not idempotent")
@@ -111,7 +111,7 @@ func TestWorldMetricsAndTracing(t *testing.T) {
 		t.Fatal("a 20-percent-drop wire recorded no dropped transmissions")
 	}
 	if snap.Counters["comm.retransmits"] == 0 {
-		t.Fatal("dropped transmissions were never retransmitted")
+		t.Fatal("dropped transmissions were never resent")
 	}
 	if snap.Gauges["comm.rounds"] < 2 {
 		t.Fatalf("comm.rounds = %d, want >= 2", snap.Gauges["comm.rounds"])

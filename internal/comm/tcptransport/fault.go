@@ -31,15 +31,17 @@ type FaultConfig struct {
 	Seed uint64
 
 	// ConnKillProb closes the established connection instead of writing the
-	// frame (the frame drops; the dialer reconnects with backoff).
+	// frame (the frame drops in the cut; the writer reconnects with
+	// backoff).
 	ConnKillProb float64
 	// TornWriteProb writes the length prefix and only half the frame, then
 	// kills the connection — the receiver sees a short read mid-frame.
 	TornWriteProb float64
 
 	// PartitionProb starts a partition episode toward the destination peer:
-	// for PartitionFor, every frame toward it is dropped and any established
-	// connection is torn down, simulating a one-way network partition.
+	// for PartitionFor, every frame toward it is dropped, any established
+	// connection is torn down and none is dialed, simulating a one-way
+	// network partition.
 	PartitionProb float64
 	// PartitionFor is the partition episode length. Default 20ms. Keep it
 	// shorter than the failure detector's SuspectAfter when the test expects
@@ -146,6 +148,14 @@ func (inj *injector) partitioned(peer int) bool {
 		return true
 	}
 	return false
+}
+
+// partitionEnd returns when the partition episode toward peer ends: the
+// zero time when none is active. It rolls nothing.
+func (inj *injector) partitionEnd(peer int) time.Time {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	return inj.partitions[peer]
 }
 
 // writeFault rolls the per-frame write faults.

@@ -18,16 +18,24 @@
 // read path: a connection's bytes are read by one caller at a time, until
 // the socket is empty.
 //
-// Robustness: dials use capped exponential backoff with seeded jitter;
-// writes and reads carry deadlines; a failed connection is torn down and
-// transparently re-dialed, with the frames lost in between recovered by the
-// comm reliable link layer (whose per-link sequence state survives the
-// reconnect — delivery resumes exactly-once and in order). A peer the
-// failure detector confirms dead is marked via MarkDead, which stops the
-// reconnect loop. For fault-tolerance testing, a seeded socket-level fault
-// injector (FaultConfig) tears connections down, writes torn frames,
-// partitions peers for a window, and slows reads — all without touching the
-// protocol layers above.
+// Robustness, and the comm.Transport contract: frames toward a peer travel
+// in order on one connection at a time, and are lost only at a cut. Every
+// place a frame can be lost is a cut: a failed or torn write, an injected
+// connection kill or partition, and the receiver tearing the connection
+// down (its read timeout or a framing error), which a blocked read on the
+// outbound connection notices while the sender is idle. The writer reports
+// each cut as PeerDown (a failed dial as PeerDialFailed), then redials on
+// its own backoff timer — capped exponential with seeded jitter — and
+// reports PeerUp, on which the comm link layer resends what the cut lost. A
+// frame dropped on a full outbox is a cut too, which the writer reports as
+// PeerDown and PeerUp at once: the connection stays up and in order. The
+// link layer's resend after a cut restores what it lost (its per-link sequence state survives the reconnect, so
+// delivery resumes exactly-once and in order). Writes and reads carry
+// deadlines. A peer the failure detector confirms dead is marked via
+// MarkDead, which stops the reconnect loop. For fault-tolerance testing, a
+// seeded socket-level fault injector (FaultConfig) tears connections down,
+// writes torn frames, partitions peers for a window, and slows reads — all
+// without touching the protocol layers above.
 package tcptransport
 
 import (
@@ -61,8 +69,9 @@ const (
 	coalesceLimit = 64 << 10
 )
 
-// Errors returned by Send. Both are best-effort conditions: the reliable
-// link layer above retransmits, so callers may ignore them.
+// Errors returned by Send. Each means the frame was dropped; a full outbox
+// is reported as a cut (Send), so the comm link layer resends the frame,
+// and callers may ignore the error.
 var (
 	ErrClosed       = errors.New("tcptransport: transport closed")
 	ErrPeerDead     = errors.New("tcptransport: peer marked dead")
@@ -97,7 +106,8 @@ type Config struct {
 	// how long a half-open connection can linger. Default 0 (none).
 	ReadTimeout time.Duration
 	// OutboxLen bounds the per-peer send queue; a full outbox drops the
-	// frame (the link layer retransmits). Default 4096.
+	// frame, and the writer reports the drop as a cut, so the link layer
+	// resends it. Default 4096.
 	OutboxLen int
 
 	// Fault optionally injects seeded socket-level faults (see fault.go).
@@ -156,8 +166,6 @@ type Transport struct {
 
 	reconnects atomic.Int64
 	dials      atomic.Int64
-	accepted   atomic.Int64
-	sent       atomic.Int64
 	dropped    atomic.Int64
 }
 
@@ -241,9 +249,9 @@ func (t *Transport) Start(deliver func(frame []byte), events func(comm.PeerEvent
 // Send hands one frame to rank dst without ever parking. When nothing is
 // queued toward dst and no writer is mid-write, it writes the frame itself,
 // in one non-blocking attempt (tryDirect); otherwise, and always under
-// Config.Fault, it queues the frame for the peer's writer goroutine.
-// Best-effort: a full outbox or a dead or closed transport drops the frame
-// (the link layer above retransmits).
+// Config.Fault, it queues the frame for the peer's writer goroutine. A full
+// outbox drops the frame and has the writer report the drop as a cut
+// (overflow); a dead peer or a closed transport drops it too.
 func (t *Transport) Send(dst int, frame []byte) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -268,6 +276,8 @@ func (t *Transport) Send(dst int, frame []byte) error {
 	default:
 		p.queued.Add(-1)
 		t.dropped.Add(1)
+		p.overflow.Store(true)
+		p.kickWriter()
 		return ErrBackpressure
 	}
 }
@@ -290,8 +300,8 @@ func (t *Transport) MarkDead(rank int) {
 // Writers first flush any frames still queued in their outboxes (briefly,
 // best-effort) before the connections come down: the last frames a rank
 // sends before exiting are typically the acks its peers need to drain, and
-// dropping them would leave peers retransmitting into the void until their
-// drain timeout. Idempotent.
+// dropping them would leave peers waiting for them until their drain
+// timeout. Idempotent.
 func (t *Transport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -301,7 +311,7 @@ func (t *Transport) Close() error {
 		if p == nil {
 			continue
 		}
-		p.stopOnce.Do(func() { close(p.quit) })
+		close(p.quit)
 	}
 	t.writerWg.Wait() // writers flush residual frames, then exit
 	for _, p := range t.peers {
@@ -344,19 +354,22 @@ func (t *Transport) logf(format string, args ...any) {
 
 // ---------------------------------------------------------------- outbound
 
-// peer is one outbound simplex connection with reconnect state. conn is
-// set by the writer goroutine; closeConn may be called from other
-// goroutines (Close/MarkDead) to interrupt a blocked write.
+// peer is one outbound simplex connection with reconnect state. Only the
+// writer goroutine sets conn, dials, and reports PeerUp and PeerDown. Other
+// goroutines may close the connection — Close and MarkDead to interrupt a
+// blocked write, the connection's watcher when the receiver tore it down
+// — or ask the writer to report a dropped frame (overflow); either wakes the
+// writer, which reports the cut before it dials again (connect).
 type peer struct {
 	t      *Transport
 	rank   int
 	addr   string
 	outbox chan []byte
-	kick   chan struct{} // a direct write left a remainder for the writer
+	kick   chan struct{} // wakes the writer: a direct write's remainder, a cut to report, a redial due
 	quit   chan struct{}
 
-	stopOnce sync.Once
 	dead     atomic.Bool
+	overflow atomic.Bool // Send dropped a frame on a full outbox: the writer reports a cut
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -382,28 +395,34 @@ type peer struct {
 	rawN     int
 	rawErr   error
 
-	// writer-private reconnect state
+	// Writer-private reconnect state. outage is set from the report of a
+	// cut or a failed dial until the next PeerUp.
 	everUp     bool
+	outage     bool
 	attempts   int
 	backoff    time.Duration
 	nextDialAt time.Time
 }
 
-func (p *peer) setConn(c net.Conn) {
+// closeConn closes c if it is the connection (any connection when c is
+// nil), clears it, and reports whether it closed one.
+func (p *peer) closeConn(c net.Conn) bool {
 	p.mu.Lock()
-	p.conn = c
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.conn == nil || c != nil && p.conn != c {
+		return false
+	}
+	p.conn.Close()
+	p.conn = nil
+	return true
 }
 
-func (p *peer) closeConn(c net.Conn) {
-	p.mu.Lock()
-	if c == nil || p.conn == c {
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
+// kickWriter wakes the writer goroutine.
+func (p *peer) kickWriter() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
 	}
-	p.mu.Unlock()
 }
 
 func (p *peer) current() net.Conn {
@@ -476,13 +495,8 @@ func (p *peer) tryDirect(frame []byte) bool {
 	if n < len(p.dbuf) {
 		p.rest, p.restConn = p.dbuf[n:], c
 		p.queued.Add(1)
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
-		return true
+		p.kickWriter()
 	}
-	p.t.sent.Add(1)
 	return true
 }
 
@@ -522,11 +536,9 @@ func (p *peer) writeRest() {
 	p.rest, p.restConn = nil, nil
 	p.queued.Add(-1)
 	if err != nil {
-		p.dropConn(c, err)
 		p.t.dropped.Add(1)
-		return
+		p.cut(err)
 	}
-	p.t.sent.Add(1)
 }
 
 // writeFrame writes the length prefix for a frame of size bytes and then
@@ -541,10 +553,13 @@ func writeFrame(c net.Conn, size int, body []byte, deadline time.Time) error {
 	return err
 }
 
-// writeLoop drains the outbox onto the connection, dialing (with capped
-// exponential backoff + jitter) whenever there is no connection. It never
-// blocks on backoff: while disconnected and inside the backoff window,
-// frames are dropped fast, so retransmission traffic cannot pile up.
+// writeLoop drains the outbox onto the connection. It dials the first
+// connection for the first frame, and after a cut redials on its own backoff
+// timer (capped exponential, with jitter), whether or not frames wait: an
+// idle sender whose frames died in a cut still reconnects, and its PeerUp
+// has the link layer resend them. It never blocks on backoff: while
+// disconnected and inside the backoff window, frames are dropped fast; they
+// are lost in the cut the writer reported.
 //
 // Frames are gathered into one buffer and written when the outbox runs
 // empty or the buffer reaches coalesceLimit, so a queued burst costs one
@@ -565,9 +580,15 @@ func (p *peer) writeLoop() {
 				p.flushResidual(&w.fb)
 				return
 			case <-p.kick:
+				// A direct write's remainder, an overflow to report, or
+				// a connection to redial after a cut.
 				p.wmu.Lock()
 				p.writeRest()
 				p.wmu.Unlock()
+				p.reportOverflow()
+				if p.outage || p.everUp {
+					w.connect()
+				}
 				continue
 			case frame = <-p.outbox:
 			}
@@ -605,11 +626,10 @@ func (w *writer) flush() bool {
 	p.queued.Add(-n)
 	p.wmu.Unlock()
 	if err != nil {
-		p.dropConn(w.conn, err)
 		t.dropped.Add(n)
+		p.cut(err)
 		return false
 	}
-	t.sent.Add(n)
 	return true
 }
 
@@ -620,19 +640,17 @@ func (w *writer) take(frame []byte) bool {
 	if p.dead.Load() || t.closed.Load() {
 		return false // drain and drop
 	}
+	p.reportOverflow()
 	if t.inj != nil && t.inj.partitioned(p.rank) {
-		// Partition episode: this direction is black-holed. Kill any
-		// established connection so the episode also manifests as a
-		// connection-lifecycle fault, then drop.
+		// Partition episode: this direction is black-holed. The episode is
+		// a cut: any established connection goes down, and the writer
+		// redials once it ends.
 		w.flush()
-		if c := p.current(); c != nil {
-			p.closeConn(c)
-			t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: errInjectedPartition})
-		}
+		p.cut(errInjectedPartition)
 		t.dropped.Add(1)
 		return false
 	}
-	c := p.ensureConn()
+	c := w.connect()
 	if c != w.conn {
 		w.flush() // the old connection is gone (MarkDead, Close): fails fast
 		w.conn = c
@@ -648,16 +666,16 @@ func (w *writer) take(frame []byte) bool {
 		switch t.inj.writeFault() {
 		case faultConnKill:
 			w.flush()
-			p.dropConn(c, errInjectedConnKill)
 			t.dropped.Add(1)
+			p.cut(errInjectedConnKill)
 			return false
 		case faultTornWrite:
 			w.flush()
 			p.wmu.Lock()
 			writeFrame(c, len(frame), frame[:len(frame)/2], time.Now().Add(t.cfg.WriteTimeout))
 			p.wmu.Unlock()
-			p.dropConn(c, errInjectedTornWrite)
 			t.dropped.Add(1)
+			p.cut(errInjectedTornWrite)
 			return false
 		}
 	}
@@ -671,11 +689,10 @@ func (w *writer) take(frame []byte) bool {
 		err := writeFrame(c, len(frame), frame, time.Now().Add(t.cfg.WriteTimeout))
 		p.wmu.Unlock()
 		if err != nil {
-			p.dropConn(c, err)
 			t.dropped.Add(1)
+			p.cut(err)
 			return false
 		}
-		t.sent.Add(1)
 		return false
 	}
 	w.fb.add(frame)
@@ -728,24 +745,87 @@ func (p *peer) flushResidual(fb *frameBuf) {
 	}
 }
 
-// dropConn tears the current connection down after a write failure and
-// reports the lifecycle event.
-func (p *peer) dropConn(c net.Conn, err error) {
-	p.closeConn(c)
-	p.t.logf("tcptransport: rank %d -> %d: connection lost: %v", p.t.cfg.Self, p.rank, err)
-	p.t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: err})
+// cut reports that frames toward the peer were, or may have been, lost, on
+// the writer goroutine: it closes the connection, reports PeerDown unless
+// the outage is reported already, and arms the redial. The PeerUp that ends
+// the outage has the link layer resend.
+func (p *peer) cut(err error) {
+	p.closeConn(nil)
+	if p.dead.Load() || p.t.closed.Load() {
+		return // no reconnect to report a cut to
+	}
+	if !p.outage {
+		p.outage = true
+		p.t.logf("tcptransport: rank %d -> %d: connection cut: %v", p.t.cfg.Self, p.rank, err)
+		p.t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: err})
+	}
+	p.scheduleRedial()
 }
 
-// ensureConn returns the established connection, dialing if allowed. While
-// inside the backoff window it returns nil immediately (callers drop the
-// frame; the link layer retransmits after the window).
-func (p *peer) ensureConn() net.Conn {
+// reportOverflow reports a frame Send dropped on a full outbox as a cut that
+// ends at once, PeerDown then PeerUp: the frames queued around it go out in
+// order on the connection, and the link layer resends from its oldest
+// unacked frame. During an outage the PeerUp of the redial does that.
+func (p *peer) reportOverflow() {
+	if !p.overflow.Load() || !p.overflow.Swap(false) || p.outage {
+		return
+	}
+	p.t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDown, Err: ErrBackpressure})
+	p.t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerUp})
+}
+
+// scheduleRedial kicks the writer when the next dial is due.
+func (p *peer) scheduleRedial() {
+	time.AfterFunc(time.Until(p.nextDialAt), p.kickWriter)
+}
+
+// watch blocks on the read side of the outbound connection c, which the
+// receiver never writes to, so the read returns only when c ends: closed
+// here, or torn down by the receiver (its read timeout, a framing error, its
+// Close). In the second case c is still the connection: watch closes it and
+// wakes the writer, which may be idle, to report the cut (connect).
+func (p *peer) watch(c net.Conn) {
+	defer p.t.wg.Done()
+	c.Read(make([]byte, 1))
+	if p.closeConn(c) {
+		p.kickWriter()
+	}
+}
+
+// errPeerClosed reports a cut the receiver made.
+var errPeerClosed = errors.New("tcptransport: peer closed the connection")
+
+// connect returns the established connection, dialing when there is none
+// and neither the backoff window nor a partition forbids it; it returns nil
+// when it does not dial, or the dial fails, and arms the redial then.
+//
+// Before a dial, the writer finishes with the old connection: the frames it
+// gathered and a direct write's remainder fail on it, and a cut made outside
+// the writer (watch) is reported. So every frame lost in a cut is lost
+// before the PeerDown that precedes the next PeerUp.
+func (w *writer) connect() net.Conn {
+	p, t := w.p, w.p.t
 	if c := p.current(); c != nil {
 		return c
 	}
-	t := p.t
+	w.flush()
+	p.wmu.Lock()
+	p.writeRest()
+	p.wmu.Unlock()
+	if p.everUp && !p.outage {
+		p.cut(errPeerClosed) // by the receiver (watch), or at Close or MarkDead, which cut ignores
+	}
+	if p.dead.Load() || t.closed.Load() {
+		return nil
+	}
 	now := time.Now()
+	if t.inj != nil {
+		if end := t.inj.partitionEnd(p.rank); end.After(p.nextDialAt) {
+			p.nextDialAt = end
+		}
+	}
 	if now.Before(p.nextDialAt) {
+		p.scheduleRedial()
 		return nil
 	}
 	t.dials.Add(1)
@@ -760,35 +840,34 @@ func (p *peer) ensureConn() net.Conn {
 		}
 		// Capped exponential backoff with seeded jitter: double per
 		// consecutive failure, plus up to half the current backoff.
-		if p.backoff == 0 {
-			p.backoff = t.cfg.BackoffBase
-		} else {
-			p.backoff *= 2
-			if p.backoff > t.cfg.BackoffMax {
-				p.backoff = t.cfg.BackoffMax
-			}
-		}
-		wait := p.backoff
-		if t.jitter != nil {
-			wait += time.Duration(t.jitter.n(uint64(p.backoff) / 2))
-		}
+		p.backoff = min(max(2*p.backoff, t.cfg.BackoffBase), t.cfg.BackoffMax)
+		wait := p.backoff + time.Duration(t.jitter.n(uint64(p.backoff)/2))
 		p.nextDialAt = now.Add(wait)
+		p.outage = true
 		t.logf("tcptransport: rank %d -> %d: dial %s failed (attempt %d, retry in %v): %v",
 			t.cfg.Self, p.rank, p.addr, p.attempts, wait, err)
 		t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerDialFailed, Attempt: p.attempts, Err: err})
+		p.scheduleRedial()
 		return nil
 	}
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	p.setConn(c)
+	p.mu.Lock()
+	p.conn = c
+	p.mu.Unlock()
+	t.wg.Add(1)
+	go p.watch(c)
 	if p.everUp {
 		t.reconnects.Add(1)
 	}
-	t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerUp, Attempt: p.attempts})
+	if p.outage { // the first connection ends no cut: nothing to resend
+		t.event(comm.PeerEvent{Peer: p.rank, Kind: comm.PeerUp, Attempt: p.attempts})
+	}
 	t.logf("tcptransport: rank %d -> %d: connected to %s (attempt %d, reconnect=%v)",
 		t.cfg.Self, p.rank, p.addr, p.attempts, p.everUp)
 	p.everUp = true
+	p.outage = false
 	p.attempts = 0
 	p.backoff = 0
 	p.nextDialAt = time.Time{}
@@ -878,7 +957,6 @@ func (t *Transport) acceptLoop() {
 		conns := append(slices.Clip(*t.inbound.Load()), ic)
 		t.inbound.Store(&conns)
 		t.connMu.Unlock()
-		t.accepted.Add(1)
 		t.wg.Add(1)
 		go t.readLoop(ic)
 	}

@@ -112,14 +112,16 @@ func TestIdleWorldHasNoTick(t *testing.T) {
 	}
 }
 
-// TestRetransmitArmsAfterIdle: a link that went idle disarms the link timer,
-// so the next send must arm it again or a lost frame is never resent. A drop
-// filter eats the first transmission of each of 1000 frames, each sent on a
-// link that has drained; every frame must still arrive, exactly once.
+// TestRetransmitArmsAfterIdle: a frame lost in a cut on a link that went
+// idle, with the link timer disarmed and nothing else in flight, is resent
+// when the cut ends: the PeerUp arms the timer that resends. A drop filter
+// eats the first transmission of each of 1000 frames, which cuts the link,
+// each sent on a link that has drained; every frame must still arrive,
+// exactly once, through one resend each.
 func TestRetransmitArmsAfterIdle(t *testing.T) {
 	const frames = 1000
 	h := newHarness(2)
-	h.world.SetRetransmitTimeout(200 * time.Microsecond)
+	h.world.EnableMetrics()
 	var dropNext atomic.Bool
 	h.world.SetDropFilter(func(src, dst, tag int) bool {
 		return src == 0 && tag == 0 && dropNext.CompareAndSwap(true, false)
@@ -143,7 +145,7 @@ func TestRetransmitArmsAfterIdle(t *testing.T) {
 		select {
 		case <-arrived:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("frame %d, dropped once on an idle link, was never retransmitted", k)
+			t.Fatalf("frame %d, lost in a cut on an idle link, was never resent", k)
 		}
 	}
 	h.dets[0].Completed(termdet.ExternalSlot)
@@ -152,6 +154,9 @@ func TestRetransmitArmsAfterIdle(t *testing.T) {
 		if n := got[k].Load(); n != 1 {
 			t.Fatalf("frame %d dispatched %d times, want 1", k, n)
 		}
+	}
+	if n := h.world.MetricsSnapshot().Counters["comm.retransmits"]; n < frames {
+		t.Fatalf("%d frames resent, want at least one per frame (%d)", n, frames)
 	}
 }
 

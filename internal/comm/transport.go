@@ -13,12 +13,15 @@
 // skip the transport: they are queued for the receive lock's holder
 // (enqueue), as are the frames that arrive before the rank starts.
 //
-// Transports are best-effort (a frame queued while a connection is down is
-// simply dropped, and World.SetFaultPlan layers seeded frame faults over any
-// of them), so every World runs the sequence-number + cumulative-ack +
-// retransmit link layer above: it recovers losses, deduplicates, and restores
-// order — including across transparent reconnects, because the per-link
-// sequence state lives in the Proc, not the connection.
+// The contract every transport meets (Transport): each sender's frames stay
+// in order, a frame is lost only at a connection cut, and the transport
+// reports the cut with PeerDown (or PeerDialFailed) and then PeerUp, or the
+// peer is marked dead. World.SetFaultPlan layers seeded cuts and delays over
+// any transport within that contract. So the sequence-number + cumulative-ack
+// link layer above (link.go) recovers loss in one place: on the PeerUp that
+// ends a cut it resends every unacked frame, and the receiver drops
+// duplicates and frames past a gap — across reconnects too, because the
+// per-link sequence state lives in the Proc, not the connection.
 package comm
 
 import (
@@ -27,9 +30,16 @@ import (
 	"sync"
 )
 
-// Transport moves framed wire bytes between ranks. Implementations are
-// best-effort: frames may be lost, duplicated, or reordered; the reliable
-// link layer above recovers. Send, Poll and the deliver callback must be
+// Transport moves framed wire bytes between ranks. The contract: frames
+// from one sender to one receiver are delivered in the order sent, at most
+// once each, and a frame is lost only at a cut — a connection lost, torn
+// down, or never made. The transport reports the cut to the events callback
+// as PeerDown (or PeerDialFailed) toward the peer, after the loss or at it,
+// and then PeerUp once frames flow again; or it is told the peer is dead
+// (MarkDead). The link layer resends on that PeerUp (link.go), so no frame
+// may be lost after the PeerUp that follows its cut unless another cut is
+// reported. Frames sent before Start reaches the receiver wait for it; only
+// a closed or dead endpoint drops them. Send, Poll and the callbacks must be
 // safe for concurrent use; ownership of a frame passes with the call (the
 // sender must not reuse a sent frame, the transport hands each delivered
 // frame to the receiver for keeps).
@@ -41,7 +51,8 @@ import (
 // never parks: workers call it, and so does whichever goroutine holds the
 // receive lock. A transport delivers from goroutines of its own — one per
 // connection, or one per endpoint as MemTransport does — and on the
-// goroutines that call Poll.
+// goroutines that call Poll; it reports events from its own goroutines,
+// never from within Send.
 type Transport interface {
 	// Self returns the local rank this transport is bound to.
 	Self() int
@@ -52,8 +63,9 @@ type Transport interface {
 	// and per-peer connection lifecycle transitions are reported through
 	// events (may be nil).
 	Start(deliver func(frame []byte), events func(PeerEvent)) error
-	// Send hands one frame over for best-effort delivery to rank dst. It
-	// never parks and never calls deliver.
+	// Send hands one frame over for delivery to rank dst. It never parks and
+	// never calls deliver or events. An error means the frame was dropped,
+	// and the drop is a cut the transport reports like any other.
 	Send(dst int, frame []byte) error
 	// Poll lets an idle worker fetch inbound frames itself, so a frame that
 	// lands while a worker spins is dispatched by that worker instead of
@@ -85,9 +97,13 @@ const (
 	// PeerDialFailed: one dial attempt toward the peer failed; the transport
 	// backs off and will retry.
 	PeerDialFailed PeerEventKind = iota
-	// PeerUp: an outbound connection to the peer was established.
+	// PeerUp: frames toward the peer flow again after a cut the events
+	// before it reported (a connection re-established). A transport's first
+	// connection, which ends no cut, is not reported.
 	PeerUp
-	// PeerDown: an established connection to the peer was lost.
+	// PeerDown: the connection to the peer was cut: lost, torn down by
+	// either side, or abandoned for a dropped frame. Frames sent toward the
+	// peer before it may be lost.
 	PeerDown
 	// PeerGaveUp: the transport stopped pursuing the peer (marked dead or
 	// transport closed).
@@ -118,9 +134,10 @@ type PeerEvent struct {
 // callback: the in-memory analogue of a socket's reader. It never loses,
 // duplicates or reorders a frame, so all it adds to a message is the frame
 // encoding and at most one goroutine hand-off. A frame toward an endpoint
-// that is not started, or already closed, is dropped, as a socket toward a
-// process that is not up would drop it. There are no connections: MarkDead
-// does nothing and Reconnects is 0.
+// that is not started yet waits in its queue for Start; one toward a closed
+// endpoint is dropped, as toward a process that is gone. There are no
+// connections, hence no cuts and no events: MarkDead does nothing and
+// Reconnects is 0.
 type MemTransport struct {
 	eps  []*memEndpoint // shared by the network's endpoints, by rank
 	self int
@@ -132,8 +149,8 @@ type MemTransport struct {
 type memEndpoint struct {
 	mu      sync.Mutex
 	queue   [][]byte
-	live    bool // started and not closed: Send queues, else drops
-	closed  bool
+	live    bool // started and not closed
+	closed  bool // Send drops
 	deliver func([]byte)
 	note    chan struct{}
 	quit    chan struct{}
@@ -168,8 +185,8 @@ func (t *MemTransport) Self() int { return t.self }
 // Size returns the number of endpoints in the network.
 func (t *MemTransport) Size() int { return len(t.eps) }
 
-// Start attaches deliver and launches the endpoint's delivery goroutine:
-// frames sent to this endpoint from now on reach it. There are no
+// Start attaches deliver and launches the endpoint's delivery goroutine,
+// which first delivers the frames that were sent before. There are no
 // connections, hence no peer events.
 func (t *MemTransport) Start(deliver func([]byte), _ func(PeerEvent)) error {
 	ep := t.eps[t.self]
@@ -183,11 +200,12 @@ func (t *MemTransport) Start(deliver func([]byte), _ func(PeerEvent)) error {
 	return nil
 }
 
-// Send queues frame on dst's endpoint for its delivery goroutine.
+// Send queues frame on dst's endpoint for its delivery goroutine, which
+// takes it when dst is started.
 func (t *MemTransport) Send(dst int, frame []byte) error {
 	ep := t.eps[dst]
 	ep.mu.Lock()
-	if !ep.live {
+	if ep.closed {
 		ep.mu.Unlock()
 		return nil
 	}
@@ -218,11 +236,12 @@ func (t *MemTransport) MarkDead(int) {}
 func (t *MemTransport) Reconnects() int64 { return 0 }
 
 // drain swaps out the queue and delivers it in arrival order, returning how
-// many frames it delivered. The caller holds delivering.
+// many frames it delivered; before Start it leaves the queue alone. The
+// caller holds delivering.
 func (ep *memEndpoint) drain() int {
 	ep.mu.Lock()
 	buf := ep.queue
-	if len(buf) == 0 {
+	if len(buf) == 0 || !ep.live {
 		ep.mu.Unlock()
 		return 0
 	}
@@ -236,18 +255,18 @@ func (ep *memEndpoint) drain() int {
 	return len(buf)
 }
 
-// run delivers queued frames until Close.
+// run delivers queued frames, those sent before Start first, until Close.
 func (ep *memEndpoint) run() {
 	defer close(ep.done)
 	for {
+		ep.delivering.Lock()
+		ep.drain()
+		ep.delivering.Unlock()
 		select {
 		case <-ep.quit:
 			return
 		case <-ep.note:
 		}
-		ep.delivering.Lock()
-		ep.drain()
-		ep.delivering.Unlock()
 	}
 }
 
@@ -278,7 +297,7 @@ func (t *MemTransport) Close() error {
 // ack is the cumulative ack of the reverse link: the sender has dispatched
 // (or is dispatching) every sequenced frame the destination sent it up to
 // that sequence number. transmit stamps it on every frame — originals,
-// retransmissions, control frames, heartbeats and standalone acks alike — so
+// resent frames, control frames, heartbeats and standalone acks alike — so
 // a frame that crosses a link carries the acks the other direction owes
 // (link.go). The destination is implicit (the transport routes the frame);
 // the payload runs to the end of the frame. Length framing — and everything
@@ -344,32 +363,33 @@ func (w *World) attach(tr Transport) error {
 	p := newProc(w, tr)
 	w.procs[p.rank] = p
 	w.local = append(w.local, p)
-	return tr.Start(p.deliverFrame, w.peerEvent)
+	return tr.Start(p.deliverFrame, p.peerEvent)
 }
 
 // transmit puts one message on the wire toward dst: a self-send is queued
 // for the receive lock's holder, anything else is stamped with the ack the
-// link from dst is owed, encoded and handed to the transport (best effort:
-// the link layer retransmits). Called for originals, retransmissions, and
-// acks. After Shutdown, and to or from a fail-stopped rank, the wire is down
-// and the message is discarded.
-func (p *Proc) transmit(dst int, m message) {
+// link from dst is owed, encoded and handed to the transport (a frame lost
+// in a cut is resent when the cut ends, link.go). Called for originals,
+// resent frames, and acks. After Shutdown, and to or from a fail-stopped
+// rank, the wire is down and the message is discarded. It returns the
+// transport's error: the frame was dropped in a cut.
+func (p *Proc) transmit(dst int, m message) error {
 	w := p.world
 	if w.closed.Load() {
-		return
+		return nil
 	}
 	if dst == p.rank {
 		p.enqueue(m)
-		return
+		return nil
 	}
 	if w.wireDead(p.rank, dst) {
-		return
+		return nil
 	}
 	m.ack = p.recvLinks[dst].stamp()
 	p.framesMu.Lock()
 	frame := p.frames.Make(wireFrameHdr + len(m.payload))
 	p.framesMu.Unlock()
-	_ = p.tr.Send(dst, appendWireFrame(frame[:0], m))
+	return p.tr.Send(dst, appendWireFrame(frame[:0], m))
 }
 
 // FrameAlloc hands out wire frame buffers without an allocation per frame:
@@ -424,12 +444,6 @@ func (p *Proc) deliverFrame(frame []byte) {
 // SetPeerEventHook installs an observer for transport peer lifecycle events
 // (events may arrive on any transport goroutine). Safe to call at any time.
 func (w *World) SetPeerEventHook(f func(PeerEvent)) { w.peerHook.Store(&f) }
-
-func (w *World) peerEvent(ev PeerEvent) {
-	if f := w.peerHook.Load(); f != nil && *f != nil {
-		(*f)(ev)
-	}
-}
 
 // Reconnects reports how many times the local transports re-established a
 // lost peer connection (comm.reconnects; 0 over memory).

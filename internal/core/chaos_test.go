@@ -14,16 +14,14 @@ import (
 	"gottg/internal/taskbench"
 )
 
-// faultPlanHeavy composes the message-level chaos: double-digit drop rates
-// plus duplication, reordering, and random delay on every link — the same
-// shape the comm package's own acceptance plan uses.
+// faultPlanHeavy composes the message-level chaos: a double-digit share of
+// frames cut their link, and random delay on every link — the same shape
+// the comm package's own acceptance plan uses.
 func faultPlanHeavy(seed uint64) comm.FaultPlan {
 	return comm.FaultPlan{
-		Seed:    seed,
-		Drop:    0.10,
-		Dup:     0.10,
-		Reorder: 0.25,
-		Delay:   0.10,
+		Seed:  seed,
+		Drop:  0.10,
+		Delay: 0.10,
 	}
 }
 

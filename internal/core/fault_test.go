@@ -287,16 +287,16 @@ func runSPMDErr(t *testing.T, ranks, workers int, configure func(w *comm.World),
 }
 
 func TestDistributedChainUnderFaultPlan(t *testing.T) {
-	// The cross-rank chain with >=10% drop plus duplication and reordering
-	// on every link: the reliable link layer must hide all of it — exact
-	// task count, exact final value, clean termination.
+	// The cross-rank chain with >=10% of frames cutting their link, and
+	// delays, on every link: the link layer's resends after the cuts must
+	// hide all of it — exact task count, exact final value, clean
+	// termination.
 	const ranks = 4
 	const N = 300
 	var count atomic.Int64
 	var lastVal atomic.Int64
 	errs := runSPMDErr(t, ranks, 2, func(w *comm.World) {
-		w.SetFaultPlan(comm.FaultPlan{Seed: 99, Drop: 0.12, Dup: 0.10, Reorder: 0.25, Delay: 0.10})
-		w.SetRetransmitTimeout(time.Millisecond)
+		w.SetFaultPlan(comm.FaultPlan{Seed: 99, Drop: 0.12, Delay: 0.10})
 	}, func(g *Graph) func() {
 		e := NewEdge("chain")
 		tt := g.NewTT("hop", 1, 1, func(tc TaskContext) {
@@ -360,14 +360,13 @@ func TestDistributedPanicAbortsAllRanks(t *testing.T) {
 }
 
 func TestDistributedPanicUnderFaultPlan(t *testing.T) {
-	// Worst of both: a task panic while the wire is dropping, duplicating,
-	// and reordering — including the abort broadcast and the termination
-	// wave. Every rank must still unblock with an error.
+	// Worst of both: a task panic while the wire keeps cutting links —
+	// including under the abort broadcast and the termination wave. Every
+	// rank must still unblock with an error.
 	const ranks = 3
 	const N = 150
 	errs := runSPMDErr(t, ranks, 2, func(w *comm.World) {
-		w.SetFaultPlan(comm.FaultPlan{Seed: 7, Drop: 0.10, Dup: 0.10, Reorder: 0.20})
-		w.SetRetransmitTimeout(time.Millisecond)
+		w.SetFaultPlan(comm.FaultPlan{Seed: 7, Drop: 0.10, Delay: 0.20})
 	}, func(g *Graph) func() {
 		e := NewEdge("chain")
 		tt := g.NewTT("hop", 1, 1, func(tc TaskContext) {

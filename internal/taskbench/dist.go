@@ -53,9 +53,9 @@ type DistOptions struct {
 	// Fault.Seed).
 	TCP   bool
 	Fault *tcptransport.FaultConfig
-	// Plan injects seeded frame faults (drop, duplicate, reorder, delay) on
+	// Plan injects seeded frame faults (drops that cut a link, delays) on
 	// every rank's transport, memory or TCP, with per-rank seeds derived
-	// from Plan.Seed; the link retransmission timeout drops to 1ms with it.
+	// from Plan.Seed.
 	Plan *comm.FaultPlan
 
 	// Metrics enables the wire registry (its counters land in the report);
@@ -133,7 +133,7 @@ type RankReport struct {
 	Messages     uint64 `json:"msgs,omitempty"`         // wire frames sent (comm.msgs.sent; Metrics)
 	Activations  uint64 `json:"activations,omitempty"`  // task activations carried inside them
 	BytesSent    uint64 `json:"bytes_sent,omitempty"`   // payload bytes on the wire
-	Faults       uint64 `json:"faults,omitempty"`       // frames the Plan dropped, duplicated, reordered or delayed (Metrics)
+	Faults       uint64 `json:"faults,omitempty"`       // frames the Plan dropped or delayed (Metrics)
 	Drained      bool   `json:"drained"`                // links acked before the transport closed
 	Err          string `json:"err,omitempty"`          // Wait's error (e.g. this rank was fail-stopped)
 
@@ -309,7 +309,6 @@ func newRank(s Spec, tr comm.Transport, o DistOptions, wrap recordWrap) (*rank, 
 	}
 	if o.Plan != nil {
 		world.SetFaultPlan(*o.Plan)
-		world.SetRetransmitTimeout(time.Millisecond)
 	}
 	if o.Metrics || runtimeMetrics || o.Trace {
 		world.EnableMetrics()
@@ -502,7 +501,7 @@ func (r *rank) report() RankReport {
 	rep.Messages = snap.Counters["comm.msgs.sent"]
 	rep.BytesSent = snap.Counters["comm.bytes.sent"]
 	rep.Activations = snap.Histograms["comm.batch_size"].Sum
-	for _, k := range []string{"dropped", "duplicated", "reordered", "delayed"} {
+	for _, k := range []string{"dropped", "delayed"} {
 		rep.Faults += snap.Counters["comm.fault."+k]
 	}
 	return *rep

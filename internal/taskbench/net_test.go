@@ -231,11 +231,11 @@ func TestNetRankRejectsTooManyRanks(t *testing.T) {
 }
 
 // TestTCPFaultPlan: the FaultPlan decorator runs over loopback TCP as it does
-// over memory — seeded drops, duplicates, reorders and delays of every
-// rank's frames — and the link layer still carries both patterns to a
-// bit-identical checksum.
+// over memory — seeded drops that cut a rank's links, and delays of every
+// rank's frames — and the link layer's resends after the cuts still carry
+// both patterns to a bit-identical checksum.
 func TestTCPFaultPlan(t *testing.T) {
-	plan := &comm.FaultPlan{Seed: 26, Drop: 0.05, Dup: 0.05, Reorder: 0.1, Delay: 0.05}
+	plan := &comm.FaultPlan{Seed: 26, Drop: 0.05, Delay: 0.05}
 	for _, s := range []Spec{
 		{Pattern: Stencil1D, Width: 16, Steps: 40, Flops: 500},
 		{Pattern: Random, Width: 12, Steps: 30, Flops: 500},

@@ -116,8 +116,9 @@ type TaskError = rt.TaskError
 // World is a set of simulated ranks for distributed execution.
 type World = comm.World
 
-// FaultPlan injects seeded drop/duplicate/delay/reorder faults into a
-// World's links and engages the reliable (ack/retransmit) link layer.
+// FaultPlan injects seeded faults into a World's links: a dropped frame cuts
+// its link for a short while, after which the link layer resends what the
+// cut lost, and a delayed frame keeps its link's order.
 type FaultPlan = comm.FaultPlan
 
 // Proc is one rank's communication endpoint.
